@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="number of half-flats")
         p.add_argument("--output", default=None, help="result JSON file")
         p.add_argument("--gate", type=int, default=gate_default,
-                       help="size gate (LP calls, pairs, or points)")
+                       help="size gate (exact feasibility checks, pairs, "
+                            "or points)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1)
 

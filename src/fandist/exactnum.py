@@ -17,6 +17,8 @@ import enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from fandist.errors import VerificationBug
+
 __all__ = [
     "Cyclotomic",
     "ExactMatrix",
@@ -92,7 +94,8 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
         xm1 = [0] * (m + 1)
         xm1[0], xm1[m] = -1, 1
         q, rem = _poly_divmod_monic_int(xm1, prod)
-        assert not rem, "cyclotomic division must be exact"
+        if rem:
+            raise VerificationBug("cyclotomic division must be exact")
         _CYCLOTOMIC_CACHE[m] = tuple(q)
     return _CYCLOTOMIC_CACHE[N]
 

@@ -19,14 +19,17 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from fandist.errors import PreconditionError
+from fandist.errors import PreconditionError, VerificationBug
 from fandist.exactnum import Cyclotomic, _field_data
 from fandist.galedual import PointConfig
 
 __all__ = [
     "ExactWeightSolver",
     "ProperWeightProblem",
+    "Flat",
     "WeightWitness",
+    "affine_hull",
+    "integer_grid",
     "proper_weights",
     "realify",
 ]
@@ -154,16 +157,17 @@ def _reduce_row(row):
     return row
 
 
-def _solve_equalities_int(M, nvars):
-    """Classify an integer augmented system: inconsistent/unique/under.
+def _eliminate_int(M, ncols):
+    """Fraction-free forward elimination on the first ncols columns of M.
 
-    Fraction-free elimination; exact throughout.  Returns
-    ('inconsistent', None) | ('unique', list[Fraction]) | ('under', None).
+    Works in place by swapping and replacing rows (a row list is never
+    mutated, so M may share rows with its caller).  Returns the pivots
+    (row, col); the rows from len(pivots) on are zero in those columns.
     """
     m = len(M)
     pivots = []  # (row, col)
     r = 0
-    for c in range(nvars):
+    for c in range(ncols):
         pr = None
         for rr in range(r, m):
             if M[rr][c]:
@@ -183,7 +187,17 @@ def _solve_equalities_int(M, nvars):
         r += 1
         if r == m:
             break
-    for rr in range(r, m):
+    return pivots
+
+
+def _solve_equalities_int(M, nvars):
+    """Classify an integer augmented system: inconsistent/unique/under.
+
+    Fraction-free elimination; exact throughout.  Returns
+    ('inconsistent', None) | ('unique', list[Fraction]) | ('under', None).
+    """
+    pivots = _eliminate_int(M, nvars)
+    for rr in range(len(pivots), len(M)):
         if any(M[rr][:nvars]):
             raise AssertionError("elimination left an unreduced row")
         if M[rr][nvars]:
@@ -202,6 +216,146 @@ def _solve_equalities_int(M, nvars):
 
 def _solve_equalities(rows, rhs, nvars):
     return _solve_equalities_int(_int_augmented(rows, rhs), nvars)
+
+
+# --------------------------------------------------------------------------
+# affine flats as integer equation rows
+
+def integer_grid(points) -> list[list[int]]:
+    """Rational coordinates scaled by their least common denominator.
+
+    A uniform positive scaling keeps every affine relation, so weight
+    systems and hull intersections are decided on this grid unchanged.
+    """
+    scale = 1
+    for p in points:
+        for c in p:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+    return [[int(c * scale) for c in p] for p in points]
+
+
+def _back_eliminate(M, pivots):
+    """Clear each pivot column above its pivot row, fraction-free, in place.
+
+    M must be in echelon form with these pivots (as _eliminate_int leaves
+    it); afterwards every pivot column is zero outside its pivot row.
+    """
+    for pr, pc in reversed(pivots):
+        p = M[pr][pc]
+        for q in range(pr):
+            f = M[q][pc]
+            if f:
+                M[q] = _reduce_row([a * p - b * f
+                                    for a, b in zip(M[q], M[pr])])
+
+
+class Flat:
+    """The affine flat {x : u.x = c for every row [u | c]} in integers.
+
+    Rows are in fraction-free reduced echelon form with one common
+    leading value: row k holds ``lead`` in column pivots[k] and zero in
+    every other pivot column.  So the rows are independent, their number
+    is the codimension, and another row is reduced against all of them
+    in one linear combination.  No rows means the whole space.
+    """
+
+    __slots__ = ("dim", "rows", "pivots", "lead", "_cols")
+
+    def __init__(self, dim, rows, pivots, lead):
+        self.dim = dim
+        self.rows = rows
+        self.pivots = pivots
+        self.lead = lead
+        taken = set(pivots)
+        # the columns a reduced row can still be nonzero in, rhs last
+        self._cols = [j for j in range(dim) if j not in taken] + [dim]
+
+    @property
+    def codim(self) -> int:
+        return len(self.rows)
+
+    @classmethod
+    def from_rows(cls, rows, dim) -> "Flat":
+        """The flat cut out by consistent integer rows [u | c]."""
+        M = list(rows)
+        pivots = _eliminate_int(M, dim)
+        rank = len(pivots)
+        if any(row[dim] for row in M[rank:]):
+            raise VerificationBug("inconsistent rows cut out no flat")
+        M = M[:rank]
+        _back_eliminate(M, pivots)
+        lead = 1
+        for pr, pc in pivots:
+            v = abs(M[pr][pc])
+            lead = lead * v // gcd(lead, v)
+        M = [[x * (lead // row[pc]) for x in row]
+             for row, (_, pc) in zip(M, pivots)]
+        return cls(dim, M, [pc for _, pc in pivots], lead)
+
+    def _added_rank(self, other: "Flat") -> Optional[int]:
+        """How many independent rows other adds; None if the meet is empty."""
+        if not self.rows:
+            return other.codim
+        lead, cols = self.lead, self._cols
+        pivot_rows = list(zip(self.pivots, self.rows))
+        reduced = []
+        for g in other.rows:
+            coeffs = [(g[pc], row) for pc, row in pivot_rows if g[pc]]
+            red = [lead * g[j] - sum(c * row[j] for c, row in coeffs)
+                   for j in cols]
+            if any(red[:-1]):
+                reduced.append(red)
+            elif red[-1]:
+                # the row reads 0 = c with c nonzero; against a point
+                # flat every row reduces to this 0 = c form
+                return None
+        free = len(cols) - 1
+        rank = len(_eliminate_int(reduced, free))
+        if any(row[free] for row in reduced[rank:]):
+            return None
+        return rank
+
+    def intersects(self, other: "Flat") -> bool:
+        """Whether the two flats share a point (cheaper than ``meet``)."""
+        return self._added_rank(other) is not None
+
+    def meet(self, other: "Flat") -> Optional["Flat"]:
+        """The intersection of the two flats, or None when it is empty."""
+        added = self._added_rank(other)
+        if added is None:
+            return None
+        if added == 0:
+            return self
+        if not self.rows:
+            return other
+        return Flat.from_rows(self.rows + other.rows, self.dim)
+
+
+def affine_hull(grid, part) -> Flat:
+    """The affine hull of the points grid[i], i in the part, as a Flat.
+
+    Its equations [u | c] (u.a_i = c on the part) are the kernel of the
+    matrix with rows [a_i | -1], read off that matrix's fraction-free
+    reduced echelon form.
+    """
+    dim = len(grid[part[0]])
+    A = [grid[i] + [-1] for i in part]
+    pivots = _eliminate_int(A, dim + 1)
+    _back_eliminate(A, pivots)
+    pivot_cols = {pc for _, pc in pivots}
+    rows = []
+    for f in range(dim + 1):
+        if f in pivot_cols:
+            continue
+        # x_f = prod of pivots makes every pivot variable integral
+        vec = [0] * (dim + 1)
+        vec[f] = 1
+        for pr, pc in pivots:
+            vec[f] *= A[pr][pc]
+        for pr, pc in pivots:
+            vec[pc] = -A[pr][f] * vec[f] // A[pr][pc]
+        rows.append(vec)
+    return Flat.from_rows(rows, dim)
 
 
 # --------------------------------------------------------------------------
@@ -321,12 +475,8 @@ class ExactWeightSolver:
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
         pts = [tuple(Fraction(c) for c in p) for p in points]
-        scale = 1
-        for p in pts:
-            for c in p:
-                scale = scale * c.denominator // gcd(scale, c.denominator)
         self.points = tuple(pts)
-        self.ipoints = [[int(c * scale) for c in p] for p in pts]
+        self.ipoints = integer_grid(pts)
         self.dim = len(pts[0]) if pts else 0
 
     def solve(self, parts) -> Optional[WeightWitness]:
@@ -374,8 +524,8 @@ class ExactWeightSolver:
             sum((weights[i] * pts[i][c] for i in base), Fraction(0))
             for c in range(self.dim))
         witness = WeightWitness(weights, common, min(t))
-        assert witness.verify(pts, parts), \
-            "witness failed exact re-verification"
+        if not witness.verify(pts, parts):
+            raise VerificationBug("witness failed exact re-verification")
         return witness
 
 

@@ -18,6 +18,7 @@ from fandist.errors import (
     NotADependence,
     NotAffinelySpanning,
     NotSpanning,
+    VerificationBug,
     ZeroFunctional,
 )
 from fandist.exactnum import (
@@ -242,14 +243,16 @@ def inverse_gale(dual: PointConfig, verify: bool = True) -> PointConfig:
     d = n - m - 1
     B = ExactMatrix.from_columns(list(dual.points), dual.conductor)
     kb = B.kernel_basis()  # d + 1 vectors of length n
-    assert len(kb) == d + 1, "kernel dimension off: dual not spanning?"
+    if len(kb) != d + 1:
+        raise VerificationBug("kernel dimension off although the dual spans")
     one = Fraction(1) if dual.conductor is None else \
         Cyclotomic.from_rational(dual.conductor, 1)
     ones = tuple([one] * n)
     # express the all-ones vector in the kernel basis, then exchange
     W = ExactMatrix.from_columns(kb, dual.conductor)
     coeff = W.solve(ones)
-    assert coeff is not None, "all-ones vector must lie in ker B"
+    if coeff is None:
+        raise VerificationBug("all-ones vector must lie in ker B")
     swap = next(i for i, c in enumerate(coeff) if not scalar_is_zero(c))
     basis = [kb[i] for i in range(d + 1) if i != swap] + [ones]
     primal_pts = [tuple(conj(basis[k][j]) for k in range(d))
@@ -336,7 +339,8 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
     if not _is_dependence(pair, lam):
         raise NotADependence("lambda is not a nonzero affine dependence")
     alpha = pair.basis_matrix.transpose().solve(lam)
-    assert alpha is not None, "dependence must lie in the row space of B"
+    if alpha is None:
+        raise VerificationBug("dependence must lie in the row space of B")
     for i, g in enumerate(pair.dual.points):
         if hermitian_dot(alpha, g) != lam[i]:
             raise AssertionError("functional does not reproduce lambda")

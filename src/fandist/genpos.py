@@ -26,8 +26,10 @@ from typing import Optional
 from fandist.errors import (
     PreconditionError,
     SizeGateExceeded,
+    VerificationBug,
 )
 from fandist.exactnum import Cyclotomic, ExactMatrix
+from fandist.feaslp import Flat, affine_hull, integer_grid
 from fandist.galedual import (
     PointConfig,
     gale_transform,
@@ -83,9 +85,16 @@ class SgpReport:
 
 
 def _affine_constraints(config: PointConfig, part) -> list[tuple]:
-    """Rows (u, u0) with u.a_i + u0 = 0 for all i in the part."""
-    rows = [list(config.points[i]) + [Fraction(1)] for i in part]
-    return ExactMatrix(rows).kernel_basis()
+    """Rows (u, u0) with u.a_i + u0 = 0 for all i in the part.
+
+    These are the equations of ``affine_hull`` (found on the integer
+    grid), with u0 taken at the part's first point in the original
+    coordinates, for re-checking a report without the grid.
+    """
+    hull = affine_hull(integer_grid(config.points), part)
+    first = config.points[part[0]]
+    return [tuple(row[:-1]) + (-sum(u * x for u, x in zip(row, first)),)
+            for row in hull.rows]
 
 
 def _ordinary_general_position(config: PointConfig):
@@ -100,7 +109,11 @@ def _ordinary_general_position(config: PointConfig):
 
 def check_sgp(config: PointConfig, max_parts: Optional[int] = None,
               gate: int = SGP_GATE) -> SgpReport:
-    """Exhaustive strong-general-position check by exact rank computation.
+    """Exhaustive strong-general-position check by exact elimination.
+
+    Each part's affine hull is cut out by integer equation rows on the
+    points' common-denominator grid (the helpers the Tverberg search
+    prunes with); a tuple's intersection is their meet.
 
     Only parts of size at most d are enumerated: once ordinary general
     position holds, any larger part has full affine hull (codimension
@@ -118,12 +131,13 @@ def check_sgp(config: PointConfig, max_parts: Optional[int] = None,
         return SgpReport(False, n, d, max_parts, (tuple(bad),), None, None,
                          "ordinary general position fails")
 
-    constraints: dict[tuple, list] = {}
+    grid = integer_grid(config.points)
+    hulls: dict[tuple, Flat] = {}
 
-    def rows_for(part):
-        if part not in constraints:
-            constraints[part] = _affine_constraints(config, part)
-        return constraints[part]
+    def hull(part):
+        if part not in hulls:
+            hulls[part] = affine_hull(grid, part)
+        return hulls[part]
 
     def tuples_of_parts(avail, r, prev_min):
         if r == 0:
@@ -141,25 +155,19 @@ def check_sgp(config: PointConfig, max_parts: Optional[int] = None,
         if r > n:
             break
         for parts in tuples_of_parts(list(range(n)), r, None):
-            csum = 0
-            rows = []
-            rhs = []
-            for part in parts:
-                kb = rows_for(part)
-                csum += len(kb)
-                for vec in kb:
-                    rows.append(list(vec[:d]))
-                    rhs.append(-vec[d])
-            if not rows:
+            part_hulls = [hull(part) for part in parts]
+            csum = sum(h.codim for h in part_hulls)
+            if not csum:
                 continue  # all parts full-dimensional: intersection is K^d
-            E = ExactMatrix(rows)
-            rankE = E.rank()
-            aug = ExactMatrix([row + [b] for row, b in zip(rows, rhs)])
-            consistent = aug.rank() == rankE
-            if consistent:
-                if rankE != csum:
+            flat = part_hulls[0]
+            for h in part_hulls[1:]:
+                flat = flat.meet(h)
+                if flat is None:
+                    break
+            if flat is not None:
+                if flat.codim != csum:
                     return SgpReport(False, n, d, max_parts, parts,
-                                     rankE, csum,
+                                     flat.codim, csum,
                                      "codimension equation fails")
             else:
                 if csum <= d:
@@ -322,7 +330,8 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
         for _ in range(r - 1):
             coloring[tail[pos]] = cls
             pos += 1
-    assert coloring[total - 1] == m - 1, "origin must sit in the last class"
+    if coloring[total - 1] != m - 1:
+        raise VerificationBug("origin must sit in the last class")
 
     X = PointConfig(n - d - 1, xs, None, coloring)
     if not X.affinely_spanning():
@@ -332,7 +341,8 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
     lifted_pts = [tuple(p) + (one,) for p in sample.points]
     lifted_pts.append(tuple(Fraction(0) for _ in range(d + ell)))
     lifted = PointConfig(d + ell, lifted_pts, None, coloring)
-    assert lifted.affinely_spanning()
+    if not lifted.affinely_spanning():
+        raise VerificationBug("lifted primal fails to affinely span")
 
     return CounterexampleInstance(X, lifted, sample, r, m, d, k, ell,
                                   seed, verified)

@@ -19,6 +19,7 @@ from fandist.errors import PreconditionError, SizeGateExceeded
 __all__ = [
     "ColoringCertificate",
     "SetFamily",
+    "bitmask",
     "has_r_disjoint",
     "m_eligible",
     "threshold_caps",
@@ -113,7 +114,7 @@ def has_r_disjoint(members: Sequence[Sequence[int]], r: int,
     if r < 2:
         raise PreconditionError("r must be at least 2")
     ms = sorted((tuple(sorted(m)) for m in members), key=lambda t: (len(t), t))
-    masks = [_mask(m) for m in ms]
+    masks = [bitmask(m) for m in ms]
     k = len(ms)
     nodes = 0
 
@@ -137,7 +138,8 @@ def has_r_disjoint(members: Sequence[Sequence[int]], r: int,
     return rec(0, 0, [])
 
 
-def _mask(indices) -> int:
+def bitmask(indices) -> int:
+    """The index set as an integer with bit i set for each index i."""
     m = 0
     for i in indices:
         m |= 1 << i

@@ -406,6 +406,8 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     the r^2-uniform Kneser hypergraph.  The digit condition on the class
     count is a hard precondition.  Search is exhaustive under the gates,
     then randomized best-effort; emitted pairs always verify exactly.
+    ``workers`` is accepted like the single-fan drivers' but unused: the
+    two-tuple search is sequential.
     """
     t0 = time.monotonic()
     X0 = X
@@ -426,7 +428,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
             pair.primal, r, cell_caps=caps9,
             coloring=list(coloring), allowed=range(X.n), seed=seed,
             tuple_gate=tuple_gate, pair_gate=pair_gate,
-            time_budget=time_budget, workers=workers)
+            time_budget=time_budget)
     elif mode == "pierce":
         if family is None or certificate is None:
             raise PreconditionError(
@@ -435,7 +437,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
         pairres = search_two_tuples(
             pair.primal, r, family=family, certificate=certificate,
             allowed=range(X.n), seed=seed, tuple_gate=tuple_gate,
-            pair_gate=pair_gate, time_budget=time_budget, workers=workers)
+            pair_gate=pair_gate, time_budget=time_budget)
     else:
         raise PreconditionError(f"unknown two-fan mode {mode!r}")
     if pairres is None:

@@ -6,16 +6,29 @@ parts, so ``({0},{1},{2})`` with everything else leftover comes first.
 Canonical mode keeps exactly one relabeling per unordered partition by
 requiring min(I_1) < ... < min(I_r).
 
-Searches are exhaustive within a size gate and return the first feasible
-candidate in stream order; with several worker threads, disjoint chunks
-race and the earliest feasible candidate is still the one returned, so
-results are identical at any worker count.
+A proper tuple needs a common point of the affine hulls of its parts.
+Searches over a point set therefore prune the stream by prefix: each
+part's hull equations are computed once on the solver's integer grid,
+and the flat where the hulls of the parts chosen so far meet is carried
+down the depth-first stream.  When that flat is empty, every candidate
+extending the prefix is skipped; at the last depth the same test rejects
+the candidate itself before any weight system is built.  The test is
+exact and needs no general position, and it removes exactly the
+candidates whose weight system elimination finds inconsistent, so the
+first feasible candidate and every feasible one are unchanged.
+
+Searches are exhaustive within a size gate that counts exact feasibility
+checks: every flat meet and every weight-system solve counts one.  They
+return the first feasible candidate in stream order; with several worker
+threads, disjoint chunks race and the earliest feasible candidate is
+still the one returned, so results are identical at any worker count.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -29,13 +42,16 @@ from fandist.errors import (
 )
 from fandist.feaslp import (
     ExactWeightSolver,
+    Flat,
     WeightWitness,
+    affine_hull,
     realify_if_needed,
 )
 from fandist.galedual import PointConfig
 from fandist.kneser import (
     ColoringCertificate,
     SetFamily,
+    bitmask,
     m_eligible,
     verify_certificate,
 )
@@ -171,17 +187,35 @@ class SearchConstraint:
 
 def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                       constraint: Optional[SearchConstraint],
-                      max_part_size: Optional[int]) -> Iterator[tuple]:
-    """Part-tuples in lexicographic order of the sorted-parts sequence."""
-    idx = sorted(indices)
-    n = len(idx)
+                      max_part_size: Optional[int],
+                      solver: Optional[ExactWeightSolver] = None,
+                      gate: Optional[int] = None) -> Iterator[tuple]:
+    """Part-tuples in lexicographic order of the sorted-parts sequence.
 
-    def build(parts, used, prev_min):
+    With a solver, candidates extending a prefix whose hull flat is empty
+    are skipped.  With a gate, each flat meet and each emitted candidate
+    (its solve comes next) counts one feasibility check, and the stream
+    raises SizeGateExceeded once the count passes the gate.
+    """
+    idx = sorted(indices)
+    hulls: dict[int, Flat] = {}
+    checks = 0
+
+    def count_check():
+        nonlocal checks
+        if gate is not None:
+            checks += 1
+            if checks > gate:
+                raise SizeGateExceeded(
+                    f"feasibility-check gate {gate} exceeded")
+
+    def build(parts, used, prev_min, flat):
         depth = len(parts)
-        remaining = [i for i in idx if i not in used]
         if depth == r:
+            count_check()
             yield tuple(tuple(p) for p in parts)
             return
+        remaining = [i for i in idx if i not in used]
         if len(remaining) < r - depth:
             return
 
@@ -211,9 +245,26 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                     counts[c] -= 1
 
         for sub in extend([], {}, 0):
-            yield from build(parts + [sub], used.union(sub), sub[0])
+            sub_flat = None
+            if solver is not None:
+                key = bitmask(sub)
+                hull = hulls.get(key)
+                if hull is None:
+                    hull = hulls[key] = affine_hull(solver.ipoints, sub)
+                if depth == 0:
+                    sub_flat = hull
+                else:
+                    count_check()
+                    # the last part's flat is never met again: test only
+                    if depth == r - 1:
+                        sub_flat = flat if flat.intersects(hull) else None
+                    else:
+                        sub_flat = flat.meet(hull)
+                    if sub_flat is None:
+                        continue
+            yield from build(parts + [sub], used.union(sub), sub[0], sub_flat)
 
-    yield from build([], frozenset(), None)
+    yield from build([], frozenset(), None, None)
 
 
 def enumerate_candidates(n: int, r: int,
@@ -229,11 +280,50 @@ def enumerate_candidates(n: int, r: int,
 
 
 def _evaluate_chunk(chunk, solver):
-    """First feasible candidate in a chunk: (local index, parts, witness)."""
-    for k, parts in enumerate(chunk):
+    """First feasible candidate in a chunk: (parts, witness)."""
+    for parts in chunk:
         witness = solver.solve(parts)
         if witness is not None:
-            return k, parts, witness
+            return parts, witness
+    return None
+
+
+def _read_chunk(stream):
+    """Up to SEARCH_CHUNK candidates, plus the gate overrun that cut them."""
+    chunk = []
+    try:
+        for parts in islice(stream, SEARCH_CHUNK):
+            chunk.append(parts)
+    except SizeGateExceeded as exc:
+        return chunk, exc
+    return chunk, None
+
+
+def _first_feasible_threaded(stream, solver, workers):
+    """First feasible candidate of the stream, chunks solved by threads.
+
+    The stream is read ahead of the solves.  A gate overrun met while
+    reading is raised only after every chunk read before it came up
+    empty, which is when the sequential search would raise it.
+    """
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        overrun = None
+        more = True
+        while True:
+            while more and len(pending) < workers * 2:
+                chunk, overrun = _read_chunk(stream)
+                more = overrun is None and len(chunk) == SEARCH_CHUNK
+                if chunk:
+                    pending.append(pool.submit(_evaluate_chunk, chunk,
+                                               solver))
+            if not pending:
+                break
+            hit = pending.popleft().result()
+            if hit is not None:
+                return hit
+    if overrun is not None:
+        raise overrun
     return None
 
 
@@ -248,7 +338,8 @@ def search_tuple(config: PointConfig, r: int,
     """First proper tuple in canonical order passing the constraint.
 
     Returns None after exhausting the stream; raises SizeGateExceeded when
-    the gate fires first (a distinct outcome), and GuaranteeViolation when
+    more than ``lp_gate`` feasibility checks (flat meets plus solves) are
+    needed (a distinct outcome), and GuaranteeViolation when
     ``guarantee`` names a satisfied theorem hypothesis yet the exhaustive
     search came up empty (that is a bug signal, not a data error).
     """
@@ -258,47 +349,17 @@ def search_tuple(config: PointConfig, r: int,
     solver = ExactWeightSolver(real.points)
     indices = list(range(config.n)) if allowed is None else sorted(allowed)
     stream = _candidate_stream(indices, r, canonical_only, constraint,
-                               max_part_size)
+                               max_part_size, solver, lp_gate)
 
-    lp_calls = 0
     found = None
     if workers <= 1:
         for parts in stream:
-            lp_calls += 1
-            if lp_calls > lp_gate:
-                raise SizeGateExceeded(f"LP-call gate {lp_gate} exceeded")
             witness = solver.solve(parts)
             if witness is not None:
                 found = (parts, witness)
                 break
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = []
-            exhausted = False
-            while True:
-                while not exhausted and len(pending) < workers * 2:
-                    chunk = list(islice(stream, SEARCH_CHUNK))
-                    if not chunk:
-                        exhausted = True
-                        break
-                    pending.append(
-                        (len(chunk), pool.submit(_evaluate_chunk, chunk,
-                                                 solver)))
-                if not pending:
-                    break
-                size, fut = pending.pop(0)
-                hit = fut.result()
-                if hit is not None:
-                    k, parts, witness = hit
-                    lp_calls += k + 1
-                    if lp_calls > lp_gate:
-                        raise SizeGateExceeded(
-                            f"LP-call gate {lp_gate} exceeded")
-                    found = (parts, witness)
-                    break
-                lp_calls += size
-                if lp_calls > lp_gate:
-                    raise SizeGateExceeded(f"LP-call gate {lp_gate} exceeded")
+        found = _first_feasible_threaded(stream, solver, workers)
 
     if found is None:
         if guarantee:
@@ -334,16 +395,6 @@ def search_colored_tuple(config: PointConfig, r: int, *,
 # --------------------------------------------------------------------------
 # two-tuple search
 
-def _part_masks(parts) -> list[int]:
-    out = []
-    for p in parts:
-        m = 0
-        for i in p:
-            m |= 1 << i
-        out.append(m)
-    return out
-
-
 class _CellCheck:
     """Exact check of the cell condition for a pair of tuples."""
 
@@ -361,7 +412,7 @@ class _CellCheck:
             self.class_masks = masks
         self.member_masks = None
         if family is not None:
-            self.member_masks = [_mask_of(m) for m in family.members]
+            self.member_masks = [bitmask(m) for m in family.members]
 
     def admits(self, masks1: list[int], masks2: list[int]) -> bool:
         for m1 in masks1:
@@ -380,13 +431,6 @@ class _CellCheck:
         return True
 
 
-def _mask_of(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def search_two_tuples(config: PointConfig, r: int, *,
                       family: Optional[SetFamily] = None,
                       certificate: Optional[ColoringCertificate] = None,
@@ -396,8 +440,7 @@ def search_two_tuples(config: PointConfig, r: int, *,
                       seed: int = 0,
                       tuple_gate: int = DEFAULT_TUPLE_GATE,
                       pair_gate: int = DEFAULT_PAIR_GATE,
-                      time_budget: Optional[float] = None,
-                      workers: int = 1
+                      time_budget: Optional[float] = None
                       ) -> Optional[tuple[TverbergTuple, TverbergTuple]]:
     """Two individually proper tuples jointly satisfying a cell condition.
 
@@ -441,7 +484,7 @@ def search_two_tuples(config: PointConfig, r: int, *,
 
     collected: list[TverbergTuple] = []
     exhaustive = True
-    stream = _candidate_stream(indices, r, True, None, cara)
+    stream = _candidate_stream(indices, r, True, None, cara, solver)
     for parts in stream:
         witness = solver.solve(parts)
         if witness is not None:
@@ -449,7 +492,7 @@ def search_two_tuples(config: PointConfig, r: int, *,
             if len(collected) >= tuple_gate:
                 exhaustive = False
                 break
-    masks = [_part_masks(t.parts) for t in collected]
+    masks = [[bitmask(p) for p in t.parts] for t in collected]
 
     pairs_seen = 0
     gated = not exhaustive
@@ -491,6 +534,6 @@ def search_two_tuples(config: PointConfig, r: int, *,
 def _validate_pair(pair, config, check) -> None:
     for t in pair:
         t.validate(config)
-    if not check.admits(_part_masks(pair[0].parts),
-                        _part_masks(pair[1].parts)):
+    masks = [[bitmask(p) for p in t.parts] for t in pair]
+    if not check.admits(*masks):
         raise AssertionError("emitted pair fails its cell condition")

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from fandist.errors import PreconditionError
+import fandist
+from fandist.errors import PreconditionError, VerificationBug
 from fandist.exactnum import Cyclotomic
 from fandist.feaslp import (
     ExactWeightSolver,
@@ -229,3 +233,46 @@ class TestSolverReuse:
             assert (a is None) == (b is None)
             if a is not None:
                 assert a == b
+
+
+# a midpoint Radon pair: 1 = (0 + 2) / 2
+RADON_POINTS = [[F(0)], [F(2)], [F(1)]]
+RADON_PARTS = [(0, 1), (2,)]
+
+REVERIFY_SCRIPT = """
+import sys
+from fractions import Fraction as F
+from fandist.errors import VerificationBug
+from fandist.feaslp import ProperWeightProblem, WeightWitness, proper_weights
+WeightWitness.verify = lambda self, points, parts: False
+try:
+    proper_weights(ProperWeightProblem([[F(0)], [F(2)], [F(1)]],
+                                       [(0, 1), (2,)]))
+except VerificationBug:
+    print("VerificationBug", sys.flags.optimize)
+else:
+    print("returned", sys.flags.optimize)
+"""
+
+
+class TestReverification:
+    def test_feasible_example(self):
+        assert proper_weights(ProperWeightProblem(RADON_POINTS,
+                                                  RADON_PARTS)) is not None
+
+    def test_failed_verify_raises(self, monkeypatch):
+        monkeypatch.setattr(WeightWitness, "verify",
+                            lambda self, points, parts: False)
+        with pytest.raises(VerificationBug):
+            proper_weights(ProperWeightProblem(RADON_POINTS, RADON_PARTS))
+
+    def test_failed_verify_raises_under_optimize(self):
+        src = os.path.dirname(os.path.dirname(fandist.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-O", "-c", REVERIFY_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["VerificationBug", "1"]

@@ -1,0 +1,207 @@
+"""The hull-flat pruned Tverberg search against brute-force oracles.
+
+The oracle streams every candidate of ``enumerate_candidates``, filters
+it by ``allowed``, ``max_part_size`` and ``constraint.admits``, and calls
+``ExactWeightSolver.solve`` on each one.  Pruning may remove exactly the
+candidates whose weight system integer elimination calls inconsistent,
+and nothing that changes the first feasible candidate.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fandist import feaslp, tverberg
+from fandist.errors import SizeGateExceeded
+from fandist.feaslp import ExactWeightSolver, affine_hull, integer_grid
+from fandist.galedual import PointConfig
+from fandist.genpos import build_counterexample, verify_no_equidistribution
+from fandist.kneser import SetFamily
+from fandist.tverberg import (
+    SearchConstraint,
+    _candidate_stream,
+    enumerate_candidates,
+    search_tuple,
+)
+
+COORD = st.integers(-4, 4)
+
+
+@st.composite
+def degenerate_points(draw, n, d):
+    """n points in Q^d: generic, repeated, collinear or on a hyperplane."""
+    pts = draw(st.lists(st.lists(COORD, min_size=d, max_size=d),
+                        min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["generic", "repeated", "collinear",
+                                 "hyperplane"]))
+    if kind == "repeated":
+        for i in range(1, n):
+            if draw(st.booleans()):
+                pts[i] = list(pts[draw(st.integers(0, i - 1))])
+    elif kind == "collinear":
+        step = draw(st.lists(COORD, min_size=d, max_size=d).filter(any))
+        ts = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        pts = [[a + t * v for a, v in zip(pts[0], step)] for t in ts]
+    elif kind == "hyperplane" and d > 1:
+        w = draw(st.lists(COORD, min_size=d - 1, max_size=d - 1))
+        c = draw(COORD)
+        pts = [p[:-1] + [sum(a * b for a, b in zip(w, p)) + c] for p in pts]
+    # a common fractional translation and scale keep every affine relation
+    den = draw(st.integers(1, 6))
+    shift = [F(draw(COORD), draw(st.integers(1, 5))) for _ in range(d)]
+    return [[F(x, den) + s for x, s in zip(p, shift)] for p in pts]
+
+
+@st.composite
+def search_cases(draw):
+    r = draw(st.sampled_from([2, 3, 4]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(r, 6))
+    points = draw(degenerate_points(n, d))
+    kind = draw(st.sampled_from(["none", "family-avoid", "color-cap",
+                                 "rainbow"]))
+    constraint = None
+    if kind == "family-avoid":
+        members = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+            min_size=1, max_size=3))
+        constraint = SearchConstraint.family_avoid(SetFamily(n, members))
+    elif kind in ("color-cap", "rainbow"):
+        coloring = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        if kind == "rainbow":
+            constraint = SearchConstraint.rainbow(coloring)
+        else:
+            caps = {k: draw(st.integers(1, 3))
+                    for k in range(max(coloring) + 1)}
+            constraint = SearchConstraint.color_cap(caps, coloring)
+    allowed = None
+    if draw(st.booleans()):
+        allowed = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    max_part_size = draw(st.one_of(st.none(), st.integers(1, 3)))
+    # relabelings multiply the stream by up to r!, so only small cases
+    canonical = draw(st.booleans()) if n <= 5 and r <= 3 else True
+    return points, r, constraint, allowed, max_part_size, canonical
+
+
+def oracle_candidates(n, r, canonical, constraint, allowed, max_part_size):
+    pool = set(range(n)) if allowed is None else set(allowed)
+    for parts in enumerate_candidates(n, r, canonical):
+        if any(i not in pool for p in parts for i in p):
+            continue
+        if max_part_size is not None and \
+                any(len(p) > max_part_size for p in parts):
+            continue
+        if constraint is not None and not constraint.admits(parts):
+            continue
+        yield parts
+
+
+def solve_with_outcome(solver, parts):
+    """(elimination outcome, witness) of one unpruned solve."""
+    seen = []
+    original = feaslp._solve_equalities_int
+
+    def recorder(M, nvars):
+        out = original(M, nvars)
+        seen.append(out[0])
+        return out
+
+    feaslp._solve_equalities_int = recorder
+    try:
+        witness = solver.solve(parts)
+    finally:
+        feaslp._solve_equalities_int = original
+    return seen[0], witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases())
+def test_pruned_search_matches_oracle(case):
+    points, r, constraint, allowed, max_part_size, canonical = case
+    n, d = len(points), len(points[0])
+    cfg = PointConfig(d, points)
+    solver = ExactWeightSolver(points)
+    oracle = list(oracle_candidates(n, r, canonical, constraint, allowed,
+                                    max_part_size))
+    outcomes = [solve_with_outcome(solver, parts) for parts in oracle]
+
+    indices = range(n) if allowed is None else allowed
+    plain = list(_candidate_stream(indices, r, canonical, constraint,
+                                   max_part_size))
+    assert plain == oracle
+    pruned = list(_candidate_stream(indices, r, canonical, constraint,
+                                    max_part_size, solver))
+    assert pruned == [parts for parts, (status, _) in zip(oracle, outcomes)
+                      if status != "inconsistent"]
+
+    first = next(((parts, w) for parts, (_, w) in zip(oracle, outcomes)
+                  if w is not None), None)
+    got = search_tuple(cfg, r, constraint, allowed=allowed,
+                       canonical_only=canonical, max_part_size=max_part_size)
+    if first is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.parts, got.witness) == first
+
+
+@st.composite
+def point_sets(draw):
+    d = draw(st.integers(1, 3))
+    return d, draw(degenerate_points(draw(st.integers(1, 5)), d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_sets())
+def test_affine_hull_cuts_out_the_hull(case):
+    d, points = case
+    grid = integer_grid(points)
+    part = list(range(max(1, len(points) - 1)))
+    hull = affine_hull(grid, part)
+
+    def rank(idx):
+        return len(feaslp._eliminate_int([grid[i] + [1] for i in idx],
+                                         d + 1))
+
+    assert hull.codim == d + 1 - rank(part)
+    for i in range(len(points)):
+        on = all(sum(u * x for u, x in zip(row, grid[i])) == row[d]
+                 for row in hull.rows)
+        assert on == (rank(part + [i]) == rank(part))
+
+
+def _outcome(cfg, r, gate, workers):
+    try:
+        tup = search_tuple(cfg, r, lp_gate=gate, workers=workers)
+    except SizeGateExceeded:
+        return "gate"
+    return tup
+
+
+@pytest.mark.parametrize("points,d,r", [
+    ([[i] for i in range(1, 8)], 1, 3),                      # feasible
+    ([[F(x), F(y)] for x, y in ((0, 0), (5, 1), (1, 6), (7, 7), (2, 3),
+                                (6, 2))], 2, 3),             # none
+])
+def test_threaded_gate_matches_sequential(monkeypatch, points, d, r):
+    # tiny chunks so the threaded path reads ahead across many of them
+    monkeypatch.setattr(tverberg, "SEARCH_CHUNK", 2)
+    cfg = PointConfig(d, points)
+    for gate in range(0, 60):
+        assert _outcome(cfg, r, gate, 1) == _outcome(cfg, r, gate, 3), gate
+
+
+def test_ell_four_certification_needs_no_solve(monkeypatch):
+    calls = []
+    solve = ExactWeightSolver.solve
+
+    def counting(self, parts):
+        calls.append(parts)
+        return solve(self, parts)
+
+    monkeypatch.setattr(ExactWeightSolver, "solve", counting)
+    inst = build_counterexample(3, 2, 1, 0, 4, seed=1)
+    assert verify_no_equidistribution(inst) is True
+    assert calls == []
