@@ -371,7 +371,9 @@ def _poly_sub(a, b):
     return out
 
 
-Scalar = Union[Fraction, Cyclotomic]
+# a PEP 604 union: typing.Union[...] is memoized, and its cache would keep
+# every re-imported copy of this module alive
+Scalar = Fraction | Cyclotomic
 
 
 # --------------------------------------------------------------------------

@@ -268,7 +268,9 @@ class ComplexFan:
         return cls(int(obj["r"]), N, alpha, beta)
 
 
-Fan = Union[RealFan, ComplexFan]
+# a PEP 604 union: typing.Union[...] is memoized, and its cache would keep
+# every re-imported copy of this module alive
+Fan = RealFan | ComplexFan
 
 
 def fan_from_json(obj) -> Fan:

@@ -6,7 +6,13 @@ maximize the slack eps subject to t_i >= eps and the equality system.  The
 feasible region is compact (part sums are pinned to one), so the maximum
 is attained and the decision is the exact sign of the optimum.
 
-Everything here runs over Fraction.  Cyclotomic configurations are
+Systems are assembled on an integer grid and classified by fraction-free
+elimination.  A unique solution is checked for positivity.  A system with
+one free weight (nullity one) is decided in closed form in integers: each
+weight is a line in the free weight, and the optimum is the least
+constant line or crossing of a rising with a falling line.  Only systems
+of nullity two or more, and those whose optimal weights form an interval,
+reach the two-phase Fraction simplex.  Cyclotomic configurations are
 realified first: each coordinate is replaced by its coefficient vector
 over the power basis, a Q-linear injection that preserves and reflects
 equality of Q-linear combinations.
@@ -134,17 +140,6 @@ class WeightWitness:
 # --------------------------------------------------------------------------
 # integer presolve for the equality system
 
-def _int_augmented(rows, rhs):
-    out = []
-    for row, b in zip(rows, rhs):
-        den = b.denominator
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x.numerator * (den // x.denominator)) for x in row]
-                   + [int(b.numerator * (den // b.denominator))])
-    return out
-
-
 def _reduce_row(row):
     g = 0
     for x in row:
@@ -194,16 +189,17 @@ def _solve_equalities_int(M, nvars):
     """Classify an integer augmented system: inconsistent/unique/under.
 
     Fraction-free elimination; exact throughout.  Returns
-    ('inconsistent', None) | ('unique', list[Fraction]) | ('under', None).
+    ('inconsistent', None) | ('unique', list[Fraction]) |
+    ('under', pivots), where M is then in echelon form with those pivots.
     """
     pivots = _eliminate_int(M, nvars)
     for rr in range(len(pivots), len(M)):
         if any(M[rr][:nvars]):
-            raise AssertionError("elimination left an unreduced row")
+            raise VerificationBug("elimination left an unreduced row")
         if M[rr][nvars]:
             return "inconsistent", None
     if len(pivots) < nvars:
-        return "under", None
+        return "under", pivots
     x = [Fraction(0)] * nvars
     for (pr, pc) in reversed(pivots):
         s = Fraction(M[pr][nvars])
@@ -212,10 +208,6 @@ def _solve_equalities_int(M, nvars):
                 s -= M[pr][c2] * x[c2]
         x[pc] = s / M[pr][pc]
     return "unique", x
-
-
-def _solve_equalities(rows, rhs, nvars):
-    return _solve_equalities_int(_int_augmented(rows, rhs), nvars)
 
 
 # --------------------------------------------------------------------------
@@ -400,7 +392,7 @@ def _run_simplex(T, basis, cost, ncols, iteration_cap):
                         (ratio == best and basis[r] < basis[row]):
                     best, row = ratio, r
         if row is None:
-            raise AssertionError("objective unbounded (cannot happen here)")
+            raise VerificationBug("objective unbounded (cannot happen here)")
         _pivot(T, basis, row, col)
         for j in range(ncols + 1):
             z[j] = sum(cost[basis[r]] * T[r][j] for r in range(m)
@@ -408,7 +400,7 @@ def _run_simplex(T, basis, cost, ncols, iteration_cap):
         red = [z[j] - cost[j] for j in range(ncols)]
         iters += 1
         if iters > iteration_cap:
-            raise AssertionError("simplex exceeded its iteration bound")
+            raise VerificationBug("simplex exceeded its iteration bound")
 
 
 def _simplex_max_eps(rows, rhs, nvars):
@@ -462,13 +454,72 @@ def _simplex_max_eps(rows, rhs, nvars):
     return eps, t
 
 
+# --------------------------------------------------------------------------
+# nullity one in closed form
+
+def _max_eps_line(M, pivots, nvars):
+    """max over s of min_i t_i(s) for a system of nullity one, in integers.
+
+    M is in echelon form with these pivots and one free column, so every
+    weight is a line t_i(s) = (p_i + q_i s) / d_i in the free weight s.
+    The optimum eps* is the least of the constant lines (q_i = 0) and the
+    crossing heights of the rising (q_i > 0) with the falling (q_j < 0)
+    lines.  Returns ('nonpositive', None) when eps* <= 0, ('unique', t)
+    when a crossing attains eps* and so fixes s, and ('interval', None)
+    when a constant line lies strictly below every crossing: the optimal
+    s then form an interval, and the simplex picks its vertex.
+    """
+    R = M[:len(pivots)]  # back-eliminated on a copy; M keeps its rows
+    _back_eliminate(R, pivots)
+    taken = {pc for _, pc in pivots}
+    free = next(j for j in range(nvars) if j not in taken)
+    lines = [(0, 1, 1)] * nvars
+    for row, (_, pc) in zip(R, pivots):
+        p, q, d = row[nvars], -row[free], row[pc]
+        if d < 0:
+            p, q, d = -p, -q, -d
+        lines[pc] = (p, q, d)
+    rising = [ln for ln in lines if ln[1] > 0]
+    falling = [ln for ln in lines if ln[1] < 0]
+    if not falling:
+        raise VerificationBug("pinned part sums leave no falling weight")
+    low = None  # least constant line as (p, d)
+    for p, q, d in lines:
+        if q == 0:
+            if p <= 0:
+                return "nonpositive", None
+            if low is None or p * low[1] < low[0] * d:
+                low = (p, d)
+    # the lines i, j cross at s = (p_j d_i - p_i d_j) / den and height
+    # (q_i p_j - q_j p_i) / den, with den = q_i d_j - q_j d_i > 0
+    best = None  # (height numerator, den, i, j)
+    for i in rising:
+        pi, qi, di = i
+        for j in falling:
+            pj, qj, dj = j
+            num = qi * pj - qj * pi
+            if num <= 0:
+                return "nonpositive", None
+            den = qi * dj - qj * di
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den, i, j)
+    num, den, (pi, _, di), (pj, _, dj) = best
+    if low is not None and low[0] * den < num * low[1]:
+        return "interval", None
+    s = pj * di - pi * dj
+    return "unique", [Fraction(p * den + q * s, d * den) for p, q, d in lines]
+
+
 class ExactWeightSolver:
     """Reusable proper-weight solver for one fixed point set.
 
     Coordinates are cleared to a shared integer grid once, so candidate
     systems are assembled and classified in pure integer arithmetic
-    (uniform positive scaling changes no feasibility and no weights);
-    only genuinely underdetermined systems reach the Fraction simplex.
+    (uniform positive scaling changes no feasibility and no weights).
+    Systems of nullity one are decided in closed form; only those of
+    nullity two or more, or with an interval of optimal weights, reach
+    the Fraction simplex.  Where the optimum is a single point every
+    exact path returns it, so the path taken never changes a witness.
     """
 
     __slots__ = ("points", "ipoints", "dim")
@@ -505,13 +556,15 @@ class ExactWeightSolver:
                 M.append(row)
 
         status, sol = _solve_equalities_int(M, nvars)
-        if status == "inconsistent":
+        if status == "under" and len(sol) + 1 == nvars:
+            status, sol = _max_eps_line(M, sol, nvars)
+        if status in ("inconsistent", "nonpositive"):
             return None
         if status == "unique":
             t = sol
             if min(t) <= 0:
                 return None
-        else:
+        else:  # nullity two or more, or an interval of optima
             rows = [[Fraction(x) for x in row[:nvars]] for row in M]
             rhs = [Fraction(row[nvars]) for row in M]
             eps, t = _simplex_max_eps(rows, rhs, nvars)
@@ -533,7 +586,9 @@ def proper_weights(problem: ProperWeightProblem) -> Optional[WeightWitness]:
     """Witness weights for a proper tuple, or None when infeasible.
 
     The equality system is classified first by fraction-free elimination;
-    only genuinely underdetermined systems reach the simplex with Bland's
-    anti-cycling rule.  Every returned witness re-verifies exactly.
+    a system of nullity one is decided in closed form, and only systems of
+    nullity two or more, or with an interval of optimal weights, reach the
+    simplex with Bland's anti-cycling rule.  Every returned witness
+    re-verifies exactly.
     """
     return ExactWeightSolver(problem.points).solve(problem.parts)

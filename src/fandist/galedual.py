@@ -343,7 +343,7 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
         raise VerificationBug("dependence must lie in the row space of B")
     for i, g in enumerate(pair.dual.points):
         if hermitian_dot(alpha, g) != lam[i]:
-            raise AssertionError("functional does not reproduce lambda")
+            raise VerificationBug("functional does not reproduce lambda")
     return alpha
 
 
@@ -354,7 +354,7 @@ def functional_to_dependence(pair: GaleDualPair, alpha: Sequence[Scalar]):
         raise ZeroFunctional("alpha must be nonzero")
     lam = tuple(hermitian_dot(alpha, g) for g in pair.dual.points)
     if not _is_dependence(pair, lam):
-        raise AssertionError("bridge postcondition failed (bug)")
+        raise VerificationBug("bridge postcondition failed (bug)")
     return lam
 
 

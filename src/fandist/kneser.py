@@ -22,6 +22,7 @@ __all__ = [
     "bitmask",
     "has_r_disjoint",
     "m_eligible",
+    "prime_base",
     "threshold_caps",
     "verify_certificate",
 ]
@@ -167,15 +168,18 @@ def threshold_caps(class_sizes: Sequence[int], r: int) -> dict[int, int]:
     return {k: size // r for k, size in enumerate(class_sizes)}
 
 
-def _is_odd_prime(r: int) -> bool:
-    if r < 3 or r % 2 == 0:
-        return False
-    f = 3
-    while f * f <= r:
-        if r % f == 0:
-            return False
-        f += 2
-    return True
+def prime_base(n: int) -> Optional[int]:
+    """The prime p with n = p^k for some k >= 1, or None if there is none."""
+    if n < 2:
+        return None
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else None
+        p += 1
+    return n  # n itself prime
 
 
 def m_eligible(m: int, r: int) -> tuple[bool, list[int]]:
@@ -184,7 +188,7 @@ def m_eligible(m: int, r: int) -> tuple[bool, list[int]]:
     r must be an odd prime (so m(r-1) is always even and the halving is
     exact); digits are listed least-significant first.
     """
-    if not _is_odd_prime(r):
+    if r == 2 or prime_base(r) != r:
         raise PreconditionError("r must be an odd prime")
     if m < 1:
         raise PreconditionError("m must be at least 1")

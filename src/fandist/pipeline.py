@@ -47,6 +47,7 @@ from fandist.kneser import (
     ColoringCertificate,
     SetFamily,
     m_eligible,
+    prime_base,
     threshold_caps,
     verify_certificate,
 )
@@ -70,16 +71,7 @@ __all__ = [
 
 
 def _is_prime_power(r: int) -> bool:
-    if r < 2:
-        return False
-    p = 2
-    while p * p <= r:
-        if r % p == 0:
-            while r % p == 0:
-                r //= p
-            return r == 1
-        p += 1
-    return True  # r itself prime
+    return prime_base(r) is not None
 
 
 def canonical_json(obj) -> str:
@@ -347,7 +339,7 @@ def rainbow(X: PointConfig, r: int, *, lp_gate: int = 50_000_000,
         warnings.append(
             f"{m} classes given, the theorem speaks of {expected_classes}")
         guaranteed = False
-    if not _is_prime(r + 1):
+    if prime_base(r + 1) != r + 1:
         warnings.append(f"r+1={r + 1} is not prime; no guarantee applies")
         guaranteed = False
     if is_complex:
@@ -379,17 +371,6 @@ def rainbow(X: PointConfig, r: int, *, lp_gate: int = 50_000_000,
         return None
     return _finish("rainbow", X, r, m, d, pair, lifted, tup, warnings,
                    guaranteed, t0, typicality_gate=typicality_gate)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",

@@ -39,6 +39,7 @@ from fandist.errors import (
     PreconditionError,
     SearchTimeout,
     SizeGateExceeded,
+    VerificationBug,
 )
 from fandist.feaslp import (
     ExactWeightSolver,
@@ -53,6 +54,7 @@ from fandist.kneser import (
     SetFamily,
     bitmask,
     m_eligible,
+    prime_base,
     verify_certificate,
 )
 
@@ -370,7 +372,7 @@ def search_tuple(config: PointConfig, r: int,
     tup = TverbergTuple(r, parts, witness)
     tup.validate(config)
     if constraint is not None and not constraint.admits(parts):
-        raise AssertionError("pruned stream emitted a violating candidate")
+        raise VerificationBug("pruned stream emitted a violating candidate")
     return tup
 
 
@@ -451,7 +453,7 @@ def search_two_tuples(config: PointConfig, r: int, *,
     an emitted pair is always exactly verified, exhaustion returns None,
     and running out of budget in best-effort mode raises SearchTimeout.
     """
-    if r < 3 or r % 2 == 0 or any(r % f == 0 for f in range(3, r, 2)):
+    if r == 2 or prime_base(r) != r:
         raise PreconditionError("r must be an odd prime")
     if family is not None:
         if certificate is None:
@@ -536,4 +538,4 @@ def _validate_pair(pair, config, check) -> None:
         t.validate(config)
     masks = [[bitmask(p) for p in t.parts] for t in pair]
     if not check.admits(*masks):
-        raise AssertionError("emitted pair fails its cell condition")
+        raise VerificationBug("emitted pair fails its cell condition")

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import fandist
 from fandist.exactnum import (
     Cyclotomic,
     ExactMatrix,
@@ -227,3 +231,28 @@ class TestSerialization:
     def test_cyclotomic_round_trip(self):
         a = Cyclotomic(12, [F(1, 2), F(-3), F(0), F(5, 7)])
         assert scalar_from_json(scalar_to_json(a)) == a
+
+
+REIMPORT_SCRIPT = """
+import gc, sys, weakref
+import fandist.pipeline
+old = [weakref.ref(sys.modules["fandist.exactnum"].Cyclotomic),
+       weakref.ref(sys.modules["fandist.fans"].RealFan)]
+for name in [m for m in sys.modules if m.split(".")[0] == "fandist"]:
+    del sys.modules[name]
+import fandist.pipeline
+gc.collect()
+print(sum(r() is not None for r in old))
+"""
+
+
+def test_reimport_frees_the_old_modules():
+    # module-level type aliases must not pin a dropped copy of the package
+    src = os.path.dirname(os.path.dirname(fandist.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", REIMPORT_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]

@@ -6,8 +6,11 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fandist
+from fandist import feaslp
 from fandist.errors import PreconditionError, VerificationBug
 from fandist.exactnum import Cyclotomic
 from fandist.feaslp import (
@@ -276,3 +279,106 @@ class TestReverification:
                              timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["VerificationBug", "1"]
+
+
+def solve_counting_simplex(solver, parts, closed_form=True):
+    """(witness, number of _simplex_max_eps calls) of one solve.
+
+    With closed_form=False the nullity-one closed form answers
+    'interval' for every system, so each underdetermined system reaches
+    _simplex_max_eps on the same echelon rows as the closed form sees.
+    """
+    calls = []
+    simplex, line = feaslp._simplex_max_eps, feaslp._max_eps_line
+
+    def counted(rows, rhs, nvars):
+        calls.append(nvars)
+        return simplex(rows, rhs, nvars)
+
+    feaslp._simplex_max_eps = counted
+    if not closed_form:
+        feaslp._max_eps_line = lambda M, pivots, nvars: ("interval", None)
+    try:
+        witness = solver.solve(parts)
+    finally:
+        feaslp._simplex_max_eps, feaslp._max_eps_line = simplex, line
+    return witness, len(calls)
+
+
+@st.composite
+def weight_systems(draw):
+    """Small integer points and parts of a chosen generic nullity.
+
+    r parts over n points in R^d give r + (r-1)d equations in n weights,
+    so n = r + (r-1)d + k has nullity k for generic points; repeated
+    points raise it further.  Centered parts sum to the origin, so their
+    uniform weights are proper and the system is feasible.
+    """
+    r = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 2))
+    k = draw(st.sampled_from([1, 1, 2, 3]))
+    n = r + (r - 1) * d + k
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=r - 1,
+                                max_size=r - 1, unique=True)))
+    bounds = [0] + cuts + [n]
+    parts = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    pts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                 max_size=d), min_size=n, max_size=n))
+    pts = [[F(c) for c in p] for p in pts]
+    kind = draw(st.sampled_from(["generic", "repeated", "pinned",
+                                 "centered"]))
+    if kind == "pinned":
+        # part a collapses to one point of part b's hull, with weights
+        # proportional to 1, 2, ...; that pins the common point, so part
+        # b's weights can be constant below the crossing of part a's
+        # free weights, which leaves an interval of optima
+        a, b = draw(st.permutations(range(r)))[:2]
+        size = len(parts[b])
+        inner = [sum((j + 1) * pts[i][c] for j, i in enumerate(parts[b]))
+                 / (size * (size + 1) // 2) for c in range(d)]
+        for i in parts[a]:
+            pts[i] = list(inner)
+    elif kind == "repeated":
+        for i in range(1, n):
+            if draw(st.booleans()):
+                pts[i] = list(pts[draw(st.integers(0, i - 1))])
+    elif kind == "centered":
+        for part in parts:
+            *rest, last = part
+            pts[last] = [-sum(pts[i][c] for i in rest) for c in range(d)]
+    return [tuple(p) for p in pts], parts
+
+
+class TestClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(weight_systems())
+    def test_matches_simplex(self, system):
+        pts, parts = system
+        solver = ExactWeightSolver(pts)
+        got, _ = solve_counting_simplex(solver, parts)
+        want, _ = solve_counting_simplex(solver, parts, closed_form=False)
+        assert (got is None) == (want is None)
+        assert got == want  # weights, common point and slack
+
+    def test_interval_of_optima_goes_to_simplex(self):
+        # t0 = 2/3 and t1 = 1/3 are fixed; t2 + t3 = 1 leaves every
+        # t2 in [1/3, 2/3] optimal, and the simplex picks t2 = 2/3
+        pts = [(F(0),), (F(3),), (F(1),), (F(1),)]
+        w, calls = solve_counting_simplex(ExactWeightSolver(pts),
+                                          [(0, 1), (2, 3)])
+        assert w.weights == {0: F(2, 3), 1: F(1, 3), 2: F(2, 3),
+                             3: F(1, 3)}
+        assert w.slack == F(1, 3)
+        assert calls == 1
+
+    def test_nullity_one_makes_no_simplex_call(self):
+        # c = 6 t1 = t2 + 4 t3 = 2 t4 + 3 t5; t1 rises and t4 falls in c
+        # and they cross at c = 18/7, height 3/7
+        pts = [(F(x),) for x in (0, 6, 1, 4, 2, 3)]
+        parts = [(0, 1), (2, 3), (4, 5)]
+        w, calls = solve_counting_simplex(ExactWeightSolver(pts), parts)
+        assert calls == 0
+        assert w.common_point == (F(18, 7),)
+        assert w.slack == F(3, 7)
+        assert w.weights == {0: F(4, 7), 1: F(3, 7), 2: F(10, 21),
+                             3: F(11, 21), 4: F(3, 7), 5: F(4, 7)}
