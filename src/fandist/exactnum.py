@@ -7,6 +7,13 @@ Two scalar kinds are supported everywhere in this package:
   basis ``1, zeta, ..., zeta^(phi(N)-1)`` reduced modulo the N-th
   cyclotomic polynomial.
 
+Phi_N is monic, so every power zeta^p reduces to an integer vector.
+Cyclotomic products, Galois actions and inverses run on integer
+numerators over one common denominator and build their Fractions once;
+the inverse is the product of the other Galois conjugates divided by the
+norm (Cohen, A Course in Computational Algebraic Number Theory, 4.3).
+Row reduction inverts each pivot once.
+
 All arithmetic is exact; nothing in this module (or the package) ever
 rounds.  Values are immutable after construction and safe to share.
 """
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from fandist.errors import VerificationBug
@@ -29,7 +37,6 @@ __all__ = [
     "cyclotomic_poly",
     "hermitian_dot",
     "is_positive_rational",
-    "kernel_basis",
     "scalar_from_json",
     "scalar_to_json",
 ]
@@ -109,25 +116,50 @@ class _FieldData:
     def __init__(self, N: int):
         phi = cyclotomic_poly(N)
         self.N = N
-        self.deg = len(phi) - 1
-        self.phi = phi
-        # power_table[p] = coefficients of zeta^p reduced mod Phi_N,
-        # for p = 0 .. max(N, 2*deg) - 1  (covers products and conjugation)
-        top = [Fraction(-c) for c in phi[:-1]]  # zeta^deg
+        self.deg = deg = len(phi) - 1
+        # power_table[p] = coefficients of zeta^p reduced mod Phi_N for
+        # p = 0 .. N-1; Phi_N is monic, so they are integers
+        top = [-c for c in phi[:-1]]  # zeta^deg
         table = []
-        for p in range(max(N, 2 * self.deg - 1)):
-            if p < self.deg:
-                vec = [Fraction(0)] * self.deg
-                vec[p] = Fraction(1)
+        for p in range(N):
+            if p < deg:
+                vec = [0] * deg
+                vec[p] = 1
             else:
                 prev = table[p - 1]
-                vec = [Fraction(0)] + list(prev[: self.deg - 1])
-                lead = prev[self.deg - 1]
+                vec = [0] + list(prev[: deg - 1])
+                lead = prev[deg - 1]
                 if lead:
-                    for i in range(self.deg):
+                    for i in range(deg):
                         vec[i] += lead * top[i]
             table.append(tuple(vec))
         self.power_table = tuple(table)
+        # the Galois group of Q(zeta_N) without the identity: zeta -> zeta^k
+        self.galois = tuple(k for k in range(2, N) if gcd(k, N) == 1)
+
+    def mul_int(self, a, b):
+        """Integer product a * b reduced mod Phi_N (both of length deg)."""
+        conv = _poly_mul(a, b)
+        deg, N, table = self.deg, self.N, self.power_table
+        for p in range(deg, len(conv)):
+            c = conv[p]
+            if c:
+                for i, ri in enumerate(table[p % N]):
+                    if ri:
+                        conv[i] += c * ri
+        del conv[deg:]
+        return conv
+
+    def power_map(self, a, k):
+        """sum_p a_p zeta^(k p) for integers a_p, in integers."""
+        N, table = self.N, self.power_table
+        out = [0] * self.deg
+        for p, c in enumerate(a):
+            if c:
+                for i, ri in enumerate(table[(k * p) % N]):
+                    if ri:
+                        out[i] += c * ri
+        return out
 
 
 _FIELD_CACHE: dict[int, _FieldData] = {}
@@ -140,32 +172,60 @@ def _field_data(N: int) -> _FieldData:
     return data
 
 
+_ZERO = Fraction(0)
+
+
+def _clear(coeffs):
+    """(integer numerators, common denominator) of Fraction coefficients."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 class Cyclotomic:
     """An element of Q(zeta_N) in the reduced power basis.
 
     Equal field elements always have equal coefficient vectors, so ``==``
     and ``hash`` are structural.  Elements of different conductors never
     combine; rationals promote into any conductor.
+
+    Products and inverses are computed in integers: the operands are
+    cleared to integer numerators over one common denominator, convolved
+    and reduced with the integer power table of the monic Phi_N, and the
+    result's Fractions are built once.  The inverse is the product of the
+    other Galois conjugates divided by the norm.
     """
 
     __slots__ = ("N", "coeffs")
 
     def __init__(self, N: int, coeffs: Iterable[Union[Fraction, int]]):
         data = _field_data(N)
-        vec = [Fraction(0)] * data.deg
+        vec = [_ZERO] * data.deg
         for p, c in enumerate(coeffs):
             if not c:
                 continue
             c = Fraction(c)
-            red = data.power_table[p] if p >= data.deg else None
-            if red is None:
+            if p < data.deg:
                 vec[p] += c
             else:
-                for i, ri in enumerate(red):
+                # zeta^N = 1
+                for i, ri in enumerate(data.power_table[p % N]):
                     if ri:
                         vec[i] += c * ri
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "coeffs", tuple(vec))
+
+    @classmethod
+    def _reduced(cls, N: int, coeffs: tuple) -> "Cyclotomic":
+        # coeffs is already a reduced tuple of deg Fractions
+        out = object.__new__(cls)
+        object.__setattr__(out, "N", N)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
+    @classmethod
+    def _from_int(cls, N: int, nums, den: int) -> "Cyclotomic":
+        return cls._reduced(N, tuple(Fraction(n, den) if n else _ZERO
+                                     for n in nums))
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic values are immutable")
@@ -200,18 +260,20 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.N, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return Cyclotomic._reduced(
+            self.N, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.N, [-a for a in self.coeffs])
+        return Cyclotomic._reduced(self.N, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.N, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return Cyclotomic._reduced(
+            self.N, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -223,34 +285,28 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        conv = [Fraction(0)] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return Cyclotomic(self.N, conv)
+        a, da = _clear(self.coeffs)
+        b, db = _clear(o.coeffs)
+        return Cyclotomic._from_int(
+            self.N, _field_data(self.N).mul_int(a, b), da * db)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/a = (prod of sigma_k(a), k != 1) / Norm(a), in integers."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        # extended Euclid in Q[x] against Phi_N (irreducible over Q)
-        phi = [Fraction(c) for c in _field_data(self.N).phi]
-        a = list(self.coeffs)
-        while a and not a[-1]:
-            a.pop()
-        r0, r1 = phi, a
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
-        # r0 is a nonzero constant gcd; s0 * self == r0 (mod Phi_N)
-        c = r0[0]
-        return Cyclotomic(self.N, [x / c for x in s0])
+        data = _field_data(self.N)
+        a, den = _clear(self.coeffs)
+        rest = [1] + [0] * (data.deg - 1)
+        for k in data.galois:
+            rest = data.mul_int(rest, data.power_map(a, k))
+        norm = data.mul_int(a, rest)
+        if not norm[0] or any(norm[1:]):
+            raise VerificationBug(
+                f"norm of a nonzero element is not a nonzero rational: {norm}")
+        # a = A/den and Norm(A) = A * rest, so 1/a = den * rest / Norm(A)
+        return Cyclotomic._from_int(self.N, [den * x for x in rest], norm[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -280,30 +336,17 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the field automorphism zeta -> zeta^(N-1)."""
-        data = _field_data(self.N)
-        vec = [Fraction(0)] * data.deg
-        for p, c in enumerate(self.coeffs):
-            if c:
-                red = data.power_table[(self.N - p) % self.N]
-                for i, ri in enumerate(red):
-                    if ri:
-                        vec[i] += c * ri
-        return Cyclotomic(self.N, vec)
+        a, den = _clear(self.coeffs)
+        return Cyclotomic._from_int(
+            self.N, _field_data(self.N).power_map(a, self.N - 1), den)
 
     def embed(self, M: int) -> "Cyclotomic":
         """Image under Q(zeta_N) -> Q(zeta_M), requires N | M."""
         if M % self.N:
             raise FieldMismatch(f"{self.N} does not divide {M}")
-        step = M // self.N
-        data = _field_data(M)
-        vec = [Fraction(0)] * data.deg
-        for p, c in enumerate(self.coeffs):
-            if c:
-                red = data.power_table[(p * step) % M]
-                for i, ri in enumerate(red):
-                    if ri:
-                        vec[i] += c * ri
-        return Cyclotomic(M, vec)
+        a, den = _clear(self.coeffs)
+        return Cyclotomic._from_int(
+            M, _field_data(M).power_map(a, M // self.N), den)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -333,42 +376,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.N}, {list(self.coeffs)!r})"
-
-
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        if c:
-            q[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    while num and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _poly_mul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 # a PEP 604 union: typing.Union[...] is memoized, and its cache would keep
@@ -558,8 +565,8 @@ class ExactMatrix:
             if pivot is None:
                 continue
             grid[prow], grid[pivot] = grid[pivot], grid[prow]
-            pv = grid[prow][col]
-            grid[prow] = [e / pv for e in grid[prow]]
+            inv = 1 / grid[prow][col]
+            grid[prow] = [e * inv for e in grid[prow]]
             for r in range(self.rows):
                 if r != prow and not scalar_is_zero(grid[r][col]):
                     f = grid[r][col]
@@ -611,7 +618,3 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({[list(r) for r in self.entries]!r})"
 
-
-def kernel_basis(matrix: ExactMatrix) -> list[tuple]:
-    """Module-level alias for :meth:`ExactMatrix.kernel_basis`."""
-    return matrix.kernel_basis()

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,23 @@ class TestGenerateAndTransform:
         back = tmp_path / "back.json"
         assert main(["inverse-gale", "--input", str(dual_cfg),
                      "--output", str(back)]) == 0
+
+    def test_gale_reduces_long_coefficient_lists(self, tmp_path):
+        cfg = random_config(6, 4, field=3, seed=5).to_json()
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(cfg))
+        # zeta^3 = 1, so appending 0, 1 and subtracting 1 keeps the value
+        c0, c1 = cfg["points"][0][0]["coeffs"]
+        cfg["points"][0][0]["coeffs"] = [str(Fraction(c0) - 1), c1, "0", "1"]
+        long = tmp_path / "long.json"
+        long.write_text(json.dumps(cfg))
+        outs = []
+        for src in (plain, long):
+            out = tmp_path / f"gale-{src.name}"
+            assert main(["gale", "--input", str(src),
+                         "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_missing_file_is_precondition(self, tmp_path):
         assert main(["gale", "--input", str(tmp_path / "nope.json")]) == 2

@@ -5,13 +5,17 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fandist
+from fandist.errors import VerificationBug
 from fandist.exactnum import (
     Cyclotomic,
     ExactMatrix,
     FieldMismatch,
     Positivity,
+    _field_data,
     conj,
     cyclotomic_poly,
     hermitian_dot,
@@ -19,6 +23,8 @@ from fandist.exactnum import (
     scalar_from_json,
     scalar_to_json,
 )
+from fandist.galedual import PointConfig
+from fandist.genpos import random_config
 
 
 def poly_divide_oracle(num, den):
@@ -256,3 +262,226 @@ def test_reimport_frees_the_old_modules():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["0"]
+
+
+class TestLongCoefficientLists:
+    """Powers zeta^p with p >= N reduce through zeta^N = 1."""
+
+    def test_zeta3_cubed_is_one(self):
+        assert Cyclotomic(3, [0, 0, 0, 1]) == 1
+
+    def test_zeta4_ninth_power(self):
+        assert Cyclotomic(4, [0] * 9 + [1]) == Cyclotomic.root_of_unity(4, 9)
+
+    def test_point_config_from_json(self):
+        cfg = random_config(6, 4, field=3, seed=5)
+        blob = cfg.to_json()
+        c0, c1 = blob["points"][0][0]["coeffs"]
+        # c0 + c1 zeta == (c0 - 1) + c1 zeta + zeta^3
+        blob["points"][0][0]["coeffs"] = [str(F(c0) - 1), c1, "0", "1"]
+        assert PointConfig.from_json(blob) == cfg
+
+
+# --------------------------------------------------------------------------
+# property tests against oracles kept in this file
+
+CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12)
+
+
+def phi_degree(N):
+    return len(cyclotomic_poly(N)) - 1
+
+
+def reduce_oracle(poly, N):
+    """Remainder of sum_p poly[p] x^p by Phi_N, by long division over Q."""
+    phi = cyclotomic_poly(N)
+    dd = len(phi) - 1
+    num = [F(c) for c in poly] + [F(0)] * max(0, dd - len(poly))
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        for j in range(dd + 1):
+            num[i - dd + j] -= c * phi[j]
+    return tuple(num[:dd])
+
+
+def mul_oracle(a, b):
+    """Schoolbook Fraction convolution reduced mod Phi_N."""
+    conv = [F(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            conv[i + j] += x * y
+    return reduce_oracle(conv, a.N)
+
+
+def _divmod_frac(num, den):
+    num = list(num)
+    dd = len(den) - 1
+    q = [F(0)] * max(len(num) - dd, 0)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] / den[-1]
+        if c:
+            q[i - dd] = c
+            for j in range(dd + 1):
+                num[i - dd + j] -= c * den[j]
+    while num and not num[-1]:
+        num.pop()
+    return q, num
+
+
+def _mul_frac(a, b):
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sub(a, b):
+    out = list(a) + [F(0)] * max(0, len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def inverse_oracle(a):
+    """Extended Euclid in Q[x] against Phi_N; returns reduced coefficients."""
+    phi = [F(c) for c in cyclotomic_poly(a.N)]
+    r0, r1 = phi, list(a.coeffs)
+    while r1 and not r1[-1]:
+        r1.pop()
+    s0, s1 = [], [F(1)]
+    while r1:
+        q, rem = _divmod_frac(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _sub(s0, _mul_frac(q, s1))
+    return reduce_oracle([x / r0[0] for x in s0], a.N)
+
+
+def rref_oracle(rows, cols):
+    """RREF that divides a pivot row entry by entry."""
+    grid = [list(r) for r in rows]
+    pivots = []
+    prow = 0
+    for col in range(cols):
+        pivot = next((r for r in range(prow, len(grid)) if grid[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        grid[prow], grid[pivot] = grid[pivot], grid[prow]
+        pv = grid[prow][col]
+        grid[prow] = [e / pv for e in grid[prow]]
+        for r in range(len(grid)):
+            if r != prow and grid[r][col]:
+                f = grid[r][col]
+                grid[r] = [x - f * y for x, y in zip(grid[r], grid[prow])]
+        pivots.append(col)
+        prow += 1
+        if prow == len(grid):
+            break
+    return grid, pivots
+
+
+fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def elements(draw, N, nonzero=False):
+    coeffs = draw(st.lists(fractions, min_size=phi_degree(N),
+                           max_size=phi_degree(N)))
+    if draw(st.integers(0, 5)) == 0:
+        coeffs = [F(0)] * len(coeffs)
+    a = Cyclotomic(N, coeffs)
+    if nonzero and a.is_zero():
+        a = Cyclotomic(N, [1])
+    return a
+
+
+@st.composite
+def field_pairs(draw):
+    N = draw(st.sampled_from(CONDUCTORS))
+    return draw(elements(N)), draw(elements(N))
+
+
+@st.composite
+def matrices(draw):
+    """Small matrices over Q(zeta_N), often with repeated rows."""
+    N = draw(st.sampled_from(CONDUCTORS))
+    cols = draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.lists(elements(N), min_size=cols,
+                                      max_size=cols), min_size=1, max_size=3))
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                          max_size=4))
+    rhs = [draw(elements(N)) for _ in order]
+    return N, [distinct[i] for i in order], cols, rhs
+
+
+class TestCyclotomicProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(CONDUCTORS), st.lists(fractions, max_size=30))
+    def test_construction_reduces_mod_phi(self, N, coeffs):
+        assert Cyclotomic(N, coeffs).coeffs == reduce_oracle(coeffs, N)
+
+    @settings(max_examples=200, deadline=None)
+    @given(field_pairs())
+    def test_mul_against_convolution(self, pair):
+        a, b = pair
+        assert (a * b).coeffs == mul_oracle(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(CONDUCTORS).flatmap(
+        lambda N: elements(N, nonzero=True)))
+    def test_inverse_against_euclid(self, a):
+        inv = a.inverse()
+        assert inv.coeffs == inverse_oracle(a)
+        assert a * inv == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(field_pairs())
+    def test_conjugation_laws(self, pair):
+        a, b = pair
+        assert conj(conj(a)) == a
+        assert conj(a * b) == conj(a) * conj(b)
+        assert conj(a + b) == conj(a) + conj(b)
+
+    @pytest.mark.parametrize("N", CONDUCTORS)
+    def test_zero_has_no_inverse(self, N):
+        with pytest.raises(ZeroDivisionError):
+            Cyclotomic(N, []).inverse()
+
+    def test_norm_outside_q_is_a_bug(self, monkeypatch):
+        # dropping a conjugate from the norm leaves an irrational "norm"
+        monkeypatch.setattr(_field_data(5), "galois", (2, 3))
+        with pytest.raises(VerificationBug):
+            Cyclotomic.root_of_unity(5).inverse()
+
+
+class TestMatrixOverCyclotomic:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices())
+    def test_against_rref_oracle(self, case):
+        N, rows, cols, rhs = case
+        M = ExactMatrix(rows, N)
+        grid, pivots = rref_oracle(rows, cols)
+        assert M.rank() == len(pivots)
+        zero, one = Cyclotomic(N, []), Cyclotomic(N, [1])
+        kernel = []
+        for f in (c for c in range(cols) if c not in pivots):
+            vec = [zero] * cols
+            vec[f] = one
+            for prow, pcol in enumerate(pivots):
+                vec[pcol] = -grid[prow][f]
+            kernel.append(tuple(vec))
+        assert M.kernel_basis() == kernel
+        aug, apiv = rref_oracle([r + [b] for r, b in zip(rows, rhs)],
+                                cols + 1)
+        if cols in apiv:
+            assert M.solve(rhs) is None
+        else:
+            x = [zero] * cols
+            for prow, pcol in enumerate(apiv):
+                x[pcol] = aug[prow][cols]
+            assert M.solve(rhs) == tuple(x)
