@@ -31,7 +31,6 @@ from fandist.genpos import (
     found_equidistributing_tuple,
     is_typical,
     random_config,
-    verify_no_equidistribution,
 )
 from fandist.kneser import ColoringCertificate, SetFamily, m_eligible
 from fandist.pipeline import (
@@ -88,7 +87,7 @@ def _cmd_inverse_gale(args):
 
 def _cmd_tverberg(args):
     cfg = _load_config(args)
-    tup = search_tuple(cfg, args.r, lp_gate=args.gate, workers=args.workers)
+    tup = search_tuple(cfg, args.r, lp_gate=args.gate)
     if tup is None:
         print("none", file=sys.stderr)
         return EXIT_NONE
@@ -98,8 +97,7 @@ def _cmd_tverberg(args):
 
 def _run_single_fan(args, runner, **kwargs):
     cfg = _load_config(args)
-    result = runner(cfg, args.r, lp_gate=args.gate, workers=args.workers,
-                    **kwargs)
+    result = runner(cfg, args.r, lp_gate=args.gate, **kwargs)
     if result is None:
         print("none", file=sys.stderr)
         return EXIT_NONE
@@ -125,7 +123,7 @@ def _cmd_rainbow(args):
 def _cmd_two_fans(args):
     cfg = _load_config(args)
     kwargs = dict(mode=args.mode, seed=args.seed, pair_gate=args.gate,
-                  time_budget=args.budget, workers=args.workers)
+                  time_budget=args.budget)
     if args.certificate:
         cert = ColoringCertificate.from_json(_read_json(args.certificate))
         kwargs.update(family=cert.family, certificate=cert)
@@ -170,13 +168,12 @@ def _cmd_typical(args):
 def _cmd_counterexample(args):
     inst = build_counterexample(args.r, args.m, args.d, args.k, args.ell,
                                 seed=args.seed)
-    verified = verify_no_equidistribution(inst, lp_gate=args.gate,
-                                          workers=args.workers)
+    tup = found_equidistributing_tuple(inst, lp_gate=args.gate)
+    verified = tup is None
     out = inst.to_json()
     out["no_equidistribution"] = verified
     if not verified:
-        tup = found_equidistributing_tuple(inst, lp_gate=args.gate)
-        out["equidistributing_tuple"] = tup.to_json() if tup else None
+        out["equidistributing_tuple"] = tup.to_json()
     _write_output(out, args.output)
     return EXIT_OK if verified else EXIT_NONE
 
@@ -234,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="size gate (exact feasibility checks, pairs, "
                             "or points)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; the search is "
+                            "sequential")
 
     p = sub.add_parser("gale", help="Gale transform of a configuration")
     common(p)

@@ -348,10 +348,10 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
                                   seed, verified)
 
 
-def verify_no_equidistribution(instance: CounterexampleInstance,
-                               lp_gate: int = 10_000_000,
-                               workers: int = 1) -> bool:
-    """Exhaustively decide whether no equidistributing r-fan exists.
+def found_equidistributing_tuple(instance: CounterexampleInstance,
+                                 lp_gate: int = 10_000_000
+                                 ) -> Optional[TverbergTuple]:
+    """The tuple certifying an equidistributing r-fan, or None if none exists.
 
     An equidistributing fan forces every point outside class one onto the
     center (classes 2..m are smaller than r), so the fan is linear and
@@ -363,25 +363,18 @@ def verify_no_equidistribution(instance: CounterexampleInstance,
     r = instance.r
     c1 = instance.class_one()
     if len(c1) < r:
-        return True  # cannot even form r nonempty parts
+        return None  # cannot even form r nonempty parts
     cap = threshold_caps([len(c1)], r)[0]
-    if cap == 0:
-        return True
-    tup = search_tuple(instance.lifted_primal, r, allowed=c1,
-                       max_part_size=cap, lp_gate=lp_gate, workers=workers)
-    return tup is None
-
-
-def found_equidistributing_tuple(instance: CounterexampleInstance,
-                                 lp_gate: int = 10_000_000
-                                 ) -> Optional[TverbergTuple]:
-    """The certifying tuple when equidistribution is possible, else None."""
-    r = instance.r
-    c1 = instance.class_one()
-    if len(c1) < r:
-        return None
-    cap = threshold_caps([len(c1)], r)[0]
-    if cap == 0:
-        return None
     return search_tuple(instance.lifted_primal, r, allowed=c1,
                         max_part_size=cap, lp_gate=lp_gate)
+
+
+def verify_no_equidistribution(instance: CounterexampleInstance,
+                               lp_gate: int = 10_000_000,
+                               workers: int = 1) -> bool:
+    """Exhaustively decide whether no equidistributing r-fan exists.
+
+    True exactly when ``found_equidistributing_tuple`` finds no tuple.
+    ``workers`` is accepted for compatibility; the search is sequential.
+    """
+    return found_equidistributing_tuple(instance, lp_gate) is None

@@ -8,6 +8,8 @@ linear fan, slices at height one, and verifies the projected fan against
 the original coordinates with exact arithmetic.  A run either returns a
 fully verified result, returns None (no tuple), or raises: guarantee
 violations and verification failures are bug signals, never data errors.
+The drivers accept ``workers`` for compatibility; every search is
+sequential.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from typing import Optional
 from fandist.errors import (
     NotAffinelySpanning,
     PreconditionError,
+    SizeGateExceeded,
     VerificationBug,
 )
 from fandist.fans import (
     CENTER,
     INTERIOR,
-    ComplexFan,
-    RealFan,
     VerificationReport,
     fan_from_tuple_complex,
     fan_from_tuple_real,
@@ -46,7 +47,6 @@ from fandist.genpos import (
 from fandist.kneser import (
     ColoringCertificate,
     SetFamily,
-    m_eligible,
     prime_base,
     threshold_caps,
     verify_certificate,
@@ -57,7 +57,6 @@ from fandist.tverberg import (
     search_two_tuples,
     search_tuple,
 )
-from fandist.errors import SizeGateExceeded
 
 __all__ = [
     "PipelineResult",
@@ -158,7 +157,7 @@ class TwoFanResult:
         }
 
 
-def _prepare(X: PointConfig, r: int, need_complex_root: bool = False):
+def _prepare(X: PointConfig, r: int):
     """Lift, augment, invert; returns (X', pair, lifted, d, warnings)."""
     if not X.affinely_spanning():
         raise NotAffinelySpanning("input must affinely span its space")
@@ -166,7 +165,7 @@ def _prepare(X: PointConfig, r: int, need_complex_root: bool = False):
     d = X.n - X.dim - 1
     if d < 1:
         raise PreconditionError("need n >= D + 2 so that d >= 1")
-    if X.conductor is not None and need_complex_root:
+    if X.conductor is not None:
         N = X.conductor
         target = 4 * r // gcd(4, r)
         target = target * N // gcd(target, N)
@@ -179,7 +178,19 @@ def _prepare(X: PointConfig, r: int, need_complex_root: bool = False):
     return X, pair, lifted, d, warnings
 
 
-def _check_commutation(linear_fan, affine_fan, lifted, X) -> list:
+def _coloring_and_sizes(X: PointConfig):
+    """The coloring (one class when X has none) and its class sizes."""
+    coloring = X.coloring if X.coloring is not None else [0] * X.n
+    return coloring, [coloring.count(k) for k in range(max(coloring) + 1)]
+
+
+def _build_fan(pair, lifted, X, tup):
+    """(linear fan, its slice, X's classes), checked to commute on X."""
+    if X.conductor is None:
+        linear_fan = fan_from_tuple_real(pair, tup)
+    else:
+        linear_fan = fan_from_tuple_complex(pair, tup)
+    affine_fan = slice_project(linear_fan)
     cls = []
     for i in range(X.n):
         c1 = linear_fan.classify(lifted.points[i])
@@ -190,18 +201,30 @@ def _check_commutation(linear_fan, affine_fan, lifted, X) -> list:
         cls.append(c2)
     if linear_fan.classify(lifted.points[X.n]).kind != CENTER:
         raise VerificationBug("augmented point left the center")
-    return cls
+    return linear_fan, affine_fan, cls
 
 
-def _finish(mode: str, X, r, m, d, pair, lifted, tup, warnings, guaranteed,
-            t0, *, family=None, typicality_gate: int = SGP_GATE):
-    if X.conductor is None:
-        linear_fan = fan_from_tuple_real(pair, tup)
-    else:
-        linear_fan = fan_from_tuple_complex(pair, tup)
-    affine_fan = slice_project(linear_fan)
-    cls = _check_commutation(linear_fan, affine_fan, lifted, X)
+def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
+                lp_gate: int, typicality_gate: int, family=None
+                ) -> Optional[PipelineResult]:
+    """Prepare, plan, search and finish one single-fan run.
 
+    ``plan(X, d, is_complex, warnings)`` checks the mode's hypotheses on
+    the prepared input, appends its warnings and returns
+    (m, guaranteed, search constraint).
+    """
+    t0 = time.monotonic()
+    X, pair, lifted, d, warnings = _prepare(X, r)
+    m, guaranteed, constraint = plan(X, d, X.conductor is not None,
+                                     warnings)
+    tup = search_tuple(
+        pair.primal, r, constraint, allowed=range(X.n), lp_gate=lp_gate,
+        guarantee=(f"{theorem} theorem hypotheses hold" if guaranteed
+                   else None))
+    if tup is None:
+        return None
+
+    linear_fan, affine_fan, cls = _build_fan(pair, lifted, X, tup)
     # part/cell correspondence: interiors receive exactly the parts
     for j, part in enumerate(tup.parts):
         got = {i for i, c in enumerate(cls)
@@ -210,8 +233,7 @@ def _finish(mode: str, X, r, m, d, pair, lifted, tup, warnings, guaranteed,
             raise VerificationBug(
                 f"half-flat {j} holds {sorted(got)}, expected {list(part)}")
 
-    verify_mode = mode if mode != "two-fan" else "distribute"
-    report = verify_report(affine_fan, X, verify_mode, family=family)
+    report = verify_report(affine_fan, X, mode, family=family)
     if not report.passes:
         raise VerificationBug(
             f"verification failed: {report.failures}")
@@ -242,42 +264,31 @@ def equidistribute(X: PointConfig, r: int, *, lp_gate: int = 50_000_000,
     Outside the theorem bounds the search may legitimately fail (None,
     after a warning); inside them, exhaustion raises a bug signal.
     """
-    t0 = time.monotonic()
-    is_complex = X.conductor is not None
-    X, pair, lifted, d, warnings = _prepare(X, r, need_complex_root=True)
-    coloring = X.coloring if X.coloring is not None else [0] * X.n
-    sizes = [coloring.count(k) for k in range(max(coloring) + 1)]
-    m = len(sizes)
-
-    if is_complex:
-        bound = (r - 1) * (2 * d + m + 1) + 1
-        if r < 2:
-            warnings.append("complex fans need r >= 2")
-    else:
-        bound = (r - 1) * (d + m + 1) + 1
-        if r < 3:
+    def plan(X, d, is_complex, warnings):
+        coloring, sizes = _coloring_and_sizes(X)
+        m = len(sizes)
+        bound = (r - 1) * ((2 * d if is_complex else d) + m + 1) + 1
+        if is_complex:
+            if r < 2:
+                warnings.append("complex fans need r >= 2")
+        elif r < 3:
             raise PreconditionError("real fans need r >= 3")
-    guaranteed = True
-    if X.n < bound:
-        warnings.append(
-            f"n={X.n} below the guarantee bound {bound}; proceeding "
-            "best-effort")
-        guaranteed = False
-    if not _is_prime_power(r):
-        warnings.append(f"r={r} is not a prime power; no guarantee applies")
-        guaranteed = False
+        guaranteed = True
+        if X.n < bound:
+            warnings.append(
+                f"n={X.n} below the guarantee bound {bound}; proceeding "
+                "best-effort")
+            guaranteed = False
+        if not _is_prime_power(r):
+            warnings.append(
+                f"r={r} is not a prime power; no guarantee applies")
+            guaranteed = False
+        caps = threshold_caps(sizes, r)
+        return m, guaranteed, SearchConstraint.color_cap(
+            caps, list(coloring) + [0])
 
-    caps = threshold_caps(sizes, r)
-    constraint = SearchConstraint.color_cap(caps, list(coloring) + [0])
-    tup = search_tuple(
-        pair.primal, r, constraint, allowed=range(X.n), lp_gate=lp_gate,
-        workers=workers,
-        guarantee=("equidistribution theorem hypotheses hold"
-                   if guaranteed else None))
-    if tup is None:
-        return None
-    return _finish("equidistribute", X, r, m, d, pair, lifted, tup,
-                   warnings, guaranteed, t0, typicality_gate=typicality_gate)
+    return _single_fan("equidistribute", "equidistribution", plan, X, r,
+                       lp_gate=lp_gate, typicality_gate=typicality_gate)
 
 
 def pierce(X: PointConfig, family: SetFamily,
@@ -285,92 +296,75 @@ def pierce(X: PointConfig, family: SetFamily,
            lp_gate: int = 50_000_000, workers: int = 1,
            typicality_gate: int = SGP_GATE) -> Optional[PipelineResult]:
     """Distributing fan whose closed half-flats pierce every family member."""
-    t0 = time.monotonic()
     if certificate.family != family or certificate.r != r:
         raise PreconditionError("certificate must cover this family and r")
     ok, bad = verify_certificate(certificate)
     if not ok:
         raise PreconditionError(f"invalid chromatic certificate: {bad}")
     m = certificate.num_classes
-    is_complex = X.conductor is not None
-    X, pair, lifted, d, warnings = _prepare(X, r, need_complex_root=True)
-    if family.n != X.n:
-        raise PreconditionError("family ground set must match the points")
 
-    bound = (r - 1) * ((2 * d if is_complex else d) + m + 1) + 1
-    guaranteed = _is_prime_power(r) and X.n >= bound and \
-        (is_complex or r >= 3)
-    if X.n < bound:
-        warnings.append(f"n={X.n} below the guarantee bound {bound}")
-    if not _is_prime_power(r):
-        warnings.append(f"r={r} is not a prime power; no guarantee applies")
+    def plan(X, d, is_complex, warnings):
+        if family.n != X.n:
+            raise PreconditionError("family ground set must match the points")
+        bound = (r - 1) * ((2 * d if is_complex else d) + m + 1) + 1
+        guaranteed = _is_prime_power(r) and X.n >= bound and \
+            (is_complex or r >= 3)
+        if X.n < bound:
+            warnings.append(f"n={X.n} below the guarantee bound {bound}")
+        if not _is_prime_power(r):
+            warnings.append(
+                f"r={r} is not a prime power; no guarantee applies")
+        return m, guaranteed, SearchConstraint.family_avoid(family)
 
-    constraint = SearchConstraint.family_avoid(family)
-    tup = search_tuple(
-        pair.primal, r, constraint, allowed=range(X.n), lp_gate=lp_gate,
-        workers=workers,
-        guarantee=("piercing theorem hypotheses hold" if guaranteed
-                   else None))
-    if tup is None:
-        return None
-    return _finish("pierce", X, r, m, d, pair, lifted, tup, warnings,
-                   guaranteed, t0, family=family,
-                   typicality_gate=typicality_gate)
+    return _single_fan("pierce", "piercing", plan, X, r, lp_gate=lp_gate,
+                       typicality_gate=typicality_gate, family=family)
 
 
 def rainbow(X: PointConfig, r: int, *, lp_gate: int = 50_000_000,
             workers: int = 1,
             typicality_gate: int = SGP_GATE) -> Optional[PipelineResult]:
     """Rainbow-distributing fan: at most one point per class per interior."""
-    t0 = time.monotonic()
     if X.coloring is None:
         raise PreconditionError("rainbow mode needs a coloring")
-    is_complex = X.conductor is not None
-    X, pair, lifted, d, warnings = _prepare(X, r, need_complex_root=True)
-    sizes = X.class_sizes()
-    m = len(sizes)
-    if any(s < r for s in sizes):
-        raise PreconditionError(
-            f"every class needs at least r={r} points, sizes {sizes}")
 
-    guaranteed = True
-    expected_classes = (2 * d + 1) if is_complex else (d + 1)
-    if m != expected_classes:
-        warnings.append(
-            f"{m} classes given, the theorem speaks of {expected_classes}")
-        guaranteed = False
-    if prime_base(r + 1) != r + 1:
-        warnings.append(f"r+1={r + 1} is not prime; no guarantee applies")
-        guaranteed = False
-    if is_complex:
-        stated = r * (2 * d + 1) - 1
-        proved = r * (2 * d + 1)
-        if X.n < stated:
-            warnings.append(f"n={X.n} below the stated bound {stated}")
-            guaranteed = False
-        elif X.n < proved:
+    def plan(X, d, is_complex, warnings):
+        sizes = X.class_sizes()
+        m = len(sizes)
+        if any(s < r for s in sizes):
+            raise PreconditionError(
+                f"every class needs at least r={r} points, sizes {sizes}")
+        guaranteed = True
+        expected_classes = (2 * d + 1) if is_complex else (d + 1)
+        if m != expected_classes:
             warnings.append(
-                f"n={X.n} sits between the two published thresholds "
-                f"{stated} and {proved}: the guarantee is ambiguous there")
+                f"{m} classes given, the theorem speaks of {expected_classes}")
             guaranteed = False
-    else:
-        if X.n < r * (d + 1):
-            warnings.append(f"n={X.n} below the bound {r * (d + 1)}")
+        if prime_base(r + 1) != r + 1:
+            warnings.append(f"r+1={r + 1} is not prime; no guarantee applies")
             guaranteed = False
-    if (not is_complex and r < 4) or r < 2:
-        warnings.append("r below the theorem's range")
-        guaranteed = False
+        if is_complex:
+            stated = r * (2 * d + 1) - 1
+            proved = r * (2 * d + 1)
+            if X.n < stated:
+                warnings.append(f"n={X.n} below the stated bound {stated}")
+                guaranteed = False
+            elif X.n < proved:
+                warnings.append(
+                    f"n={X.n} sits between the two published thresholds "
+                    f"{stated} and {proved}: the guarantee is ambiguous there")
+                guaranteed = False
+        else:
+            if X.n < r * (d + 1):
+                warnings.append(f"n={X.n} below the bound {r * (d + 1)}")
+                guaranteed = False
+        if (not is_complex and r < 4) or r < 2:
+            warnings.append("r below the theorem's range")
+            guaranteed = False
+        return m, guaranteed, SearchConstraint.rainbow(
+            list(X.coloring) + [m])
 
-    constraint = SearchConstraint.rainbow(list(X.coloring) + [m])
-    tup = search_tuple(
-        pair.primal, r, constraint, allowed=range(X.n), lp_gate=lp_gate,
-        workers=workers,
-        guarantee=("rainbow theorem hypotheses hold" if guaranteed
-                   else None))
-    if tup is None:
-        return None
-    return _finish("rainbow", X, r, m, d, pair, lifted, tup, warnings,
-                   guaranteed, t0, typicality_gate=typicality_gate)
+    return _single_fan("rainbow", "rainbow", plan, X, r, lp_gate=lp_gate,
+                       typicality_gate=typicality_gate)
 
 
 def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
@@ -387,16 +381,15 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     the r^2-uniform Kneser hypergraph.  The digit condition on the class
     count is a hard precondition.  Search is exhaustive under the gates,
     then randomized best-effort; emitted pairs always verify exactly.
-    ``workers`` is accepted like the single-fan drivers' but unused: the
-    two-tuple search is sequential.
+    Both fans are built and checked like the single-fan drivers' fan.
+    ``workers`` is accepted for compatibility; the search is sequential.
     """
     t0 = time.monotonic()
     X0 = X
-    X, pair, lifted, d, warnings = _prepare(X, r, need_complex_root=True)
-    coloring = X.coloring if X.coloring is not None else [0] * X.n
-    sizes = [coloring.count(k) for k in range(max(coloring) + 1)]
+    X, pair, lifted, d, warnings = _prepare(X, r)
+    coloring, sizes = _coloring_and_sizes(X)
 
-    bound = (r - 1) * (d + 1) + (max(coloring) + 1) * (r * r - 1) // 2 + 1
+    bound = (r - 1) * (d + 1) + len(sizes) * (r * r - 1) // 2 + 1
     if X.n < bound:
         warnings.append(f"n={X.n} below the guarantee bound {bound}")
 
@@ -425,16 +418,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
         return None
     tup1, tup2 = pairres
 
-    fans = []
-    for tup in (tup1, tup2):
-        if X.conductor is None:
-            lf = fan_from_tuple_real(pair, tup)
-        else:
-            lf = fan_from_tuple_complex(pair, tup)
-        af = slice_project(lf)
-        _check_commutation(lf, af, lifted, X)
-        fans.append(af)
-
+    fans = [_build_fan(pair, lifted, X, tup)[1] for tup in pairres]
     report = verify_report(fans[0], X, "two-fan", other_fan=fans[1],
                            family=family if mode == "pierce" else None)
     if not report.passes:

@@ -19,19 +19,15 @@ first feasible candidate and every feasible one are unchanged.
 
 Searches are exhaustive within a size gate that counts exact feasibility
 checks: every flat meet and every weight-system solve counts one.  They
-return the first feasible candidate in stream order; with several worker
-threads, disjoint chunks race and the earliest feasible candidate is
-still the one returned, so results are identical at any worker count.
+run sequentially and return the first feasible candidate in stream
+order.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from fandist.errors import (
@@ -70,7 +66,6 @@ __all__ = [
 DEFAULT_LP_GATE = 50_000_000
 DEFAULT_PAIR_GATE = 1_000_000
 DEFAULT_TUPLE_GATE = 200_000
-SEARCH_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -281,54 +276,6 @@ def enumerate_candidates(n: int, r: int,
     return _candidate_stream(range(n), r, canonical_only, None, None)
 
 
-def _evaluate_chunk(chunk, solver):
-    """First feasible candidate in a chunk: (parts, witness)."""
-    for parts in chunk:
-        witness = solver.solve(parts)
-        if witness is not None:
-            return parts, witness
-    return None
-
-
-def _read_chunk(stream):
-    """Up to SEARCH_CHUNK candidates, plus the gate overrun that cut them."""
-    chunk = []
-    try:
-        for parts in islice(stream, SEARCH_CHUNK):
-            chunk.append(parts)
-    except SizeGateExceeded as exc:
-        return chunk, exc
-    return chunk, None
-
-
-def _first_feasible_threaded(stream, solver, workers):
-    """First feasible candidate of the stream, chunks solved by threads.
-
-    The stream is read ahead of the solves.  A gate overrun met while
-    reading is raised only after every chunk read before it came up
-    empty, which is when the sequential search would raise it.
-    """
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        overrun = None
-        more = True
-        while True:
-            while more and len(pending) < workers * 2:
-                chunk, overrun = _read_chunk(stream)
-                more = overrun is None and len(chunk) == SEARCH_CHUNK
-                if chunk:
-                    pending.append(pool.submit(_evaluate_chunk, chunk,
-                                               solver))
-            if not pending:
-                break
-            hit = pending.popleft().result()
-            if hit is not None:
-                return hit
-    if overrun is not None:
-        raise overrun
-    return None
-
-
 def search_tuple(config: PointConfig, r: int,
                  constraint: Optional[SearchConstraint] = None, *,
                  allowed: Optional[Sequence[int]] = None,
@@ -344,6 +291,7 @@ def search_tuple(config: PointConfig, r: int,
     needed (a distinct outcome), and GuaranteeViolation when
     ``guarantee`` names a satisfied theorem hypothesis yet the exhaustive
     search came up empty (that is a bug signal, not a data error).
+    ``workers`` is accepted for compatibility; the search is sequential.
     """
     if config.n < r:
         raise PreconditionError("need at least r points")
@@ -353,27 +301,19 @@ def search_tuple(config: PointConfig, r: int,
     stream = _candidate_stream(indices, r, canonical_only, constraint,
                                max_part_size, solver, lp_gate)
 
-    found = None
-    if workers <= 1:
-        for parts in stream:
-            witness = solver.solve(parts)
-            if witness is not None:
-                found = (parts, witness)
-                break
-    else:
-        found = _first_feasible_threaded(stream, solver, workers)
-
-    if found is None:
-        if guarantee:
-            raise GuaranteeViolation(
-                f"search exhausted although {guarantee} guarantees a tuple")
-        return None
-    parts, witness = found
-    tup = TverbergTuple(r, parts, witness)
-    tup.validate(config)
-    if constraint is not None and not constraint.admits(parts):
-        raise VerificationBug("pruned stream emitted a violating candidate")
-    return tup
+    for parts in stream:
+        witness = solver.solve(parts)
+        if witness is not None:
+            tup = TverbergTuple(r, parts, witness)
+            tup.validate(config)
+            if constraint is not None and not constraint.admits(parts):
+                raise VerificationBug(
+                    "pruned stream emitted a violating candidate")
+            return tup
+    if guarantee:
+        raise GuaranteeViolation(
+            f"search exhausted although {guarantee} guarantees a tuple")
+    return None
 
 
 def search_colored_tuple(config: PointConfig, r: int, *,
@@ -382,7 +322,10 @@ def search_colored_tuple(config: PointConfig, r: int, *,
                          workers: int = 1,
                          guarantee: Optional[str] = None
                          ) -> Optional[TverbergTuple]:
-    """Rainbow-constrained search: at most one point per class per part."""
+    """Rainbow-constrained search: at most one point per class per part.
+
+    ``workers`` is accepted for compatibility; the search is sequential.
+    """
     if config.coloring is None:
         raise PreconditionError("a coloring is required")
     sizes = config.class_sizes()
@@ -391,7 +334,7 @@ def search_colored_tuple(config: PointConfig, r: int, *,
             f"every class needs at least r={r} points, sizes {sizes}")
     constraint = SearchConstraint.rainbow(config.coloring)
     return search_tuple(config, r, constraint, allowed=allowed,
-                        lp_gate=lp_gate, workers=workers, guarantee=guarantee)
+                        lp_gate=lp_gate, guarantee=guarantee)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import threading
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from fandist.cli import main
 from fandist.galedual import PointConfig
 from fandist.genpos import random_config
 from fandist.kneser import ColoringCertificate, SetFamily
+from fandist.pipeline import equidistribute
+from fandist.tverberg import search_tuple
 
 
 def run(tmp_path, *argv):
@@ -155,3 +158,24 @@ class TestAnalysisCommands:
         assert blob["no_equidistribution"] == (code == 0)
         if code == 1:
             assert blob["equidistributing_tuple"] is not None
+
+
+def test_workers_start_no_thread(tmp_path, monkeypatch, config_file):
+    """``workers`` and ``--workers`` are accepted; the search is sequential."""
+    cfg = PointConfig(1, [[i] for i in range(1, 8)])
+    X = random_config(7, 5, seed=1)
+    seq_tuple = search_tuple(cfg, 3)
+    seq_fan = equidistribute(X, 3).to_json()
+    seq_out, par_out = tmp_path / "seq.json", tmp_path / "par.json"
+    assert main(["tverberg", "--input", config_file, "--r", "2",
+                 "--output", str(seq_out)]) == 0
+
+    def no_thread(self):
+        raise AssertionError("the search started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert search_tuple(cfg, 3, workers=4) == seq_tuple
+    assert equidistribute(X, 3, workers=8).to_json() == seq_fan
+    assert main(["tverberg", "--input", config_file, "--r", "2",
+                 "--output", str(par_out), "--workers", "4"]) == 0
+    assert par_out.read_text() == seq_out.read_text()

@@ -1,8 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
-from fandist.errors import PreconditionError
+from fandist.errors import (
+    MalformedFan,
+    PreconditionError,
+    SizeGateExceeded,
+)
 from fandist.genpos import random_config
 from fandist.kneser import ColoringCertificate, SetFamily
 from fandist.pipeline import (
@@ -177,3 +182,199 @@ class TestBounds:
         assert row["lower_successes"] == row["lower_runs"] == 1
         # the minimal ell does not certify; see the sharpness tests
         assert row["certified_ell"] in (None, 3)
+
+
+# -- characterisation of the drivers -----------------------------------------
+#
+# Each case pins a driver's whole outcome on a small input: the exact
+# warnings tuple, `guaranteed` and the SHA-256 of the canonical result
+# JSON, or None, or the exception class and message.  Together the cases
+# reach every warning and precondition branch of the single-fan drivers.
+
+def _family(n, members, r, colors):
+    fam = SetFamily(n, members)
+    return fam, ColoringCertificate(fam, r, tuple(colors))
+
+
+def _pierce(X, members, r, colors, **kw):
+    fam, cert = _family(X.n, members, r, colors)
+    return pierce(X, fam, cert, r, **kw)
+
+
+DRIVER_CASES = {
+    "equi-real": lambda: equidistribute(random_config(7, 5, seed=1), 3),
+    "equi-real-below": lambda: equidistribute(random_config(6, 4, seed=2), 3),
+    "equi-real-below-none": lambda: equidistribute(
+        random_config(5, 3, seed=2), 3),
+    "equi-not-prime-power": lambda: equidistribute(
+        random_config(12, 10, seed=4), 6, lp_gate=200_000),
+    "equi-real-r2": lambda: equidistribute(random_config(7, 5, seed=1), 2),
+    "equi-complex": lambda: equidistribute(
+        random_config(6, 4, field=4, seed=21), 2),
+    "equi-complex-r1": lambda: equidistribute(
+        random_config(6, 4, field=4, seed=21), 1),
+    "equi-complex-embedded": lambda: equidistribute(
+        random_config(9, 7, field=4, seed=77, coloring=[0] * 9), 3),
+    "equi-gate": lambda: equidistribute(
+        random_config(7, 5, seed=1), 3, lp_gate=0),
+    "pierce-real": lambda: _pierce(random_config(7, 5, seed=7), [[2]], 3,
+                                   [0]),
+    "pierce-complex": lambda: _pierce(
+        random_config(6, 4, field=4, seed=21), [[3]], 2, [0]),
+    "pierce-below-none": lambda: _pierce(random_config(5, 3, seed=7), [[2]],
+                                         3, [0]),
+    "pierce-not-prime-power": lambda: _pierce(
+        random_config(12, 10, seed=4), [], 6, [], lp_gate=200_000),
+    "pierce-bad-certificate": lambda: _pierce(
+        random_config(7, 5, seed=8), [[0], [1], [2]], 3, [0, 0, 0]),
+    "pierce-certificate-mismatch": lambda: pierce(
+        random_config(7, 5, seed=8), *_family(7, [[2]], 3, [0]), 4),
+    "pierce-family-size": lambda: pierce(
+        random_config(7, 5, seed=8), *_family(6, [[2]], 3, [0]), 3),
+    "rainbow-real": lambda: rainbow(
+        random_config(8, 6, seed=9, coloring=[0] * 4 + [1] * 4), 4),
+    "rainbow-wrong-class-count": lambda: rainbow(
+        random_config(9, 7, seed=1, coloring=[0] * 3 + [1] * 3 + [2] * 3),
+        3),
+    "rainbow-r-plus-one-not-prime": lambda: rainbow(
+        random_config(10, 8, seed=9, coloring=[0] * 5 + [1] * 5), 5),
+    "rainbow-real-r2": lambda: rainbow(
+        random_config(6, 4, seed=9, coloring=[0, 0, 1, 1, 2, 2]), 2),
+    "rainbow-real-below-none": lambda: rainbow(
+        random_config(8, 5, seed=9, coloring=[0] * 4 + [1] * 4), 3),
+    "rainbow-complex": lambda: rainbow(
+        random_config(6, 4, field=4, seed=22, coloring=[0, 0, 1, 1, 2, 2]),
+        2),
+    "rainbow-complex-between": lambda: rainbow(
+        random_config(5, 3, field=4, seed=24, coloring=[0, 0, 0, 1, 1]), 2),
+    "rainbow-complex-below-none": lambda: rainbow(
+        random_config(4, 2, field=4, seed=22, coloring=[0, 0, 1, 1]), 2),
+    "rainbow-no-coloring": lambda: rainbow(random_config(8, 6, seed=9), 4),
+    "rainbow-small-class": lambda: rainbow(
+        random_config(8, 6, seed=10, coloring=[0] * 6 + [1] * 2), 4),
+    "two-fans-equidistribute": lambda: two_fans(
+        random_config(10, 8, seed=1000, coloring=[0] * 5 + [1] * 5), 3,
+        time_budget=0),
+    "two-fans-pierce": lambda: two_fans(
+        random_config(9, 7, seed=12), 3, mode="pierce",
+        **dict(zip(("family", "certificate"), _family(
+            9, [list(range(9)), [4]], 9, [0, 1]))), time_budget=0),
+    "two-fans-digit-condition": lambda: two_fans(
+        random_config(9, 7, seed=11, coloring=[0] * 9), 3),
+    "two-fans-pierce-no-certificate": lambda: two_fans(
+        random_config(9, 7, seed=12), 3, mode="pierce"),
+    "two-fans-unknown-mode": lambda: two_fans(
+        random_config(9, 7, seed=12), 3, mode="bogus"),
+}
+
+DRIVER_OUTCOMES = {
+    "equi-complex": (
+        (), True,
+        "7b63aa6106d15e6d90cf2c78f7b924f809d8af13bd90d55a521feb4d6e11aba8"),
+    "equi-complex-embedded": (
+        ("coordinates embedded into Q(zeta_12) for omega_3",), True,
+        "f2455f9acffc1202dc1618dcab4087cbd393724d60cb443b5a425efa76ce7b38"),
+    "equi-complex-r1": (
+        PreconditionError,
+        "r must be at least 2"),
+    "equi-gate": (
+        SizeGateExceeded,
+        "feasibility-check gate 0 exceeded"),
+    "equi-not-prime-power": (
+        ("n=12 below the guarantee bound 16; proceeding best-effort",
+         "r=6 is not a prime power; no guarantee applies",), False,
+        "89eb5bac619f4eda3d053325bbfcad838864e8b100c1361587d717f2ded96566"),
+    "equi-real": (
+        (), True,
+        "da8c2e67522af97daf3d018384b2d37aa4640750c61d2fda21322f7a0d98c980"),
+    "equi-real-below": (
+        ("n=6 below the guarantee bound 7; proceeding best-effort",), False,
+        "fbe23868ced5eb2f11d149f60fe873efc0cb90b99b399e6616ecfe9b6523e0cd"),
+    "equi-real-below-none": None,
+    "equi-real-r2": (
+        PreconditionError,
+        "real fans need r >= 3"),
+    "pierce-bad-certificate": (
+        PreconditionError,
+        "invalid chromatic certificate: (0, ((0,), (1,), (2,)))"),
+    "pierce-below-none": None,
+    "pierce-certificate-mismatch": (
+        PreconditionError,
+        "certificate must cover this family and r"),
+    "pierce-complex": (
+        (), True,
+        "d443e5c7ac8cb98cb8d09a723e6d7a485010186a94141936202d23dadb21c9a9"),
+    "pierce-family-size": (
+        PreconditionError,
+        "family ground set must match the points"),
+    "pierce-not-prime-power": (
+        ("n=12 below the guarantee bound 16",
+         "r=6 is not a prime power; no guarantee applies",), False,
+        "f2045d1f60d5f3a52de535eba651a18b7fe59d1b5354dfd7f831e8d57a054718"),
+    "pierce-real": (
+        (), True,
+        "f8f85435e286e9b2478ede3f7bf993d4127ab608a76573dd3d7c7a98da712651"),
+    "rainbow-complex": (
+        (), True,
+        "cbc85f38eb013f504557519ec080df20c63bf55bca958d45d92115d828b075e6"),
+    "rainbow-complex-below-none": None,
+    "rainbow-real-below-none": None,
+    "rainbow-complex-between": (
+        ("2 classes given, the theorem speaks of 3",
+         "n=5 sits between the two published thresholds 5 and 6: "
+         "the guarantee is ambiguous there",), False,
+        "f98bda6a4703573c5f426ba1eeabd2a6727c6477c8465d2cf24411bdbe374e70"),
+    "rainbow-no-coloring": (
+        PreconditionError,
+        "rainbow mode needs a coloring"),
+    "rainbow-r-plus-one-not-prime": (
+        ("r+1=6 is not prime; no guarantee applies",), False,
+        "97d0df093de8f172a7bf8316fed5cec4eb8e93ae90bcf1d06b648c2476773f88"),
+    "rainbow-real": (
+        (), True,
+        "0e9f35cdb7f9c1c1669b95cb5d5e8566a366c6d2c60e0c0fce77581400bf8b39"),
+    "rainbow-real-r2": (
+        MalformedFan,
+        "real fans need r >= 3"),
+    "rainbow-small-class": (
+        PreconditionError,
+        "every class needs at least r=4 points, sizes [6, 2]"),
+    "rainbow-wrong-class-count": (
+        ("3 classes given, the theorem speaks of 2",
+         "r+1=4 is not prime; no guarantee applies",
+         "r below the theorem's range",), False,
+        "31dc03c36ad6d046946156183fd3fc3f7f936b886f8f99058b8a7e4529815b10"),
+    "two-fans-digit-condition": (
+        PreconditionError,
+        "m=1 fails the digit condition: base-3 digits [1]"),
+    "two-fans-equidistribute": (
+        ("n=10 below the guarantee bound 13",), None,
+        "30eb65e5de7cc9909c802948d0c6ab4f8bf2898f9e4a0b8fb11b4555abbe846e"),
+    "two-fans-pierce": (
+        (), None,
+        "3f7b2a6160486d5c4a57f3f1cd5d049374523c8928a143af65834599c337e247"),
+    "two-fans-pierce-no-certificate": (
+        PreconditionError,
+        "pierce mode needs a family and a certificate"),
+    "two-fans-unknown-mode": (
+        PreconditionError,
+        "unknown two-fan mode 'bogus'"),
+}
+
+
+def driver_outcome(run):
+    """(warnings, guaranteed, JSON SHA-256), None, or (class, message)."""
+    try:
+        res = run()
+    except (PreconditionError, SizeGateExceeded) as exc:
+        return type(exc), str(exc)
+    if res is None:
+        return None
+    digest = hashlib.sha256(
+        canonical_json(res.to_json()).encode()).hexdigest()
+    return res.warnings, getattr(res, "guaranteed", None), digest
+
+
+@pytest.mark.parametrize("name", sorted(DRIVER_CASES))
+def test_driver_outcome_pinned(name):
+    assert driver_outcome(DRIVER_CASES[name]) == DRIVER_OUTCOMES[name]

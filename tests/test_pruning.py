@@ -186,8 +186,6 @@ def _outcome(cfg, r, gate, workers):
                                 (6, 2))], 2, 3),             # none
 ])
 def test_threaded_gate_matches_sequential(monkeypatch, points, d, r):
-    # tiny chunks so the threaded path reads ahead across many of them
-    monkeypatch.setattr(tverberg, "SEARCH_CHUNK", 2)
     cfg = PointConfig(d, points)
     for gate in range(0, 60):
         assert _outcome(cfg, r, gate, 1) == _outcome(cfg, r, gate, 3), gate
