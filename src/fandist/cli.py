@@ -218,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact fan distributions of colored point sets")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_input=True, needs_r=False,
-               gate_default=10_000_000):
+    def common(p, *, needs_input=True, needs_r=False, gate=10_000_000,
+               seed=False):
+        """Shared flags; ``gate=None`` omits --gate, ``seed`` adds --seed."""
         if needs_input:
             p.add_argument("--input", required=True,
                            help="PointConfig JSON file")
@@ -227,20 +228,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--r", type=int, required=True,
                            help="number of half-flats")
         p.add_argument("--output", default=None, help="result JSON file")
-        p.add_argument("--gate", type=int, default=gate_default,
-                       help="size gate (exact feasibility checks, pairs, "
-                            "or points)")
-        p.add_argument("--seed", type=int, default=0)
+        if gate is not None:
+            p.add_argument("--gate", type=int, default=gate,
+                           help="size gate (exact feasibility checks, "
+                                "pairs, or points)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; the search is "
                             "sequential")
 
     p = sub.add_parser("gale", help="Gale transform of a configuration")
-    common(p)
+    common(p, gate=None)
     p.set_defaults(func=_cmd_gale)
 
     p = sub.add_parser("inverse-gale", help="inverse Gale transform")
-    common(p)
+    common(p, gate=None)
     p.set_defaults(func=_cmd_inverse_gale)
 
     p = sub.add_parser("tverberg", help="search a proper Tverberg tuple")
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rainbow)
 
     p = sub.add_parser("two-fans", help="two-fan distribution")
-    common(p, needs_r=True)
+    common(p, needs_r=True, seed=True)
     p.add_argument("--mode", choices=["equidistribute", "pierce"],
                    default="equidistribute")
     p.add_argument("--certificate", default=None,
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_two_fans)
 
     p = sub.add_parser("verify-fan", help="verify a fan against points")
-    common(p)
+    common(p, gate=None)
     p.add_argument("--fan", required=True, help="fan JSON file")
     p.add_argument("--mode", default="distribute",
                    choices=["distribute", "equidistribute", "pierce",
@@ -283,16 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_fan)
 
     p = sub.add_parser("check-sgp", help="strong general position check")
-    common(p, gate_default=10)
+    common(p, gate=10)
     p.set_defaults(func=_cmd_check_sgp)
 
     p = sub.add_parser("typical", help="typicality check")
-    common(p, gate_default=10)
+    common(p, gate=10)
     p.set_defaults(func=_cmd_typical)
 
     p = sub.add_parser("counterexample",
                        help="build and verify a sharpness instance")
-    common(p, needs_input=False, needs_r=True)
+    common(p, needs_input=False, needs_r=True, seed=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("gen-random", help="random point configuration")
-    common(p, needs_input=False)
+    common(p, needs_input=False, gate=None, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--field", default="rational",
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_random)
 
     p = sub.add_parser("m-eligible", help="digit condition for two fans")
-    common(p, needs_input=False, needs_r=True)
+    common(p, needs_input=False, needs_r=True, gate=None)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=_cmd_m_eligible)
 

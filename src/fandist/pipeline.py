@@ -69,10 +69,6 @@ __all__ = [
 ]
 
 
-def _is_prime_power(r: int) -> bool:
-    return prime_base(r) is not None
-
-
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -209,12 +205,16 @@ def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
                 ) -> Optional[PipelineResult]:
     """Prepare, plan, search and finish one single-fan run.
 
+    Real fans need r >= 3; that is checked once, before planning.
+
     ``plan(X, d, is_complex, warnings)`` checks the mode's hypotheses on
     the prepared input, appends its warnings and returns
     (m, guaranteed, search constraint).
     """
     t0 = time.monotonic()
     X, pair, lifted, d, warnings = _prepare(X, r)
+    if X.conductor is None and r < 3:
+        raise PreconditionError("real fans need r >= 3")
     m, guaranteed, constraint = plan(X, d, X.conductor is not None,
                                      warnings)
     tup = search_tuple(
@@ -268,18 +268,13 @@ def equidistribute(X: PointConfig, r: int, *, lp_gate: int = 50_000_000,
         coloring, sizes = _coloring_and_sizes(X)
         m = len(sizes)
         bound = (r - 1) * ((2 * d if is_complex else d) + m + 1) + 1
-        if is_complex:
-            if r < 2:
-                warnings.append("complex fans need r >= 2")
-        elif r < 3:
-            raise PreconditionError("real fans need r >= 3")
         guaranteed = True
         if X.n < bound:
             warnings.append(
                 f"n={X.n} below the guarantee bound {bound}; proceeding "
                 "best-effort")
             guaranteed = False
-        if not _is_prime_power(r):
+        if prime_base(r) is None:
             warnings.append(
                 f"r={r} is not a prime power; no guarantee applies")
             guaranteed = False
@@ -307,11 +302,10 @@ def pierce(X: PointConfig, family: SetFamily,
         if family.n != X.n:
             raise PreconditionError("family ground set must match the points")
         bound = (r - 1) * ((2 * d if is_complex else d) + m + 1) + 1
-        guaranteed = _is_prime_power(r) and X.n >= bound and \
-            (is_complex or r >= 3)
+        guaranteed = prime_base(r) is not None and X.n >= bound
         if X.n < bound:
             warnings.append(f"n={X.n} below the guarantee bound {bound}")
-        if not _is_prime_power(r):
+        if prime_base(r) is None:
             warnings.append(
                 f"r={r} is not a prime power; no guarantee applies")
         return m, guaranteed, SearchConstraint.family_avoid(family)

@@ -6,6 +6,10 @@ parts, so ``({0},{1},{2})`` with everything else leftover comes first.
 Canonical mode keeps exactly one relabeling per unordered partition by
 requiring min(I_1) < ... < min(I_r).
 
+One set condition, ``SearchConstraint``, decides each part of a tuple
+and each cell I_a ∩ J_b of a pair on index bitmasks: at most a capped
+count per color class and no member of a forbidden family.
+
 A proper tuple needs a common point of the affine hulls of its parts.
 Searches over a point set therefore prune the stream by prefix: each
 part's hull equations are computed once on the solver's integer grid,
@@ -111,75 +115,67 @@ class TverbergTuple:
 
 
 class SearchConstraint:
-    """Filter on candidate part-tuples, with incremental pruning.
+    """Set condition on index bitmasks, for parts and cells alike.
 
-    Variants: none, family-avoid (no family member inside any part),
-    color-cap (per-class per-part cardinality caps), rainbow (all caps 1).
+    A set passes when it holds at most ``caps[c]`` (nonnegative; rainbow:
+    1) indices of each class c in ``caps`` (other classes are uncapped)
+    and no member of the family.  ``may_add`` grows a passing set by one
+    index; ``admits_mask`` decides a whole set.
     """
 
-    def __init__(self, kind: str, *, family: Optional[SetFamily] = None,
+    def __init__(self, *, family: Optional[SetFamily] = None,
                  caps: Optional[dict[int, int]] = None,
-                 coloring: Optional[Sequence[int]] = None):
-        self.kind = kind
-        self.family = family
-        self.caps = dict(caps) if caps else None
-        self.coloring = tuple(coloring) if coloring is not None else None
-        self._members_by_elem: dict[int, list[frozenset]] = {}
-        if family is not None:
-            for m in family.members:
-                fs = frozenset(m)
-                for i in m:
-                    self._members_by_elem.setdefault(i, []).append(fs)
-
-    @classmethod
-    def none(cls) -> "SearchConstraint":
-        return cls("none")
+                 coloring: Sequence[int] = ()):
+        caps = caps or {}
+        class_masks: dict[int, int] = {}
+        for i, c in enumerate(coloring):
+            class_masks[c] = class_masks.get(c, 0) | 1 << i
+        self._caps = [(class_masks.get(c, 0), cap) for c, cap in caps.items()]
+        self._cap_of = {i: (class_masks[c], caps[c])
+                        for i, c in enumerate(coloring) if c in caps}
+        members = family.members if family is not None else ()
+        self._members = [bitmask(m) for m in members]
+        self._members_by_elem = {
+            i: [mm for mm in self._members if mm >> i & 1]
+            for i in set().union(*members)}
 
     @classmethod
     def family_avoid(cls, family: SetFamily) -> "SearchConstraint":
-        return cls("family-avoid", family=family)
+        return cls(family=family)
 
     @classmethod
     def color_cap(cls, caps: dict[int, int],
                   coloring: Sequence[int]) -> "SearchConstraint":
-        return cls("color-cap", caps=caps, coloring=coloring)
+        return cls(caps=caps, coloring=coloring)
 
     @classmethod
     def rainbow(cls, coloring: Sequence[int]) -> "SearchConstraint":
-        caps = {k: 1 for k in range(max(coloring) + 1)}
-        return cls("rainbow", caps=caps, coloring=coloring)
+        return cls(caps=dict.fromkeys(coloring, 1), coloring=coloring)
 
-    # incremental interface: may index i extend the part currently `part`?
-    def may_add(self, part: list[int], counts: dict[int, int], i: int) -> bool:
-        if self.caps is not None:
-            c = self.coloring[i] if self.coloring is not None else 0
-            if counts.get(c, 0) + 1 > self.caps.get(c, len(part) + 2):
+    def may_add(self, mask: int, i: int) -> bool:
+        """Whether the passing set ``mask`` may take index i (not in it)."""
+        new = mask | 1 << i
+        cap = self._cap_of.get(i)
+        if cap is not None and (new & cap[0]).bit_count() > cap[1]:
+            return False
+        for mm in self._members_by_elem.get(i, ()):
+            if mm & new == mm:
                 return False
-        if self.family is not None:
-            new = set(part)
-            new.add(i)
-            for member in self._members_by_elem.get(i, ()):
-                if member <= new:
-                    return False
+        return True
+
+    def admits_mask(self, mask: int) -> bool:
+        """Full check of one part or cell given as an index bitmask."""
+        for cm, cap in self._caps:
+            if (mask & cm).bit_count() > cap:
+                return False
+        for mm in self._members:
+            if mm & mask == mm:
+                return False
         return True
 
     def admits(self, parts: Iterable[Sequence[int]]) -> bool:
-        """Full (non-incremental) check of a candidate."""
-        for part in parts:
-            ps = set(part)
-            if self.caps is not None:
-                counts: dict[int, int] = {}
-                for i in part:
-                    c = self.coloring[i] if self.coloring is not None else 0
-                    counts[c] = counts.get(c, 0) + 1
-                for c, cnt in counts.items():
-                    if cnt > self.caps.get(c, cnt):
-                        return False
-            if self.family is not None:
-                for member in self.family.members:
-                    if len(member) <= len(ps) and set(member) <= ps:
-                        return False
-        return True
+        """Full check of every part of a candidate."""
+        return all(self.admits_mask(bitmask(p)) for p in parts)
 
 
 def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
@@ -212,14 +208,14 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
             count_check()
             yield tuple(tuple(p) for p in parts)
             return
-        remaining = [i for i in idx if i not in used]
+        remaining = [i for i in idx if not used >> i & 1]
         if len(remaining) < r - depth:
             return
 
-        def extend(part, counts, start):
+        def extend(part, mask, start):
             # a completed nonempty part is emitted before its extensions
             if part:
-                yield list(part)
+                yield list(part), mask
             if max_part_size is not None and len(part) >= max_part_size:
                 return
             for k in range(start, len(remaining)):
@@ -227,27 +223,18 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                 if not part and canonical_only and prev_min is not None \
                         and i <= prev_min:
                     continue
-                if constraint is not None and not constraint.may_add(
-                        part, counts, i):
+                if constraint is not None and not constraint.may_add(mask, i):
                     continue
-                c = None
-                if constraint is not None and constraint.caps is not None:
-                    c = constraint.coloring[i] if constraint.coloring \
-                        is not None else 0
-                    counts[c] = counts.get(c, 0) + 1
                 part.append(i)
-                yield from extend(part, counts, k + 1)
+                yield from extend(part, mask | 1 << i, k + 1)
                 part.pop()
-                if c is not None:
-                    counts[c] -= 1
 
-        for sub in extend([], {}, 0):
+        for sub, mask in extend([], 0, 0):
             sub_flat = None
             if solver is not None:
-                key = bitmask(sub)
-                hull = hulls.get(key)
+                hull = hulls.get(mask)
                 if hull is None:
-                    hull = hulls[key] = affine_hull(solver.ipoints, sub)
+                    hull = hulls[mask] = affine_hull(solver.ipoints, sub)
                 if depth == 0:
                     sub_flat = hull
                 else:
@@ -259,9 +246,9 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                         sub_flat = flat.meet(hull)
                     if sub_flat is None:
                         continue
-            yield from build(parts + [sub], used.union(sub), sub[0], sub_flat)
+            yield from build(parts + [sub], used | mask, sub[0], sub_flat)
 
-    yield from build([], frozenset(), None, None)
+    yield from build([], 0, None, None)
 
 
 def enumerate_candidates(n: int, r: int,
@@ -340,42 +327,6 @@ def search_colored_tuple(config: PointConfig, r: int, *,
 # --------------------------------------------------------------------------
 # two-tuple search
 
-class _CellCheck:
-    """Exact check of the cell condition for a pair of tuples."""
-
-    def __init__(self, *, caps: Optional[dict[int, int]] = None,
-                 coloring: Optional[Sequence[int]] = None,
-                 family: Optional[SetFamily] = None):
-        self.caps = caps
-        self.family = family
-        self.class_masks: Optional[list[int]] = None
-        if caps is not None:
-            ncls = max(coloring) + 1
-            masks = [0] * ncls
-            for i, c in enumerate(coloring):
-                masks[c] |= 1 << i
-            self.class_masks = masks
-        self.member_masks = None
-        if family is not None:
-            self.member_masks = [bitmask(m) for m in family.members]
-
-    def admits(self, masks1: list[int], masks2: list[int]) -> bool:
-        for m1 in masks1:
-            for m2 in masks2:
-                cell = m1 & m2
-                if not cell:
-                    continue
-                if self.class_masks is not None:
-                    for c, cm in enumerate(self.class_masks):
-                        if (cell & cm).bit_count() > self.caps.get(c, 0):
-                            return False
-                if self.member_masks is not None:
-                    for mm in self.member_masks:
-                        if mm & cell == mm:
-                            return False
-        return True
-
-
 def search_two_tuples(config: PointConfig, r: int, *,
                       family: Optional[SetFamily] = None,
                       certificate: Optional[ColoringCertificate] = None,
@@ -409,12 +360,14 @@ def search_two_tuples(config: PointConfig, r: int, *,
         if not ok:
             raise PreconditionError(f"invalid certificate: {bad}")
         m = certificate.num_classes
-        check = _CellCheck(family=family)
+        check = SearchConstraint.family_avoid(family)
     elif cell_caps is not None:
         if coloring is None:
             raise PreconditionError("caps mode needs the coloring")
         m = max(coloring) + 1
-        check = _CellCheck(caps=cell_caps, coloring=coloring)
+        # a class missing from cell_caps may not meet any cell
+        check = SearchConstraint.color_cap(
+            {c: cell_caps.get(c, 0) for c in range(m)}, coloring)
     else:
         raise PreconditionError("either a family or cell caps are required")
     eligible, digits = m_eligible(m, r)
@@ -451,7 +404,7 @@ def search_two_tuples(config: PointConfig, r: int, *,
             if pairs_seen > pair_gate:
                 gated = True
                 break
-            if check.admits(mi, masks[j]):
+            if _cells_admitted(check, mi, masks[j]):
                 pair = (collected[i], collected[j])
                 _validate_pair(pair, config, check)
                 return pair
@@ -469,16 +422,22 @@ def search_two_tuples(config: PointConfig, r: int, *,
         for _ in range(256):
             i = rng.randrange(k)
             j = rng.randrange(k)
-            if check.admits(masks[i], masks[j]):
+            if _cells_admitted(check, masks[i], masks[j]):
                 pair = (collected[i], collected[j])
                 _validate_pair(pair, config, check)
                 return pair
     raise SearchTimeout("two-tuple search budget exhausted")
 
 
-def _validate_pair(pair, config, check) -> None:
+def _cells_admitted(check: SearchConstraint, masks1: list[int],
+                    masks2: list[int]) -> bool:
+    """Whether every cell I_a ∩ J_b of two tuples' part masks passes."""
+    return all(check.admits_mask(a & b) for a in masks1 for b in masks2)
+
+
+def _validate_pair(pair, config, check: SearchConstraint) -> None:
     for t in pair:
         t.validate(config)
     masks = [[bitmask(p) for p in t.parts] for t in pair]
-    if not check.admits(*masks):
+    if not _cells_admitted(check, *masks):
         raise VerificationBug("emitted pair fails its cell condition")

@@ -179,3 +179,18 @@ def test_workers_start_no_thread(tmp_path, monkeypatch, config_file):
     assert main(["tverberg", "--input", config_file, "--r", "2",
                  "--output", str(par_out), "--workers", "4"]) == 0
     assert par_out.read_text() == seq_out.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gale", "--seed", "1"],
+    ["verify-fan", "--fan", "f.json", "--gate", "1"],
+    ["tverberg", "--r", "2", "--seed", "1"],
+    ["m-eligible", "--r", "3", "--m", "2", "--gate", "1"],
+])
+def test_flag_only_where_read(config_file, argv):
+    """--seed and --gate exist only on the subcommands that read them."""
+    if argv[0] != "m-eligible":
+        argv = argv[:1] + ["--input", config_file] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

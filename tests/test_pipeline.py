@@ -4,7 +4,6 @@ import json
 import pytest
 
 from fandist.errors import (
-    MalformedFan,
     PreconditionError,
     SizeGateExceeded,
 )
@@ -45,10 +44,9 @@ class TestEquidistribute:
         assert res.affine_fan.classify(X.points[single]).kind == "center"
 
     def test_nonprime_power_never_guaranteed(self):
-        from fandist.pipeline import _is_prime_power
-        assert _is_prime_power(2) and _is_prime_power(9) \
-            and _is_prime_power(8)
-        assert not _is_prime_power(6) and not _is_prime_power(12)
+        from fandist.kneser import prime_base
+        assert all(prime_base(r) is not None for r in (2, 9, 8))
+        assert prime_base(6) is None and prime_base(12) is None
         # a nonprime r run stays best-effort: None is a normal outcome
         X = random_config(6, 4, seed=4)
         res = equidistribute(X, 6, lp_gate=50_000)
@@ -231,6 +229,8 @@ DRIVER_CASES = {
         random_config(7, 5, seed=8), *_family(7, [[2]], 3, [0]), 4),
     "pierce-family-size": lambda: pierce(
         random_config(7, 5, seed=8), *_family(6, [[2]], 3, [0]), 3),
+    "pierce-real-r2": lambda: _pierce(random_config(7, 5, seed=7), [[2]], 2,
+                                      [0]),
     "rainbow-real": lambda: rainbow(
         random_config(8, 6, seed=9, coloring=[0] * 4 + [1] * 4), 4),
     "rainbow-wrong-class-count": lambda: rainbow(
@@ -307,6 +307,9 @@ DRIVER_OUTCOMES = {
     "pierce-family-size": (
         PreconditionError,
         "family ground set must match the points"),
+    "pierce-real-r2": (
+        PreconditionError,
+        "real fans need r >= 3"),
     "pierce-not-prime-power": (
         ("n=12 below the guarantee bound 16",
          "r=6 is not a prime power; no guarantee applies",), False,
@@ -334,7 +337,7 @@ DRIVER_OUTCOMES = {
         (), True,
         "0e9f35cdb7f9c1c1669b95cb5d5e8566a366c6d2c60e0c0fce77581400bf8b39"),
     "rainbow-real-r2": (
-        MalformedFan,
+        PreconditionError,
         "real fans need r >= 3"),
     "rainbow-small-class": (
         PreconditionError,

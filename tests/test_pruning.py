@@ -7,7 +7,9 @@ candidates whose weight system integer elimination calls inconsistent,
 and nothing that changes the first feasible candidate.
 """
 
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from fandist.errors import SizeGateExceeded
 from fandist.feaslp import ExactWeightSolver, affine_hull, integer_grid
 from fandist.galedual import PointConfig
 from fandist.genpos import build_counterexample, verify_no_equidistribution
-from fandist.kneser import SetFamily
+from fandist.kneser import SetFamily, bitmask
 from fandist.tverberg import (
     SearchConstraint,
     _candidate_stream,
@@ -203,3 +205,76 @@ def test_ell_four_certification_needs_no_solve(monkeypatch):
     inst = build_counterexample(3, 2, 1, 0, 4, seed=1)
     assert verify_no_equidistribution(inst) is True
     assert calls == []
+
+
+# -- the set condition against a from-scratch set/count oracle ---------------
+
+@st.composite
+def set_conditions(draw):
+    """(n, coloring, caps, members, constraint) as the drivers build them.
+
+    The coloring may carry one augmented index past the n points, in
+    class 0 (``equidistribute``) or in a class of its own (``rainbow``).
+    """
+    n = draw(st.integers(1, 6))
+    coloring = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    m = max(coloring) + 1
+    coloring += draw(st.sampled_from([[], [0], [m]]))
+    kind = draw(st.sampled_from(["color-cap", "rainbow", "family-avoid"]))
+    caps, members = {}, []
+    if kind == "color-cap":
+        # some classes missing (uncapped), some capped at 0
+        caps = {c: draw(st.integers(0, 3)) for c in range(m + 1)
+                if draw(st.booleans())}
+        constraint = SearchConstraint.color_cap(caps, coloring)
+    elif kind == "rainbow":
+        caps = {c: 1 for c in coloring}
+        constraint = SearchConstraint.rainbow(coloring)
+    else:
+        members = draw(st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=3),
+            max_size=4))
+        constraint = SearchConstraint.family_avoid(SetFamily(n, members))
+    return n, coloring, caps, members, constraint
+
+
+def set_passes(s, coloring, caps, members):
+    """At most caps[c] indices of each capped class c, no member inside."""
+    counts = Counter(coloring[i] for i in s)
+    return all(counts[c] <= cap for c, cap in caps.items()) and \
+        not any(set(mem) <= s for mem in members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_conditions(), st.integers(1, 3), st.booleans())
+def test_constraint_stream_matches_set_oracle(case, r, canonical):
+    n, coloring, caps, members, constraint = case
+    r = min(r, n)
+    canonical = canonical or n > 5
+    expected = []
+    for parts in enumerate_candidates(n, r, canonical):
+        ok = all(set_passes(set(p), coloring, caps, members) for p in parts)
+        assert constraint.admits(parts) == ok
+        if ok:
+            expected.append(parts)
+    # the stream prunes with may_add alone
+    assert list(_candidate_stream(range(n), r, canonical, constraint,
+                                  None)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_conditions())
+def test_mask_predicates_match_set_oracle(case):
+    _, coloring, caps, members, constraint = case
+    ground = range(len(coloring))
+    for k in range(len(coloring) + 1):
+        for sub in combinations(ground, k):
+            s = set(sub)
+            ok = set_passes(s, coloring, caps, members)
+            assert constraint.admits_mask(bitmask(s)) == ok
+            if not ok:
+                continue
+            for i in ground:
+                if i not in s:
+                    assert constraint.may_add(bitmask(s), i) == \
+                        set_passes(s | {i}, coloring, caps, members)

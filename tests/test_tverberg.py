@@ -7,7 +7,7 @@ import pytest
 from fandist.errors import PreconditionError, SizeGateExceeded
 from fandist.feaslp import ProperWeightProblem, proper_weights
 from fandist.galedual import PointConfig
-from fandist.kneser import ColoringCertificate, SetFamily
+from fandist.kneser import ColoringCertificate, SetFamily, threshold_caps
 from fandist.tverberg import (
     SearchConstraint,
     TverbergTuple,
@@ -256,3 +256,21 @@ class TestTwoTupleSearch:
                                   coloring=coloring, seed=0,
                                   time_budget=30.0)
         assert again == pair
+
+    def test_caps_mode_nonzero_caps_and_missing_class(self):
+        # class 0 has 9 points, so threshold_caps(.., 9) caps it at 1
+        cfg = PointConfig(1, [[i] for i in range(1, 11)])
+        coloring = [1] + [0] * 9
+        caps = threshold_caps([9, 1], 9)
+        assert caps == {0: 1, 1: 0}
+        pair = search_two_tuples(cfg, 3, cell_caps=caps, coloring=coloring,
+                                 time_budget=5.0)
+        assert pair is not None
+        for i in pair[0].parts:
+            for j in pair[1].parts:
+                cell = set(i) & set(j)
+                for c, cap in caps.items():
+                    assert sum(1 for p in cell if coloring[p] == c) <= cap
+        # a class missing from cell_caps is capped at 0
+        assert search_two_tuples(cfg, 3, cell_caps={0: 1},
+                                 coloring=coloring, time_budget=5.0) == pair
