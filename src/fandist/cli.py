@@ -230,8 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="result JSON file")
         if gate is not None:
             p.add_argument("--gate", type=int, default=gate,
-                           help="size gate (exact feasibility checks, "
-                                "pairs, or points)")
+                           help="size gate: exact feasibility checks; "
+                                "for two-fans, second-stream candidates "
+                                "passing the cell condition; for check-sgp "
+                                "and typical, points")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1,
@@ -271,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", default=None,
                    help="r^2 chromatic certificate JSON (pierce mode)")
     p.add_argument("--budget", type=float, default=60.0,
-                   help="best-effort time budget in seconds")
+                   help="best-effort time budget in seconds, spent "
+                        "only after the exhaustive search trips --gate")
     p.set_defaults(func=_cmd_two_fans)
 
     p = sub.add_parser("verify-fan", help="verify a fan against points")

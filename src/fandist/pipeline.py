@@ -373,8 +373,12 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     Equidistribute mode derives per-class cell caps from the coloring;
     pierce mode takes an explicit family with a chromatic certificate for
     the r^2-uniform Kneser hypergraph.  The digit condition on the class
-    count is a hard precondition.  Search is exhaustive under the gates,
-    then randomized best-effort; emitted pairs always verify exactly.
+    count is a hard precondition.  The search is exhaustive while at most
+    ``tuple_gate`` proper first tuples are found and at most ``pair_gate``
+    second-stream candidates pass the cell condition (see
+    ``search_two_tuples``); once a gate trips, seeded random pairs of the
+    tuples found are tried for ``time_budget`` seconds.  Emitted pairs
+    always verify exactly.
     Both fans are built and checked like the single-fan drivers' fan.
     ``workers`` is accepted for compatibility; the search is sequential.
     """

@@ -25,6 +25,15 @@ Searches are exhaustive within a size gate that counts exact feasibility
 checks: every flat meet and every weight-system solve counts one.  They
 run sequentially and return the first feasible candidate in stream
 order.
+
+The two-tuple search is a join.  It walks the canonical stream, and for
+each proper tuple I it walks a second stream pruned by I's cell
+condition, whose first proper tuple J completes the pair.  The cell
+condition is monotone, so it prunes partial parts: index k joins only
+the cell I_a ∩ J_b of the part I_a holding it.  Solves are memoised by
+candidate, so none is solved twice, and one hull cache serves every
+stream of a search.  The pair is the one that solving every candidate
+and scanning all pairs in order would return.
 """
 
 from __future__ import annotations
@@ -146,6 +155,8 @@ class SearchConstraint:
     @classmethod
     def color_cap(cls, caps: dict[int, int],
                   coloring: Sequence[int]) -> "SearchConstraint":
+        """At most ``caps[c]`` indices of class c; a class missing from
+        ``caps`` is uncapped."""
         return cls(caps=caps, coloring=coloring)
 
     @classmethod
@@ -182,16 +193,22 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                       constraint: Optional[SearchConstraint],
                       max_part_size: Optional[int],
                       solver: Optional[ExactWeightSolver] = None,
-                      gate: Optional[int] = None) -> Iterator[tuple]:
+                      gate: Optional[int] = None, *,
+                      hulls: Optional[dict[int, Flat]] = None
+                      ) -> Iterator[tuple]:
     """Part-tuples in lexicographic order of the sorted-parts sequence.
 
-    With a solver, candidates extending a prefix whose hull flat is empty
-    are skipped.  With a gate, each flat meet and each emitted candidate
-    (its solve comes next) counts one feasibility check, and the stream
-    raises SizeGateExceeded once the count passes the gate.
+    A part takes an index only if ``constraint.may_add`` allows it.  With
+    a solver, candidates extending a prefix whose hull flat is empty are
+    skipped; ``hulls`` caches each part's hull by its index mask and may
+    be shared by streams over the same solver.  With a gate, each flat
+    meet and each emitted candidate (its solve comes next) counts one
+    feasibility check, and the stream raises SizeGateExceeded once the
+    count passes the gate.
     """
     idx = sorted(indices)
-    hulls: dict[int, Flat] = {}
+    if hulls is None:
+        hulls = {}
     checks = 0
 
     def count_check():
@@ -342,10 +359,19 @@ def search_two_tuples(config: PointConfig, r: int, *,
 
     Cell condition: either no family member inside any Ver-intersection
     I_i ∩ J_j (family mode, certified for the r^2-uniform Kneser
-    hypergraph), or per-class caps on every cell (caps mode).  Exhaustive
-    pair enumeration under the gates, then seeded randomized restarts;
-    an emitted pair is always exactly verified, exhaustion returns None,
-    and running out of budget in best-effort mode raises SearchTimeout.
+    hypergraph), or per-class caps on every cell (caps mode; a class
+    missing from ``cell_caps`` is capped at 0, so it may meet no cell).
+
+    The pair returned is the first in stream order of its first tuple I,
+    then of its second tuple J (J = I allowed), over the canonical stream
+    with parts of at most dim + 1 indices.  Each feasible I is joined
+    with a second stream pruned by I's cell condition.  The search is
+    exhaustive while at most ``tuple_gate`` feasible first tuples are
+    found and at most ``pair_gate`` second-stream candidates, summed over
+    first tuples, pass the cell condition; exhaustion returns None.  When
+    a gate trips, seeded random pairs of the feasible tuples found so far
+    are tried for ``time_budget`` seconds (default 60), then
+    SearchTimeout is raised.  An emitted pair is always exactly verified.
     """
     if r == 2 or prime_base(r) != r:
         raise PreconditionError("r must be an odd prime")
@@ -365,7 +391,6 @@ def search_two_tuples(config: PointConfig, r: int, *,
         if coloring is None:
             raise PreconditionError("caps mode needs the coloring")
         m = max(coloring) + 1
-        # a class missing from cell_caps may not meet any cell
         check = SearchConstraint.color_cap(
             {c: cell_caps.get(c, 0) for c in range(m)}, coloring)
     else:
@@ -379,43 +404,51 @@ def search_two_tuples(config: PointConfig, r: int, *,
     solver = ExactWeightSolver(real.points)
     cara = real.dim + 1  # restricting part sizes preserves pair existence
     indices = list(range(config.n)) if allowed is None else sorted(allowed)
+    hulls: dict[int, Flat] = {}
+    solved: dict[tuple, Optional[TverbergTuple]] = {}
 
-    collected: list[TverbergTuple] = []
-    exhaustive = True
-    stream = _candidate_stream(indices, r, True, None, cara, solver)
-    for parts in stream:
-        witness = solver.solve(parts)
-        if witness is not None:
-            collected.append(TverbergTuple(r, parts, witness))
-            if len(collected) >= tuple_gate:
-                exhaustive = False
-                break
-    masks = [[bitmask(p) for p in t.parts] for t in collected]
+    def stream(constraint):
+        return _candidate_stream(indices, r, True, constraint, cara, solver,
+                                 hulls=hulls)
 
-    pairs_seen = 0
-    gated = not exhaustive
-    k = len(collected)
-    for i in range(k):
-        if gated:
+    def proper(parts) -> Optional[TverbergTuple]:
+        if parts not in solved:
+            witness = solver.solve(parts)
+            solved[parts] = (None if witness is None
+                             else TverbergTuple(r, parts, witness))
+        return solved[parts]
+
+    found: list[TverbergTuple] = []
+    passed = 0
+    gated = False
+    for parts in stream(None):
+        first = proper(parts)
+        if first is None:
+            continue
+        found.append(first)
+        if len(found) > tuple_gate:
+            gated = True
             break
-        mi = masks[i]
-        for j in range(k):
-            pairs_seen += 1
-            if pairs_seen > pair_gate:
+        for parts2 in stream(_CellCondition(check, parts)):
+            passed += 1
+            if passed > pair_gate:
                 gated = True
                 break
-            if _cells_admitted(check, mi, masks[j]):
-                pair = (collected[i], collected[j])
+            second = proper(parts2)
+            if second is not None:
+                pair = (first, second)
                 _validate_pair(pair, config, check)
                 return pair
+        if gated:
+            break
     if not gated:
         return None
-    if not collected:
-        raise SearchTimeout("no individually proper tuples were found")
 
     # best-effort: seeded random pair sampling until the budget runs out
     if time_budget is None:
         time_budget = 60.0
+    masks = [[bitmask(p) for p in t.parts] for t in found]
+    k = len(found)
     rng = random.Random(seed)
     deadline = time.monotonic() + time_budget
     while time.monotonic() < deadline:
@@ -423,10 +456,27 @@ def search_two_tuples(config: PointConfig, r: int, *,
             i = rng.randrange(k)
             j = rng.randrange(k)
             if _cells_admitted(check, masks[i], masks[j]):
-                pair = (collected[i], collected[j])
+                pair = (found[i], found[j])
                 _validate_pair(pair, config, check)
                 return pair
     raise SearchTimeout("two-tuple search budget exhausted")
+
+
+class _CellCondition:
+    """The cell condition of a fixed first tuple I, as a stream constraint.
+
+    Index k joins exactly one cell of the part J_b that takes it, the
+    cell I_a ∩ J_b of the part I_a holding k; outside I it joins none.
+    """
+
+    def __init__(self, check: SearchConstraint,
+                 parts: Sequence[Sequence[int]]):
+        self._check = check
+        self._part_mask = {i: bitmask(p) for p in parts for i in p}
+
+    def may_add(self, mask: int, k: int) -> bool:
+        part = self._part_mask.get(k)
+        return part is None or self._check.may_add(mask & part, k)
 
 
 def _cells_admitted(check: SearchConstraint, masks1: list[int],

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -7,6 +8,7 @@ from fandist.errors import (
     PreconditionError,
     SizeGateExceeded,
 )
+from fandist.feaslp import ExactWeightSolver
 from fandist.genpos import random_config
 from fandist.kneser import ColoringCertificate, SetFamily
 from fandist.pipeline import (
@@ -381,3 +383,35 @@ def driver_outcome(run):
 @pytest.mark.parametrize("name", sorted(DRIVER_CASES))
 def test_driver_outcome_pinned(name):
     assert driver_outcome(DRIVER_CASES[name]) == DRIVER_OUTCOMES[name]
+
+
+def _counting_solves(run):
+    """(run(), number of ExactWeightSolver.solve calls it made)."""
+    with mock.patch.object(ExactWeightSolver, "solve", autospec=True,
+                           side_effect=ExactWeightSolver.solve) as solve:
+        out = run()
+    return out, solve.call_count
+
+
+def test_two_fan_join_solves_few_candidates():
+    # collecting every proper tuple first solves all 6,930 candidates
+    name = "two-fans-equidistribute"
+    outcome, solves = _counting_solves(
+        lambda: driver_outcome(DRIVER_CASES[name]))
+    assert outcome == DRIVER_OUTCOMES[name]
+    assert solves <= 400
+
+
+def test_two_fan_without_pair_solves_each_candidate_once():
+    X = random_config(8, 6, seed=1000, coloring=[0] * 4 + [1] * 4)
+    assert _counting_solves(lambda: two_fans(X, 3, time_budget=0)) == \
+        (None, 1260)
+
+
+def test_two_fans_pierce_pairs_a_tuple_with_itself():
+    # the first proper tuple I avoids index 4, so every candidate passes
+    # its cells: the second stream walks stream one again up to J = I,
+    # and the memo answers each of those solves
+    res, solves = _counting_solves(DRIVER_CASES["two-fans-pierce"])
+    assert res.tuples[0] == res.tuples[1]
+    assert solves == 423

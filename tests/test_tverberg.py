@@ -1,16 +1,24 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fandist.errors import PreconditionError, SizeGateExceeded
-from fandist.feaslp import ProperWeightProblem, proper_weights
+from fandist.errors import PreconditionError, SearchTimeout, SizeGateExceeded
+from fandist.feaslp import (
+    ExactWeightSolver,
+    ProperWeightProblem,
+    proper_weights,
+)
 from fandist.galedual import PointConfig
 from fandist.kneser import ColoringCertificate, SetFamily, threshold_caps
 from fandist.tverberg import (
     SearchConstraint,
     TverbergTuple,
+    _candidate_stream,
     enumerate_candidates,
     search_colored_tuple,
     search_tuple,
@@ -191,18 +199,19 @@ class TestColoredSearch:
             assert got == brute_force_exists(pts, r, con)
 
 
-class TestTwoTupleSearch:
-    def _certificate(self, fam, r):
-        # spread members over two classes (m=2 passes the digit test for
-        # r=3); tiny families never hold r^2 disjoint members in a class
-        k = len(fam.members)
-        classes = tuple(1 if i >= k - 1 else i % 2 for i in range(k))
-        return ColoringCertificate(fam, r * r, classes)
+def two_class_certificate(fam, r):
+    # spread members over two classes (m=2 passes the digit test for
+    # r=3); tiny families never hold r^2 disjoint members in a class
+    k = len(fam.members)
+    classes = tuple(1 if i >= k - 1 else i % 2 for i in range(k))
+    return ColoringCertificate(fam, r * r, classes)
 
+
+class TestTwoTupleSearch:
     def test_whole_ground_set_member_is_vacuous(self):
         cfg = PointConfig(1, [[i] for i in range(1, 10)])
         fam = SetFamily(9, [list(range(9))])
-        cert = self._certificate(fam, 3)
+        cert = two_class_certificate(fam, 3)
         pair = search_two_tuples(cfg, 3, family=fam, certificate=cert)
         assert pair is not None
         for t in pair:
@@ -211,7 +220,7 @@ class TestTwoTupleSearch:
     def test_singleton_member_forces_leftover(self):
         cfg = PointConfig(1, [[i] for i in range(1, 10)])
         fam = SetFamily(9, [[4]])
-        cert = self._certificate(fam, 3)
+        cert = two_class_certificate(fam, 3)
         pair = search_two_tuples(cfg, 3, family=fam, certificate=cert)
         assert pair is not None
         s1, s2 = (set(t.support()) for t in pair)
@@ -220,7 +229,7 @@ class TestTwoTupleSearch:
     def test_collinear_nine_two_subsets(self):
         cfg = PointConfig(1, [[i] for i in range(1, 10)])
         fam = SetFamily(9, [[0, 1], [0, 2], [1, 2]])
-        cert = self._certificate(fam, 3)
+        cert = two_class_certificate(fam, 3)
         pair = search_two_tuples(cfg, 3, family=fam, certificate=cert)
         if pair is not None:
             for i in pair[0].parts:
@@ -234,7 +243,7 @@ class TestTwoTupleSearch:
         fam = SetFamily(9, [[0]])
         with pytest.raises(PreconditionError):
             search_two_tuples(cfg, 4, family=fam,
-                              certificate=self._certificate(fam, 4))
+                              certificate=two_class_certificate(fam, 4))
 
     def test_digit_condition_enforced(self):
         cfg = PointConfig(1, [[i] for i in range(1, 10)])
@@ -274,3 +283,123 @@ class TestTwoTupleSearch:
         # a class missing from cell_caps is capped at 0
         assert search_two_tuples(cfg, 3, cell_caps={0: 1},
                                  coloring=coloring, time_budget=5.0) == pair
+
+
+# -- the joined two-tuple search against collect-all-then-scan ---------------
+
+def collect_then_scan(config, r, cell_ok):
+    """Oracle two-tuple search over a rational config, without gates.
+
+    Solves every candidate of the bounded canonical stream, keeps every
+    proper tuple, then scans all ordered pairs (I, J), J = I included, in
+    stream order for the first whose cells I_a ∩ J_b all pass ``cell_ok``.
+    """
+    solver = ExactWeightSolver(config.points)
+    collected = []
+    for parts in _candidate_stream(range(config.n), r, True, None,
+                                   config.dim + 1, solver):
+        witness = solver.solve(parts)
+        if witness is not None:
+            collected.append(TverbergTuple(r, parts, witness))
+    for first in collected:
+        for second in collected:
+            if all(cell_ok(set(a) & set(b))
+                   for a in first.parts for b in second.parts):
+                return first, second
+    return None
+
+
+def counted_solves(run):
+    """(run(), number of ExactWeightSolver.solve calls it made)."""
+    with mock.patch.object(ExactWeightSolver, "solve", autospec=True,
+                           side_effect=ExactWeightSolver.solve) as solve:
+        out = run()
+    return out, solve.call_count
+
+
+@st.composite
+def two_tuple_cases(draw):
+    """(config, search keywords, set-based cell test) for r = 3."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(3 + 2 * d, 9 - d))
+    pts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                 max_size=d), min_size=n, max_size=n))
+    cfg = PointConfig(d, [[F(x) for x in p] for p in pts])
+    if draw(st.booleans()):
+        coloring = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        coloring[draw(st.integers(0, n - 1))] = 1  # m = 2 classes
+        # some classes missing, some capped at 0
+        caps = {c: cap for c in (0, 1)
+                if (cap := draw(st.none() | st.integers(0, 3))) is not None}
+
+        def cell_ok(cell):
+            return all(sum(1 for i in cell if coloring[i] == c)
+                       <= caps.get(c, 0) for c in (0, 1))
+        return cfg, dict(cell_caps=caps, coloring=coloring), cell_ok
+    members = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+        min_size=1, max_size=3))
+    fam = SetFamily(n, members)
+
+    def cell_ok(cell):
+        return not any(set(mm) <= cell for mm in fam.members)
+    return cfg, dict(family=fam, certificate=two_class_certificate(fam, 3)), \
+        cell_ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_tuple_cases())
+def test_join_matches_collect_then_scan(case):
+    cfg, kwargs, cell_ok = case
+    want, oracle_solves = counted_solves(
+        lambda: collect_then_scan(cfg, 3, cell_ok))
+    got, solves = counted_solves(
+        lambda: search_two_tuples(cfg, 3, time_budget=0, **kwargs))
+    assert got == want
+    assert solves <= oracle_solves
+
+
+class TestTwoTupleJoin:
+    LINE = [[i] for i in range(1, 11)]
+
+    def _line_search(self, n, **gates):
+        cfg = PointConfig(1, self.LINE[:n])
+        coloring = [0] * (n - n // 2) + [1] * (n // 2)
+        return search_two_tuples(cfg, 3, cell_caps={0: 0, 1: 0},
+                                 coloring=coloring, time_budget=0, **gates)
+
+    def test_pair_gate_counts_cell_passing_candidates(self):
+        # 12 second-stream candidates pass the cell condition up to the
+        # answer; the first tuple already has a partner
+        with pytest.raises(SearchTimeout):
+            self._line_search(10, pair_gate=11)
+        got = self._line_search(10, pair_gate=12)
+        assert got == collect_then_scan(PointConfig(1, self.LINE), 3,
+                                        lambda cell: not cell)
+        assert tuple(t.parts for t in got) == (
+            ((0, 3), (1, 4), (2,)), ((5, 8), (6, 9), (7,)))
+
+    def test_tuple_gate_counts_feasible_first_tuples(self):
+        # nine points on a line admit no pair; each of the 756 proper
+        # tuples is joined with a second stream that passes nothing
+        assert self._line_search(9) is None
+        assert self._line_search(9, tuple_gate=756, pair_gate=0) is None
+        with pytest.raises(SearchTimeout):
+            self._line_search(9, tuple_gate=1)
+        with pytest.raises(SearchTimeout):
+            self._line_search(9, tuple_gate=755)
+
+    def test_cell_condition_grows_one_cell_per_index(self):
+        # J's part (1, 5) holds two class-0 indices, but they sit in
+        # different cells: 1 in I's part (1, 4), 5 in no part of I
+        cfg = PointConfig(1, self.LINE)
+        coloring = [1] + [0] * 9
+
+        def cell_ok(cell):
+            return sum(1 for i in cell if coloring[i] == 0) <= 1 and \
+                not any(coloring[i] == 1 for i in cell)
+        got = search_two_tuples(cfg, 3, cell_caps={0: 1},
+                                coloring=coloring, time_budget=0)
+        assert got == collect_then_scan(cfg, 3, cell_ok)
+        assert tuple(t.parts for t in got) == (
+            ((0, 3), (1, 4), (2,)), ((1, 5), (2, 4), (3,)))
