@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         if gate is not None:
             p.add_argument("--gate", type=int, default=gate,
                            help="size gate: exact feasibility checks; "
-                                "for two-fans, second-stream candidates "
-                                "passing the cell condition; for check-sgp "
+                                "for two-fans, candidates the pruned "
+                                "second stream emits; for check-sgp "
                                 "and typical, points")
         if seed:
             p.add_argument("--seed", type=int, default=0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from fandist.errors import PreconditionError, VerificationBug
@@ -35,6 +35,7 @@ __all__ = [
     "Flat",
     "WeightWitness",
     "affine_hull",
+    "barycentric_map",
     "integer_grid",
     "proper_weights",
     "realify",
@@ -284,8 +285,21 @@ class Flat:
              for row, (_, pc) in zip(M, pivots)]
         return cls(dim, M, [pc for _, pc in pivots], lead)
 
-    def _added_rank(self, other: "Flat") -> Optional[int]:
-        """How many independent rows other adds; None if the meet is empty."""
+    def point(self) -> Optional[list[int]]:
+        """``lead`` times the flat's only point, or None when the flat is
+        more than a point."""
+        if self.codim < self.dim:
+            return None
+        x = [0] * self.dim
+        for pc, row in zip(self.pivots, self.rows):
+            x[pc] = row[self.dim]
+        return x
+
+    def added_rank(self, other: "Flat") -> Optional[int]:
+        """How many independent rows other adds; None if the meet is empty.
+
+        Cheaper than ``meet``: no flat is built.
+        """
         if not self.rows:
             return other.codim
         lead, cols = self.lead, self._cols
@@ -307,13 +321,9 @@ class Flat:
             return None
         return rank
 
-    def intersects(self, other: "Flat") -> bool:
-        """Whether the two flats share a point (cheaper than ``meet``)."""
-        return self._added_rank(other) is not None
-
     def meet(self, other: "Flat") -> Optional["Flat"]:
         """The intersection of the two flats, or None when it is empty."""
-        added = self._added_rank(other)
+        added = self.added_rank(other)
         if added is None:
             return None
         if added == 0:
@@ -348,6 +358,32 @@ def affine_hull(grid, part) -> Flat:
             vec[pc] = -A[pr][f] * vec[f] // A[pr][pc]
         rows.append(vec)
     return Flat.from_rows(rows, dim)
+
+
+def barycentric_map(grid, part) -> Optional[tuple[list[list[int]], int]]:
+    """The barycentric coordinates on an affinely independent part's hull.
+
+    Returns (L, D), an integer matrix and a denominator D > 0, such that
+    every x on the affine hull of the points grid[i], i in the part, is
+    sum_k lam_k grid[part[k]] with the unique lam = L [x | 1] / D.
+    Returns None when the points are affinely dependent (repeated points
+    included): their coordinates are not unique.
+
+    Fraction-free elimination of [B | I], B with columns [a_i | 1], gives
+    row operations E with E B zero off its diagonal, so row k reads
+    (E B)_kk lam_k = E_k [x | 1].
+    """
+    s = len(part)
+    dim = len(grid[part[0]])
+    M = [[grid[i][c] for i in part] + [int(j == c) for j in range(dim + 1)]
+         for c in range(dim)]
+    M.append([1] * s + [0] * dim + [1])
+    pivots = _eliminate_int(M, s)
+    if len(pivots) < s:
+        return None
+    _back_eliminate(M, pivots)
+    D = lcm(*(M[k][k] for k in range(s)))
+    return [[x * (D // M[k][k]) for x in M[k][s:]] for k in range(s)], D
 
 
 # --------------------------------------------------------------------------

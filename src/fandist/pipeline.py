@@ -375,10 +375,10 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     the r^2-uniform Kneser hypergraph.  The digit condition on the class
     count is a hard precondition.  The search is exhaustive while at most
     ``tuple_gate`` proper first tuples are found and at most ``pair_gate``
-    second-stream candidates pass the cell condition (see
-    ``search_two_tuples``); once a gate trips, seeded random pairs of the
-    tuples found are tried for ``time_budget`` seconds.  Emitted pairs
-    always verify exactly.
+    candidates are emitted by the second streams, pruned by the cell
+    condition and the parts' hulls (see ``search_two_tuples``); once a
+    gate trips, seeded random pairs of the tuples found are tried for
+    ``time_budget`` seconds.  Emitted pairs always verify exactly.
     Both fans are built and checked like the single-fan drivers' fan.
     ``workers`` is accepted for compatibility; the search is sequential.
     """

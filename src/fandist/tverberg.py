@@ -10,19 +10,24 @@ One set condition, ``SearchConstraint``, decides each part of a tuple
 and each cell I_a ∩ J_b of a pair on index bitmasks: at most a capped
 count per color class and no member of a forbidden family.
 
-A proper tuple needs a common point of the affine hulls of its parts.
-Searches over a point set therefore prune the stream by prefix: each
-part's hull equations are computed once on the solver's integer grid,
-and the flat where the hulls of the parts chosen so far meet is carried
-down the depth-first stream.  When that flat is empty, every candidate
-extending the prefix is skipped; at the last depth the same test rejects
-the candidate itself before any weight system is built.  The test is
-exact and needs no general position, and it removes exactly the
-candidates whose weight system elimination finds inconsistent, so the
-first feasible candidate and every feasible one are unchanged.
+A proper tuple needs a common point in the relative interiors of the
+convex hulls of its parts.  Searches over a point set therefore prune
+the stream by prefix: each part's hull equations are computed once on
+the solver's integer grid, and the flat where the affine hulls of the
+parts chosen so far meet is carried down the depth-first stream.  When
+that flat is empty, every candidate extending the prefix is skipped.
+When it is a single point x, every extension can only meet in x, and an
+affinely independent part has unique barycentric coordinates there; so
+the prefix is skipped when some such part has a coordinate <= 0, and
+each later part must hold x with positive coordinates.  Affinely
+dependent parts never prune.  The tests are exact and need no general
+position.  They remove only candidates that have no proper weights, so
+the first feasible candidate and every feasible one are unchanged; an
+emitted candidate with uniquely solvable weights is always proper.
 
 Searches are exhaustive within a size gate that counts exact feasibility
-checks: every flat meet and every weight-system solve counts one.  They
+checks: every flat test of a part after the first and every weight-system
+solve counts one.  They
 run sequentially and return the first feasible candidate in stream
 order.
 
@@ -52,9 +57,9 @@ from fandist.errors import (
 )
 from fandist.feaslp import (
     ExactWeightSolver,
-    Flat,
     WeightWitness,
     affine_hull,
+    barycentric_map,
     realify_if_needed,
 )
 from fandist.galedual import PointConfig
@@ -189,22 +194,72 @@ class SearchConstraint:
         return all(self.admits_mask(bitmask(p)) for p in parts)
 
 
+class _PartHull:
+    """One part's hull flat and, once a point flat needs it, its
+    barycentric map (``feaslp.barycentric_map``, None if dependent)."""
+
+    __slots__ = ("flat", "_grid", "_part", "_bary")
+
+    def __init__(self, grid, part):
+        self.flat = affine_hull(grid, part)
+        self._grid = grid
+        self._part = tuple(part)
+        self._bary = self  # not computed yet
+
+    def positive_at(self, x, lead) -> bool:
+        """False iff the part is affinely independent and some barycentric
+        coordinate of the point x / lead, which lies on its hull, is <= 0.
+        """
+        if self._bary is self:
+            self._bary = barycentric_map(self._grid, self._part)
+        if self._bary is None:
+            return True
+        return all(sum(a * b for a, b in zip(row, x)) + row[-1] * lead > 0
+                   for row in self._bary[0])
+
+    def holds(self, x, lead) -> bool:
+        """Whether x / lead lies on the hull and passes ``positive_at``."""
+        dim = self.flat.dim
+        return all(sum(a * b for a, b in zip(row, x)) == row[dim] * lead
+                   for row in self.flat.rows) and self.positive_at(x, lead)
+
+
+def _next_flat(flat, hull: _PartHull, chosen, last: bool):
+    """The prefix flat once a part with this hull joins the chosen parts,
+    or None when no candidate extending the longer prefix is proper."""
+    point = flat.point()
+    if point is not None:
+        return flat if hull.holds(point, flat.lead) else None
+    if last and flat.codim + hull.flat.codim < flat.dim:
+        # the last part's flat is never met again and the meet cannot be
+        # a point: test only
+        return flat if flat.added_rank(hull.flat) is not None else None
+    met = flat.meet(hull.flat)
+    point = None if met is None else met.point()
+    if point is not None and not all(h.positive_at(point, met.lead)
+                                     for h in chosen + (hull,)):
+        return None
+    return met
+
+
 def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                       constraint: Optional[SearchConstraint],
                       max_part_size: Optional[int],
                       solver: Optional[ExactWeightSolver] = None,
                       gate: Optional[int] = None, *,
-                      hulls: Optional[dict[int, Flat]] = None
+                      hulls: Optional[dict[int, _PartHull]] = None
                       ) -> Iterator[tuple]:
     """Part-tuples in lexicographic order of the sorted-parts sequence.
 
     A part takes an index only if ``constraint.may_add`` allows it.  With
-    a solver, candidates extending a prefix whose hull flat is empty are
-    skipped; ``hulls`` caches each part's hull by its index mask and may
-    be shared by streams over the same solver.  With a gate, each flat
-    meet and each emitted candidate (its solve comes next) counts one
-    feasibility check, and the stream raises SizeGateExceeded once the
-    count passes the gate.
+    a solver, candidates extending a prefix whose hull flat is empty, or
+    is a point where some affinely independent part has a barycentric
+    coordinate <= 0, are skipped; ``hulls`` caches each part's hull
+    record by its index mask and may be shared by streams over the same
+    solver.  With a gate, each flat test of a part after the first and
+    each emitted candidate (its solve comes next) counts one feasibility
+    check, and the stream raises SizeGateExceeded once the count passes
+    the gate.
     """
     idx = sorted(indices)
     if hulls is None:
@@ -219,7 +274,7 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                 raise SizeGateExceeded(
                     f"feasibility-check gate {gate} exceeded")
 
-    def build(parts, used, prev_min, flat):
+    def build(parts, used, prev_min, flat, chosen):
         depth = len(parts)
         if depth == r:
             count_check()
@@ -247,25 +302,24 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                 part.pop()
 
         for sub, mask in extend([], 0, 0):
-            sub_flat = None
+            sub_flat = hull = None
             if solver is not None:
                 hull = hulls.get(mask)
                 if hull is None:
-                    hull = hulls[mask] = affine_hull(solver.ipoints, sub)
+                    hull = hulls[mask] = _PartHull(solver.ipoints, sub)
                 if depth == 0:
-                    sub_flat = hull
+                    # one part's only point has the coordinate 1 or is
+                    # repeated, so it never prunes
+                    sub_flat = hull.flat
                 else:
                     count_check()
-                    # the last part's flat is never met again: test only
-                    if depth == r - 1:
-                        sub_flat = flat if flat.intersects(hull) else None
-                    else:
-                        sub_flat = flat.meet(hull)
+                    sub_flat = _next_flat(flat, hull, chosen, depth == r - 1)
                     if sub_flat is None:
                         continue
-            yield from build(parts + [sub], used | mask, sub[0], sub_flat)
+            yield from build(parts + [sub], used | mask, sub[0], sub_flat,
+                             chosen + (hull,))
 
-    yield from build([], 0, None, None)
+    yield from build([], 0, None, None, ())
 
 
 def enumerate_candidates(n: int, r: int,
@@ -365,10 +419,12 @@ def search_two_tuples(config: PointConfig, r: int, *,
     The pair returned is the first in stream order of its first tuple I,
     then of its second tuple J (J = I allowed), over the canonical stream
     with parts of at most dim + 1 indices.  Each feasible I is joined
-    with a second stream pruned by I's cell condition.  The search is
-    exhaustive while at most ``tuple_gate`` feasible first tuples are
-    found and at most ``pair_gate`` second-stream candidates, summed over
-    first tuples, pass the cell condition; exhaustion returns None.  When
+    with a second stream pruned by I's cell condition and, like the
+    first, by the parts' hulls (empty meets and point meets with a
+    nonpositive barycentric coordinate).  The search is exhaustive while
+    at most ``tuple_gate`` feasible first tuples are found and at most
+    ``pair_gate`` candidates, summed over first tuples, are emitted by
+    that pruned second stream; exhaustion returns None.  When
     a gate trips, seeded random pairs of the feasible tuples found so far
     are tried for ``time_budget`` seconds (default 60), then
     SearchTimeout is raised.  An emitted pair is always exactly verified.
@@ -404,7 +460,7 @@ def search_two_tuples(config: PointConfig, r: int, *,
     solver = ExactWeightSolver(real.points)
     cara = real.dim + 1  # restricting part sizes preserves pair existence
     indices = list(range(config.n)) if allowed is None else sorted(allowed)
-    hulls: dict[int, Flat] = {}
+    hulls: dict[int, _PartHull] = {}
     solved: dict[tuple, Optional[TverbergTuple]] = {}
 
     def stream(constraint):

@@ -4,6 +4,7 @@ from unittest import mock
 
 import pytest
 
+from fandist import feaslp, tverberg
 from fandist.errors import (
     PreconditionError,
     SizeGateExceeded,
@@ -386,32 +387,74 @@ def test_driver_outcome_pinned(name):
 
 
 def _counting_solves(run):
-    """(run(), number of ExactWeightSolver.solve calls it made)."""
+    """(run(), ExactWeightSolver.solve calls, distinct candidates emitted).
+
+    The last counts the distinct candidates every Tverberg stream of the
+    run emitted.
+    """
+    emitted = set()
+    stream = tverberg._candidate_stream
+
+    def recording(*args, **kwargs):
+        for parts in stream(*args, **kwargs):
+            emitted.add(parts)
+            yield parts
+
     with mock.patch.object(ExactWeightSolver, "solve", autospec=True,
-                           side_effect=ExactWeightSolver.solve) as solve:
+                           side_effect=ExactWeightSolver.solve) as solve, \
+            mock.patch.object(tverberg, "_candidate_stream", recording):
         out = run()
-    return out, solve.call_count
+    return out, solve.call_count, len(emitted)
 
 
 def test_two_fan_join_solves_few_candidates():
     # collecting every proper tuple first solves all 6,930 candidates
     name = "two-fans-equidistribute"
-    outcome, solves = _counting_solves(
+    outcome, solves, distinct = _counting_solves(
         lambda: driver_outcome(DRIVER_CASES[name]))
     assert outcome == DRIVER_OUTCOMES[name]
-    assert solves <= 400
+    assert solves == distinct == 2
 
 
 def test_two_fan_without_pair_solves_each_candidate_once():
     X = random_config(8, 6, seed=1000, coloring=[0] * 4 + [1] * 4)
-    assert _counting_solves(lambda: two_fans(X, 3, time_budget=0)) == \
-        (None, 1260)
+    res, solves, distinct = _counting_solves(
+        lambda: two_fans(X, 3, time_budget=0))
+    assert res is None
+    assert solves == distinct == 532
 
 
 def test_two_fans_pierce_pairs_a_tuple_with_itself():
     # the first proper tuple I avoids index 4, so every candidate passes
     # its cells: the second stream walks stream one again up to J = I,
     # and the memo answers each of those solves
-    res, solves = _counting_solves(DRIVER_CASES["two-fans-pierce"])
+    res, solves, distinct = _counting_solves(DRIVER_CASES["two-fans-pierce"])
     assert res.tuples[0] == res.tuples[1]
-    assert solves == 423
+    assert solves == distinct == 106
+
+
+def test_desk_equidistribute_solves_only_feasible_unique_systems():
+    # point pruning leaves no uniquely solvable system with a weight
+    # <= 0 to solve; here the one solve is the proper tuple
+    outcomes, feasible = [], []
+    elim = feaslp._solve_equalities_int
+    solve = ExactWeightSolver.solve
+
+    def recording_elim(M, nvars):
+        out = elim(M, nvars)
+        outcomes.append(out[0])
+        return out
+
+    def recording_solve(self, parts):
+        witness = solve(self, parts)
+        feasible.append(witness is not None)
+        return witness
+
+    X = random_config(10, 8, seed=4000)
+    with mock.patch.object(feaslp, "_solve_equalities_int", recording_elim), \
+            mock.patch.object(ExactWeightSolver, "solve", recording_solve):
+        outcome = driver_outcome(lambda: equidistribute(X, 4))
+    assert outcome == ((), True, "27e50e0ff9a884301340d9271581b899"
+                                 "8b8140209a9971ceb890c6ec9e0b4a04")
+    assert ("unique", False) not in zip(outcomes, feasible)
+    assert len(feasible) == 1

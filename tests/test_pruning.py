@@ -1,15 +1,18 @@
-"""The hull-flat pruned Tverberg search against brute-force oracles.
+"""The pruned Tverberg search and its exact tests against oracles.
 
-The oracle streams every candidate of ``enumerate_candidates``, filters
-it by ``allowed``, ``max_part_size`` and ``constraint.admits``, and calls
-``ExactWeightSolver.solve`` on each one.  Pruning may remove exactly the
-candidates whose weight system integer elimination calls inconsistent,
-and nothing that changes the first feasible candidate.
+The search oracle streams every candidate of ``enumerate_candidates``,
+filters it by ``allowed``, ``max_part_size`` and ``constraint.admits``,
+and calls ``ExactWeightSolver.solve`` on each one.  Pruning removes
+exactly the candidates whose parts' affine hulls miss each other or meet
+in one point x at which some affinely independent part has a barycentric
+coordinate <= 0, decided here from scratch in Fractions; every feasible
+candidate stays, in order.
 """
 
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,12 @@ from hypothesis import strategies as st
 
 from fandist import feaslp, tverberg
 from fandist.errors import SizeGateExceeded
-from fandist.feaslp import ExactWeightSolver, affine_hull, integer_grid
+from fandist.feaslp import (
+    ExactWeightSolver,
+    affine_hull,
+    barycentric_map,
+    integer_grid,
+)
 from fandist.galedual import PointConfig
 from fandist.genpos import build_counterexample, verify_no_equidistribution
 from fandist.kneser import SetFamily, bitmask
@@ -100,22 +108,77 @@ def oracle_candidates(n, r, canonical, constraint, allowed, max_part_size):
         yield parts
 
 
-def solve_with_outcome(solver, parts):
-    """(elimination outcome, witness) of one unpruned solve."""
-    seen = []
-    original = feaslp._solve_equalities_int
+def rref(rows, ncols):
+    """Reduced row echelon form over Fractions: (rows, pivot columns)."""
+    M = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        M[r] = [x / M[r][c] for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                M[i] = [a - M[i][c] * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+    return M, pivots
 
-    def recorder(M, nvars):
-        out = original(M, nvars)
-        seen.append(out[0])
-        return out
 
-    feaslp._solve_equalities_int = recorder
-    try:
-        witness = solver.solve(parts)
-    finally:
-        feaslp._solve_equalities_int = original
-    return seen[0], witness
+def hulls_meet(points, parts):
+    """(whether the parts' affine hulls meet, their only point or None).
+
+    Unknowns: one affine weight mu_i per index, then x; x = sum mu_i a_i
+    and sum mu_i = 1 on each part.  Eliminating the mu columns first
+    leaves the rows that constrain x alone.
+    """
+    d = len(points[0])
+    support = [i for p in parts for i in p]
+    col = {i: k for k, i in enumerate(support)}
+    nmu = len(support)
+    rows = []
+    for p in parts:
+        for c in range(d):
+            row = [0] * (nmu + d + 1)
+            for i in p:
+                row[col[i]] = -points[i][c]
+            row[nmu + c] = 1
+            rows.append(row)
+        row = [0] * (nmu + d + 1)
+        for i in p:
+            row[col[i]] = 1
+        row[-1] = 1
+        rows.append(row)
+    M, pivots = rref(rows, nmu + d)
+    if any(row[-1] for row in M[len(pivots):]):
+        return False, None
+    on_x = [(c - nmu, row[-1]) for c, row in zip(pivots, M) if c >= nmu]
+    if len(on_x) < d:
+        return True, None
+    return True, tuple(v for _, v in sorted(on_x))
+
+
+def coordinates(points, part, x):
+    """The barycentric coordinates of x on the part's hull, or None when
+    the part is affinely dependent (x lies on the hull)."""
+    d = len(points[0])
+    rows = [[points[i][c] for i in part] + [x[c]] for c in range(d)]
+    rows.append([1] * len(part) + [1])
+    M, pivots = rref(rows, len(part))
+    if len(pivots) < len(part):
+        return None
+    return [M[k][-1] for k in range(len(part))]
+
+
+def pruned_by_oracle(points, parts):
+    meet, x = hulls_meet(points, parts)
+    if not meet:
+        return True
+    if x is None:
+        return False
+    return any(lam is not None and min(lam) <= 0
+               for lam in (coordinates(points, p, x) for p in parts))
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,7 +190,7 @@ def test_pruned_search_matches_oracle(case):
     solver = ExactWeightSolver(points)
     oracle = list(oracle_candidates(n, r, canonical, constraint, allowed,
                                     max_part_size))
-    outcomes = [solve_with_outcome(solver, parts) for parts in oracle]
+    witnesses = [solver.solve(parts) for parts in oracle]
 
     indices = range(n) if allowed is None else allowed
     plain = list(_candidate_stream(indices, r, canonical, constraint,
@@ -135,10 +198,12 @@ def test_pruned_search_matches_oracle(case):
     assert plain == oracle
     pruned = list(_candidate_stream(indices, r, canonical, constraint,
                                     max_part_size, solver))
-    assert pruned == [parts for parts, (status, _) in zip(oracle, outcomes)
-                      if status != "inconsistent"]
+    assert pruned == [parts for parts in oracle
+                      if not pruned_by_oracle(points, parts)]
+    feasible = [parts for parts, w in zip(oracle, witnesses) if w is not None]
+    assert [parts for parts in pruned if parts in feasible] == feasible
 
-    first = next(((parts, w) for parts, (_, w) in zip(oracle, outcomes)
+    first = next(((parts, w) for parts, w in zip(oracle, witnesses)
                   if w is not None), None)
     got = search_tuple(cfg, r, constraint, allowed=allowed,
                        canonical_only=canonical, max_part_size=max_part_size)
@@ -147,6 +212,42 @@ def test_pruned_search_matches_oracle(case):
     else:
         assert got is not None
         assert (got.parts, got.witness) == first
+
+
+@st.composite
+def hull_points(draw):
+    """(points, part, w): affine weights w (sum 1) on the part's points."""
+    d = draw(st.integers(1, 3))
+    points = draw(degenerate_points(draw(st.integers(1, d + 2)), d))
+    part = sorted(draw(st.sets(st.integers(0, len(points) - 1), min_size=1)))
+    w = [F(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+         for _ in part[1:]]
+    return points, part, w + [1 - sum(w)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_points())
+def test_barycentric_map_matches_fraction_oracle(case):
+    points, part, w = case
+    grid = integer_grid(points)
+    d = len(grid[0])
+    x = [sum(wk * grid[i][c] for wk, i in zip(w, part)) for c in range(d)]
+    bary = barycentric_map(grid, part)
+    lam = coordinates(grid, part, x)
+    assert (bary is None) == (lam is None)
+    # the stream's integer sign test, with x read as X / lead
+    lead = 1
+    for c in x:
+        lead = lead * c.denominator // gcd(lead, c.denominator)
+    X = [int(c * lead) for c in x]
+    positive = tverberg._PartHull(grid, part).positive_at(X, lead)
+    assert positive == (lam is None or min(lam) > 0)
+    if bary is None:
+        return
+    L, D = bary
+    assert D > 0
+    assert [F(sum(a * b for a, b in zip(row, x)) + row[-1], D)
+            for row in L] == lam
 
 
 @st.composite

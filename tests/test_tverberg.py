@@ -369,11 +369,11 @@ class TestTwoTupleJoin:
                                  coloring=coloring, time_budget=0, **gates)
 
     def test_pair_gate_counts_cell_passing_candidates(self):
-        # 12 second-stream candidates pass the cell condition up to the
+        # 1 second-stream candidate passes the cell condition up to the
         # answer; the first tuple already has a partner
         with pytest.raises(SearchTimeout):
-            self._line_search(10, pair_gate=11)
-        got = self._line_search(10, pair_gate=12)
+            self._line_search(10, pair_gate=0)
+        got = self._line_search(10, pair_gate=1)
         assert got == collect_then_scan(PointConfig(1, self.LINE), 3,
                                         lambda cell: not cell)
         assert tuple(t.parts for t in got) == (
