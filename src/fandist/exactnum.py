@@ -12,7 +12,12 @@ Cyclotomic products, Galois actions and inverses run on integer
 numerators over one common denominator and build their Fractions once;
 the inverse is the product of the other Galois conjugates divided by the
 norm (Cohen, A Course in Computational Algebraic Number Theory, 4.3).
-Row reduction inverts each pivot once.
+
+Exact linear algebra has one integer kernel: fraction-free elimination
+(Bareiss 1968), which clears each pivot column by cross-multiplying rows
+and keeps every row primitive.  Rational matrices reduce in it, each row
+cleared to integers first; matrices over Q(zeta_N) keep field
+elimination, inverting each pivot once.
 
 All arithmetic is exact; nothing in this module (or the package) ever
 rounds.  Values are immutable after construction and safe to share.
@@ -471,6 +476,69 @@ def scalar_from_json(obj) -> Scalar:
 
 
 # --------------------------------------------------------------------------
+# fraction-free integer elimination (Bareiss 1968)
+
+def _reduce_row(row):
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, abs(x))
+            if g == 1:
+                return row
+    if g > 1:
+        return [x // g for x in row]
+    return row
+
+
+def _eliminate_int(M, ncols):
+    """Fraction-free forward elimination on the first ncols columns of M.
+
+    Works in place by swapping and replacing rows (a row list is never
+    mutated, so M may share rows with its caller).  Returns the pivots
+    (row, col); the rows from len(pivots) on are zero in those columns.
+    """
+    m = len(M)
+    pivots = []  # (row, col)
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for rr in range(r, m):
+            if M[rr][c]:
+                pr = rr
+                break
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        M[r] = _reduce_row(M[r])
+        p = M[r][c]
+        for rr in range(r + 1, m):
+            f = M[rr][c]
+            if f:
+                M[rr] = _reduce_row(
+                    [a * p - b * f for a, b in zip(M[rr], M[r])])
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def _back_eliminate(M, pivots):
+    """Clear each pivot column above its pivot row, fraction-free, in place.
+
+    M must be in echelon form with these pivots (as _eliminate_int leaves
+    it); afterwards every pivot column is zero outside its pivot row.
+    """
+    for pr, pc in reversed(pivots):
+        p = M[pr][pc]
+        for q in range(pr):
+            f = M[q][pc]
+            if f:
+                M[q] = _reduce_row([a * p - b * f
+                                    for a, b in zip(M[q], M[pr])])
+
+
+# --------------------------------------------------------------------------
 # exact matrices
 
 class ExactMatrix:
@@ -478,7 +546,10 @@ class ExactMatrix:
 
     Entries are all Fraction or all Cyclotomic with a single conductor.
     Elimination is exact with a fixed pivot rule (leftmost column, first
-    nonzero row), which makes every derived basis deterministic.
+    nonzero row), which makes every derived basis deterministic.  Rational
+    matrices reduce fraction-free in integers, cyclotomic ones in the
+    field; the reduced row echelon form is unique, so both give the same
+    values.
     """
 
     __slots__ = ("rows", "cols", "entries", "conductor")
@@ -552,7 +623,19 @@ class ExactMatrix:
         return ExactMatrix(grid, self.conductor)
 
     def _rref(self):
-        """Reduced row echelon form; returns (grid, pivot column list)."""
+        """Reduced row echelon form: (pivot rows, pivot column list).
+
+        Rational rows are cleared to integers, each over its own common
+        denominator, and reduced fraction-free; each pivot row's
+        Fractions are then built once, dividing by its pivot.  Cyclotomic
+        rows are reduced in the field, inverting each pivot once.
+        """
+        if self.conductor is None:
+            M = self._int_rows()
+            pivots = _eliminate_int(M, self.cols)
+            _back_eliminate(M, pivots)
+            return ([[Fraction(x, M[pr][pc]) if x else _ZERO for x in M[pr]]
+                     for pr, pc in pivots], [pc for _, pc in pivots])
         grid = [list(row) for row in self.entries]
         pivots = []
         prow = 0
@@ -575,9 +658,16 @@ class ExactMatrix:
             prow += 1
             if prow == self.rows:
                 break
-        return grid, pivots
+        return grid[:prow], pivots
+
+    def _int_rows(self):
+        """Each rational row as integers over its own common denominator."""
+        return [_clear(row)[0] for row in self.entries]
 
     def rank(self) -> int:
+        if self.conductor is None:
+            # forward elimination alone counts the pivots
+            return len(_eliminate_int(self._int_rows(), self.cols))
         return len(self._rref()[1])
 
     def kernel_basis(self) -> list[tuple]:

@@ -7,15 +7,17 @@ feasible region is compact (part sums are pinned to one), so the maximum
 is attained and the decision is the exact sign of the optimum.
 
 Systems are assembled on an integer grid and classified by fraction-free
-elimination.  A unique solution is checked for positivity.  A system with
-one free weight (nullity one) is decided in closed form in integers: each
-weight is a line in the free weight, and the optimum is the least
-constant line or crossing of a rising with a falling line.  Only systems
-of nullity two or more, and those whose optimal weights form an interval,
-reach the two-phase Fraction simplex.  Cyclotomic configurations are
-realified first: each coordinate is replaced by its coefficient vector
-over the power basis, a Q-linear injection that preserves and reflects
-equality of Q-linear combinations.
+elimination.  Its kernel (``_eliminate_int``, ``_back_eliminate``) lives
+in :mod:`fandist.exactnum` and also serves the hull flats and
+barycentric maps here.  A unique solution is checked for positivity.  A
+system with one free weight (nullity one) is decided in closed form in
+integers: each weight is a line in the free weight, and the optimum is
+the least constant line or crossing of a rising with a falling line.
+Only systems of nullity two or more, and those whose optimal weights form
+an interval, reach the two-phase Fraction simplex.  Cyclotomic
+configurations are realified first: each coordinate is replaced by its
+coefficient vector over the power basis, a Q-linear injection that
+preserves and reflects equality of Q-linear combinations.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from fandist.errors import PreconditionError, VerificationBug
-from fandist.exactnum import Cyclotomic, _field_data
+from fandist.exactnum import _back_eliminate, _eliminate_int, _field_data
 from fandist.galedual import PointConfig
 
 __all__ = [
@@ -141,51 +143,6 @@ class WeightWitness:
 # --------------------------------------------------------------------------
 # integer presolve for the equality system
 
-def _reduce_row(row):
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, abs(x))
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
-
-
-def _eliminate_int(M, ncols):
-    """Fraction-free forward elimination on the first ncols columns of M.
-
-    Works in place by swapping and replacing rows (a row list is never
-    mutated, so M may share rows with its caller).  Returns the pivots
-    (row, col); the rows from len(pivots) on are zero in those columns.
-    """
-    m = len(M)
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for rr in range(r, m):
-            if M[rr][c]:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        M[r] = _reduce_row(M[r])
-        p = M[r][c]
-        for rr in range(r + 1, m):
-            f = M[rr][c]
-            if f:
-                M[rr] = _reduce_row(
-                    [a * p - b * f for a, b in zip(M[rr], M[r])])
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    return pivots
-
-
 def _solve_equalities_int(M, nvars):
     """Classify an integer augmented system: inconsistent/unique/under.
 
@@ -225,21 +182,6 @@ def integer_grid(points) -> list[list[int]]:
         for c in p:
             scale = scale * c.denominator // gcd(scale, c.denominator)
     return [[int(c * scale) for c in p] for p in points]
-
-
-def _back_eliminate(M, pivots):
-    """Clear each pivot column above its pivot row, fraction-free, in place.
-
-    M must be in echelon form with these pivots (as _eliminate_int leaves
-    it); afterwards every pivot column is zero outside its pivot row.
-    """
-    for pr, pc in reversed(pivots):
-        p = M[pr][pc]
-        for q in range(pr):
-            f = M[q][pc]
-            if f:
-                M[q] = _reduce_row([a * p - b * f
-                                    for a, b in zip(M[q], M[pr])])
 
 
 class Flat:

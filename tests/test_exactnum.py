@@ -408,14 +408,22 @@ def field_pairs(draw):
 
 @st.composite
 def matrices(draw):
-    """Small matrices over Q(zeta_N), often with repeated rows."""
-    N = draw(st.sampled_from(CONDUCTORS))
+    """Small matrices over Q (N is None) or Q(zeta_N), often rank-deficient.
+
+    Rows repeat, and a zero row or the sum of two rows may join them.
+    """
+    N = draw(st.none() | st.sampled_from(CONDUCTORS))
+    entries = fractions if N is None else elements(N)
     cols = draw(st.integers(1, 4))
-    distinct = draw(st.lists(st.lists(elements(N), min_size=cols,
+    distinct = draw(st.lists(st.lists(entries, min_size=cols,
                                       max_size=cols), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        distinct.append([a + b for a, b in zip(distinct[0], distinct[-1])])
+    if draw(st.booleans()):
+        distinct.append([e - e for e in distinct[0]])
     order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
                           max_size=4))
-    rhs = [draw(elements(N)) for _ in order]
+    rhs = [draw(entries) for _ in order]
     return N, [distinct[i] for i in order], cols, rhs
 
 
@@ -467,7 +475,8 @@ class TestMatrixOverCyclotomic:
         M = ExactMatrix(rows, N)
         grid, pivots = rref_oracle(rows, cols)
         assert M.rank() == len(pivots)
-        zero, one = Cyclotomic(N, []), Cyclotomic(N, [1])
+        zero, one = (F(0), F(1)) if N is None else \
+            (Cyclotomic(N, []), Cyclotomic(N, [1]))
         kernel = []
         for f in (c for c in range(cols) if c not in pivots):
             vec = [zero] * cols

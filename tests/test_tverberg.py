@@ -290,14 +290,16 @@ class TestTwoTupleSearch:
 def collect_then_scan(config, r, cell_ok):
     """Oracle two-tuple search over a rational config, without gates.
 
-    Solves every candidate of the bounded canonical stream, keeps every
-    proper tuple, then scans all ordered pairs (I, J), J = I included, in
-    stream order for the first whose cells I_a ∩ J_b all pass ``cell_ok``.
+    Solves every candidate of the bounded canonical stream, unpruned (no
+    solver, so no hull or point pruning is shared with the search under
+    test), keeps every proper tuple, then scans all ordered pairs (I, J),
+    J = I included, in stream order for the first whose cells I_a ∩ J_b
+    all pass ``cell_ok``.
     """
     solver = ExactWeightSolver(config.points)
     collected = []
     for parts in _candidate_stream(range(config.n), r, True, None,
-                                   config.dim + 1, solver):
+                                   config.dim + 1):
         witness = solver.solve(parts)
         if witness is not None:
             collected.append(TverbergTuple(r, parts, witness))
@@ -378,6 +380,27 @@ class TestTwoTupleJoin:
                                         lambda cell: not cell)
         assert tuple(t.parts for t in got) == (
             ((0, 3), (1, 4), (2,)), ((5, 8), (6, 9), (7,)))
+
+    def test_pair_gate_apart_from_first_tuples_joined(self):
+        # one first tuple is joined, but 8 second-stream candidates pass
+        # the cell condition up to the answer: a gate that counted first
+        # tuples would let pair_gate=7 through
+        cfg = PointConfig(1, self.LINE[:9])
+        coloring = [0, 0, 1, 1, 0, 0, 1, 1, 0]
+
+        def search(**gates):
+            return search_two_tuples(cfg, 3, cell_caps={0: 0, 1: 1},
+                                     coloring=coloring, time_budget=0,
+                                     **gates)
+        with pytest.raises(SearchTimeout):
+            search(pair_gate=7)
+        got = search(pair_gate=8)
+        assert tuple(t.parts for t in got) == (
+            ((0, 3), (1, 4), (2,)), ((2, 6), (3, 7), (5,)))
+        assert search(tuple_gate=1) == got
+        assert got == collect_then_scan(
+            cfg, 3, lambda cell: all(coloring[i] == 1 for i in cell)
+            and len(cell) <= 1)
 
     def test_tuple_gate_counts_feasible_first_tuples(self):
         # nine points on a line admit no pair; each of the 756 proper
