@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success/verified, 1 none-found, 2 precondition or
-certificate failure, 3 size-gate/timeout, 4 internal verification
+certificate failure, 3 size gate, 4 internal verification
 failure (a bug signal).
 """
 
@@ -15,7 +15,6 @@ from fandist.errors import (
     FandistError,
     GuaranteeViolation,
     PreconditionError,
-    SearchTimeout,
     SizeGateExceeded,
     VerificationBug,
 )
@@ -122,8 +121,7 @@ def _cmd_rainbow(args):
 
 def _cmd_two_fans(args):
     cfg = _load_config(args)
-    kwargs = dict(mode=args.mode, seed=args.seed, pair_gate=args.gate,
-                  time_budget=args.budget)
+    kwargs = dict(mode=args.mode, pair_gate=args.gate)
     if args.certificate:
         cert = ColoringCertificate.from_json(_read_json(args.certificate))
         kwargs.update(family=cert.family, certificate=cert)
@@ -236,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "and typical, points")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; the search is "
-                            "sequential")
 
     p = sub.add_parser("gale", help="Gale transform of a configuration")
     common(p, gate=None)
@@ -267,14 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rainbow)
 
     p = sub.add_parser("two-fans", help="two-fan distribution")
-    common(p, needs_r=True, seed=True)
+    common(p, needs_r=True)
     p.add_argument("--mode", choices=["equidistribute", "pierce"],
                    default="equidistribute")
     p.add_argument("--certificate", default=None,
                    help="r^2 chromatic certificate JSON (pierce mode)")
-    p.add_argument("--budget", type=float, default=60.0,
-                   help="best-effort time budget in seconds, spent "
-                        "only after the exhaustive search trips --gate")
     p.set_defaults(func=_cmd_two_fans)
 
     p = sub.add_parser("verify-fan", help="verify a fan against points")
@@ -335,7 +327,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SizeGateExceeded, SearchTimeout) as exc:
+    except SizeGateExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GATE
     except (GuaranteeViolation, VerificationBug, AssertionError) as exc:

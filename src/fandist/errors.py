@@ -37,10 +37,6 @@ class SizeGateExceeded(FandistError):
     """Search space above the configured gate (distinct from 'none found')."""
 
 
-class SearchTimeout(FandistError):
-    """Best-effort search ran out of budget without exhausting the space."""
-
-
 class GuaranteeViolation(FandistError):
     """A theorem promised a result, the exhaustive search found none: a bug."""
 

@@ -370,11 +370,9 @@ def found_equidistributing_tuple(instance: CounterexampleInstance,
 
 
 def verify_no_equidistribution(instance: CounterexampleInstance,
-                               lp_gate: int = 10_000_000,
-                               workers: int = 1) -> bool:
+                               lp_gate: int = 10_000_000) -> bool:
     """Exhaustively decide whether no equidistributing r-fan exists.
 
     True exactly when ``found_equidistributing_tuple`` finds no tuple.
-    ``workers`` is accepted for compatibility; the search is sequential.
     """
     return found_equidistributing_tuple(instance, lp_gate) is None

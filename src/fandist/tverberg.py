@@ -43,15 +43,12 @@ and scanning all pairs in order would return.
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from fandist.errors import (
     GuaranteeViolation,
     PreconditionError,
-    SearchTimeout,
     SizeGateExceeded,
     VerificationBug,
 )
@@ -340,7 +337,6 @@ def search_tuple(config: PointConfig, r: int,
                  canonical_only: bool = True,
                  max_part_size: Optional[int] = None,
                  lp_gate: int = DEFAULT_LP_GATE,
-                 workers: int = 1,
                  guarantee: Optional[str] = None) -> Optional[TverbergTuple]:
     """First proper tuple in canonical order passing the constraint.
 
@@ -349,7 +345,6 @@ def search_tuple(config: PointConfig, r: int,
     needed (a distinct outcome), and GuaranteeViolation when
     ``guarantee`` names a satisfied theorem hypothesis yet the exhaustive
     search came up empty (that is a bug signal, not a data error).
-    ``workers`` is accepted for compatibility; the search is sequential.
     """
     if config.n < r:
         raise PreconditionError("need at least r points")
@@ -377,13 +372,9 @@ def search_tuple(config: PointConfig, r: int,
 def search_colored_tuple(config: PointConfig, r: int, *,
                          allowed: Optional[Sequence[int]] = None,
                          lp_gate: int = DEFAULT_LP_GATE,
-                         workers: int = 1,
                          guarantee: Optional[str] = None
                          ) -> Optional[TverbergTuple]:
-    """Rainbow-constrained search: at most one point per class per part.
-
-    ``workers`` is accepted for compatibility; the search is sequential.
-    """
+    """Rainbow-constrained search: at most one point per class per part."""
     if config.coloring is None:
         raise PreconditionError("a coloring is required")
     sizes = config.class_sizes()
@@ -404,10 +395,8 @@ def search_two_tuples(config: PointConfig, r: int, *,
                       cell_caps: Optional[dict[int, int]] = None,
                       coloring: Optional[Sequence[int]] = None,
                       allowed: Optional[Sequence[int]] = None,
-                      seed: int = 0,
                       tuple_gate: int = DEFAULT_TUPLE_GATE,
-                      pair_gate: int = DEFAULT_PAIR_GATE,
-                      time_budget: Optional[float] = None
+                      pair_gate: int = DEFAULT_PAIR_GATE
                       ) -> Optional[tuple[TverbergTuple, TverbergTuple]]:
     """Two individually proper tuples jointly satisfying a cell condition.
 
@@ -424,10 +413,8 @@ def search_two_tuples(config: PointConfig, r: int, *,
     nonpositive barycentric coordinate).  The search is exhaustive while
     at most ``tuple_gate`` feasible first tuples are found and at most
     ``pair_gate`` candidates, summed over first tuples, are emitted by
-    that pruned second stream; exhaustion returns None.  When
-    a gate trips, seeded random pairs of the feasible tuples found so far
-    are tried for ``time_budget`` seconds (default 60), then
-    SearchTimeout is raised.  An emitted pair is always exactly verified.
+    that pruned second stream; exhaustion returns None and a tripped gate
+    raises SizeGateExceeded.  An emitted pair is always exactly verified.
     """
     if r == 2 or prime_base(r) != r:
         raise PreconditionError("r must be an odd prime")
@@ -474,48 +461,24 @@ def search_two_tuples(config: PointConfig, r: int, *,
                              else TverbergTuple(r, parts, witness))
         return solved[parts]
 
-    found: list[TverbergTuple] = []
-    passed = 0
-    gated = False
+    found = passed = 0
     for parts in stream(None):
         first = proper(parts)
         if first is None:
             continue
-        found.append(first)
-        if len(found) > tuple_gate:
-            gated = True
-            break
+        found += 1
+        if found > tuple_gate:
+            raise SizeGateExceeded(f"first-tuple gate {tuple_gate} exceeded")
         for parts2 in stream(_CellCondition(check, parts)):
             passed += 1
             if passed > pair_gate:
-                gated = True
-                break
+                raise SizeGateExceeded(f"pair gate {pair_gate} exceeded")
             second = proper(parts2)
             if second is not None:
                 pair = (first, second)
                 _validate_pair(pair, config, check)
                 return pair
-        if gated:
-            break
-    if not gated:
-        return None
-
-    # best-effort: seeded random pair sampling until the budget runs out
-    if time_budget is None:
-        time_budget = 60.0
-    masks = [[bitmask(p) for p in t.parts] for t in found]
-    k = len(found)
-    rng = random.Random(seed)
-    deadline = time.monotonic() + time_budget
-    while time.monotonic() < deadline:
-        for _ in range(256):
-            i = rng.randrange(k)
-            j = rng.randrange(k)
-            if _cells_admitted(check, masks[i], masks[j]):
-                pair = (found[i], found[j])
-                _validate_pair(pair, config, check)
-                return pair
-    raise SearchTimeout("two-tuple search budget exhausted")
+    return None
 
 
 class _CellCondition:
@@ -535,15 +498,10 @@ class _CellCondition:
         return part is None or self._check.may_add(mask & part, k)
 
 
-def _cells_admitted(check: SearchConstraint, masks1: list[int],
-                    masks2: list[int]) -> bool:
-    """Whether every cell I_a ∩ J_b of two tuples' part masks passes."""
-    return all(check.admits_mask(a & b) for a in masks1 for b in masks2)
-
-
 def _validate_pair(pair, config, check: SearchConstraint) -> None:
+    """Exact re-verification of both tuples and of every cell I_a ∩ J_b."""
     for t in pair:
         t.validate(config)
-    masks = [[bitmask(p) for p in t.parts] for t in pair]
-    if not _cells_admitted(check, *masks):
+    first, second = ([bitmask(p) for p in t.parts] for t in pair)
+    if not all(check.admits_mask(a & b) for a in first for b in second):
         raise VerificationBug("emitted pair fails its cell condition")

@@ -99,6 +99,13 @@ class TestSearchCommands:
     def test_gate_exit_code(self, tmp_path, config_file):
         assert main(["tverberg", "--input", config_file, "--r", "3",
                      "--gate", "1"]) == 3
+        # a tripped two-fan pair gate exits 3 at once, without sampling
+        cfg = random_config(10, 8, seed=1000, coloring=[0] * 5 + [1] * 5)
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(cfg.to_json()))
+        assert main(["two-fans", "--input", str(path), "--r", "3",
+                     "--gate", "0"]) == 3
+        assert main(["two-fans", "--input", str(path), "--r", "3"]) == 0
 
     def test_verify_fan_two_fan_mode(self, tmp_path):
         from fandist.fans import fan_from_tuple_real
@@ -161,7 +168,7 @@ class TestAnalysisCommands:
 
 
 def test_workers_start_no_thread(tmp_path, monkeypatch, config_file):
-    """``workers`` and ``--workers`` are accepted; the search is sequential."""
+    """The search and the CLI run sequentially: no thread is started."""
     cfg = PointConfig(1, [[i] for i in range(1, 8)])
     X = random_config(7, 5, seed=1)
     seq_tuple = search_tuple(cfg, 3)
@@ -174,10 +181,10 @@ def test_workers_start_no_thread(tmp_path, monkeypatch, config_file):
         raise AssertionError("the search started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    assert search_tuple(cfg, 3, workers=4) == seq_tuple
-    assert equidistribute(X, 3, workers=8).to_json() == seq_fan
+    assert search_tuple(cfg, 3) == seq_tuple
+    assert equidistribute(X, 3).to_json() == seq_fan
     assert main(["tverberg", "--input", config_file, "--r", "2",
-                 "--output", str(par_out), "--workers", "4"]) == 0
+                 "--output", str(par_out)]) == 0
     assert par_out.read_text() == seq_out.read_text()
 
 
@@ -186,9 +193,13 @@ def test_workers_start_no_thread(tmp_path, monkeypatch, config_file):
     ["verify-fan", "--fan", "f.json", "--gate", "1"],
     ["tverberg", "--r", "2", "--seed", "1"],
     ["m-eligible", "--r", "3", "--m", "2", "--gate", "1"],
+    ["two-fans", "--r", "3", "--budget", "1"],
+    ["two-fans", "--r", "3", "--seed", "1"],
+    ["tverberg", "--r", "3", "--workers", "4"],
 ])
 def test_flag_only_where_read(config_file, argv):
-    """--seed and --gate exist only on the subcommands that read them."""
+    """--seed and --gate exist only on the subcommands that read them;
+    --budget and --workers exist on none."""
     if argv[0] != "m-eligible":
         argv = argv[:1] + ["--input", config_file] + argv[1:]
     with pytest.raises(SystemExit) as exc:

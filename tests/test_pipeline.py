@@ -116,26 +116,21 @@ class TestTwoFans:
         X = random_config(9, 7, seed=12)
         fam = SetFamily(9, [[0, 1, 2, 3, 4, 5, 6, 7, 8], [4]])
         cert = ColoringCertificate(fam, 9, (0, 1))
-        try:
-            res = two_fans(X, 3, mode="pierce", family=fam,
-                           certificate=cert, seed=0, time_budget=60)
-        except Exception as exc:
-            from fandist.errors import SearchTimeout
-            assert isinstance(exc, SearchTimeout)
-            return
-        if res is not None:
-            assert res.report.passes
-            # the singleton member never sits inside any open cell
-            s1 = set(res.tuples[0].support())
-            s2 = set(res.tuples[1].support())
-            assert 4 not in (s1 & s2)
+        res = two_fans(X, 3, mode="pierce", family=fam, certificate=cert)
+        assert res.report.passes
+        assert tuple(t.parts for t in res.tuples) == (
+            ((0, 2), (1,), (3, 6)), ((0, 2), (1,), (3, 6)))
+        # the singleton member never sits inside any open cell
+        s1 = set(res.tuples[0].support())
+        s2 = set(res.tuples[1].support())
+        assert 4 not in (s1 & s2)
 
     def test_sound_pair_on_line_duals(self):
         X = random_config(13, 11, seed=1, coloring=[0] * 7 + [1] * 6)
-        res = two_fans(X, 3, seed=0, time_budget=90)
-        if res is None:
-            pytest.skip("best-effort search found nothing in budget")
+        res = two_fans(X, 3)
         assert res.report.passes
+        assert tuple(t.parts for t in res.tuples) == (
+            ((0, 1), (2,), (3, 4)), ((5,), (6, 10), (7, 12)))
         # r^2-caps are 0 for both classes: supports must be disjoint
         s1 = set(res.tuples[0].support())
         s2 = set(res.tuples[1].support())
@@ -419,7 +414,7 @@ def test_two_fan_join_solves_few_candidates():
 def test_two_fan_without_pair_solves_each_candidate_once():
     X = random_config(8, 6, seed=1000, coloring=[0] * 4 + [1] * 4)
     res, solves, distinct = _counting_solves(
-        lambda: two_fans(X, 3, time_budget=0))
+        lambda: two_fans(X, 3))
     assert res is None
     assert solves == distinct == 532
 

@@ -275,9 +275,9 @@ def test_affine_hull_cuts_out_the_hull(case):
         assert on == (rank(part + [i]) == rank(part))
 
 
-def _outcome(cfg, r, gate, workers):
+def _outcome(cfg, r, gate):
     try:
-        tup = search_tuple(cfg, r, lp_gate=gate, workers=workers)
+        tup = search_tuple(cfg, r, lp_gate=gate)
     except SizeGateExceeded:
         return "gate"
     return tup
@@ -288,10 +288,21 @@ def _outcome(cfg, r, gate, workers):
     ([[F(x), F(y)] for x, y in ((0, 0), (5, 1), (1, 6), (7, 7), (2, 3),
                                 (6, 2))], 2, 3),             # none
 ])
-def test_threaded_gate_matches_sequential(monkeypatch, points, d, r):
+def test_gate_sweep_matches_ungated(points, d, r):
+    # the gate trips below one threshold and changes nothing from there on
     cfg = PointConfig(d, points)
-    for gate in range(0, 60):
-        assert _outcome(cfg, r, gate, 1) == _outcome(cfg, r, gate, 3), gate
+    ungated = search_tuple(cfg, r)
+    lo, hi = 0, 1000
+    assert _outcome(cfg, r, lo) == "gate" and _outcome(cfg, r, hi) == ungated
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _outcome(cfg, r, mid) == "gate":
+            lo = mid
+        else:
+            hi = mid
+    for gate in sorted({*range(0, hi + 100, 50), hi - 1, hi, hi + 1}):
+        want = "gate" if gate < hi else ungated
+        assert _outcome(cfg, r, gate) == want, gate
 
 
 def test_ell_four_certification_needs_no_solve(monkeypatch):

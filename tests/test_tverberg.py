@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fandist.errors import PreconditionError, SearchTimeout, SizeGateExceeded
+from fandist.errors import PreconditionError, SizeGateExceeded
 from fandist.feaslp import (
     ExactWeightSolver,
     ProperWeightProblem,
@@ -135,15 +135,6 @@ class TestSearchTuple:
                     misses += 1
             assert misses == 50, (r, d, misses)
 
-    def test_worker_determinism(self):
-        cfg = PointConfig(1, [[i] for i in range(1, 8)])
-        seq = search_tuple(cfg, 3)
-        par = search_tuple(cfg, 3, workers=4)
-        assert seq == par
-        # also on a no-solution instance
-        cfg2 = PointConfig(2, random_points(3, 2, seed=2))
-        assert search_tuple(cfg2, 2, workers=4) is None
-
     def test_size_gate_distinct_from_none(self):
         cfg = PointConfig(2, random_points(6, 2, seed=8))
         with pytest.raises(SizeGateExceeded):
@@ -256,14 +247,12 @@ class TestTwoTupleSearch:
         cfg = PointConfig(1, [[i] for i in range(1, 12)])
         coloring = [0] * 6 + [1] * 5
         pair = search_two_tuples(cfg, 3, cell_caps={0: 0, 1: 0},
-                                 coloring=coloring, seed=0,
-                                 time_budget=30.0)
+                                 coloring=coloring)
         assert pair is not None
         assert not set(pair[0].support()) & set(pair[1].support())
-        # reproducible with the same seed
+        # reproducible
         again = search_two_tuples(cfg, 3, cell_caps={0: 0, 1: 0},
-                                  coloring=coloring, seed=0,
-                                  time_budget=30.0)
+                                  coloring=coloring)
         assert again == pair
 
     def test_caps_mode_nonzero_caps_and_missing_class(self):
@@ -272,8 +261,7 @@ class TestTwoTupleSearch:
         coloring = [1] + [0] * 9
         caps = threshold_caps([9, 1], 9)
         assert caps == {0: 1, 1: 0}
-        pair = search_two_tuples(cfg, 3, cell_caps=caps, coloring=coloring,
-                                 time_budget=5.0)
+        pair = search_two_tuples(cfg, 3, cell_caps=caps, coloring=coloring)
         assert pair is not None
         for i in pair[0].parts:
             for j in pair[1].parts:
@@ -282,7 +270,7 @@ class TestTwoTupleSearch:
                     assert sum(1 for p in cell if coloring[p] == c) <= cap
         # a class missing from cell_caps is capped at 0
         assert search_two_tuples(cfg, 3, cell_caps={0: 1},
-                                 coloring=coloring, time_budget=5.0) == pair
+                                 coloring=coloring) == pair
 
 
 # -- the joined two-tuple search against collect-all-then-scan ---------------
@@ -356,7 +344,7 @@ def test_join_matches_collect_then_scan(case):
     want, oracle_solves = counted_solves(
         lambda: collect_then_scan(cfg, 3, cell_ok))
     got, solves = counted_solves(
-        lambda: search_two_tuples(cfg, 3, time_budget=0, **kwargs))
+        lambda: search_two_tuples(cfg, 3, **kwargs))
     assert got == want
     assert solves <= oracle_solves
 
@@ -368,12 +356,12 @@ class TestTwoTupleJoin:
         cfg = PointConfig(1, self.LINE[:n])
         coloring = [0] * (n - n // 2) + [1] * (n // 2)
         return search_two_tuples(cfg, 3, cell_caps={0: 0, 1: 0},
-                                 coloring=coloring, time_budget=0, **gates)
+                                 coloring=coloring, **gates)
 
     def test_pair_gate_counts_cell_passing_candidates(self):
         # 1 second-stream candidate passes the cell condition up to the
         # answer; the first tuple already has a partner
-        with pytest.raises(SearchTimeout):
+        with pytest.raises(SizeGateExceeded):
             self._line_search(10, pair_gate=0)
         got = self._line_search(10, pair_gate=1)
         assert got == collect_then_scan(PointConfig(1, self.LINE), 3,
@@ -390,9 +378,8 @@ class TestTwoTupleJoin:
 
         def search(**gates):
             return search_two_tuples(cfg, 3, cell_caps={0: 0, 1: 1},
-                                     coloring=coloring, time_budget=0,
-                                     **gates)
-        with pytest.raises(SearchTimeout):
+                                     coloring=coloring, **gates)
+        with pytest.raises(SizeGateExceeded):
             search(pair_gate=7)
         got = search(pair_gate=8)
         assert tuple(t.parts for t in got) == (
@@ -407,9 +394,9 @@ class TestTwoTupleJoin:
         # tuples is joined with a second stream that passes nothing
         assert self._line_search(9) is None
         assert self._line_search(9, tuple_gate=756, pair_gate=0) is None
-        with pytest.raises(SearchTimeout):
+        with pytest.raises(SizeGateExceeded):
             self._line_search(9, tuple_gate=1)
-        with pytest.raises(SearchTimeout):
+        with pytest.raises(SizeGateExceeded):
             self._line_search(9, tuple_gate=755)
 
     def test_cell_condition_grows_one_cell_per_index(self):
@@ -422,7 +409,7 @@ class TestTwoTupleJoin:
             return sum(1 for i in cell if coloring[i] == 0) <= 1 and \
                 not any(coloring[i] == 1 for i in cell)
         got = search_two_tuples(cfg, 3, cell_caps={0: 1},
-                                coloring=coloring, time_budget=0)
+                                coloring=coloring)
         assert got == collect_then_scan(cfg, 3, cell_ok)
         assert tuple(t.parts for t in got) == (
             ((0, 3), (1, 4), (2,)), ((1, 5), (2, 4), (3,)))
