@@ -25,6 +25,7 @@ from fandist.galedual import (
     inverse_gale,
 )
 from fandist.genpos import (
+    SGP_GATE,
     build_counterexample,
     check_sgp,
     found_equidistributing_tuple,
@@ -40,7 +41,7 @@ from fandist.pipeline import (
     rainbow,
     two_fans,
 )
-from fandist.tverberg import search_tuple
+from fandist.tverberg import DEFAULT_LP_GATE, DEFAULT_PAIR_GATE, search_tuple
 
 EXIT_OK = 0
 EXIT_NONE = 1
@@ -216,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact fan distributions of colored point sets")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_input=True, needs_r=False, gate=10_000_000,
+    def common(p, *, needs_input=True, needs_r=False, gate=None,
                seed=False):
-        """Shared flags; ``gate=None`` omits --gate, ``seed`` adds --seed."""
+        """Shared flags: --gate defaults to ``gate`` (None omits it),
+        ``seed`` adds --seed."""
         if needs_input:
             p.add_argument("--input", required=True,
                            help="PointConfig JSON file")
@@ -236,33 +238,33 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gale", help="Gale transform of a configuration")
-    common(p, gate=None)
+    common(p)
     p.set_defaults(func=_cmd_gale)
 
     p = sub.add_parser("inverse-gale", help="inverse Gale transform")
-    common(p, gate=None)
+    common(p)
     p.set_defaults(func=_cmd_inverse_gale)
 
     p = sub.add_parser("tverberg", help="search a proper Tverberg tuple")
-    common(p, needs_r=True)
+    common(p, needs_r=True, gate=DEFAULT_LP_GATE)
     p.set_defaults(func=_cmd_tverberg)
 
     p = sub.add_parser("equidistribute", help="equidistributing r-fan")
-    common(p, needs_r=True)
+    common(p, needs_r=True, gate=DEFAULT_LP_GATE)
     p.set_defaults(func=_cmd_equidistribute)
 
     p = sub.add_parser("pierce", help="piercing distribution")
-    common(p, needs_r=True)
+    common(p, needs_r=True, gate=DEFAULT_LP_GATE)
     p.add_argument("--certificate", required=True,
                    help="chromatic certificate JSON (carries the family)")
     p.set_defaults(func=_cmd_pierce)
 
     p = sub.add_parser("rainbow", help="rainbow distribution")
-    common(p, needs_r=True)
+    common(p, needs_r=True, gate=DEFAULT_LP_GATE)
     p.set_defaults(func=_cmd_rainbow)
 
     p = sub.add_parser("two-fans", help="two-fan distribution")
-    common(p, needs_r=True)
+    common(p, needs_r=True, gate=DEFAULT_PAIR_GATE)
     p.add_argument("--mode", choices=["equidistribute", "pierce"],
                    default="equidistribute")
     p.add_argument("--certificate", default=None,
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_two_fans)
 
     p = sub.add_parser("verify-fan", help="verify a fan against points")
-    common(p, gate=None)
+    common(p)
     p.add_argument("--fan", required=True, help="fan JSON file")
     p.add_argument("--mode", default="distribute",
                    choices=["distribute", "equidistribute", "pierce",
@@ -281,16 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_fan)
 
     p = sub.add_parser("check-sgp", help="strong general position check")
-    common(p, gate=10)
+    common(p, gate=SGP_GATE)
     p.set_defaults(func=_cmd_check_sgp)
 
     p = sub.add_parser("typical", help="typicality check")
-    common(p, gate=10)
+    common(p, gate=SGP_GATE)
     p.set_defaults(func=_cmd_typical)
 
     p = sub.add_parser("counterexample",
                        help="build and verify a sharpness instance")
-    common(p, needs_input=False, needs_r=True, seed=True)
+    common(p, needs_input=False, needs_r=True, gate=DEFAULT_LP_GATE,
+           seed=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
@@ -298,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("bounds", help="bracket the equidistribution size")
-    common(p, needs_input=False, needs_r=True)
+    common(p, needs_input=False, needs_r=True, gate=DEFAULT_LP_GATE)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d-values", type=int, nargs="+", required=True)
     p.add_argument("--seeds", type=int, default=3)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("gen-random", help="random point configuration")
-    common(p, needs_input=False, gate=None, seed=True)
+    common(p, needs_input=False, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--field", default="rational",
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_random)
 
     p = sub.add_parser("m-eligible", help="digit condition for two fans")
-    common(p, needs_input=False, needs_r=True, gate=None)
+    common(p, needs_input=False, needs_r=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=_cmd_m_eligible)
 

@@ -607,21 +607,6 @@ class ExactMatrix:
             out.append(acc)
         return tuple(out)
 
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        zero = scalar_zero(self.conductor)
-        grid = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            grid.append(row)
-        return ExactMatrix(grid, self.conductor)
-
     def _rref(self):
         """Reduced row echelon form: (pivot rows, pivot column list).
 

@@ -46,7 +46,6 @@ __all__ = [
     "OUTSIDE",
     "RealFan",
     "VerificationReport",
-    "classify_point",
     "fan_from_tuple_complex",
     "fan_from_tuple_real",
     "slice_project",
@@ -107,30 +106,24 @@ class RealFan:
         if any(len(v) != dim for v in normals):
             raise MalformedFan("normal dimension mismatch")
         lifted = [list(v) + [-c] for v, c in zip(normals, offsets)]
-        L = ExactMatrix.from_columns(lifted)
-        if L.rank() != r - 1:
+        # one kernel decides every condition: rank r-1 leaves exactly one
+        # dependency mu, and r-1 hyperplanes dropping j are independent
+        # iff mu_j != 0
+        kb = ExactMatrix.from_columns(lifted).kernel_basis()
+        if len(kb) != 1:
             raise MalformedFan("hyperplanes must have rank exactly r-1")
-        for drop in range(r):
-            sub = ExactMatrix.from_columns(
-                [lifted[j] for j in range(r) if j != drop])
-            if sub.rank() != r - 1:
+        mu = kb[0]
+        for drop, m in enumerate(mu):
+            if m == 0:
                 raise MalformedFan(
                     f"any r-1 hyperplanes must be independent (drop {drop})")
-        if (any(sum(v[i] for v in normals) != 0 for i in range(dim))
-                or sum(offsets, Fraction(0)) != 0):
-            mu = L.kernel_basis()[0]
-            if any(x == 0 for x in mu):
-                raise MalformedFan("degenerate hyperplane dependency")
-            if all(x > 0 for x in mu):
-                pass
-            elif all(x < 0 for x in mu):
-                mu = tuple(-x for x in mu)
-            else:
-                raise MalformedFan(
-                    "orientations admit no positive normalization")
-            normals = [tuple(m * x for x in v)
-                       for m, v in zip(mu, normals)]
-            offsets = [m * c for m, c in zip(mu, offsets)]
+        if all(m < 0 for m in mu):
+            mu = tuple(-m for m in mu)
+        elif not all(m > 0 for m in mu):
+            raise MalformedFan("orientations admit no positive normalization")
+        # mu is all ones when the sums already vanish
+        normals = [tuple(m * x for x in v) for m, v in zip(mu, normals)]
+        offsets = [m * c for m, c in zip(mu, offsets)]
         lam = _primitive_positive_scale(
             [x for v in normals for x in v] + list(offsets))
         if lam != 1:
@@ -164,14 +157,6 @@ class RealFan:
             if all(k in (j, prev) for k in nonzero) and vals[j] > 0:
                 return Classification(INTERIOR, j)
         return Classification(OUTSIDE)
-
-    def center_point(self) -> tuple[Fraction, ...]:
-        """One exact point of the center flat (it is nonempty)."""
-        M = ExactMatrix(list(self.normals))
-        sol = M.solve(list(self.offsets))
-        if sol is None:
-            raise MalformedFan("center is empty")
-        return sol
 
     def to_json(self) -> dict:
         return {
@@ -279,10 +264,6 @@ def fan_from_json(obj) -> Fan:
     return RealFan.from_json(obj)
 
 
-def classify_point(fan: Fan, x) -> Classification:
-    return fan.classify(x)
-
-
 def fan_from_tuple_real(pair: GaleDualPair, tup: TverbergTuple) -> RealFan:
     """Linear real fan distributing the dual points according to the parts.
 
@@ -329,23 +310,20 @@ def fan_from_tuple_complex(pair: GaleDualPair,
         w = Cyclotomic.root_of_unity(N, (N // r) * j)
         for i in tup.parts[j]:
             lam[i] = w * t[i]
-    alpha = dependence_to_functional(pair, lam)
-    # before canonical rescaling: functional values are exactly t_i omega^j
-    for i, g in enumerate(pair.dual.points):
-        if hermitian_dot(alpha, g) != lam[i]:
-            raise VerificationBug("complex fan functional mismatch")
-    fan = ComplexFan(r, N, alpha, 0)
+    fan = ComplexFan(r, N, dependence_to_functional(pair, lam), 0)
     _verify_distribution(fan, pair.dual, tup)
     return fan
 
 
-def _verify_distribution(fan: Fan, dual: PointConfig,
+def _verify_distribution(fan: Fan, config: PointConfig,
                          tup: TverbergTuple) -> None:
+    """Point i of config must lie in interior j when i is in part j, and
+    on the center otherwise; raises VerificationBug at the first miss."""
     part_of = {}
     for j, p in enumerate(tup.parts):
         for i in p:
             part_of[i] = j
-    for i, g in enumerate(dual.points):
+    for i, g in enumerate(config.points):
         c = fan.classify(g)
         want = part_of.get(i)
         if want is None:

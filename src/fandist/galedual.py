@@ -227,8 +227,6 @@ def _check_dual_preconditions(dual: PointConfig):
         total = [a + b for a, b in zip(total, p)]
     if any(not scalar_is_zero(t) for t in total):
         raise NonzeroSum("dual points must sum to zero")
-    if not dual.linearly_spanning():
-        raise NotSpanning(f"dual points do not linearly span K^{m}")
 
 
 def inverse_gale(dual: PointConfig, verify: bool = True) -> PointConfig:
@@ -242,9 +240,9 @@ def inverse_gale(dual: PointConfig, verify: bool = True) -> PointConfig:
     n, m = dual.n, dual.dim
     d = n - m - 1
     B = ExactMatrix.from_columns(list(dual.points), dual.conductor)
-    kb = B.kernel_basis()  # d + 1 vectors of length n
+    kb = B.kernel_basis()  # d + 1 vectors of length n iff the dual spans
     if len(kb) != d + 1:
-        raise VerificationBug("kernel dimension off although the dual spans")
+        raise NotSpanning(f"dual points do not linearly span K^{m}")
     one = Fraction(1) if dual.conductor is None else \
         Cyclotomic.from_rational(dual.conductor, 1)
     ones = tuple([one] * n)

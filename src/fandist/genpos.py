@@ -36,7 +36,7 @@ from fandist.galedual import (
     inverse_gale,
     lift_augment,
 )
-from fandist.tverberg import TverbergTuple, search_tuple
+from fandist.tverberg import DEFAULT_LP_GATE, TverbergTuple, search_tuple
 from fandist.kneser import threshold_caps
 
 __all__ = [
@@ -349,7 +349,7 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
 
 
 def found_equidistributing_tuple(instance: CounterexampleInstance,
-                                 lp_gate: int = 10_000_000
+                                 lp_gate: int = DEFAULT_LP_GATE
                                  ) -> Optional[TverbergTuple]:
     """The tuple certifying an equidistributing r-fan, or None if none exists.
 
@@ -370,7 +370,7 @@ def found_equidistributing_tuple(instance: CounterexampleInstance,
 
 
 def verify_no_equidistribution(instance: CounterexampleInstance,
-                               lp_gate: int = 10_000_000) -> bool:
+                               lp_gate: int = DEFAULT_LP_GATE) -> bool:
     """Exhaustively decide whether no equidistributing r-fan exists.
 
     True exactly when ``found_equidistributing_tuple`` finds no tuple.

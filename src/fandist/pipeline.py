@@ -4,10 +4,13 @@ Every driver takes a configuration X of n points in K^D, derives
 d = n - D - 1, lifts X to height one with the augmented negated-sum
 point, recovers a primal by the inverse Gale transform, searches a
 constrained proper tuple among the original n indices, carries it to a
-linear fan, slices at height one, and verifies the projected fan against
-the original coordinates with exact arithmetic.  A run either returns a
-fully verified result, returns None (no tuple), or raises: guarantee
-violations and verification failures are bug signals, never data errors.
+linear fan, slices at height one, and verifies the result exactly, in
+three steps: the lifted points (the augmented one included) under the
+linear fan against the tuple's labels, then the points of X under the
+slice against the same labels, point by point, then the mode's report
+on X.  A run either returns a fully verified result, returns None (no
+tuple), or raises: guarantee violations and verification failures are
+bug signals, never data errors.
 Every search is sequential and exhaustive within its size gates, so no
 result depends on the clock.
 """
@@ -28,9 +31,8 @@ from fandist.errors import (
     VerificationBug,
 )
 from fandist.fans import (
-    CENTER,
-    INTERIOR,
     VerificationReport,
+    _verify_distribution,
     fan_from_tuple_complex,
     fan_from_tuple_real,
     slice_project,
@@ -157,7 +159,7 @@ class TwoFanResult:
 
 
 def _prepare(X: PointConfig, r: int):
-    """Lift, augment, invert; returns (X', pair, lifted, d, warnings)."""
+    """Lift, augment, invert; returns (X', pair, d, warnings)."""
     if not X.affinely_spanning():
         raise NotAffinelySpanning("input must affinely span its space")
     warnings: list[str] = []
@@ -172,9 +174,8 @@ def _prepare(X: PointConfig, r: int):
             X = X.to_conductor(target)
             warnings.append(
                 f"coordinates embedded into Q(zeta_{target}) for omega_{r}")
-    lifted = lift_augment(X)
-    pair = gale_pair_from_dual(lifted)
-    return X, pair, lifted, d, warnings
+    pair = gale_pair_from_dual(lift_augment(X))
+    return X, pair, d, warnings
 
 
 def _coloring_and_sizes(X: PointConfig):
@@ -183,24 +184,21 @@ def _coloring_and_sizes(X: PointConfig):
     return coloring, [coloring.count(k) for k in range(max(coloring) + 1)]
 
 
-def _build_fan(pair, lifted, X, tup):
-    """(linear fan, its slice, X's classes), checked to commute on X."""
+def _build_fan(pair, X, tup):
+    """(linear fan, its slice), the slice checked point by point on X.
+
+    The fan constructor has checked every lifted point, the augmented
+    one included, against the tuple's labels; here each point of X is
+    classified once under the slice and must carry the same label:
+    interior j for part j, center otherwise.
+    """
     if X.conductor is None:
         linear_fan = fan_from_tuple_real(pair, tup)
     else:
         linear_fan = fan_from_tuple_complex(pair, tup)
     affine_fan = slice_project(linear_fan)
-    cls = []
-    for i in range(X.n):
-        c1 = linear_fan.classify(lifted.points[i])
-        c2 = affine_fan.classify(X.points[i])
-        if (c1.kind, c1.part) != (c2.kind, c2.part):
-            raise VerificationBug(
-                f"classification does not commute with slicing at point {i}")
-        cls.append(c2)
-    if linear_fan.classify(lifted.points[X.n]).kind != CENTER:
-        raise VerificationBug("augmented point left the center")
-    return linear_fan, affine_fan, cls
+    _verify_distribution(affine_fan, X, tup)
+    return linear_fan, affine_fan
 
 
 def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
@@ -215,7 +213,7 @@ def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
     (m, guaranteed, search constraint).
     """
     t0 = time.monotonic()
-    X, pair, lifted, d, warnings = _prepare(X, r)
+    X, pair, d, warnings = _prepare(X, r)
     if X.conductor is None and r < 3:
         raise PreconditionError("real fans need r >= 3")
     m, guaranteed, constraint = plan(X, d, X.conductor is not None,
@@ -227,15 +225,7 @@ def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
     if tup is None:
         return None
 
-    linear_fan, affine_fan, cls = _build_fan(pair, lifted, X, tup)
-    # part/cell correspondence: interiors receive exactly the parts
-    for j, part in enumerate(tup.parts):
-        got = {i for i, c in enumerate(cls)
-               if c.kind == INTERIOR and c.part == j}
-        if got != set(part):
-            raise VerificationBug(
-                f"half-flat {j} holds {sorted(got)}, expected {list(part)}")
-
+    linear_fan, affine_fan = _build_fan(pair, X, tup)
     report = verify_report(affine_fan, X, mode, family=family)
     if not report.passes:
         raise VerificationBug(
@@ -387,7 +377,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     """
     t0 = time.monotonic()
     X0 = X
-    X, pair, lifted, d, warnings = _prepare(X, r)
+    X, pair, d, warnings = _prepare(X, r)
     coloring, sizes = _coloring_and_sizes(X)
 
     bound = (r - 1) * (d + 1) + len(sizes) * (r * r - 1) // 2 + 1
@@ -418,7 +408,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
         return None
     tup1, tup2 = pairres
 
-    fans = [_build_fan(pair, lifted, X, tup)[1] for tup in pairres]
+    fans = [_build_fan(pair, X, tup)[1] for tup in pairres]
     report = verify_report(fans[0], X, "two-fan", other_fan=fans[1],
                            family=family if mode == "pierce" else None)
     if not report.passes:
@@ -433,7 +423,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
 
 
 def bounds_experiment(r: int, m: int, d_values, seeds, *, bits: int = 6,
-                      lp_gate: int = 10_000_000,
+                      lp_gate: int = DEFAULT_LP_GATE,
                       max_ell_extra: int = 1) -> list[dict]:
     """Bracket the maximum equidistributable size for each ambient d.
 

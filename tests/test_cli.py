@@ -1,15 +1,28 @@
+import inspect
 import json
 import threading
 from fractions import Fraction
 
 import pytest
 
-from fandist.cli import main
+from fandist.cli import build_parser, main
 from fandist.galedual import PointConfig
-from fandist.genpos import random_config
+from fandist.genpos import (
+    SGP_GATE,
+    check_sgp,
+    found_equidistributing_tuple,
+    is_typical,
+    random_config,
+)
 from fandist.kneser import ColoringCertificate, SetFamily
-from fandist.pipeline import equidistribute
-from fandist.tverberg import search_tuple
+from fandist.pipeline import (
+    bounds_experiment,
+    equidistribute,
+    pierce,
+    rainbow,
+    two_fans,
+)
+from fandist.tverberg import DEFAULT_LP_GATE, DEFAULT_PAIR_GATE, search_tuple
 
 
 def run(tmp_path, *argv):
@@ -205,3 +218,27 @@ def test_flag_only_where_read(config_file, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_gate_defaults_are_the_library_defaults():
+    """Each --gate default is the default of the library call it feeds."""
+    x, r = ["--input", "x.json"], ["--r", "3"]
+    cases = [
+        (["tverberg", *x, *r], search_tuple, "lp_gate", DEFAULT_LP_GATE),
+        (["equidistribute", *x, *r], equidistribute, "lp_gate",
+         DEFAULT_LP_GATE),
+        (["rainbow", *x, *r], rainbow, "lp_gate", DEFAULT_LP_GATE),
+        (["pierce", *x, *r, "--certificate", "c.json"], pierce, "lp_gate",
+         DEFAULT_LP_GATE),
+        (["counterexample", *r, "--m", "2", "--d", "1", "--ell", "3"],
+         found_equidistributing_tuple, "lp_gate", DEFAULT_LP_GATE),
+        (["bounds", *r, "--m", "2", "--d-values", "7"], bounds_experiment,
+         "lp_gate", DEFAULT_LP_GATE),
+        (["two-fans", *x, *r], two_fans, "pair_gate", DEFAULT_PAIR_GATE),
+        (["check-sgp", *x], check_sgp, "gate", SGP_GATE),
+        (["typical", *x], is_typical, "gate", SGP_GATE),
+    ]
+    parser = build_parser()
+    for argv, call, keyword, constant in cases:
+        default = inspect.signature(call).parameters[keyword].default
+        assert parser.parse_args(argv).gate == default == constant, argv[0]

@@ -12,7 +12,6 @@ from fandist.fans import (
     Classification,
     ComplexFan,
     RealFan,
-    classify_point,
     fan_from_json,
     fan_from_tuple_complex,
     fan_from_tuple_real,
@@ -77,13 +76,17 @@ class TestRealFanGeometry:
         for i in range(2):
             assert sum(v[i] for v in fan.normals) == 0
 
-    def test_mixed_orientation_rejected(self):
-        with pytest.raises(MalformedFan):
-            RealFan(3, 2, [[1, 0], [0, 1], [1, 1]], [0, 0, 0])
-
-    def test_rank_conditions_enforced(self):
-        with pytest.raises(MalformedFan):
-            RealFan(3, 2, [[1, 0], [2, 0], [-3, 0]], [0, 0, 0])
+    @pytest.mark.parametrize("normals, message", [
+        # rank 1: two independent dependencies instead of one
+        ([[1, 0], [2, 0], [-3, 0]], "rank exactly r-1"),
+        # mu = (1, 1, 0): the two hyperplanes left after dropping 2 agree
+        ([[1, 0], [-1, 0], [0, 1]], r"independent \(drop 2\)"),
+        # mu = (1, 1, -1): no positive rescaling sums to zero
+        ([[1, 0], [0, 1], [1, 1]], "orientations"),
+    ], ids=["rank", "zero-mu", "orientation"])
+    def test_rank_conditions_enforced(self, normals, message):
+        with pytest.raises(MalformedFan, match=message):
+            RealFan(3, 2, normals, [0, 0, 0])
 
     def test_classification_trichotomy(self):
         fan = RealFan(3, 2, [[1, 0], [0, 1], [-1, -1]], [0, 0, 0])
@@ -141,12 +144,6 @@ class TestFanFromTuple:
                 assert c == Classification(INTERIOR, j)
 
     def test_leftover_lands_on_center(self):
-        cfg = PointConfig(2, [[0, 0], [4, 0], [0, 4], [1, 1], [9, 9]])
-        pair = gale_transform(cfg)
-        tup = search_tuple(cfg, 2, max_part_size=None)
-        if tup is None:
-            pytest.skip("no tuple on this configuration")
-        # r=2 needs complex machinery; use r=3 on a 1-d config instead
         cfg = PointConfig(1, [[1], [2], [3], [4], [5], [6]])
         pair = gale_transform(cfg)
         tup = search_tuple(cfg, 3)

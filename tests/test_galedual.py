@@ -8,6 +8,7 @@ from fandist.errors import (
     NonzeroSum,
     NotADependence,
     NotAffinelySpanning,
+    NotSpanning,
     ZeroFunctional,
 )
 from fandist.exactnum import Cyclotomic, ExactMatrix
@@ -97,6 +98,11 @@ class TestInverseGale:
     def test_nonzero_sum_rejected(self):
         with pytest.raises(NonzeroSum):
             inverse_gale(PointConfig(1, [[1], [1], [1]]))
+
+    def test_non_spanning_dual_rejected(self):
+        # sums to zero, but every point lies on the first axis
+        with pytest.raises(NotSpanning):
+            inverse_gale(PointConfig(2, [[1, 0], [-1, 0], [2, 0], [-2, 0]]))
 
     def test_round_trip_up_to_affine_isomorphism(self):
         for seed in (0, 1, 2):

@@ -4,11 +4,13 @@ from unittest import mock
 
 import pytest
 
-from fandist import feaslp, tverberg
+from fandist import feaslp, pipeline, tverberg
 from fandist.errors import (
     PreconditionError,
     SizeGateExceeded,
+    VerificationBug,
 )
+from fandist.fans import RealFan, slice_project, verify_report
 from fandist.feaslp import ExactWeightSolver
 from fandist.genpos import random_config
 from fandist.kneser import ColoringCertificate, SetFamily
@@ -30,6 +32,23 @@ class TestEquidistribute:
         assert res.d == 1 and res.guaranteed
         # part/cell correspondence is asserted inside; robustness recorded
         assert res.robustness == sum(len(p) for p in res.tuple_.parts)
+
+    def test_slice_checked_against_tuple_labels(self, monkeypatch):
+        """A slice with its half-flats rotated passes the mode report but
+        puts every part on the wrong half-flat, so the run must fail."""
+        X = random_config(7, 5, seed=1)
+        rotated = []
+
+        def rotate(fan):
+            s = slice_project(fan)
+            rotated.append(RealFan(s.r, s.dim, s.normals[1:] + s.normals[:1],
+                                   s.offsets[1:] + s.offsets[:1]))
+            return rotated[-1]
+
+        monkeypatch.setattr(pipeline, "slice_project", rotate)
+        with pytest.raises(VerificationBug, match="classifies .*, expected"):
+            equidistribute(X, 3)
+        assert verify_report(rotated[0], X, "equidistribute").passes
 
     def test_warns_below_bound(self):
         X = random_config(5, 3, seed=2)
