@@ -196,8 +196,9 @@ class Cyclotomic:
     Products and inverses are computed in integers: the operands are
     cleared to integer numerators over one common denominator, convolved
     and reduced with the integer power table of the monic Phi_N, and the
-    result's Fractions are built once.  The inverse is the product of the
-    other Galois conjugates divided by the norm.
+    result's Fractions are built once; a rational factor, zero included,
+    only scales the other factor's coefficients.  The inverse is the
+    product of the other Galois conjugates divided by the norm.
     """
 
     __slots__ = ("N", "coeffs")
@@ -287,15 +288,29 @@ class Cyclotomic:
         return o - self
 
     def __mul__(self, other):
+        # a rational operand (zero included) scales the other's
+        # coefficients; only two irrational operands need the convolution
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_rational():
+            return self._scaled(o.coeffs[0])
+        if self.is_rational():
+            return o._scaled(self.coeffs[0])
         a, da = _clear(self.coeffs)
         b, db = _clear(o.coeffs)
         return Cyclotomic._from_int(
             self.N, _field_data(self.N).mul_int(a, b), da * db)
 
     __rmul__ = __mul__
+
+    def _scaled(self, q: Fraction) -> "Cyclotomic":
+        if not q:
+            return Cyclotomic._reduced(self.N, (_ZERO,) * len(self.coeffs))
+        return Cyclotomic._reduced(
+            self.N, tuple(q * c if c else _ZERO for c in self.coeffs))
 
     def inverse(self) -> "Cyclotomic":
         """1/a = (prod of sigma_k(a), k != 1) / Norm(a), in integers."""
@@ -649,11 +664,19 @@ class ExactMatrix:
         """Each rational row as integers over its own common denominator."""
         return [_clear(row)[0] for row in self.entries]
 
-    def rank(self) -> int:
+    def pivot_columns(self) -> list[int]:
+        """The first linearly independent columns, chosen greedily.
+
+        A column is a pivot column of the echelon form exactly when it is
+        independent of the columns before it, so one elimination gives
+        the greedy choice; rational matrices need the forward pass only.
+        """
         if self.conductor is None:
-            # forward elimination alone counts the pivots
-            return len(_eliminate_int(self._int_rows(), self.cols))
-        return len(self._rref()[1])
+            return [c for _, c in _eliminate_int(self._int_rows(), self.cols)]
+        return self._rref()[1]
+
+    def rank(self) -> int:
+        return len(self.pivot_columns())
 
     def kernel_basis(self) -> list[tuple]:
         """Deterministic basis of the right kernel; empty when injective."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from fandist.errors import MalformedFan, PreconditionError, VerificationBug
@@ -63,7 +64,6 @@ def _primitive_positive_scale(values) -> Fraction:
 
     Scaling a whole fan by it changes no half-flat and keeps sums zero.
     """
-    from math import gcd
     den = 1
     for v in values:
         den = den * v.denominator // gcd(den, v.denominator)
@@ -90,9 +90,14 @@ class Classification:
 
 
 class RealFan:
-    """r half-flats of codimension r-2 about a codimension r-1 center."""
+    """r half-flats of codimension r-2 about a codimension r-1 center.
 
-    __slots__ = ("r", "dim", "normals", "offsets", "normalized")
+    The normalized normals and offsets are integers; they are kept as
+    ``int`` tuples too, and points are classified in integers.
+    """
+
+    __slots__ = ("r", "dim", "normals", "offsets", "normalized",
+                 "_int_normals", "_int_offsets")
 
     def __init__(self, r: int, dim: int,
                  normals: Sequence[Sequence[Fraction]],
@@ -134,6 +139,13 @@ class RealFan:
         object.__setattr__(self, "normals", tuple(normals))
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "normalized", True)
+        if any(x.denominator != 1 for x in offsets) or any(
+                x.denominator != 1 for v in normals for x in v):
+            raise VerificationBug("normalized fan is not integral")
+        object.__setattr__(self, "_int_normals", tuple(
+            tuple(x.numerator for x in v) for v in normals))
+        object.__setattr__(self, "_int_offsets",
+                           tuple(c.numerator for c in offsets))
 
     def __setattr__(self, *a):
         raise AttributeError("RealFan is immutable")
@@ -146,9 +158,18 @@ class RealFan:
                 for v, c in zip(self.normals, self.offsets)]
 
     def classify(self, x: Sequence[Fraction]) -> Classification:
+        """Classified by the signs of v.X - c D, where x = X / D, D > 0;
+        they are the signs of v.x - c."""
         if len(x) != self.dim:
             raise PreconditionError("point dimension mismatch")
-        vals = self.values(x)
+        try:
+            D = lcm(*(xi.denominator for xi in x))
+        except AttributeError:
+            raise PreconditionError(
+                "real fans classify rational points") from None
+        X = [xi.numerator * (D // xi.denominator) for xi in x]
+        vals = [sum(a * b for a, b in zip(v, X)) - c * D
+                for v, c in zip(self._int_normals, self._int_offsets)]
         nonzero = [j for j, v in enumerate(vals) if v != 0]
         if not nonzero:
             return Classification(CENTER)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from fandist.errors import (
@@ -26,6 +28,9 @@ from fandist.exactnum import (
     ExactMatrix,
     FieldMismatch,
     Scalar,
+    _back_eliminate,
+    _clear,
+    _eliminate_int,
     conj,
     hermitian_dot,
     scalar_from_json,
@@ -195,6 +200,29 @@ class GaleDualPair:
     dual: PointConfig
     basis_matrix: ExactMatrix
 
+    @cached_property
+    def _left_inverse(self):
+        """(s, G, S, L, D) solving the rational bridge in integers.
+
+        G = s g is the dual cleared to integers by the least common
+        denominator s, S lists the first dim linearly independent dual
+        points, and L / D (D > 0) inverts the matrix with rows G_i, i in
+        S.  So <alpha, g_i> = lambda_i on S reads alpha = s L lambda_S / D.
+        """
+        pts = self.dual.points
+        m = self.dual.dim
+        s = lcm(*(c.denominator for p in pts for c in p))
+        G = [[c.numerator * (s // c.denominator) for c in p] for p in pts]
+        S = ExactMatrix.from_columns(pts).pivot_columns()
+        if len(S) != m:
+            raise VerificationBug("dual points must span the dual space")
+        # fraction-free elimination of [G_S^T | I] leaves E G_S^T diagonal
+        M = [G[i] + [int(j == k) for j in range(m)] for k, i in enumerate(S)]
+        _back_eliminate(M, _eliminate_int(M, m))
+        D = lcm(*(M[k][k] for k in range(m)))
+        L = [[x * (D // M[k][k]) for x in M[k][m:]] for k in range(m)]
+        return s, G, S, L, D
+
     def validate(self) -> None:
         A = self.primal.lifted_matrix()
         for b in self.basis_matrix.entries:
@@ -327,7 +355,9 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
     """The unique alpha with <alpha, g_i> = lambda_i for every i.
 
     lambda must be a nonzero affine dependence of the primal (checked
-    exactly).  Solved through the stored kernel basis: lambda = B^T alpha.
+    exactly).  It is solved through the stored kernel basis, lambda =
+    B^T alpha: over Q by the pair's integer left inverse, over Q(zeta_N)
+    by elimination.  Either way alpha is checked against every g_i.
     """
     lam = [Fraction(x) if not isinstance(x, Cyclotomic) else x for x in lam]
     if pair.primal.conductor is not None:
@@ -336,6 +366,8 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
                for x in lam]
     if not _is_dependence(pair, lam):
         raise NotADependence("lambda is not a nonzero affine dependence")
+    if pair.primal.conductor is None:
+        return _rational_functional(pair, lam)
     alpha = pair.basis_matrix.transpose().solve(lam)
     if alpha is None:
         raise VerificationBug("dependence must lie in the row space of B")
@@ -343,6 +375,23 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
         if hermitian_dot(alpha, g) != lam[i]:
             raise VerificationBug("functional does not reproduce lambda")
     return alpha
+
+
+def _rational_functional(pair: GaleDualPair, lam: Sequence[Fraction]):
+    """alpha from the pair's integer left inverse, checked on every i.
+
+    With lambda = Lam / e in integers and P = L Lam_S, alpha = s P / (D e),
+    and <alpha, g_i> = lambda_i is the integer equality <P, G_i> = D Lam_i.
+    """
+    s, G, S, L, D = pair._left_inverse
+    Lam, e = _clear(lam)
+    lam_S = [Lam[i] for i in S]
+    P = [sum(a * b for a, b in zip(row, lam_S)) for row in L]
+    for Gi, li in zip(G, Lam):
+        if sum(a * b for a, b in zip(P, Gi)) != D * li:
+            raise VerificationBug("functional does not reproduce lambda")
+    q = D * e
+    return tuple(Fraction(s * p, q) for p in P)
 
 
 def functional_to_dependence(pair: GaleDualPair, alpha: Sequence[Scalar]):
@@ -367,16 +416,8 @@ def linear_change_of_basis(src_points, dst_points):
     if any(len(p) != m for p in dst_points):
         return None
     S = ExactMatrix.from_columns(list(src_points))
-    # pick a spanning subset of source columns deterministically
-    chosen = []
-    for j in range(len(src_points)):
-        trial = chosen + [j]
-        sub = ExactMatrix.from_columns([src_points[k] for k in trial],
-                                       S.conductor)
-        if sub.rank() == len(trial):
-            chosen.append(j)
-        if len(chosen) == m:
-            break
+    # the first spanning subset of source columns, deterministically
+    chosen = S.pivot_columns()
     if len(chosen) < m:
         return None
     Ssub = ExactMatrix.from_columns([src_points[k] for k in chosen], S.conductor)

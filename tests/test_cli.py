@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fandist.cli import build_parser, main
+from fandist.exactnum import Cyclotomic
 from fandist.galedual import PointConfig
 from fandist.genpos import (
     SGP_GATE,
@@ -142,6 +143,17 @@ class TestSearchCommands:
         # missing second fan is a precondition failure
         assert main(["verify-fan", "--input", str(dual), "--fan", str(p1),
                      "--mode", "two-fan"]) == 2
+
+    def test_verify_real_fan_on_complex_points(self, tmp_path):
+        # a user error (exit 2), not a crash
+        fan, cfg = tmp_path / "fan.json", tmp_path / "x.json"
+        fan.write_text(json.dumps({"kind": "real", "r": 3, "dim": 1,
+                                   "normals": [["1"], ["-1"], ["0"]],
+                                   "offsets": ["1", "0", "-1"]}))
+        cfg.write_text(json.dumps(PointConfig(
+            1, [[Cyclotomic(4, [1, 1])], [Cyclotomic(4, [2])]], 4).to_json()))
+        assert main(["verify-fan", "--input", str(cfg),
+                     "--fan", str(fan)]) == 2
 
     def test_pierce_requires_valid_certificate(self, tmp_path, config_file):
         fam = SetFamily(7, [[0], [1], [2]])

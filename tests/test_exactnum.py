@@ -15,6 +15,7 @@ from fandist.exactnum import (
     ExactMatrix,
     FieldMismatch,
     Positivity,
+    _clear,
     _field_data,
     conj,
     cyclotomic_poly,
@@ -407,6 +408,23 @@ def field_pairs(draw):
 
 
 @st.composite
+def shaped_elements(draw, N):
+    """Zero, rational or general elements of Q(zeta_N), about equally."""
+    shape = draw(st.sampled_from(("zero", "rational", "general")))
+    if shape == "zero":
+        return Cyclotomic(N, [])
+    if shape == "rational":
+        return Cyclotomic(N, [draw(fractions)])
+    return draw(elements(N))
+
+
+@st.composite
+def shaped_pairs(draw):
+    N = draw(st.sampled_from(CONDUCTORS))
+    return draw(shaped_elements(N)), draw(shaped_elements(N))
+
+
+@st.composite
 def matrices(draw):
     """Small matrices over Q (N is None) or Q(zeta_N), often rank-deficient.
 
@@ -438,6 +456,26 @@ class TestCyclotomicProperties:
     def test_mul_against_convolution(self, pair):
         a, b = pair
         assert (a * b).coeffs == mul_oracle(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shaped_pairs())
+    def test_mul_short_cuts_against_integer_convolution(self, pair):
+        # zero and rational operands skip the convolution; the product
+        # must equal the full integer one, on either side and with a bare
+        # int or Fraction operand
+        a, b = pair
+        x, dx = _clear(a.coeffs)
+        y, dy = _clear(b.coeffs)
+        full = Cyclotomic._from_int(a.N, _field_data(a.N).mul_int(x, y),
+                                    dx * dy)
+        assert (a * b).coeffs == full.coeffs
+        assert (b * a).coeffs == full.coeffs
+        if b.is_rational():
+            q = b.coeffs[0]
+            assert (a * q).coeffs == (q * a).coeffs == full.coeffs
+            if q.denominator == 1:
+                assert (a * int(q)).coeffs == full.coeffs
+        assert all(type(c) is F for c in (a * b).coeffs)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(CONDUCTORS).flatmap(

@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fandist.errors import MalformedFan, PreconditionError, VerificationBug
 from fandist.exactnum import Cyclotomic, ExactMatrix, Positivity, is_positive_rational
@@ -55,6 +58,133 @@ def random_proper_pair(seed, complex_field=False):
     if tup is None:
         return None
     return gale_transform(cfg), tup
+
+
+def classify_oracle(fan, x):
+    """RealFan classification in Fractions, from the public normals."""
+    vals = [sum((b * xi for b, xi in zip(v, x)), F(0)) - c
+            for v, c in zip(fan.normals, fan.offsets)]
+    nonzero = [j for j, v in enumerate(vals) if v]
+    if not nonzero:
+        return Classification(CENTER)
+    for j in range(fan.r):
+        if all(k in (j, (j - 1) % fan.r) for k in nonzero) and vals[j] > 0:
+            return Classification(INTERIOR, j)
+    return Classification(OUTSIDE)
+
+
+fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def real_fans(draw):
+    """A RealFan read from JSON, offsets nonzero, entries with
+    denominators > 1 (each hyperplane scaled by its own positive q)."""
+    r = draw(st.integers(3, 4))
+    dim = draw(st.integers(2, 3))
+    small = st.integers(-3, 3)
+    normals = draw(st.lists(st.lists(small, min_size=dim, max_size=dim),
+                            min_size=r - 1, max_size=r - 1))
+    offsets = draw(st.lists(small, min_size=r - 1, max_size=r - 1))
+    normals.append([-sum(col) for col in zip(*normals)])
+    offsets.append(-sum(offsets))
+    assume(any(offsets))
+    scales = draw(st.lists(st.builds(F, st.integers(1, 5), st.integers(2, 7)),
+                           min_size=r, max_size=r))
+    obj = {"kind": "real", "r": r, "dim": dim,
+           "normals": [[str(q * x) for x in v]
+                       for q, v in zip(scales, normals)],
+           "offsets": [str(q * c) for q, c in zip(scales, offsets)]}
+    try:
+        return fan_from_json(obj)
+    except MalformedFan:
+        assume(False)
+
+
+@st.composite
+def fans_with_point(draw):
+    """A fan and a point with denominators > 1: free, or on the center,
+    or on the flat of one half-flat (all hyperplanes but j, j-1)."""
+    fan = draw(real_fans())
+    free = draw(st.lists(fracs, min_size=fan.dim, max_size=fan.dim))
+    kind = draw(st.sampled_from(("free", "center", "flat")))
+    x = free
+    if kind != "free":
+        j = draw(st.integers(0, fan.r - 1))
+        on = range(fan.r) if kind == "center" else \
+            [k for k in range(fan.r) if k not in (j, (j - 1) % fan.r)]
+        A = ExactMatrix([fan.normals[k] for k in on])
+        base = A.solve([fan.offsets[k] for k in on])
+        if base is not None:
+            x = list(base)
+            for u, t in zip(A.kernel_basis(), free):
+                x = [a + t * b for a, b in zip(x, u)]
+    assume(any(xi.denominator > 1 for xi in x))
+    return fan, tuple(x)
+
+
+class TestIntegerClassification:
+    @settings(max_examples=400, deadline=None)
+    @given(fans_with_point())
+    def test_against_fraction_oracle(self, case):
+        fan, x = case
+        assert fan.classify(x) == classify_oracle(fan, x)
+
+    def test_non_rational_coordinates_rejected(self):
+        fan = RealFan(3, 1, [[1], [-1], [0]], [1, 0, -1])
+        for x in ([Cyclotomic(4, [1, 1])], [Cyclotomic(4, [2])], [0.5]):
+            with pytest.raises(PreconditionError, match="rational points"):
+                fan.classify(x)
+
+    def test_hand_fan_with_offsets(self):
+        # normalizes to normals (1, 0), (0, 1), (-1, -1), offsets 1, -1, 0
+        fan = fan_from_json({"kind": "real", "r": 3, "dim": 2,
+                             "normals": [["1/2", "0"], ["0", "1/3"],
+                                         ["-1", "-1"]],
+                             "offsets": ["1/2", "-1/3", "0"]})
+        assert fan.offsets != (0, 0, 0)
+        for x, want in [((F(1), F(-1)), Classification(CENTER)),
+                        ((F(5, 2), F(-1)), Classification(INTERIOR, 0)),
+                        ((F(-3, 2), F(3, 2)), Classification(INTERIOR, 1)),
+                        ((F(1), F(-5, 3)), Classification(INTERIOR, 2)),
+                        ((F(5, 2), F(3, 2)), Classification(OUTSIDE))]:
+            assert fan.classify(x) == classify_oracle(fan, x) == want
+
+
+@st.composite
+def complex_fans(draw):
+    N = draw(st.sampled_from((3, 4, 8, 12)))
+    r = draw(st.sampled_from([k for k in range(2, N + 1) if N % k == 0]))
+    dim = draw(st.integers(1, 3))
+    elem = st.lists(fracs, max_size=6).map(lambda cs: Cyclotomic(N, cs))
+    alpha = draw(st.lists(elem, min_size=dim, max_size=dim))
+    assume(not all(a.is_zero() for a in alpha))
+    return ComplexFan(r, N, alpha, draw(elem))
+
+
+class TestFanJsonRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(real_fans())
+    def test_real(self, fan):
+        obj = fan.to_json()
+        back = fan_from_json(json.loads(json.dumps(obj)))
+        assert isinstance(back, RealFan)
+        assert back.normals == fan.normals and back.offsets == fan.offsets
+        assert back.to_json() == obj
+        assert fan_from_json(back.to_json()).to_json() == obj
+
+    @settings(max_examples=150, deadline=None)
+    @given(complex_fans())
+    def test_complex(self, fan):
+        obj = fan.to_json()
+        back = fan_from_json(json.loads(json.dumps(obj)))
+        assert isinstance(back, ComplexFan)
+        assert (back.r, back.N) == (fan.r, fan.N)
+        assert [a.coeffs for a in back.alpha] == \
+            [a.coeffs for a in fan.alpha]
+        assert back.beta.coeffs == fan.beta.coeffs
+        assert back.to_json() == obj
+        assert fan_from_json(back.to_json()).to_json() == obj
 
 
 class TestRealFanGeometry:

@@ -1,14 +1,18 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fandist.errors import (
     NonzeroSum,
     NotADependence,
     NotAffinelySpanning,
     NotSpanning,
+    VerificationBug,
     ZeroFunctional,
 )
 from fandist.exactnum import Cyclotomic, ExactMatrix
@@ -49,6 +53,57 @@ def radon_partition_oracle(points):
                                                   [left, right])):
                 hits.append((left, right))
     return hits
+
+
+fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+
+
+def dependence_of(pair, c):
+    """lambda = B^T c, the dependence whose functional is c."""
+    return pair.basis_matrix.transpose().mul_vec(c)
+
+
+@st.composite
+def rational_bridges(draw):
+    """(pair, c): the pipeline's Gale pair of a lifted, augmented rational
+    configuration whose dual has denominators > 1, and a nonzero c."""
+    D = draw(st.integers(1, 3))
+    n = draw(st.integers(D + 2, D + 5))
+    pts = draw(st.lists(st.lists(fracs, min_size=D, max_size=D),
+                        min_size=n, max_size=n))
+    assume(any(c.denominator > 1 for p in pts for c in p))
+    cfg = PointConfig(D, pts)
+    assume(cfg.affinely_spanning())
+    pair = gale_pair_from_dual(lift_augment(cfg))
+    c = draw(st.lists(fracs, min_size=pair.dual.dim,
+                      max_size=pair.dual.dim))
+    assume(any(c))
+    return pair, tuple(c)
+
+
+def rank_oracle(columns):
+    """Rank by plain Fraction elimination, independent of the library."""
+    rows = [list(col) for col in columns]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def greedy_columns(columns):
+    """Add each column that raises the rank, left to right."""
+    chosen = []
+    for j in range(len(columns)):
+        if rank_oracle([columns[k] for k in chosen + [j]]) > len(chosen):
+            chosen.append(j)
+    return chosen
 
 
 class TestGaleTransform:
@@ -233,6 +288,43 @@ class TestBridge:
             back = functional_to_dependence(pair, alpha)
             assert tuple(back) == tuple(lam)
 
+    @settings(max_examples=150, deadline=None)
+    @given(rational_bridges())
+    def test_left_inverse_matches_solve(self, case):
+        pair, c = case
+        lam = dependence_of(pair, c)
+        alpha = dependence_to_functional(pair, lam)
+        assert alpha == pair.basis_matrix.transpose().solve(lam) == c
+        assert all(type(a) is F for a in alpha)
+
+    def test_rational_bridge_makes_no_solve(self, monkeypatch):
+        pair = gale_pair_from_dual(lift_augment(random_spanning(7, 3, 5)))
+        c = tuple(F(k + 1, 3) for k in range(pair.dual.dim))
+
+        def no_solve(*args):
+            raise AssertionError("ExactMatrix.solve called")
+
+        monkeypatch.setattr(ExactMatrix, "solve", no_solve)
+        assert dependence_to_functional(pair, dependence_of(pair, c)) == c
+
+    def test_perturbed_left_inverse_fails_postcondition(self, monkeypatch):
+        pair = gale_pair_from_dual(lift_augment(random_spanning(7, 3, 6)))
+        c = tuple(F(k + 1, 3) for k in range(pair.dual.dim))
+        lam = dependence_of(pair, c)
+        s, G, S, L, D = pair._left_inverse
+        assert dependence_to_functional(pair, lam) == c
+        cells = [(k, j) for k in range(len(L)) for j in range(len(S))
+                 if lam[S[j]]]
+        assert cells
+        for k, j in cells:
+            bad = [list(row) for row in L]
+            bad[k][j] += 1
+            monkeypatch.setitem(pair.__dict__, "_left_inverse",
+                                (s, G, S, bad, D))
+            with pytest.raises(VerificationBug,
+                               match="does not reproduce lambda"):
+                dependence_to_functional(pair, lam)
+
     def test_complex_bridge(self):
         i = Cyclotomic.root_of_unity(4)
         one = Cyclotomic.from_rational(4, 1)
@@ -244,7 +336,63 @@ class TestBridge:
         assert tuple(back) == tuple(alpha)
 
 
+class TestFirstIndependentColumns:
+    def test_dependent_leading_columns(self):
+        v, w, u = (F(1, 2), F(-1), F(3)), (F(0), F(2, 3), F(1)), \
+            (F(5), F(0), F(0))
+        cols = [v, tuple(2 * x for x in v), (F(0),) * 3, w,
+                tuple(a + b for a, b in zip(v, w)), u, w]
+        assert ExactMatrix.from_columns(cols).pivot_columns() == \
+            greedy_columns(cols) == [0, 3, 5]
+        # the change of basis built on that choice is the one that maps
+        T0 = ExactMatrix([[1, 2, 0], [0, 1, 0], [3, 0, -1]])
+        dst = [T0.mul_vec(p) for p in cols]
+        assert linear_change_of_basis(cols, dst) == T0
+
+    def test_cyclotomic_dependent_leading_columns(self):
+        i = Cyclotomic.root_of_unity(4)
+        zero, one = Cyclotomic(4, []), Cyclotomic(4, [1])
+        cols = [(one, i), (i, -one), (zero, zero), (one, one)]
+        # (i, -1) = i (1, i), so the second column adds nothing
+        assert ExactMatrix.from_columns(cols).pivot_columns() == [0, 3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-2, 2).map(F), min_size=m, max_size=m),
+        min_size=1, max_size=6)))
+    def test_pivot_columns_are_greedy(self, cols):
+        assert ExactMatrix.from_columns(cols).pivot_columns() == \
+            greedy_columns(cols)
+
+
+@st.composite
+def point_configs(draw):
+    N = draw(st.sampled_from([None, 3, 4, 8]))
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    coord = fracs if N is None else st.lists(fracs, max_size=6).map(
+        lambda cs: Cyclotomic(N, cs))
+    pts = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                        min_size=n, max_size=n))
+    coloring = draw(st.none() | st.lists(st.integers(0, 2), min_size=n,
+                                         max_size=n))
+    return PointConfig(dim, pts, N, coloring)
+
+
 class TestPointConfigJson:
+    @settings(max_examples=150, deadline=None)
+    @given(point_configs())
+    def test_json_round_trip_property(self, cfg):
+        obj = cfg.to_json()
+        back = PointConfig.from_json(json.loads(json.dumps(obj)))
+        assert back == cfg
+        assert back.points == cfg.points
+        assert back.conductor == cfg.conductor
+        assert back.coloring == cfg.coloring
+        assert back.to_json() == obj
+        assert PointConfig.from_json(back.to_json()).to_json() == obj
+
+
     def test_rational_round_trip(self):
         cfg = PointConfig(2, [[F(1, 2), F(-3)], [F(0), F(7, 5)]],
                           coloring=[0, 1])

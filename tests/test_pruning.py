@@ -181,6 +181,7 @@ def pruned_by_oracle(points, parts):
                for lam in (coordinates(points, p, x) for p in parts))
 
 
+@pytest.mark.slow
 @settings(max_examples=150, deadline=None)
 @given(search_cases())
 def test_pruned_search_matches_oracle(case):

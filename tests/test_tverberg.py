@@ -337,6 +337,7 @@ def two_tuple_cases(draw):
         cell_ok
 
 
+@pytest.mark.slow
 @settings(max_examples=60, deadline=None)
 @given(two_tuple_cases())
 def test_join_matches_collect_then_scan(case):
