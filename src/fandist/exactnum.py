@@ -553,6 +553,27 @@ def _back_eliminate(M, pivots):
                                     for a, b in zip(M[q], M[pr])])
 
 
+def _left_inverse_int(A, ncols):
+    """An integer left inverse of A, whose rows are integer lists of ncols.
+
+    Returns (L, D), an ncols x len(A) integer matrix and D > 0 with
+    L A = D I, or None when A has rank below ncols.  Fraction-free
+    elimination of [A | I] gives row operations E with E A zero off its
+    diagonal, so A x = b reads (E A)_kk x_k = E_k b; each row of E is
+    scaled to D, the lcm of that diagonal.
+    """
+    m = len(A)
+    M = [list(row) + [int(j == k) for j in range(m)]
+         for k, row in enumerate(A)]
+    pivots = _eliminate_int(M, ncols)
+    if len(pivots) < ncols:
+        return None
+    _back_eliminate(M, pivots)
+    D = lcm(*(M[k][k] for k in range(ncols)))
+    return [[x * (D // M[k][k]) for x in M[k][ncols:]]
+            for k in range(ncols)], D
+
+
 # --------------------------------------------------------------------------
 # exact matrices
 

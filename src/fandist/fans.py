@@ -92,12 +92,11 @@ class Classification:
 class RealFan:
     """r half-flats of codimension r-2 about a codimension r-1 center.
 
-    The normalized normals and offsets are integers; they are kept as
-    ``int`` tuples too, and points are classified in integers.
+    The normals and offsets are normalized to integers with content 1
+    and kept as ``int`` tuples; points are classified in integers.
     """
 
-    __slots__ = ("r", "dim", "normals", "offsets", "normalized",
-                 "_int_normals", "_int_offsets")
+    __slots__ = ("r", "dim", "normals", "offsets")
 
     def __init__(self, r: int, dim: int,
                  normals: Sequence[Sequence[Fraction]],
@@ -134,17 +133,14 @@ class RealFan:
         if lam != 1:
             normals = [tuple(lam * x for x in v) for v in normals]
             offsets = [lam * c for c in offsets]
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "normals", tuple(normals))
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "normalized", True)
         if any(x.denominator != 1 for x in offsets) or any(
                 x.denominator != 1 for v in normals for x in v):
             raise VerificationBug("normalized fan is not integral")
-        object.__setattr__(self, "_int_normals", tuple(
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "normals", tuple(
             tuple(x.numerator for x in v) for v in normals))
-        object.__setattr__(self, "_int_offsets",
+        object.__setattr__(self, "offsets",
                            tuple(c.numerator for c in offsets))
 
     def __setattr__(self, *a):
@@ -169,7 +165,7 @@ class RealFan:
                 "real fans classify rational points") from None
         X = [xi.numerator * (D // xi.denominator) for xi in x]
         vals = [sum(a * b for a, b in zip(v, X)) - c * D
-                for v, c in zip(self._int_normals, self._int_offsets)]
+                for v, c in zip(self.normals, self.offsets)]
         nonzero = [j for j, v in enumerate(vals) if v != 0]
         if not nonzero:
             return Classification(CENTER)
@@ -186,7 +182,7 @@ class RealFan:
             "dim": self.dim,
             "normals": [[str(x) for x in v] for v in self.normals],
             "offsets": [str(c) for c in self.offsets],
-            "normalized": self.normalized,
+            "normalized": True,
         }
 
     @classmethod

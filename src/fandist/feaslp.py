@@ -7,9 +7,10 @@ feasible region is compact (part sums are pinned to one), so the maximum
 is attained and the decision is the exact sign of the optimum.
 
 Systems are assembled on an integer grid and classified by fraction-free
-elimination.  Its kernel (``_eliminate_int``, ``_back_eliminate``) lives
-in :mod:`fandist.exactnum` and also serves the hull flats and
-barycentric maps here.  A unique solution is checked for positivity.  A
+elimination.  Its kernel (``_eliminate_int``, ``_back_eliminate`` and
+the integer left inverse ``_left_inverse_int``) lives in
+:mod:`fandist.exactnum` and also serves the hull flats and barycentric
+maps here.  A unique solution is checked for positivity.  A
 system with one free weight (nullity one) is decided in closed form in
 integers: each weight is a line in the free weight, and the optimum is
 the least constant line or crossing of a rising with a falling line.
@@ -24,11 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from fandist.errors import PreconditionError, VerificationBug
-from fandist.exactnum import _back_eliminate, _eliminate_int, _field_data
+from fandist.exactnum import (
+    _back_eliminate,
+    _eliminate_int,
+    _field_data,
+    _left_inverse_int,
+)
 from fandist.galedual import PointConfig
 
 __all__ = [
@@ -311,21 +317,13 @@ def barycentric_map(grid, part) -> Optional[tuple[list[list[int]], int]]:
     Returns None when the points are affinely dependent (repeated points
     included): their coordinates are not unique.
 
-    Fraction-free elimination of [B | I], B with columns [a_i | 1], gives
-    row operations E with E B zero off its diagonal, so row k reads
-    (E B)_kk lam_k = E_k [x | 1].
+    L / D is the integer left inverse of B, the matrix with columns
+    [a_i | 1], since B lam = [x | 1].
     """
-    s = len(part)
     dim = len(grid[part[0]])
-    M = [[grid[i][c] for i in part] + [int(j == c) for j in range(dim + 1)]
-         for c in range(dim)]
-    M.append([1] * s + [0] * dim + [1])
-    pivots = _eliminate_int(M, s)
-    if len(pivots) < s:
-        return None
-    _back_eliminate(M, pivots)
-    D = lcm(*(M[k][k] for k in range(s)))
-    return [[x * (D // M[k][k]) for x in M[k][s:]] for k in range(s)], D
+    B = [[grid[i][c] for i in part] for c in range(dim)]
+    B.append([1] * len(part))
+    return _left_inverse_int(B, len(part))
 
 
 # --------------------------------------------------------------------------

@@ -28,9 +28,8 @@ from fandist.exactnum import (
     ExactMatrix,
     FieldMismatch,
     Scalar,
-    _back_eliminate,
     _clear,
-    _eliminate_int,
+    _left_inverse_int,
     conj,
     hermitian_dot,
     scalar_from_json,
@@ -216,11 +215,7 @@ class GaleDualPair:
         S = ExactMatrix.from_columns(pts).pivot_columns()
         if len(S) != m:
             raise VerificationBug("dual points must span the dual space")
-        # fraction-free elimination of [G_S^T | I] leaves E G_S^T diagonal
-        M = [G[i] + [int(j == k) for j in range(m)] for k, i in enumerate(S)]
-        _back_eliminate(M, _eliminate_int(M, m))
-        D = lcm(*(M[k][k] for k in range(m)))
-        L = [[x * (D // M[k][k]) for x in M[k][m:]] for k in range(m)]
+        L, D = _left_inverse_int([G[i] for i in S], m)
         return s, G, S, L, D
 
     def validate(self) -> None:

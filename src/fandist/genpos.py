@@ -28,7 +28,7 @@ from fandist.errors import (
     SizeGateExceeded,
     VerificationBug,
 )
-from fandist.exactnum import Cyclotomic, ExactMatrix
+from fandist.exactnum import Cyclotomic
 from fandist.feaslp import Flat, affine_hull, integer_grid
 from fandist.galedual import (
     PointConfig,
@@ -66,7 +66,6 @@ class SgpReport:
     verdict: bool
     n: int
     dim: int
-    max_parts: int
     violating_parts: Optional[tuple] = None
     intersection_codim: Optional[int] = None
     codim_sum: Optional[int] = None
@@ -74,7 +73,7 @@ class SgpReport:
 
     def to_json(self) -> dict:
         out = {"verdict": "pass" if self.verdict else "fail",
-               "n": self.n, "dim": self.dim, "max_parts": self.max_parts}
+               "n": self.n, "dim": self.dim, "max_parts": self.n}
         if not self.verdict:
             out["violating_parts"] = [list(p) for p in
                                       (self.violating_parts or ())]
@@ -84,31 +83,17 @@ class SgpReport:
         return out
 
 
-def _affine_constraints(config: PointConfig, part) -> list[tuple]:
-    """Rows (u, u0) with u.a_i + u0 = 0 for all i in the part.
-
-    These are the equations of ``affine_hull`` (found on the integer
-    grid), with u0 taken at the part's first point in the original
-    coordinates, for re-checking a report without the grid.
-    """
-    hull = affine_hull(integer_grid(config.points), part)
-    first = config.points[part[0]]
-    return [tuple(row[:-1]) + (-sum(u * x for u, x in zip(row, first)),)
-            for row in hull.rows]
-
-
-def _ordinary_general_position(config: PointConfig):
-    d, n = config.dim, config.n
-    k = min(n, d + 1)
-    for sub in combinations(range(n), k):
-        rows = [list(config.points[i]) + [Fraction(1)] for i in sub]
-        if ExactMatrix(rows).rank() != k:
+def _ordinary_general_position(grid, d: int):
+    """The first k = min(n, d+1) of the grid points that are affinely
+    dependent (their hull's codim exceeds d+1-k), or None."""
+    k = min(len(grid), d + 1)
+    for sub in combinations(range(len(grid)), k):
+        if k and affine_hull(grid, sub).codim != d + 1 - k:
             return sub
     return None
 
 
-def check_sgp(config: PointConfig, max_parts: Optional[int] = None,
-              gate: int = SGP_GATE) -> SgpReport:
+def check_sgp(config: PointConfig, gate: int = SGP_GATE) -> SgpReport:
     """Exhaustive strong-general-position check by exact elimination.
 
     Each part's affine hull is cut out by integer equation rows on the
@@ -117,64 +102,61 @@ def check_sgp(config: PointConfig, max_parts: Optional[int] = None,
 
     Only parts of size at most d are enumerated: once ordinary general
     position holds, any larger part has full affine hull (codimension
-    zero) and drops out of the equation.
+    zero) and drops out of the equation.  Tuples of r = 2, 3, ... parts
+    are walked in turn, parts in increasing minima, each level by one
+    recursion that carries the meet of the parts chosen so far and their
+    codimension sum.  A prefix of p >= 2 parts is itself a tuple that
+    level p checked and passed, so a prefix whose sum exceeds d has an
+    empty meet, as has every extension: that subtree is skipped.
     """
     if config.conductor is not None:
         raise PreconditionError("strong general position is checked over Q")
     n, d = config.n, config.dim
     if n > gate:
         raise SizeGateExceeded(f"n={n} above the SGP gate {gate}")
-    if max_parts is None:
-        max_parts = n
-    bad = _ordinary_general_position(config)
+    grid = integer_grid(config.points)
+    bad = _ordinary_general_position(grid, d)
     if bad is not None:
-        return SgpReport(False, n, d, max_parts, (tuple(bad),), None, None,
+        return SgpReport(False, n, d, (bad,), None, None,
                          "ordinary general position fails")
 
-    grid = integer_grid(config.points)
     hulls: dict[tuple, Flat] = {}
 
-    def hull(part):
-        if part not in hulls:
-            hulls[part] = affine_hull(grid, part)
-        return hulls[part]
-
-    def tuples_of_parts(avail, r, prev_min):
-        if r == 0:
-            yield ()
-            return
+    def violation(avail, left, flat, csum, chosen):
+        # the first violating tuple of the chosen parts and `left` more
+        # from avail; one part alone has codim at most d, so the first
+        # part is never pruned
         for size in range(1, d + 1):
             for part in combinations(avail, size):
-                if prev_min is not None and part[0] <= prev_min:
-                    continue
-                rest = [i for i in avail if i not in part]
-                for others in tuples_of_parts(rest, r - 1, part[0]):
-                    yield (part,) + others
+                h = hulls.get(part)
+                if h is None:
+                    h = hulls[part] = affine_hull(grid, part)
+                total = csum + h.codim
+                if left == 1:
+                    added = flat.added_rank(h)
+                    if added is None:
+                        if total <= d:
+                            return SgpReport(
+                                False, n, d, chosen + (part,), d + 1, total,
+                                "empty intersection below codim budget")
+                    elif flat.codim + added != total:
+                        return SgpReport(False, n, d, chosen + (part,),
+                                         flat.codim + added, total,
+                                         "codimension equation fails")
+                elif total <= d:
+                    rest = [i for i in avail if i > part[0] and i not in part]
+                    found = violation(rest, left - 1, flat.meet(h), total,
+                                      chosen + (part,))
+                    if found is not None:
+                        return found
+        return None
 
-    for r in range(2, max_parts + 1):
-        if r > n:
-            break
-        for parts in tuples_of_parts(list(range(n)), r, None):
-            part_hulls = [hull(part) for part in parts]
-            csum = sum(h.codim for h in part_hulls)
-            if not csum:
-                continue  # all parts full-dimensional: intersection is K^d
-            flat = part_hulls[0]
-            for h in part_hulls[1:]:
-                flat = flat.meet(h)
-                if flat is None:
-                    break
-            if flat is not None:
-                if flat.codim != csum:
-                    return SgpReport(False, n, d, max_parts, parts,
-                                     flat.codim, csum,
-                                     "codimension equation fails")
-            else:
-                if csum <= d:
-                    return SgpReport(False, n, d, max_parts, parts,
-                                     d + 1, csum,
-                                     "empty intersection below codim budget")
-    return SgpReport(True, n, d, max_parts)
+    whole = Flat.from_rows([], d)
+    for r in range(2, n + 1):
+        found = violation(list(range(n)), r, whole, 0, ())
+        if found is not None:
+            return found
+    return SgpReport(True, n, d)
 
 
 def corresponding_primal(config: PointConfig) -> PointConfig:
@@ -309,7 +291,8 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
                 sample, verified = cand, True
                 break
         else:
-            if _ordinary_general_position(cand) is None:
+            if _ordinary_general_position(integer_grid(cand.points),
+                                          ambient) is None:
                 sample, verified = cand, False
                 break
     if sample is None:

@@ -202,8 +202,7 @@ def _build_fan(pair, X, tup):
 
 
 def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
-                lp_gate: int, typicality_gate: int, family=None
-                ) -> Optional[PipelineResult]:
+                lp_gate: int, family=None) -> Optional[PipelineResult]:
     """Prepare, plan, search and finish one single-fan run.
 
     Real fans need r >= 3; that is checked once, before planning.
@@ -232,8 +231,8 @@ def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
             f"verification failed: {report.failures}")
 
     typical = None
-    if X.conductor is None and X.n <= typicality_gate:
-        typical = is_typical(X, gate=typicality_gate)
+    if X.conductor is None and X.n <= SGP_GATE:
+        typical = is_typical(X)
         if typical and not robustness_check(report, r, d, False):
             raise VerificationBug(
                 "typical input violates the interior-occupancy bound")
@@ -249,8 +248,7 @@ def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
 
 
 def equidistribute(X: PointConfig, r: int, *,
-                   lp_gate: int = DEFAULT_LP_GATE,
-                   typicality_gate: int = SGP_GATE
+                   lp_gate: int = DEFAULT_LP_GATE
                    ) -> Optional[PipelineResult]:
     """Equidistributing r-fan for an m-colored configuration, or None.
 
@@ -276,13 +274,12 @@ def equidistribute(X: PointConfig, r: int, *,
             caps, list(coloring) + [0])
 
     return _single_fan("equidistribute", "equidistribution", plan, X, r,
-                       lp_gate=lp_gate, typicality_gate=typicality_gate)
+                       lp_gate=lp_gate)
 
 
 def pierce(X: PointConfig, family: SetFamily,
            certificate: ColoringCertificate, r: int, *,
-           lp_gate: int = DEFAULT_LP_GATE,
-           typicality_gate: int = SGP_GATE) -> Optional[PipelineResult]:
+           lp_gate: int = DEFAULT_LP_GATE) -> Optional[PipelineResult]:
     """Distributing fan whose closed half-flats pierce every family member."""
     if certificate.family != family or certificate.r != r:
         raise PreconditionError("certificate must cover this family and r")
@@ -304,11 +301,11 @@ def pierce(X: PointConfig, family: SetFamily,
         return m, guaranteed, SearchConstraint.family_avoid(family)
 
     return _single_fan("pierce", "piercing", plan, X, r, lp_gate=lp_gate,
-                       typicality_gate=typicality_gate, family=family)
+                       family=family)
 
 
-def rainbow(X: PointConfig, r: int, *, lp_gate: int = DEFAULT_LP_GATE,
-            typicality_gate: int = SGP_GATE) -> Optional[PipelineResult]:
+def rainbow(X: PointConfig, r: int, *, lp_gate: int = DEFAULT_LP_GATE
+            ) -> Optional[PipelineResult]:
     """Rainbow-distributing fan: at most one point per class per interior."""
     if X.coloring is None:
         raise PreconditionError("rainbow mode needs a coloring")
@@ -349,8 +346,7 @@ def rainbow(X: PointConfig, r: int, *, lp_gate: int = DEFAULT_LP_GATE,
         return m, guaranteed, SearchConstraint.rainbow(
             list(X.coloring) + [m])
 
-    return _single_fan("rainbow", "rainbow", plan, X, r, lp_gate=lp_gate,
-                       typicality_gate=typicality_gate)
+    return _single_fan("rainbow", "rainbow", plan, X, r, lp_gate=lp_gate)
 
 
 def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",

@@ -1,10 +1,16 @@
 import random
+from collections import namedtuple
 from fractions import Fraction as F
+from itertools import combinations
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fandist.errors import PreconditionError, SizeGateExceeded
 from fandist.exactnum import ExactMatrix
+from fandist.feaslp import Flat, affine_hull, integer_grid
 from fandist.galedual import PointConfig, gale_transform
 from fandist.genpos import (
     build_counterexample,
@@ -43,16 +49,18 @@ class TestCheckSgp:
         assert rep.reason == "empty intersection below codim budget"
         parts = rep.violating_parts
         assert rep.codim_sum == 2 and rep.intersection_codim == 3
-        # re-verify the witness: recompute the affine hulls' constraint
-        # ranks and the (in)consistency of the stacked system
-        from fandist.genpos import _affine_constraints
+        # re-verify the witness on the integer grid (a uniform scaling
+        # keeps every rank and every emptiness fact): recompute the affine
+        # hulls' constraint ranks and the (in)consistency of the stacked
+        # system
+        grid = integer_grid(cfg.points)
         rows, rhs, csum = [], [], 0
         for part in parts:
-            kb = _affine_constraints(cfg, part)
-            csum += len(kb)
-            for vec in kb:
+            eqs = affine_hull(grid, part).rows
+            csum += len(eqs)
+            for vec in eqs:
                 rows.append(list(vec[:2]))
-                rhs.append(-vec[2])
+                rhs.append(vec[2])
         assert csum == rep.codim_sum
         E = ExactMatrix(rows)
         aug = ExactMatrix([r + [b] for r, b in zip(rows, rhs)])
@@ -67,6 +75,140 @@ class TestCheckSgp:
         cfg = random_config(4, 1, field=4, seed=0)
         with pytest.raises(PreconditionError):
             check_sgp(cfg)
+
+
+# The strong-general-position check as it stood before the prefix
+# recursion, kept as an oracle: verbatim except that it returns the
+# _Report tuple below (the removed max_parts field included).
+_Report = namedtuple("_Report", "verdict n dim max_parts violating_parts "
+                     "intersection_codim codim_sum reason",
+                     defaults=(None, None, None, ""))
+
+
+def _ordinary_general_position(config: PointConfig):
+    d, n = config.dim, config.n
+    k = min(n, d + 1)
+    for sub in combinations(range(n), k):
+        rows = [list(config.points[i]) + [F(1)] for i in sub]
+        if ExactMatrix(rows).rank() != k:
+            return sub
+    return None
+
+
+def reference_check_sgp(config: PointConfig,
+                        max_parts: Optional[int] = None) -> _Report:
+    n, d = config.n, config.dim
+    if max_parts is None:
+        max_parts = n
+    bad = _ordinary_general_position(config)
+    if bad is not None:
+        return _Report(False, n, d, max_parts, (tuple(bad),), None, None,
+                       "ordinary general position fails")
+
+    grid = integer_grid(config.points)
+    hulls: dict[tuple, Flat] = {}
+
+    def hull(part):
+        if part not in hulls:
+            hulls[part] = affine_hull(grid, part)
+        return hulls[part]
+
+    def tuples_of_parts(avail, r, prev_min):
+        if r == 0:
+            yield ()
+            return
+        for size in range(1, d + 1):
+            for part in combinations(avail, size):
+                if prev_min is not None and part[0] <= prev_min:
+                    continue
+                rest = [i for i in avail if i not in part]
+                for others in tuples_of_parts(rest, r - 1, part[0]):
+                    yield (part,) + others
+
+    for r in range(2, max_parts + 1):
+        if r > n:
+            break
+        for parts in tuples_of_parts(list(range(n)), r, None):
+            part_hulls = [hull(part) for part in parts]
+            csum = sum(h.codim for h in part_hulls)
+            if not csum:
+                continue  # all parts full-dimensional: intersection is K^d
+            flat = part_hulls[0]
+            for h in part_hulls[1:]:
+                flat = flat.meet(h)
+                if flat is None:
+                    break
+            if flat is not None:
+                if flat.codim != csum:
+                    return _Report(False, n, d, max_parts, parts,
+                                   flat.codim, csum,
+                                   "codimension equation fails")
+            else:
+                if csum <= d:
+                    return _Report(False, n, d, max_parts, parts,
+                                   d + 1, csum,
+                                   "empty intersection below codim budget")
+    return _Report(True, n, d, max_parts)
+
+
+def _grid_config(rng):
+    """n <= 8 integer points in [-k, k]^d, d <= 3, k small: repeats,
+    collinear triples and parallel hulls are common."""
+    d = rng.randint(1, 3)
+    n = rng.randint(d + 1, 8)
+    k = rng.choice([1, 2, 4])
+    return PointConfig(d, [[rng.randint(-k, k) for _ in range(d)]
+                           for _ in range(n)])
+
+
+def _segments_config(rng):
+    """Two to four point pairs in the plane whose segments all pass
+    through one common point c (q = c + s (c - p), s > 0), plus random
+    points, shuffled.  (In R^3 two such segments are coplanar, so
+    ordinary general position would always fail.)"""
+    c = [F(rng.randint(-2, 2)) for _ in range(2)]
+    pts = []
+    for _ in range(rng.randint(2, 4)):
+        p = c
+        while p == c:
+            p = [F(rng.randint(-9, 9)) for _ in range(2)]
+        s = F(rng.randint(1, 9), rng.randint(1, 9))
+        pts += [p, [ci + s * (ci - pi) for ci, pi in zip(c, p)]]
+    for _ in range(rng.randint(0, 8 - len(pts))):
+        pts.append([F(rng.randint(-9, 9), rng.randint(1, 3))
+                    for _ in range(2)])
+    rng.shuffle(pts)
+    return PointConfig(2, pts)
+
+
+def _assert_matches_reference(cfg):
+    rep, ref = check_sgp(cfg), reference_check_sgp(cfg)
+    assert (rep.verdict, rep.n, rep.dim, rep.violating_parts,
+            rep.intersection_codim, rep.codim_sum, rep.reason) == (
+        ref.verdict, ref.n, ref.dim, ref.violating_parts,
+        ref.intersection_codim, ref.codim_sum, ref.reason)
+    assert rep.to_json()["max_parts"] == ref.max_parts
+    return rep
+
+
+class TestSgpOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_matches_reference(self, rng, degenerate):
+        _assert_matches_reference(
+            (_segments_config if degenerate else _grid_config)(rng))
+
+    def test_every_outcome_matches_reference(self):
+        # seeded, so a pruning fault that changes any of these reports
+        # (pruning a prefix at codim sum >= d, say) fails every run
+        reasons = set()
+        for seed in range(100):
+            for build in (_grid_config, _segments_config):
+                rep = _assert_matches_reference(build(random.Random(seed)))
+                reasons.add(rep.reason)
+        assert reasons == {"", "ordinary general position fails",
+                           "empty intersection below codim budget",
+                           "codimension equation fails"}
 
 
 class TestCorrespondingPrimal:
