@@ -200,7 +200,7 @@ class Flat:
     in one linear combination.  No rows means the whole space.
     """
 
-    __slots__ = ("dim", "rows", "pivots", "lead", "_cols")
+    __slots__ = ("dim", "rows", "pivots", "lead", "_cols", "_residuals")
 
     def __init__(self, dim, rows, pivots, lead):
         self.dim = dim
@@ -210,6 +210,7 @@ class Flat:
         taken = set(pivots)
         # the columns a reduced row can still be nonzero in, rhs last
         self._cols = [j for j in range(dim) if j not in taken] + [dim]
+        self._residuals = None  # residuals by point index, once used
 
     @property
     def codim(self) -> int:
@@ -232,6 +233,34 @@ class Flat:
         M = [[x * (lead // row[pc]) for x in row]
              for row, (_, pc) in zip(M, pivots)]
         return cls(dim, M, [pc for _, pc in pivots], lead)
+
+    @classmethod
+    def from_point(cls, x, lead) -> "Flat":
+        """The flat {x / lead}, for lead > 0 with gcd(lead, *x) = 1: the
+        rows ``from_rows`` gives for that point."""
+        dim = len(x)
+        rows = [[lead if j == k else 0 for j in range(dim)] + [x[k]]
+                for k in range(dim)]
+        return cls(dim, rows, list(range(dim)), lead)
+
+    def residuals(self, grid, part) -> list[list[int]]:
+        """For each point a = grid[i], i in the part, its residuals
+        u.a - c, one per row [u | c], on the grid the rows were built on.
+
+        Each point's residuals are computed once per flat.
+        """
+        cache = self._residuals
+        if cache is None:
+            cache = self._residuals = {}
+        out = []
+        for i in part:
+            res = cache.get(i)
+            if res is None:
+                a, dim = grid[i], self.dim
+                res = cache[i] = [sum(u * x for u, x in zip(row, a))
+                                  - row[dim] for row in self.rows]
+            out.append(res)
+        return out
 
     def point(self) -> Optional[list[int]]:
         """``lead`` times the flat's only point, or None when the flat is

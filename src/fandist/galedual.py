@@ -20,6 +20,7 @@ from fandist.errors import (
     NotADependence,
     NotAffinelySpanning,
     NotSpanning,
+    PreconditionError,
     VerificationBug,
     ZeroFunctional,
 )
@@ -164,9 +165,15 @@ class PointConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointConfig":
+        if not isinstance(obj, dict):
+            raise PreconditionError("a point configuration is a JSON object")
+        points = obj.get("points")
+        if not isinstance(points, list) or \
+                not all(isinstance(p, list) for p in points):
+            raise PreconditionError("points must be a list of lists")
         field = obj.get("field", "rational")
         conductor = None if field == "rational" else int(field["cyclotomic"])
-        pts = [[scalar_from_json(c) for c in p] for p in obj["points"]]
+        pts = [[scalar_from_json(c) for c in p] for p in points]
         if conductor is not None:
             pts = [[c if isinstance(c, Cyclotomic)
                     else Cyclotomic.from_rational(conductor, c) for c in p]

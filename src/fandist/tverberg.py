@@ -12,24 +12,30 @@ count per color class and no member of a forbidden family.
 
 A proper tuple needs a common point in the relative interiors of the
 convex hulls of its parts.  Searches over a point set therefore prune
-the stream by prefix: each part's hull equations are computed once on
-the solver's integer grid, and the flat where the affine hulls of the
-parts chosen so far meet is carried down the depth-first stream.  When
-that flat is empty, every candidate extending the prefix is skipped.
-When it is a single point x, every extension can only meet in x, and an
-affinely independent part has unique barycentric coordinates there; so
-the prefix is skipped when some such part has a coordinate <= 0, and
-each later part must hold x with positive coordinates.  Affinely
-dependent parts never prune.  The tests are exact and need no general
-position.  They remove only candidates that have no proper weights, so
-the first feasible candidate and every feasible one are unchanged; an
-emitted candidate with uniquely solvable weights is always proper.
+the stream by prefix: the flat where the affine hulls of the parts
+chosen so far meet is carried down the depth-first stream as integer
+equations on the solver's grid, and each new part is tested against it.
+A flat that is more than a point is tested through the new part's own
+points: affine weights on them whose combination lies on the flat solve
+one small integer system, built from the points' residuals against the
+flat's equations.  No weights mean an empty meet, and every candidate
+extending the prefix is skipped.  Unique weights make the part affinely
+independent and are its barycentric coordinates at the only meeting
+point x, so a weight <= 0 skips the prefix, and so does a coordinate
+<= 0 of an affinely independent part chosen earlier.  Otherwise the
+flat is met with the part's hull equations, computed once per part and
+search.  Once the flat is a point, every extension can only meet in it,
+and each later part must hold it, by its hull equations, with positive
+barycentric coordinates.  Affinely dependent parts never prune.  The
+tests are exact and need no general position.  They remove only
+candidates that have no proper weights, so the first feasible candidate
+and every feasible one are unchanged; an emitted candidate with uniquely
+solvable weights is always proper.
 
 Searches are exhaustive within a size gate that counts exact feasibility
 checks: every flat test of a part after the first and every weight-system
-solve counts one.  They
-run sequentially and return the first feasible candidate in stream
-order.
+solve counts one.  They run sequentially and return the first feasible
+candidate in stream order.
 
 The two-tuple search is a join.  It walks the canonical stream, and for
 each proper tuple I it walks a second stream pruned by I's cell
@@ -44,6 +50,7 @@ and scanning all pairs in order would return.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from fandist.errors import (
@@ -52,8 +59,10 @@ from fandist.errors import (
     SizeGateExceeded,
     VerificationBug,
 )
+from fandist.exactnum import _back_eliminate, _eliminate_int
 from fandist.feaslp import (
     ExactWeightSolver,
+    Flat,
     WeightWitness,
     affine_hull,
     barycentric_map,
@@ -195,12 +204,12 @@ class _PartHull:
     """One part's hull flat and, once a point flat needs it, its
     barycentric map (``feaslp.barycentric_map``, None if dependent)."""
 
-    __slots__ = ("flat", "_grid", "_part", "_bary")
+    __slots__ = ("flat", "grid", "part", "_bary")
 
     def __init__(self, grid, part):
         self.flat = affine_hull(grid, part)
-        self._grid = grid
-        self._part = tuple(part)
+        self.grid = grid
+        self.part = tuple(part)
         self._bary = self  # not computed yet
 
     def positive_at(self, x, lead) -> bool:
@@ -208,7 +217,7 @@ class _PartHull:
         coordinate of the point x / lead, which lies on its hull, is <= 0.
         """
         if self._bary is self:
-            self._bary = barycentric_map(self._grid, self._part)
+            self._bary = barycentric_map(self.grid, self.part)
         if self._bary is None:
             return True
         return all(sum(a * b for a, b in zip(row, x)) + row[-1] * lead > 0
@@ -223,16 +232,51 @@ class _PartHull:
 
 def _next_flat(flat, hull: _PartHull, chosen, last: bool):
     """The prefix flat once a part with this hull joins the chosen parts,
-    or None when no candidate extending the longer prefix is proper."""
+    or None when no candidate extending the longer prefix is proper.
+
+    A point flat is tested with ``_PartHull.holds``.  Any other flat with
+    equations is tested through the part J's points: J meets it where
+    affine weights mu on J's points have sum mu_j r_j = 0, r_j their
+    ``Flat.residuals``; with mu_0 = 1 - sum of the others, that is codim
+    rows in |J| - 1 unknowns.  Unique weights make J affinely independent,
+    with barycentric coordinates mu at the only meeting point.
+    """
     point = flat.point()
     if point is not None:
         return flat if hull.holds(point, flat.lead) else None
+    if flat.rows:
+        grid, part = hull.grid, hull.part
+        res = flat.residuals(grid, part)
+        n = len(part) - 1
+        M = [[r[k] - r0 for r in res[1:]] + [-r0]
+             for k, r0 in enumerate(res[0])]
+        pivots = _eliminate_int(M, n)
+        if any(row[n] for row in M[len(pivots):]):
+            return None  # the meet is empty
+        if len(pivots) == n:
+            # mu_j = w[j] / lead with lead > 0: column k holds mu_{k+1}
+            # = M[k][n] / M[k][k], and mu_0 is 1 - the others
+            _back_eliminate(M, pivots)
+            lead = lcm(*(M[k][k] for k in range(n)))
+            w = [M[k][n] * (lead // M[k][k]) for k in range(n)]
+            w.insert(0, lead - sum(w))
+            if min(w) <= 0:
+                return None
+            x = [sum(wk * grid[i][c] for wk, i in zip(w, part))
+                 for c in range(flat.dim)]
+            g = gcd(lead, *x)
+            lead, x = lead // g, [c // g for c in x]
+            if not all(h.positive_at(x, lead) for h in chosen):
+                return None
+            return Flat.from_point(x, lead)
+    # the meet is not empty: the flat is the whole space, or J's weights
+    # are not unique
     if last and flat.codim + hull.flat.codim < flat.dim:
         # the last part's flat is never met again and the meet cannot be
-        # a point: test only
-        return flat if flat.added_rank(hull.flat) is not None else None
+        # a point
+        return flat
     met = flat.meet(hull.flat)
-    point = None if met is None else met.point()
+    point = met.point()
     if point is not None and not all(h.positive_at(point, met.lead)
                                      for h in chosen + (hull,)):
         return None
@@ -249,14 +293,15 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
     """Part-tuples in lexicographic order of the sorted-parts sequence.
 
     A part takes an index only if ``constraint.may_add`` allows it.  With
-    a solver, candidates extending a prefix whose hull flat is empty, or
-    is a point where some affinely independent part has a barycentric
-    coordinate <= 0, are skipped; ``hulls`` caches each part's hull
-    record by its index mask and may be shared by streams over the same
-    solver.  With a gate, each flat test of a part after the first and
-    each emitted candidate (its solve comes next) counts one feasibility
-    check, and the stream raises SizeGateExceeded once the count passes
-    the gate.
+    a solver, each part after the first is tested against the prefix's
+    flat by ``_next_flat``; candidates extending a prefix whose flat is
+    empty, or is a point where some affinely independent part has a
+    barycentric coordinate <= 0, are skipped.  ``hulls`` caches each
+    part's hull record by its index mask and may be shared by streams
+    over the same solver.  With a gate, each flat test of a part after
+    the first and each emitted candidate (its solve comes next) counts
+    one feasibility check, and the stream raises SizeGateExceeded once
+    the count passes the gate.
     """
     idx = sorted(indices)
     if hulls is None:

@@ -87,6 +87,15 @@ class TestGenerateAndTransform:
     def test_missing_file_is_precondition(self, tmp_path):
         assert main(["gale", "--input", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("blob", [{"dim": 2, "points": 5}, []])
+    def test_malformed_config_is_precondition(self, tmp_path, capsys, blob):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        assert main(["equidistribute", "--input", str(path),
+                     "--r", "3"]) == 2
+        field = "points" if isinstance(blob, dict) else "object"
+        assert field in capsys.readouterr().err
+
 
 class TestSearchCommands:
     def test_tverberg_found(self, tmp_path, config_file):

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fandist import feaslp, tverberg
@@ -27,11 +27,16 @@ from fandist.feaslp import (
     integer_grid,
 )
 from fandist.galedual import PointConfig
-from fandist.genpos import build_counterexample, verify_no_equidistribution
-from fandist.kneser import SetFamily, bitmask
+from fandist.genpos import (
+    build_counterexample,
+    found_equidistributing_tuple,
+    verify_no_equidistribution,
+)
+from fandist.kneser import SetFamily, bitmask, threshold_caps
 from fandist.tverberg import (
     SearchConstraint,
     _candidate_stream,
+    _next_flat,
     enumerate_candidates,
     search_tuple,
 )
@@ -318,6 +323,97 @@ def test_ell_four_certification_needs_no_solve(monkeypatch):
     inst = build_counterexample(3, 2, 1, 0, 4, seed=1)
     assert verify_no_equidistribution(inst) is True
     assert calls == []
+
+
+def test_ell_four_certification_gate_pinned():
+    # one feasibility check per flat test: the stream makes 14,938 of them
+    inst = build_counterexample(3, 2, 1, 0, 4, seed=1)
+    assert found_equidistributing_tuple(inst, lp_gate=14938) is None
+    with pytest.raises(SizeGateExceeded):
+        found_equidistributing_tuple(inst, lp_gate=14937)
+
+
+# -- the flat test through a part's points against hull meets ----------------
+
+def hull_meet_next_flat(flat, hull, chosen, last):
+    """The stream's flat test by meets of the parts' hull flats: the
+    reference for ``tverberg._next_flat``."""
+    point = flat.point()
+    if point is not None:
+        return flat if hull.holds(point, flat.lead) else None
+    if last and flat.codim + hull.flat.codim < flat.dim:
+        # the last part's flat is never met again and the meet cannot be
+        # a point: test only
+        return flat if flat.added_rank(hull.flat) is not None else None
+    met = flat.meet(hull.flat)
+    point = None if met is None else met.point()
+    if point is not None and not all(h.positive_at(point, met.lead)
+                                     for h in chosen + (hull,)):
+        return None
+    return met
+
+
+def flat_point(flat):
+    x = flat.point()
+    return None if x is None else [F(c, flat.lead) for c in x]
+
+
+def drive(monkeypatch, next_flat, stream):
+    """(emitted candidates, feasibility checks) of the stream when it
+    tests each part with ``next_flat``: one check per test and per
+    emitted candidate."""
+    tests = 0
+
+    def spy(*args):
+        nonlocal tests
+        tests += 1
+        return next_flat(*args)
+
+    monkeypatch.setattr(tverberg, "_next_flat", spy)
+    emitted = list(stream())
+    return emitted, tests + len(emitted)
+
+
+def both_flat_tests(flat, hull, chosen, last):
+    got = _next_flat(flat, hull, chosen, last)
+    want = hull_meet_next_flat(flat, hull, chosen, last)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert flat_point(got) == flat_point(want)
+        # the same equations too, so every later test starts alike
+        assert (got.rows, got.pivots, got.lead) == \
+            (want.rows, want.pivots, want.lead)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@example(([[F(0), F(0)], [F(2), F(0)], [F(1), F(0)], [F(1), F(1)]], 2,
+          None, None, None, True))
+@given(search_cases())
+def test_flat_test_matches_hull_meets(case):
+    # in the example the part {2, 3} meets the line of {0, 1} at point 2,
+    # where its barycentric coordinates are (1, 0)
+    points, r, constraint, allowed, max_part_size, canonical = case
+    solver = ExactWeightSolver(points)
+    indices = range(len(points)) if allowed is None else allowed
+    def stream():
+        return _candidate_stream(indices, r, canonical, constraint,
+                                 max_part_size, solver)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        want = drive(monkeypatch, hull_meet_next_flat, stream)
+        assert drive(monkeypatch, both_flat_tests, stream) == want
+
+
+def test_flat_test_matches_hull_meets_on_certification(monkeypatch):
+    # the stream of found_equidistributing_tuple; its emitted candidates
+    # and check count are those of the gate pin above
+    inst = build_counterexample(3, 2, 1, 0, 4, seed=1)
+    c1 = inst.class_one()
+    cap = threshold_caps([len(c1)], inst.r)[0]
+    solver = ExactWeightSolver(inst.lifted_primal.points)
+    assert drive(monkeypatch, both_flat_tests, lambda: _candidate_stream(
+        c1, inst.r, True, None, cap, solver)) == ([], 14938)
 
 
 # -- the set condition against a from-scratch set/count oracle ---------------
