@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from fandist.errors import VerificationBug
+from fandist.errors import PreconditionError, VerificationBug
 
 __all__ = [
     "Cyclotomic",
@@ -374,11 +374,6 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element lies outside the rational subfield")
-        return self.coeffs[0]
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -485,9 +480,23 @@ def scalar_to_json(s: Scalar):
 
 
 def scalar_from_json(obj) -> Scalar:
+    """A coordinate: a rational (a JSON number or a string such as "1/3")
+    or {"N": N, "coeffs": [rationals]}; PreconditionError otherwise."""
     if isinstance(obj, dict):
-        return Cyclotomic(obj["N"], [Fraction(c) for c in obj["coeffs"]])
-    return Fraction(obj)
+        N, coeffs = obj.get("N"), obj.get("coeffs")
+        if isinstance(N, int) and isinstance(coeffs, list):
+            return Cyclotomic(N, [_rational_from_json(c) for c in coeffs])
+        raise PreconditionError(f"malformed coordinate {obj!r}")
+    return _rational_from_json(obj)
+
+
+def _rational_from_json(obj) -> Fraction:
+    try:
+        if isinstance(obj, (int, float, str, Fraction)):
+            return Fraction(obj)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise PreconditionError(f"coordinate {obj!r} is not a rational number")
 
 
 # --------------------------------------------------------------------------

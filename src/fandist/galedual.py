@@ -172,13 +172,20 @@ class PointConfig:
                 not all(isinstance(p, list) for p in points):
             raise PreconditionError("points must be a list of lists")
         field = obj.get("field", "rational")
-        conductor = None if field == "rational" else int(field["cyclotomic"])
+        conductor = None if field == "rational" else _json_int(
+            field.get("cyclotomic") if isinstance(field, dict) else None,
+            "field.cyclotomic")
         pts = [[scalar_from_json(c) for c in p] for p in points]
         if conductor is not None:
             pts = [[c if isinstance(c, Cyclotomic)
                     else Cyclotomic.from_rational(conductor, c) for c in p]
                    for p in pts]
-        return cls(int(obj["dim"]), pts, conductor, obj.get("coloring"))
+        coloring = obj.get("coloring")
+        if coloring is not None:
+            if not isinstance(coloring, list):
+                raise PreconditionError("coloring must be a list of integers")
+            coloring = [_json_int(c, "coloring") for c in coloring]
+        return cls(_json_int(obj.get("dim"), "dim"), pts, conductor, coloring)
 
     def __eq__(self, other):
         return (isinstance(other, PointConfig)
@@ -190,6 +197,18 @@ class PointConfig:
     def __repr__(self):
         f = "Q" if self.conductor is None else f"Q(zeta_{self.conductor})"
         return f"PointConfig(n={self.n}, dim={self.dim}, field={f})"
+
+
+def _json_int(value, field: str) -> int:
+    """The integer a JSON value holds, or PreconditionError naming the
+    field; a fractional number is no integer."""
+    try:
+        if isinstance(value, (int, str)) or \
+                isinstance(value, float) and value.is_integer():
+            return int(value)
+    except ValueError:
+        pass
+    raise PreconditionError(f"{field} must be an integer")
 
 
 @dataclass(frozen=True)

@@ -110,20 +110,27 @@ def has_r_disjoint(members: Sequence[Sequence[int]], r: int,
     """r pairwise disjoint members, or None.
 
     Backtracking over members ordered by size, pruning on the remaining
-    member count; exact, size-gated by node count.
+    member count and on a counting bound: the members still needed each
+    have at least ``len(ms[start])`` elements, all in the members' union
+    and outside the chosen ones.  Exact, size-gated by node count.
     """
     if r < 2:
         raise PreconditionError("r must be at least 2")
     ms = sorted((tuple(sorted(m)) for m in members), key=lambda t: (len(t), t))
     masks = [bitmask(m) for m in ms]
+    union = 0
+    for mask in masks:
+        union |= mask
     k = len(ms)
     nodes = 0
 
     def rec(start, used_mask, chosen):
         nonlocal nodes
-        if len(chosen) == r:
+        need = r - len(chosen)
+        if need == 0:
             return tuple(ms[i] for i in chosen)
-        if k - start < r - len(chosen):
+        if k - start < need or \
+                need * len(ms[start]) > (union & ~used_mask).bit_count():
             return None
         for i in range(start, k):
             nodes += 1

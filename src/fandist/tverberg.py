@@ -26,16 +26,28 @@ point x, so a weight <= 0 skips the prefix, and so does a coordinate
 flat is met with the part's hull equations, computed once per part and
 search.  Once the flat is a point, every extension can only meet in it,
 and each later part must hold it, by its hull equations, with positive
-barycentric coordinates.  Affinely dependent parts never prune.  The
-tests are exact and need no general position.  They remove only
+barycentric coordinates.  Affinely dependent parts never prune.
+
+On a line (a grid of dimension 1) the stream decides properness itself.
+There a part's relative interior is the open interval between its least
+and greatest point, or its one point when they coincide, and a candidate
+is proper exactly when these sets share a point.  The prefix carries
+their intersection as integer bounds on twice the grid coordinate:
+2 min + 1 and 2 max - 1 for an interval, 2p and 2p for a point p, so
+that the intersection is nonempty iff the greatest lower bound is at
+most the least upper one.  A part whose bounds miss the prefix's is
+skipped with every candidate extending it, so every emitted candidate
+is proper; no hull flat is built on a line.
+
+The tests are exact and need no general position.  They remove only
 candidates that have no proper weights, so the first feasible candidate
 and every feasible one are unchanged; an emitted candidate with uniquely
-solvable weights is always proper.
+solvable weights, or on a line any emitted candidate, is proper.
 
 Searches are exhaustive within a size gate that counts exact feasibility
-checks: every flat test of a part after the first and every weight-system
-solve counts one.  They run sequentially and return the first feasible
-candidate in stream order.
+checks: every flat or interval test of a part after the first and every
+weight-system solve counts one.  They run sequentially and return the
+first feasible candidate in stream order.
 
 The two-tuple search is a join.  It walks the canonical stream, and for
 each proper tuple I it walks a second stream pruned by I's cell
@@ -296,14 +308,20 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
     a solver, each part after the first is tested against the prefix's
     flat by ``_next_flat``; candidates extending a prefix whose flat is
     empty, or is a point where some affinely independent part has a
-    barycentric coordinate <= 0, are skipped.  ``hulls`` caches each
-    part's hull record by its index mask and may be shared by streams
-    over the same solver.  With a gate, each flat test of a part after
-    the first and each emitted candidate (its solve comes next) counts
-    one feasibility check, and the stream raises SizeGateExceeded once
-    the count passes the gate.
+    barycentric coordinate <= 0, are skipped.  On a line the prefix
+    carries the doubled bounds of its parts' common relative interior
+    instead, and a part whose bounds miss them is skipped, so only
+    proper candidates are emitted.  ``hulls`` caches each part's hull
+    record by its index mask and may be shared by streams over the same
+    solver.  With a gate, each flat or interval test of a part after the
+    first and each emitted candidate (its solve comes next) counts one
+    feasibility check, and the stream raises SizeGateExceeded once the
+    count passes the gate.
     """
     idx = sorted(indices)
+    line = None
+    if solver is not None and solver.dim == 1:
+        line = [x for x, in solver.ipoints]
     if hulls is None:
         hulls = {}
     checks = 0
@@ -316,7 +334,7 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                 raise SizeGateExceeded(
                     f"feasibility-check gate {gate} exceeded")
 
-    def build(parts, used, prev_min, flat, chosen):
+    def build(parts, used, prev_min, meet, chosen):
         depth = len(parts)
         if depth == r:
             count_check()
@@ -344,21 +362,34 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                 part.pop()
 
         for sub, mask in extend([], 0, 0):
-            sub_flat = hull = None
-            if solver is not None:
+            sub_meet = hull = None
+            if line is not None:
+                # twice the part's relative interior: the open interval
+                # (lo, hi), or the point lo = hi
+                lo = min(line[i] for i in sub)
+                hi = max(line[i] for i in sub)
+                shrink = lo < hi
+                lo, hi = 2 * lo + shrink, 2 * hi - shrink
+                if depth:
+                    count_check()
+                    lo, hi = max(lo, meet[0]), min(hi, meet[1])
+                    if lo > hi:
+                        continue
+                sub_meet = (lo, hi)
+            elif solver is not None:
                 hull = hulls.get(mask)
                 if hull is None:
                     hull = hulls[mask] = _PartHull(solver.ipoints, sub)
                 if depth == 0:
                     # one part's only point has the coordinate 1 or is
                     # repeated, so it never prunes
-                    sub_flat = hull.flat
+                    sub_meet = hull.flat
                 else:
                     count_check()
-                    sub_flat = _next_flat(flat, hull, chosen, depth == r - 1)
-                    if sub_flat is None:
+                    sub_meet = _next_flat(meet, hull, chosen, depth == r - 1)
+                    if sub_meet is None:
                         continue
-            yield from build(parts + [sub], used | mask, sub[0], sub_flat,
+            yield from build(parts + [sub], used | mask, sub[0], sub_meet,
                              chosen + (hull,))
 
     yield from build([], 0, None, None, ())
@@ -386,8 +417,8 @@ def search_tuple(config: PointConfig, r: int,
     """First proper tuple in canonical order passing the constraint.
 
     Returns None after exhausting the stream; raises SizeGateExceeded when
-    more than ``lp_gate`` feasibility checks (flat meets plus solves) are
-    needed (a distinct outcome), and GuaranteeViolation when
+    more than ``lp_gate`` feasibility checks (flat or interval tests plus
+    solves) are needed (a distinct outcome), and GuaranteeViolation when
     ``guarantee`` names a satisfied theorem hypothesis yet the exhaustive
     search came up empty (that is a bug signal, not a data error).
     """
@@ -455,7 +486,9 @@ def search_two_tuples(config: PointConfig, r: int, *,
     with parts of at most dim + 1 indices.  Each feasible I is joined
     with a second stream pruned by I's cell condition and, like the
     first, by the parts' hulls (empty meets and point meets with a
-    nonpositive barycentric coordinate).  The search is exhaustive while
+    nonpositive barycentric coordinate), or on a line by the parts'
+    relative interiors, so that there the first candidate passing the
+    cell condition completes the pair.  The search is exhaustive while
     at most ``tuple_gate`` feasible first tuples are found and at most
     ``pair_gate`` candidates, summed over first tuples, are emitted by
     that pruned second stream; exhaustion returns None and a tripped gate

@@ -96,6 +96,21 @@ class TestGenerateAndTransform:
         field = "points" if isinstance(blob, dict) else "object"
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blob,field", [
+        ({"dim": [2], "points": [[1, 2]]}, "dim"),
+        ({"dim": 1.5, "points": [[1]]}, "dim"),
+        ({"dim": 1, "points": [[None]]}, "coordinate"),
+        ({"dim": 1, "points": [[1]], "coloring": 5}, "coloring"),
+        ({"dim": 1, "points": [[1]], "field": 5}, "field"),
+    ])
+    def test_malformed_field_is_precondition(self, tmp_path, capsys, blob,
+                                             field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        assert main(["equidistribute", "--input", str(path),
+                     "--r", "3"]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestSearchCommands:
     def test_tverberg_found(self, tmp_path, config_file):

@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fandist.errors import PreconditionError
+from fandist.errors import PreconditionError, SizeGateExceeded
 from fandist.kneser import (
     ColoringCertificate,
     SetFamily,
@@ -70,6 +72,33 @@ class TestHasRDisjoint:
             r = rng.randint(2, 3)
             got = has_r_disjoint(members, r) is not None
             assert got == disjoint_oracle(members, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4),
+                    min_size=1, max_size=8), st.integers(2, 4))
+    def test_counting_bound_agrees_with_enumeration(self, members, r):
+        # tight families, where the members still needed fill exactly the
+        # unused elements, are common at these sizes
+        got = has_r_disjoint(members, r)
+        assert (got is not None) == disjoint_oracle(members, r)
+        if got is not None:
+            assert len(got) == r
+            assert all(set(m) in map(set, members) for m in got)
+            assert len(set().union(*got)) == sum(map(len, got))
+
+    def test_pierce_certificate_node_pin(self):
+        # the one-class certificate of 3-subsets of 10 points for r = 4:
+        # four disjoint members need 12 points, so the counting bound
+        # decides it at the root, with no node (142,037 without the bound)
+        cert = ColoringCertificate(SetFamily.all_k_subsets(10, 3), 4,
+                                   (0,) * 120)
+        assert verify_certificate(cert, gate=0) == (True, None)
+        # members through one point hold no 3 disjoint ones: 196 nodes
+        star = [m for k in (2, 3) for m in combinations(range(8), k)
+                if 0 in m]
+        assert has_r_disjoint(star, 3, gate=196) is None
+        with pytest.raises(SizeGateExceeded):
+            has_r_disjoint(star, 3, gate=195)
 
 
 class TestCertificates:

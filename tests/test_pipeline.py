@@ -431,20 +431,40 @@ def test_two_fan_join_solves_few_candidates():
 
 
 def test_two_fan_without_pair_solves_each_candidate_once():
+    # the search runs on a line, where the stream emits only proper
+    # candidates: the 280 of the unpruned first stream that solve
     X = random_config(8, 6, seed=1000, coloring=[0] * 4 + [1] * 4)
     res, solves, distinct = _counting_solves(
         lambda: two_fans(X, 3))
     assert res is None
-    assert solves == distinct == 532
+    assert solves == distinct == 280
 
 
 def test_two_fans_pierce_pairs_a_tuple_with_itself():
     # the first proper tuple I avoids index 4, so every candidate passes
-    # its cells: the second stream walks stream one again up to J = I,
-    # and the memo answers each of those solves
+    # its cells: the second stream walks stream one again up to J = I.
+    # On a line both streams emit only proper candidates, so I and J = I
+    # are the first of each and the memo answers the second solve
     res, solves, distinct = _counting_solves(DRIVER_CASES["two-fans-pierce"])
     assert res.tuples[0] == res.tuples[1]
-    assert solves == distinct == 106
+    assert solves == distinct == 1
+
+
+@pytest.mark.parametrize("run", [
+    *(lambda s=s: equidistribute(random_config(10, 8, seed=s), 4)
+      for s in range(4000, 4004)),
+    *(lambda s=s: rainbow(random_config(8, 6, seed=s,
+                                        coloring=[0] * 4 + [1] * 4), 4)
+      for s in range(5000, 5004)),
+], ids=[f"equidistribute-{s}" for s in range(4000, 4004)]
+    + [f"rainbow-{s}" for s in range(5000, 5004)])
+def test_desk_inputs_solve_one_candidate(run):
+    # the benchmark's desk inputs search on a line, where the stream emits
+    # only proper candidates: the first emitted one is the answer (seed
+    # 4003 solved 421 candidates and 5003 solved 11 with hull pruning)
+    res, solves, distinct = _counting_solves(run)
+    assert res is not None
+    assert solves == distinct == 1
 
 
 def test_desk_equidistribute_solves_only_feasible_unique_systems():

@@ -5,7 +5,8 @@ filters it by ``allowed``, ``max_part_size`` and ``constraint.admits``,
 and calls ``ExactWeightSolver.solve`` on each one.  Pruning removes
 exactly the candidates whose parts' affine hulls miss each other or meet
 in one point x at which some affinely independent part has a barycentric
-coordinate <= 0, decided here from scratch in Fractions; every feasible
+coordinate <= 0, and on a line those whose parts' relative interiors
+share no point, decided here from scratch in Fractions; every feasible
 candidate stays, in order.
 """
 
@@ -176,7 +177,28 @@ def coordinates(points, part, x):
     return [M[k][-1] for k in range(len(part))]
 
 
+def relative_interiors_meet(points, parts):
+    """On a line: whether the parts' relative interiors share a point.
+
+    A part's relative interior is the open interval between its least and
+    greatest point, or its one point when they coincide.  A nonempty
+    intersection holds an endpoint or the midpoint of two neighbouring
+    endpoints.
+    """
+    ends = sorted({points[i][0] for p in parts for i in p})
+    probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+
+    def inside(x, part):
+        lo = min(points[i][0] for i in part)
+        hi = max(points[i][0] for i in part)
+        return lo < x < hi or lo == x == hi
+
+    return any(all(inside(x, p) for p in parts) for x in probes)
+
+
 def pruned_by_oracle(points, parts):
+    if len(points[0]) == 1:
+        return not relative_interiors_meet(points, parts)
     meet, x = hulls_meet(points, parts)
     if not meet:
         return True
@@ -188,8 +210,11 @@ def pruned_by_oracle(points, parts):
 
 @pytest.mark.slow
 @settings(max_examples=150, deadline=None)
+@example(([[F(x)] for x in (0, 0, 0, 0, 0, 1)], 2, None, None, None, True))
 @given(search_cases())
 def test_pruned_search_matches_oracle(case):
+    # in the example the part (0,) is the point 0, which is not in the
+    # open interval (0, 1) of the part (1, 2, 3, 4, 5)
     points, r, constraint, allowed, max_part_size, canonical = case
     n, d = len(points), len(points[0])
     cfg = PointConfig(d, points)
@@ -218,6 +243,45 @@ def test_pruned_search_matches_oracle(case):
     else:
         assert got is not None
         assert (got.parts, got.witness) == first
+
+
+@st.composite
+def line_cases(draw):
+    """Points on a line, most of them repeated, and a constrained search."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(r, 6))
+    den = draw(st.integers(1, 4))
+    points = [[F(x, den)] for x in draw(st.lists(
+        st.integers(0, 3), min_size=n, max_size=n))]
+    coloring = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    members = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=2), min_size=1, max_size=2))
+    constraint = draw(st.sampled_from([
+        None, SearchConstraint.rainbow(coloring),
+        SearchConstraint.color_cap({0: 2}, coloring),
+        SearchConstraint.family_avoid(SetFamily(n, members))]))
+    max_part_size = draw(st.one_of(st.none(), st.integers(1, 3)))
+    return points, r, constraint, max_part_size
+
+
+@settings(max_examples=100, deadline=None)
+@example(([[F(0)], [F(1)], [F(1)], [F(2)]], 2, None, None))
+@example(([[F(0)], [F(0)], [F(0)], [F(1)]], 2, None, None))
+@given(line_cases())
+def test_line_stream_emits_exactly_the_proper_candidates(case):
+    # on a line the interval test decides properness: the pruned stream
+    # is the unpruned one filtered by the solver.  In the examples the
+    # intervals must be open (the parts (0, 1) and (2, 3) span [0, 1] and
+    # [1, 2], which touch only at 1) and the part of one repeated point
+    # must be that point (the parts (0,) and (1,) are both the point 0)
+    points, r, constraint, max_part_size = case
+    solver = ExactWeightSolver(points)
+    indices = range(len(points))
+    plain = _candidate_stream(indices, r, True, constraint, max_part_size)
+    pruned = _candidate_stream(indices, r, True, constraint, max_part_size,
+                               solver)
+    assert list(pruned) == [parts for parts in plain
+                            if solver.solve(parts) is not None]
 
 
 @st.composite
@@ -309,6 +373,16 @@ def test_gate_sweep_matches_ungated(points, d, r):
     for gate in sorted({*range(0, hi + 100, 50), hi - 1, hi, hi + 1}):
         want = "gate" if gate < hi else ungated
         assert _outcome(cfg, r, gate) == want, gate
+
+
+def test_line_gate_counts_interval_tests():
+    # on a line each interval test of a part after the first counts one
+    # check, as a flat test does: 157 checks up to the first proper tuple
+    # (hull-flat tests made 432)
+    cfg = PointConfig(1, [[i] for i in range(1, 8)])
+    assert search_tuple(cfg, 3, lp_gate=157) is not None
+    with pytest.raises(SizeGateExceeded):
+        search_tuple(cfg, 3, lp_gate=156)
 
 
 def test_ell_four_certification_needs_no_solve(monkeypatch):

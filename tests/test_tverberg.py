@@ -371,24 +371,27 @@ class TestTwoTupleJoin:
             ((0, 3), (1, 4), (2,)), ((5, 8), (6, 9), (7,)))
 
     def test_pair_gate_apart_from_first_tuples_joined(self):
-        # one first tuple is joined, but 8 second-stream candidates pass
+        # one first tuple is joined, but 3 second-stream candidates pass
         # the cell condition up to the answer: a gate that counted first
-        # tuples would let pair_gate=7 through
-        cfg = PointConfig(1, self.LINE[:9])
-        coloring = [0, 0, 1, 1, 0, 0, 1, 1, 0]
+        # tuples would let pair_gate=2 through.  The points are planar:
+        # on a line every emitted candidate is proper, so the first
+        # cell-passing one completes the pair
+        cfg = PointConfig(2, [[F(x), F(y)] for x, y in (
+            (6, 4), (6, 7), (0, 8), (0, 4), (6, 9), (5, 8), (6, 0))])
+        coloring = [0, 0, 0, 1, 1, 1, 1]
 
         def search(**gates):
-            return search_two_tuples(cfg, 3, cell_caps={0: 0, 1: 1},
+            return search_two_tuples(cfg, 3, cell_caps={0: 1, 1: 1},
                                      coloring=coloring, **gates)
         with pytest.raises(SizeGateExceeded):
-            search(pair_gate=7)
-        got = search(pair_gate=8)
+            search(pair_gate=2)
+        got = search(pair_gate=3)
         assert tuple(t.parts for t in got) == (
-            ((0, 3), (1, 4), (2,)), ((2, 6), (3, 7), (5,)))
+            ((0, 2, 4), (1, 3), (5, 6)), ((0, 5), (1, 2), (3, 4, 6)))
         assert search(tuple_gate=1) == got
         assert got == collect_then_scan(
-            cfg, 3, lambda cell: all(coloring[i] == 1 for i in cell)
-            and len(cell) <= 1)
+            cfg, 3, lambda cell: all(
+                sum(coloring[i] == c for i in cell) <= 1 for c in (0, 1)))
 
     def test_tuple_gate_counts_feasible_first_tuples(self):
         # nine points on a line admit no pair; each of the 756 proper
