@@ -41,6 +41,7 @@ __all__ = [
     "conj",
     "cyclotomic_poly",
     "hermitian_dot",
+    "integer_grid",
     "is_positive_rational",
     "scalar_from_json",
     "scalar_to_json",
@@ -184,6 +185,18 @@ def _clear(coeffs):
     """(integer numerators, common denominator) of Fraction coefficients."""
     den = lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def integer_grid(points) -> list[list[int]]:
+    """Rational coordinates scaled by their least common denominator.
+
+    A uniform positive scaling keeps every affine relation, so weight
+    systems, hull intersections and affine dependencies are decided on
+    this grid unchanged.
+    """
+    scale = lcm(*(c.denominator for p in points for c in p))
+    return [[c.numerator * (scale // c.denominator) for c in p]
+            for p in points]
 
 
 class Cyclotomic:
@@ -479,24 +492,38 @@ def scalar_to_json(s: Scalar):
     return str(Fraction(s))
 
 
-def scalar_from_json(obj) -> Scalar:
-    """A coordinate: a rational (a JSON number or a string such as "1/3")
-    or {"N": N, "coeffs": [rationals]}; PreconditionError otherwise."""
+def _json_int(value, field: str) -> int:
+    """The integer a JSON value holds, or PreconditionError naming the
+    field; a fractional number is no integer."""
+    try:
+        if isinstance(value, (int, str)) or \
+                isinstance(value, float) and value.is_integer():
+            return int(value)
+    except ValueError:
+        pass
+    raise PreconditionError(f"{field} must be an integer")
+
+
+def scalar_from_json(obj, field: str = "coordinate") -> Scalar:
+    """A scalar: a rational (a JSON number or a string such as "1/3")
+    or {"N": N, "coeffs": [rationals]}; PreconditionError naming the
+    field otherwise."""
     if isinstance(obj, dict):
         N, coeffs = obj.get("N"), obj.get("coeffs")
         if isinstance(N, int) and isinstance(coeffs, list):
-            return Cyclotomic(N, [_rational_from_json(c) for c in coeffs])
-        raise PreconditionError(f"malformed coordinate {obj!r}")
-    return _rational_from_json(obj)
+            return Cyclotomic(N, [_rational_from_json(c, field)
+                                  for c in coeffs])
+        raise PreconditionError(f"malformed {field} {obj!r}")
+    return _rational_from_json(obj, field)
 
 
-def _rational_from_json(obj) -> Fraction:
+def _rational_from_json(obj, field: str = "coordinate") -> Fraction:
     try:
         if isinstance(obj, (int, float, str, Fraction)):
             return Fraction(obj)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
-    raise PreconditionError(f"coordinate {obj!r} is not a rational number")
+    raise PreconditionError(f"{field} {obj!r} is not a rational number")
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,11 @@ hyperplane except j and j-1 and on the nonnegative side of hyperplane j.
 Construction enforces the canonical normalization (normals and offsets
 each sum to zero after rescaling by the unique hyperplane dependency),
 which makes the classification predicate two-sided consistent and gives
-the closed-half-flat intersection law exactly.
+the closed-half-flat intersection law exactly.  It runs in integers:
+each hyperplane is cleared to integers, the dependency is read off one
+fraction-free elimination, and the rescaled hyperplanes are divided by
+their content, so normals and offsets are integers with content 1, the
+unique such representative.
 
 A complex regular r-fan is a single Hermitian functional alpha and offset
 beta; half-flat j collects the points whose functional value sits on the
@@ -23,8 +27,12 @@ from typing import Optional, Sequence, Union
 from fandist.errors import MalformedFan, PreconditionError, VerificationBug
 from fandist.exactnum import (
     Cyclotomic,
-    ExactMatrix,
     Positivity,
+    _back_eliminate,
+    _clear,
+    _eliminate_int,
+    _json_int,
+    _rational_from_json,
     hermitian_dot,
     is_positive_rational,
     scalar_from_json,
@@ -75,6 +83,12 @@ def _primitive_positive_scale(values) -> Fraction:
     return Fraction(den, num_g)
 
 
+def _rational(x):
+    """An int or Fraction as it is; anything else (a string such as
+    "1/3") through Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 @dataclass(frozen=True)
 class Classification:
     """Exactly one of center / interior(j) / outside per point."""
@@ -105,43 +119,43 @@ class RealFan:
             raise MalformedFan("real fans need r >= 3")
         if len(normals) != r or len(offsets) != r:
             raise MalformedFan("need exactly r normals and offsets")
-        normals = [tuple(Fraction(x) for x in v) for v in normals]
-        offsets = [Fraction(c) for c in offsets]
         if any(len(v) != dim for v in normals):
             raise MalformedFan("normal dimension mismatch")
-        lifted = [list(v) + [-c] for v, c in zip(normals, offsets)]
+        # each hyperplane [v | -c] cleared to integers by its own
+        # positive factor, which moves no hyperplane
+        H = [_clear([_rational(x) for x in v] + [-_rational(c)])[0]
+             for v, c in zip(normals, offsets)]
         # one kernel decides every condition: rank r-1 leaves exactly one
         # dependency mu, and r-1 hyperplanes dropping j are independent
         # iff mu_j != 0
-        kb = ExactMatrix.from_columns(lifted).kernel_basis()
-        if len(kb) != 1:
+        M = list(zip(*H))
+        pivots = _eliminate_int(M, r)
+        if len(pivots) != r - 1:
             raise MalformedFan("hyperplanes must have rank exactly r-1")
-        mu = kb[0]
+        _back_eliminate(M, pivots)
+        pivot_cols = {pc for _, pc in pivots}
+        free = next(c for c in range(r) if c not in pivot_cols)
+        # the reduced rows read p_k mu_(c_k) + M[k][free] mu_free = 0
+        scale = lcm(*(M[pr][pc] for pr, pc in pivots))
+        mu = [scale] * r
+        for pr, pc in pivots:
+            mu[pc] = -M[pr][free] * (scale // M[pr][pc])
         for drop, m in enumerate(mu):
             if m == 0:
                 raise MalformedFan(
                     f"any r-1 hyperplanes must be independent (drop {drop})")
         if all(m < 0 for m in mu):
-            mu = tuple(-m for m in mu)
+            mu = [-m for m in mu]
         elif not all(m > 0 for m in mu):
             raise MalformedFan("orientations admit no positive normalization")
-        # mu is all ones when the sums already vanish
-        normals = [tuple(m * x for x in v) for m, v in zip(mu, normals)]
-        offsets = [m * c for m, c in zip(mu, offsets)]
-        lam = _primitive_positive_scale(
-            [x for v in normals for x in v] + list(offsets))
-        if lam != 1:
-            normals = [tuple(lam * x for x in v) for v in normals]
-            offsets = [lam * c for c in offsets]
-        if any(x.denominator != 1 for x in offsets) or any(
-                x.denominator != 1 for v in normals for x in v):
-            raise VerificationBug("normalized fan is not integral")
+        # mu_j H_j sum to zero; dividing by their content keeps that
+        H = [[m * x for x in h] for m, h in zip(mu, H)]
+        g = gcd(*(x for h in H for x in h))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "normals", tuple(
-            tuple(x.numerator for x in v) for v in normals))
-        object.__setattr__(self, "offsets",
-                           tuple(c.numerator for c in offsets))
+        object.__setattr__(self, "normals",
+                           tuple(tuple(x // g for x in h[:-1]) for h in H))
+        object.__setattr__(self, "offsets", tuple(-h[-1] // g for h in H))
 
     def __setattr__(self, *a):
         raise AttributeError("RealFan is immutable")
@@ -186,10 +200,18 @@ class RealFan:
         }
 
     @classmethod
-    def from_json(cls, obj) -> "RealFan":
-        return cls(int(obj["r"]), int(obj["dim"]),
-                   [[Fraction(x) for x in v] for v in obj["normals"]],
-                   [Fraction(c) for c in obj["offsets"]])
+    def from_json(cls, obj: dict) -> "RealFan":
+        normals, offsets = obj.get("normals"), obj.get("offsets")
+        if not isinstance(normals, list) or \
+                not all(isinstance(v, list) for v in normals):
+            raise PreconditionError("normals must be a list of lists")
+        if not isinstance(offsets, list):
+            raise PreconditionError("offsets must be a list")
+        return cls(_json_int(obj.get("r"), "r"),
+                   _json_int(obj.get("dim"), "dim"),
+                   [[_rational_from_json(x, "normals entry") for x in v]
+                    for v in normals],
+                   [_rational_from_json(c, "offsets entry") for c in offsets])
 
 
 class ComplexFan:
@@ -263,11 +285,14 @@ class ComplexFan:
         }
 
     @classmethod
-    def from_json(cls, obj) -> "ComplexFan":
-        N = int(obj["N"])
-        alpha = [scalar_from_json(a) for a in obj["alpha"]]
-        beta = scalar_from_json(obj["beta"])
-        return cls(int(obj["r"]), N, alpha, beta)
+    def from_json(cls, obj: dict) -> "ComplexFan":
+        N = _json_int(obj.get("N"), "N")
+        alpha = obj.get("alpha")
+        if not isinstance(alpha, list):
+            raise PreconditionError("alpha must be a list")
+        alpha = [scalar_from_json(a, "alpha entry") for a in alpha]
+        beta = scalar_from_json(obj.get("beta"), "beta")
+        return cls(_json_int(obj.get("r"), "r"), N, alpha, beta)
 
 
 # a PEP 604 union: typing.Union[...] is memoized, and its cache would keep
@@ -276,6 +301,8 @@ Fan = RealFan | ComplexFan
 
 
 def fan_from_json(obj) -> Fan:
+    if not isinstance(obj, dict):
+        raise PreconditionError("a fan is a JSON object")
     if obj.get("kind") == "complex" or "alpha" in obj:
         return ComplexFan.from_json(obj)
     return RealFan.from_json(obj)

@@ -34,6 +34,7 @@ from fandist.exactnum import (
     _eliminate_int,
     _field_data,
     _left_inverse_int,
+    integer_grid,
 )
 from fandist.galedual import PointConfig
 
@@ -176,19 +177,6 @@ def _solve_equalities_int(M, nvars):
 
 # --------------------------------------------------------------------------
 # affine flats as integer equation rows
-
-def integer_grid(points) -> list[list[int]]:
-    """Rational coordinates scaled by their least common denominator.
-
-    A uniform positive scaling keeps every affine relation, so weight
-    systems and hull intersections are decided on this grid unchanged.
-    """
-    scale = 1
-    for p in points:
-        for c in p:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-    return [[int(c * scale) for c in p] for p in points]
-
 
 class Flat:
     """The affine flat {x : u.x = c for every row [u | c]} in integers.

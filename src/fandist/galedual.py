@@ -5,6 +5,15 @@ K^(n-d-1) (the columns of the conjugated kernel-basis matrix of the lifted
 point matrix).  Affine dependencies among the points correspond exactly to
 linear functionals on the dual vectors, which is the bridge every fan
 construction in this package rests on.
+
+Over Q the pipeline's side of this module runs in integers, with the
+fraction-free elimination of ``exactnum``: the inverse Gale transform
+reads the primal off the reduced echelon form of the dual's coordinate
+rows, each cleared to integers; a pair checks its basis rows and tests
+dependencies on its primal cleared to one common denominator, and solves
+for functionals with one integer left inverse of its cleared dual.
+Fractions are built only for the points a ``PointConfig`` holds and the
+functionals returned.  Over Q(zeta_N) the same steps run in the field.
 """
 
 from __future__ import annotations
@@ -29,10 +38,14 @@ from fandist.exactnum import (
     ExactMatrix,
     FieldMismatch,
     Scalar,
+    _back_eliminate,
     _clear,
+    _eliminate_int,
+    _json_int,
     _left_inverse_int,
     conj,
     hermitian_dot,
+    integer_grid,
     scalar_from_json,
     scalar_is_zero,
     scalar_to_json,
@@ -199,18 +212,6 @@ class PointConfig:
         return f"PointConfig(n={self.n}, dim={self.dim}, field={f})"
 
 
-def _json_int(value, field: str) -> int:
-    """The integer a JSON value holds, or PreconditionError naming the
-    field; a fractional number is no integer."""
-    try:
-        if isinstance(value, (int, str)) or \
-                isinstance(value, float) and value.is_integer():
-            return int(value)
-    except ValueError:
-        pass
-    raise PreconditionError(f"{field} must be an integer")
-
-
 @dataclass(frozen=True)
 class GaleDualPair:
     """A primal configuration together with its Gale dual.
@@ -231,24 +232,52 @@ class GaleDualPair:
 
         G = s g is the dual cleared to integers by the least common
         denominator s, S lists the first dim linearly independent dual
-        points, and L / D (D > 0) inverts the matrix with rows G_i, i in
+        points (the pivot columns of one elimination of G's coordinate
+        rows), and L / D (D > 0) inverts the matrix with rows G_i, i in
         S.  So <alpha, g_i> = lambda_i on S reads alpha = s L lambda_S / D.
         """
         pts = self.dual.points
         m = self.dual.dim
         s = lcm(*(c.denominator for p in pts for c in p))
         G = [[c.numerator * (s // c.denominator) for c in p] for p in pts]
-        S = ExactMatrix.from_columns(pts).pivot_columns()
+        S = [c for _, c in _eliminate_int(list(zip(*G)), len(G))]
         if len(S) != m:
             raise VerificationBug("dual points must span the dual space")
         L, D = _left_inverse_int([G[i] for i in S], m)
         return s, G, S, L, D
 
+    @cached_property
+    def _primal_grid(self) -> list[list[int]]:
+        """The rational primal cleared to one common denominator."""
+        return integer_grid(self.primal.points)
+
     def validate(self) -> None:
+        """Every row of ``basis_matrix`` is an affine dependence of the
+        primal; a rational pair decides it on the primal's integer grid,
+        each row cleared to integers."""
+        if self.primal.conductor is None:
+            P = self._primal_grid
+            for b in self.basis_matrix.entries:
+                if len(b) != len(P) or \
+                        not _is_dependence_int(P, _clear(b)[0]):
+                    raise NotADependence("basis row is not in ker A")
+            return
         A = self.primal.lifted_matrix()
         for b in self.basis_matrix.entries:
             if any(not scalar_is_zero(x) for x in A.mul_vec(b)):
                 raise NotADependence("basis row is not in ker A")
+
+
+def _is_dependence_int(P, v) -> bool:
+    """Whether the integer weights v sum to zero and weight the integer
+    points P to zero: an affine dependence, possibly zero."""
+    if sum(v):
+        return False
+    acc = [0] * len(P[0])
+    for x, p in zip(v, P):
+        if x:
+            acc = [a + x * c for a, c in zip(acc, p)]
+    return not any(acc)
 
 
 def gale_transform(primal: PointConfig) -> GaleDualPair:
@@ -281,29 +310,40 @@ def _check_dual_preconditions(dual: PointConfig):
 def inverse_gale(dual: PointConfig, verify: bool = True) -> PointConfig:
     """Reconstruct a primal whose Gale transform is the given points.
 
-    The kernel basis of the matrix with columns g_i is rearranged so the
-    all-ones vector is its last member (one deterministic basis exchange);
-    the recovered points affinely span K^d with d = n - dim - 1.
+    The kernel of the matrix with columns g_i has the basis read off its
+    reduced echelon form: one vector per free column f, with 1 at f, 0
+    at the other free columns and minus the reduced row entries of f at
+    the pivot columns.  The points sum to zero, so the all-ones vector is
+    in the kernel, with coefficient 1 on every basis vector; exchanging
+    it for the first one keeps a basis, and the primal's coordinates are
+    the other d vectors.  A rational dual is reduced in integers, each
+    coordinate row cleared to integers first; a cyclotomic one in the
+    field.  The recovered points affinely span K^d with d = n - dim - 1.
     """
     _check_dual_preconditions(dual)
     n, m = dual.n, dual.dim
     d = n - m - 1
-    B = ExactMatrix.from_columns(list(dual.points), dual.conductor)
-    kb = B.kernel_basis()  # d + 1 vectors of length n iff the dual spans
-    if len(kb) != d + 1:
-        raise NotSpanning(f"dual points do not linearly span K^{m}")
-    one = Fraction(1) if dual.conductor is None else \
-        Cyclotomic.from_rational(dual.conductor, 1)
-    ones = tuple([one] * n)
-    # express the all-ones vector in the kernel basis, then exchange
-    W = ExactMatrix.from_columns(kb, dual.conductor)
-    coeff = W.solve(ones)
-    if coeff is None:
-        raise VerificationBug("all-ones vector must lie in ker B")
-    swap = next(i for i, c in enumerate(coeff) if not scalar_is_zero(c))
-    basis = [kb[i] for i in range(d + 1) if i != swap] + [ones]
-    primal_pts = [tuple(conj(basis[k][j]) for k in range(d))
-                  for j in range(n)]
+    if dual.conductor is None:
+        M = [_clear([p[i] for p in dual.points])[0] for i in range(m)]
+        pivots = _eliminate_int(M, n)
+        if len(pivots) != m:
+            raise NotSpanning(f"dual points do not linearly span K^{m}")
+        _back_eliminate(M, pivots)
+        pivot_cols = {pc for _, pc in pivots}
+        coords = []
+        for f in [c for c in range(n) if c not in pivot_cols][1:]:
+            v = [0] * n
+            v[f] = 1
+            for pr, pc in pivots:
+                v[pc] = Fraction(-M[pr][f], M[pr][pc])
+            coords.append(v)
+    else:
+        B = ExactMatrix.from_columns(list(dual.points), dual.conductor)
+        kb = B.kernel_basis()  # d + 1 vectors of length n iff the dual spans
+        if len(kb) != d + 1:
+            raise NotSpanning(f"dual points do not linearly span K^{m}")
+        coords = [[conj(x) for x in v] for v in kb[1:]]
+    primal_pts = [tuple(v[j] for v in coords) for j in range(n)]
     primal = PointConfig(d, primal_pts, dual.conductor, dual.coloring)
     if verify:
         if not primal.affinely_spanning():
@@ -355,6 +395,10 @@ def _is_dependence(pair: GaleDualPair, lam: Sequence[Scalar]) -> bool:
     primal = pair.primal
     if len(lam) != primal.n:
         return False
+    if primal.conductor is None and \
+            not any(isinstance(x, Cyclotomic) for x in lam):
+        Lam = _clear(lam)[0]
+        return any(Lam) and _is_dependence_int(pair._primal_grid, Lam)
     if all(scalar_is_zero(x) for x in lam):
         return False
     zero = scalar_zero(primal.conductor)

@@ -159,23 +159,30 @@ def check_sgp(config: PointConfig, gate: int = SGP_GATE) -> SgpReport:
     return SgpReport(True, n, d)
 
 
-def corresponding_primal(config: PointConfig) -> PointConfig:
+def corresponding_primal(config: PointConfig,
+                         primal: Optional[PointConfig] = None) -> PointConfig:
     """The primal sequence a_1..a_n that the configuration corresponds to.
 
     Lift-and-augment followed by the inverse Gale transform; the basis
     exchange pins the all-ones vector, and the appended average point is
-    dropped from the returned primal.
+    dropped from the returned primal.  ``primal``, when given, must be
+    that inverse Gale transform (the primal of the pipeline's pair,
+    ``gale_pair_from_dual(lift_augment(config)).primal``); it is then not
+    computed again.
     """
-    lifted = lift_augment(config)
-    primal = inverse_gale(lifted, verify=False)
+    if primal is None:
+        primal = inverse_gale(lift_augment(config), verify=False)
     pts = primal.points[:config.n]
     return PointConfig(primal.dim, pts, primal.conductor, config.coloring)
 
 
-def is_typical(config: PointConfig, gate: int = SGP_GATE) -> bool:
-    """Whether the Gale-corresponding primal is in strong general position."""
-    primal = corresponding_primal(config)
-    return check_sgp(primal, gate=gate).verdict
+def is_typical(config: PointConfig, gate: int = SGP_GATE, *,
+               primal: Optional[PointConfig] = None) -> bool:
+    """Whether the Gale-corresponding primal is in strong general position.
+
+    ``primal`` is passed on to ``corresponding_primal``.
+    """
+    return check_sgp(corresponding_primal(config, primal), gate=gate).verdict
 
 
 def robustness_check(report, r: int, d: int, is_complex: bool = False) -> bool:

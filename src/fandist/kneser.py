@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from fandist.errors import PreconditionError, SizeGateExceeded
+from fandist.exactnum import _json_int
 
 __all__ = [
     "ColoringCertificate",
@@ -60,8 +61,16 @@ class SetFamily:
         return {"n": self.n, "members": [list(m) for m in self.members]}
 
     @classmethod
-    def from_json(cls, obj) -> "SetFamily":
-        return cls(int(obj["n"]), obj["members"])
+    def from_json(cls, obj: dict) -> "SetFamily":
+        if not isinstance(obj, dict):
+            raise PreconditionError("a set family is a JSON object")
+        members = obj.get("members")
+        if not isinstance(members, list) or \
+                not all(isinstance(m, list) for m in members):
+            raise PreconditionError("members must be a list of lists")
+        return cls(_json_int(obj.get("n"), "n"),
+                   [[_json_int(i, "members entry") for i in m]
+                    for m in members])
 
     @classmethod
     def all_k_subsets(cls, n: int, k: int) -> "SetFamily":
@@ -100,9 +109,14 @@ class ColoringCertificate:
         return out
 
     @classmethod
-    def from_json(cls, obj) -> "ColoringCertificate":
-        return cls(SetFamily.from_json(obj), int(obj["r"]),
-                   tuple(int(c) for c in obj["classes"]))
+    def from_json(cls, obj: dict) -> "ColoringCertificate":
+        if not isinstance(obj, dict):
+            raise PreconditionError("a certificate is a JSON object")
+        classes = obj.get("classes")
+        if not isinstance(classes, list):
+            raise PreconditionError("classes must be a list of integers")
+        return cls(SetFamily.from_json(obj), _json_int(obj.get("r"), "r"),
+                   tuple(_json_int(c, "classes") for c in classes))
 
 
 def has_r_disjoint(members: Sequence[Sequence[int]], r: int,

@@ -232,7 +232,7 @@ def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
 
     typical = None
     if X.conductor is None and X.n <= SGP_GATE:
-        typical = is_typical(X)
+        typical = is_typical(X, primal=pair.primal)
         if typical and not robustness_check(report, r, d, False):
             raise VerificationBug(
                 "typical input violates the interior-occupancy bound")

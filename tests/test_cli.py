@@ -187,6 +187,41 @@ class TestSearchCommands:
         assert main(["pierce", "--input", config_file, "--r", "3",
                      "--certificate", str(cert)]) == 2
 
+    @pytest.mark.parametrize("blob,field", [
+        ({"kind": "real", "r": 3, "dim": 2, "normals": 5,
+          "offsets": [0, 0, 0]}, "normals"),
+        ({"kind": "real", "r": 3, "dim": 2,
+          "normals": [[1, 0], None, [-1, -1]], "offsets": [0, 0, 0]},
+         "normals"),
+        ({"kind": "real", "r": 3, "dim": 2,
+          "normals": [[1, 0], [0, None], [-1, -1]], "offsets": [0, 0, 0]},
+         "normals entry"),
+        ([[1, 0], [0, 1], [-1, -1]], "object"),
+        ({"kind": "complex", "r": 2, "N": 4, "alpha": 5, "beta": "0"},
+         "alpha"),
+    ], ids=["normals-number", "null-normal", "null-normal-entry",
+            "top-level-list", "complex-alpha-number"])
+    def test_malformed_fan_is_precondition(self, tmp_path, capsys,
+                                           config_file, blob, field):
+        fan = tmp_path / "fan.json"
+        fan.write_text(json.dumps(blob))
+        assert main(["verify-fan", "--input", config_file,
+                     "--fan", str(fan)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob,field", [
+        ([[0], [1]], "object"),
+        ({"n": 7, "members": 5, "r": 3, "classes": [0]}, "members"),
+        ({"n": 7, "members": [[0]], "r": 3, "classes": 5}, "classes"),
+    ], ids=["top-level-list", "members-number", "classes-number"])
+    def test_malformed_certificate_is_precondition(self, tmp_path, capsys,
+                                                   config_file, blob, field):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(blob))
+        assert main(["pierce", "--input", config_file, "--r", "3",
+                     "--certificate", str(cert)]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestAnalysisCommands:
     def test_check_sgp_and_typical(self, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -185,6 +186,116 @@ class TestFanJsonRoundTrip:
         assert back.beta.coeffs == fan.beta.coeffs
         assert back.to_json() == obj
         assert fan_from_json(back.to_json()).to_json() == obj
+
+
+def normalize_oracle(r, normals, offsets):
+    """The Fraction normalization of a real fan: (normals, offsets) as
+    int tuples, or the MalformedFan message it raises."""
+    normals = [tuple(F(x) for x in v) for v in normals]
+    offsets = [F(c) for c in offsets]
+    lifted = [list(v) + [-c] for v, c in zip(normals, offsets)]
+    kb = ExactMatrix.from_columns(lifted).kernel_basis()
+    if len(kb) != 1:
+        return "hyperplanes must have rank exactly r-1"
+    mu = kb[0]
+    for drop, m in enumerate(mu):
+        if m == 0:
+            return f"any r-1 hyperplanes must be independent (drop {drop})"
+    if all(m < 0 for m in mu):
+        mu = tuple(-m for m in mu)
+    elif not all(m > 0 for m in mu):
+        return "orientations admit no positive normalization"
+    normals = [tuple(m * x for x in v) for m, v in zip(mu, normals)]
+    offsets = [m * c for m, c in zip(mu, offsets)]
+    values = [x for v in normals for x in v] + offsets
+    den = lcm(*(x.denominator for x in values))
+    lam = F(den, gcd(*(x.numerator * (den // x.denominator)
+                       for x in values)))
+    out = (tuple(tuple(lam * x for x in v) for v in normals),
+           tuple(lam * c for c in offsets))
+    assert all(x.denominator == 1 for v in out[0] for x in v)
+    assert all(c.denominator == 1 for c in out[1])
+    return out
+
+
+@st.composite
+def fan_inputs(draw):
+    """(r, dim, normals, offsets) in Fractions: r - 1 free hyperplanes
+    (linear ones half the time) and, mostly, one more in their span with
+    positive weights, with all or one of them then negated; else a free
+    one."""
+    r = draw(st.integers(3, 5))
+    dim = draw(st.integers(max(1, r - 2), 3))
+    row = st.lists(fracs, min_size=dim + 1, max_size=dim + 1)
+    rows = draw(st.lists(row, min_size=r - 1, max_size=r - 1))
+    if draw(st.booleans()):
+        rows = [h[:-1] + [F(0)] for h in rows]
+    if draw(st.integers(0, 3)):
+        mu = draw(st.lists(st.builds(F, st.integers(1, 5),
+                                     st.integers(1, 4)),
+                           min_size=r, max_size=r))
+        rows.append([-sum(m * h[i] for m, h in zip(mu, rows)) / mu[-1]
+                     for i in range(dim + 1)])
+        flip = draw(st.sampled_from(["none", "none", "all", "one"]))
+        if flip != "none":
+            j = draw(st.integers(0, r - 1))
+            rows = [[-x for x in h] if flip == "all" or k == j else h
+                    for k, h in enumerate(rows)]
+    else:
+        rows.append(draw(row))
+    return r, dim, [h[:-1] for h in rows], [-h[-1] for h in rows]
+
+
+class TestIntegerNormalization:
+    @settings(max_examples=300, deadline=None)
+    @given(fan_inputs())
+    def test_matches_fraction_oracle(self, case):
+        r, dim, normals, offsets = case
+        want = normalize_oracle(r, normals, offsets)
+        # each hyperplane cleared to integers by its own positive factor
+        scaled = []
+        for v, c in zip(normals, offsets):
+            q = lcm(*(x.denominator for x in list(v) + [c]))
+            scaled.append(([int(q * x) for x in v], int(q * c)))
+        forms = [
+            lambda: RealFan(r, dim, normals, offsets),
+            lambda: RealFan(r, dim, [[str(x) for x in v] for v in normals],
+                            [str(c) for c in offsets]),
+            lambda: RealFan(r, dim, [v for v, _ in scaled],
+                            [c for _, c in scaled]),
+            lambda: fan_from_json(json.loads(json.dumps({
+                "kind": "real", "r": r, "dim": dim,
+                "normals": [[str(x) for x in v] for v in normals],
+                "offsets": [str(c) for c in offsets]}))),
+        ]
+        for make in forms:
+            if isinstance(want, str):
+                with pytest.raises(MalformedFan) as err:
+                    make()
+                assert str(err.value) == want
+            else:
+                fan = make()
+                assert (fan.normals, fan.offsets) == want
+                assert all(type(x) is int for v in fan.normals for x in v)
+                assert all(type(c) is int for c in fan.offsets)
+
+    @pytest.mark.parametrize("r, dim, normals, offsets, message", [
+        (2, 1, [[1], [-1]], [0, 0], "r >= 3"),
+        (3, 1, [[1], [-1]], [0, 0, 0], "exactly r normals"),
+        (3, 2, [[1, 0], [0, 1], [-1]], [0, 0, 0], "dimension mismatch"),
+        # three independent hyperplanes: no dependency at all
+        (3, 2, [[1, 0], [0, 1], [1, 1]], [0, 0, 1], "rank exactly r-1"),
+        # four hyperplanes in a 2-dimensional lifted space: rank 1 < 3
+        (4, 1, [[1], [2], [-3], [1]], [0, 0, 0, 0], "rank exactly r-1"),
+        (4, 2, [[1, 0], [0, 1], [-1, -1], [1, 1]], [0, 0, 0, 0],
+         "rank exactly r-1"),
+        (4, 2, [[1, 0], [0, 1], [-1, -1], [0, 0]], [0, 0, 0, 1],
+         r"independent \(drop 3\)"),
+    ])
+    def test_malformed_fan_messages(self, r, dim, normals, offsets,
+                                    message):
+        with pytest.raises(MalformedFan, match=message):
+            RealFan(r, dim, normals, offsets)
 
 
 class TestRealFanGeometry:

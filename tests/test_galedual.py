@@ -15,9 +15,17 @@ from fandist.errors import (
     VerificationBug,
     ZeroFunctional,
 )
-from fandist.exactnum import Cyclotomic, ExactMatrix
+from fandist.exactnum import (
+    Cyclotomic,
+    ExactMatrix,
+    conj,
+    scalar_is_zero,
+    scalar_one,
+)
 from fandist.galedual import (
+    GaleDualPair,
     PointConfig,
+    _is_dependence,
     dependence_to_functional,
     functional_to_dependence,
     gale_pair_from_dual,
@@ -200,6 +208,114 @@ class TestInverseGale:
                 return True
 
             assert in_general_position(primal) == dual_general_position(dual)
+
+
+def inverse_gale_oracle(dual):
+    """The primal points of the Fraction inverse Gale transform: the
+    kernel basis of the columns g_i, the all-ones vector exchanged in for
+    the first basis vector with a nonzero coefficient in it."""
+    n, d = dual.n, dual.n - dual.dim - 1
+    kb = ExactMatrix.from_columns(list(dual.points),
+                                  dual.conductor).kernel_basis()
+    assert len(kb) == d + 1
+    ones = tuple([scalar_one(dual.conductor)] * n)
+    coeff = ExactMatrix.from_columns(kb, dual.conductor).solve(ones)
+    swap = next(i for i, c in enumerate(coeff) if not scalar_is_zero(c))
+    basis = [kb[i] for i in range(d + 1) if i != swap] + [ones]
+    return tuple(tuple(conj(basis[k][j]) for k in range(d))
+                 for j in range(n))
+
+
+def zero_sum_dual(dim, pts, conductor=None):
+    """The points with one more appended, minus their sum."""
+    pts = [list(p) for p in pts]
+    pts.append([-sum(col[1:], col[0]) for col in zip(*pts)])
+    return PointConfig(dim, pts, conductor)
+
+
+@st.composite
+def rational_duals(draw):
+    """A linearly spanning rational dual that sums to zero, with n >= m+2
+    points; coordinates repeat and vanish often."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 2, m + 5))
+    pts = draw(st.lists(st.lists(fracs, min_size=m, max_size=m),
+                        min_size=n - 1, max_size=n - 1))
+    dual = zero_sum_dual(m, pts)
+    assume(dual.linearly_spanning())
+    return dual
+
+
+def is_dependence_oracle(pair, lam):
+    """A nonzero affine dependence of the primal, in Fractions."""
+    pts = pair.primal.points
+    return any(lam) and sum(lam) == 0 and all(
+        sum(x * p[i] for x, p in zip(lam, pts)) == 0
+        for i in range(pair.primal.dim))
+
+
+class TestIntegerPrepare:
+    @settings(max_examples=200, deadline=None)
+    @given(rational_duals())
+    def test_inverse_gale_matches_fraction_oracle(self, dual):
+        primal = inverse_gale(dual, verify=False)
+        assert primal.dim == dual.n - dual.dim - 1
+        assert primal.points == inverse_gale_oracle(dual)
+        assert inverse_gale(dual).points == primal.points
+
+    @pytest.mark.parametrize("N", [3, 4, 8])
+    def test_cyclotomic_inverse_gale_matches_oracle(self, N):
+        rng = random.Random(N)
+        for _ in range(3):
+            pts = [[Cyclotomic(N, [F(rng.randint(-4, 4), rng.randint(1, 3))
+                                   for _ in range(2)])] for _ in range(4)]
+            dual = zero_sum_dual(1, pts, N)
+            assert inverse_gale(dual, verify=False).points == \
+                inverse_gale_oracle(dual)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_bridges(), st.data())
+    def test_perturbed_basis_row_is_not_a_dependence(self, case, data):
+        pair, _ = case
+        pair.validate()
+        rows = [list(b) for b in pair.basis_matrix.entries]
+        n = pair.primal.n
+        k = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, n - 1))
+        delta = data.draw(fracs.filter(bool))
+        rows[k][j] += delta
+
+        def validate():
+            GaleDualPair(pair.primal, pair.dual,
+                         ExactMatrix(rows)).validate()
+
+        with pytest.raises(NotADependence):
+            validate()
+        # moving the weight to another point keeps the row sum: only a
+        # coordinate equation can fail, and fails iff the points differ
+        j2 = data.draw(st.integers(0, n - 1).filter(lambda i: i != j))
+        rows[k][j2] -= delta
+        if pair.primal.points[j] == pair.primal.points[j2]:
+            validate()
+        else:
+            with pytest.raises(NotADependence):
+                validate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_bridges(), st.data())
+    def test_is_dependence_matches_fraction_oracle(self, case, data):
+        pair, c = case
+        lam = list(dependence_of(pair, c))
+        if data.draw(st.booleans()):
+            lam[data.draw(st.integers(0, len(lam) - 1))] += \
+                data.draw(fracs)
+        assert _is_dependence(pair, lam) == is_dependence_oracle(pair, lam)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_bridges())
+    def test_left_inverse_points_are_greedy(self, case):
+        pair, _ = case
+        assert pair._left_inverse[2] == greedy_columns(pair.dual.points)
 
 
 class TestLiftAugment:

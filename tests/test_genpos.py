@@ -5,13 +5,18 @@ from itertools import combinations
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fandist.errors import PreconditionError, SizeGateExceeded
 from fandist.exactnum import ExactMatrix
 from fandist.feaslp import Flat, affine_hull, integer_grid
-from fandist.galedual import PointConfig, gale_transform
+from fandist.galedual import (
+    PointConfig,
+    gale_pair_from_dual,
+    gale_transform,
+    lift_augment,
+)
 from fandist.genpos import (
     build_counterexample,
     check_sgp,
@@ -211,7 +216,29 @@ class TestSgpOracle:
                            "codimension equation fails"}
 
 
+@st.composite
+def spanning_rational_configs(draw):
+    D = draw(st.integers(1, 3))
+    n = draw(st.integers(D + 2, D + 5))
+    coord = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+    pts = draw(st.lists(st.lists(coord, min_size=D, max_size=D),
+                        min_size=n, max_size=n))
+    X = PointConfig(D, pts)
+    assume(X.affinely_spanning())
+    return X
+
+
 class TestCorrespondingPrimal:
+    @settings(max_examples=100, deadline=None)
+    @given(spanning_rational_configs())
+    def test_pipeline_pair_has_the_same_primal(self, X):
+        # the pipelines decide typicality from their own pair's primal
+        pair = gale_pair_from_dual(lift_augment(X))
+        primal = corresponding_primal(X)
+        assert primal.points == pair.primal.points[:X.n]
+        assert corresponding_primal(X, pair.primal) == primal
+        assert is_typical(X, primal=pair.primal) == is_typical(X)
+
     def test_dimensions(self):
         X = random_config(6, 3, seed=1)
         primal = corresponding_primal(X)

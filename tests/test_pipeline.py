@@ -12,7 +12,7 @@ from fandist.errors import (
 )
 from fandist.fans import RealFan, slice_project, verify_report
 from fandist.feaslp import ExactWeightSolver
-from fandist.genpos import random_config
+from fandist.genpos import is_typical, random_config
 from fandist.kneser import ColoringCertificate, SetFamily
 from fandist.pipeline import (
     bounds_experiment,
@@ -492,3 +492,30 @@ def test_desk_equidistribute_solves_only_feasible_unique_systems():
                                  "8b8140209a9971ceb890c6ec9e0b4a04")
     assert ("unique", False) not in zip(outcomes, feasible)
     assert len(feasible) == 1
+
+
+def _desk_inputs():
+    """The benchmark's desk ops as (X, run) pairs."""
+    family = SetFamily.all_k_subsets(10, 3)
+    cert = ColoringCertificate(family, 4, (0,) * len(family.members))
+    cases = []
+    for s in range(4):
+        X = random_config(10, 8, seed=4000 + s)
+        cases.append((X, lambda X=X: equidistribute(X, 4)))
+        X = random_config(8, 6, seed=5000 + s, coloring=[0] * 4 + [1] * 4)
+        cases.append((X, lambda X=X: rainbow(X, 4)))
+        X = random_config(10, 8, seed=600 + s)
+        cases.append((X, lambda X=X: pierce(X, family, cert, 4)))
+    return cases
+
+
+@pytest.mark.parametrize("X, run", _desk_inputs() + [
+    # one-bit coordinates: the corresponding primal is not in strong
+    # general position
+    (X, lambda X=X: equidistribute(X, 3)) for X in
+    (random_config(7, 5, bits=1, seed=s) for s in (1, 2))])
+def test_desk_typicality_is_is_typical(X, run):
+    # the pipeline decides typicality from its own pair's primal
+    res = run()
+    assert res.typical is not None
+    assert res.typical == is_typical(X)

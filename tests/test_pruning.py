@@ -71,9 +71,9 @@ def degenerate_points(draw, n, d):
 
 
 @st.composite
-def search_cases(draw):
+def search_cases(draw, min_dim=1):
     r = draw(st.sampled_from([2, 3, 4]))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(min_dim, 3))
     n = draw(st.integers(r, 6))
     points = draw(degenerate_points(n, d))
     kind = draw(st.sampled_from(["none", "family-avoid", "color-cap",
@@ -463,7 +463,7 @@ def both_flat_tests(flat, hull, chosen, last):
 @settings(max_examples=60, deadline=None)
 @example(([[F(0), F(0)], [F(2), F(0)], [F(1), F(0)], [F(1), F(1)]], 2,
           None, None, None, True))
-@given(search_cases())
+@given(search_cases(min_dim=2))
 def test_flat_test_matches_hull_meets(case):
     # in the example the part {2, 3} meets the line of {0, 1} at point 2,
     # where its barycentric coordinates are (1, 0)
