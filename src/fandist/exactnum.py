@@ -15,9 +15,13 @@ norm (Cohen, A Course in Computational Algebraic Number Theory, 4.3).
 
 Exact linear algebra has one integer kernel: fraction-free elimination
 (Bareiss 1968), which clears each pivot column by cross-multiplying rows
-and keeps every row primitive.  Rational matrices reduce in it, each row
-cleared to integers first; matrices over Q(zeta_N) keep field
-elimination, inverting each pivot once.
+and keeps every row primitive.  ``_back_eliminate`` finishes the reduced
+echelon form with every pivot row scaled to one common positive pivot,
+the lcm of the pivots, and ``_kernel_int`` reads its integer kernel; the
+hull flats, weight systems, inverse Gale transform, left inverses and
+fan normalisation of the package all read this one form.  Rational
+matrices reduce in it, each row cleared to integers first; matrices over
+Q(zeta_N) keep field elimination, inverting each pivot once.
 
 All arithmetic is exact; nothing in this module (or the package) ever
 rounds.  Values are immutable after construction and safe to share.
@@ -574,11 +578,15 @@ def _eliminate_int(M, ncols):
     return pivots
 
 
-def _back_eliminate(M, pivots):
-    """Clear each pivot column above its pivot row, fraction-free, in place.
+def _back_eliminate(M, pivots) -> int:
+    """Finish the reduced echelon form of M, fraction-free, in place.
 
     M must be in echelon form with these pivots (as _eliminate_int leaves
-    it); afterwards every pivot column is zero outside its pivot row.
+    it).  Each pivot column is cleared above its pivot row, and each
+    pivot row is then scaled so that its pivot is ``lead``, the lcm of
+    the pivots, which is returned (lead > 0).  Row k is then lead times
+    row k of the reduced row echelon form, which is unique, so every
+    value read from it is too.
     """
     for pr, pc in reversed(pivots):
         p = M[pr][pc]
@@ -587,6 +595,28 @@ def _back_eliminate(M, pivots):
             if f:
                 M[q] = _reduce_row([a * p - b * f
                                     for a, b in zip(M[q], M[pr])])
+    lead = lcm(*(M[pr][pc] for pr, pc in pivots))
+    for pr, pc in pivots:
+        s = lead // M[pr][pc]
+        if s != 1:
+            M[pr] = [x * s for x in M[pr]]
+    return lead
+
+
+def _kernel_int(M, pivots, lead, ncols):
+    """The integer kernel of the first ncols columns of M, as
+    _back_eliminate leaves it with this lead: one vector per free column
+    f, lead at f, 0 at the other free columns and -M[k][f] at the pivot
+    column of row k."""
+    taken = {pc for _, pc in pivots}
+    basis = []
+    for f in (c for c in range(ncols) if c not in taken):
+        v = [0] * ncols
+        v[f] = lead
+        for pr, pc in pivots:
+            v[pc] = -M[pr][f]
+        basis.append(v)
+    return basis
 
 
 def _left_inverse_int(A, ncols):
@@ -594,9 +624,8 @@ def _left_inverse_int(A, ncols):
 
     Returns (L, D), an ncols x len(A) integer matrix and D > 0 with
     L A = D I, or None when A has rank below ncols.  Fraction-free
-    elimination of [A | I] gives row operations E with E A zero off its
-    diagonal, so A x = b reads (E A)_kk x_k = E_k b; each row of E is
-    scaled to D, the lcm of that diagonal.
+    reduction of [A | I] gives row operations E with E A = D I, D the
+    common pivot, so L = E.
     """
     m = len(A)
     M = [list(row) + [int(j == k) for j in range(m)]
@@ -604,10 +633,8 @@ def _left_inverse_int(A, ncols):
     pivots = _eliminate_int(M, ncols)
     if len(pivots) < ncols:
         return None
-    _back_eliminate(M, pivots)
-    D = lcm(*(M[k][k] for k in range(ncols)))
-    return [[x * (D // M[k][k]) for x in M[k][ncols:]]
-            for k in range(ncols)], D
+    D = _back_eliminate(M, pivots)
+    return [M[k][ncols:] for k in range(ncols)], D
 
 
 # --------------------------------------------------------------------------
@@ -656,16 +683,9 @@ class ExactMatrix:
         return cls([[columns[j][i] for j in range(len(columns))]
                     for i in range(rows)], conductor)
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix([[self.entries[i][j] for i in range(self.rows)]
                             for j in range(self.cols)], self.conductor)
-
-    def conjugate(self) -> "ExactMatrix":
-        return ExactMatrix([[conj(e) for e in row] for row in self.entries],
-                           self.conductor)
 
     def mul_vec(self, v: Sequence[Scalar]) -> tuple:
         if len(v) != self.cols:
@@ -683,16 +703,17 @@ class ExactMatrix:
         """Reduced row echelon form: (pivot rows, pivot column list).
 
         Rational rows are cleared to integers, each over its own common
-        denominator, and reduced fraction-free; each pivot row's
-        Fractions are then built once, dividing by its pivot.  Cyclotomic
-        rows are reduced in the field, inverting each pivot once.
+        denominator, and reduced fraction-free to the common pivot lead;
+        each pivot row's Fractions are then built once, over lead.
+        Cyclotomic rows are reduced in the field, inverting each pivot
+        once.
         """
         if self.conductor is None:
             M = self._int_rows()
             pivots = _eliminate_int(M, self.cols)
-            _back_eliminate(M, pivots)
-            return ([[Fraction(x, M[pr][pc]) if x else _ZERO for x in M[pr]]
-                     for pr, pc in pivots], [pc for _, pc in pivots])
+            lead = _back_eliminate(M, pivots)
+            return ([[Fraction(x, lead) if x else _ZERO for x in M[pr]]
+                     for pr, _ in pivots], [pc for _, pc in pivots])
         grid = [list(row) for row in self.entries]
         pivots = []
         prow = 0

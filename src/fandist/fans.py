@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from fandist.errors import MalformedFan, PreconditionError, VerificationBug
@@ -32,6 +32,7 @@ from fandist.exactnum import (
     _clear,
     _eliminate_int,
     _json_int,
+    _kernel_int,
     _rational_from_json,
     hermitian_dot,
     is_positive_rational,
@@ -65,22 +66,6 @@ __all__ = [
 CENTER = "center"
 INTERIOR = "interior"
 OUTSIDE = "outside"
-
-
-def _primitive_positive_scale(values) -> Fraction:
-    """Positive factor carrying the fractions to integers with content 1.
-
-    Scaling a whole fan by it changes no half-flat and keeps sums zero.
-    """
-    den = 1
-    for v in values:
-        den = den * v.denominator // gcd(den, v.denominator)
-    num_g = 0
-    for v in values:
-        num_g = gcd(num_g, abs(v.numerator) * (den // v.denominator))
-    if num_g == 0:
-        return Fraction(1)
-    return Fraction(den, num_g)
 
 
 def _rational(x):
@@ -132,14 +117,7 @@ class RealFan:
         pivots = _eliminate_int(M, r)
         if len(pivots) != r - 1:
             raise MalformedFan("hyperplanes must have rank exactly r-1")
-        _back_eliminate(M, pivots)
-        pivot_cols = {pc for _, pc in pivots}
-        free = next(c for c in range(r) if c not in pivot_cols)
-        # the reduced rows read p_k mu_(c_k) + M[k][free] mu_free = 0
-        scale = lcm(*(M[pr][pc] for pr, pc in pivots))
-        mu = [scale] * r
-        for pr, pc in pivots:
-            mu[pc] = -M[pr][free] * (scale // M[pr][pc])
+        mu = _kernel_int(M, pivots, _back_eliminate(M, pivots), r)[0]
         for drop, m in enumerate(mu):
             if m == 0:
                 raise MalformedFan(
@@ -173,11 +151,10 @@ class RealFan:
         if len(x) != self.dim:
             raise PreconditionError("point dimension mismatch")
         try:
-            D = lcm(*(xi.denominator for xi in x))
+            X, D = _clear(x)
         except AttributeError:
             raise PreconditionError(
                 "real fans classify rational points") from None
-        X = [xi.numerator * (D // xi.denominator) for xi in x]
         vals = [sum(a * b for a, b in zip(v, X)) - c * D
                 for v, c in zip(self.normals, self.offsets)]
         nonzero = [j for j, v in enumerate(vals) if v != 0]
@@ -233,8 +210,11 @@ class ComplexFan:
             raise MalformedFan("alpha must be nonzero")
         if not isinstance(beta, Cyclotomic):
             beta = Cyclotomic.from_rational(N, beta)
-        lam = _primitive_positive_scale(
-            [c for a in alpha for c in a.coeffs] + list(beta.coeffs))
+        # the positive factor carrying the coefficients to integers with
+        # content 1; scaling a whole fan by it changes no half-flat
+        nums, den = _clear([c for a in alpha for c in a.coeffs]
+                           + list(beta.coeffs))
+        lam = Fraction(den, gcd(*nums))
         if lam != 1:
             alpha = tuple(a * lam for a in alpha)
             beta = beta * lam

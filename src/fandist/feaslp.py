@@ -7,13 +7,13 @@ feasible region is compact (part sums are pinned to one), so the maximum
 is attained and the decision is the exact sign of the optimum.
 
 Systems are assembled on an integer grid and classified by fraction-free
-elimination.  Its kernel (``_eliminate_int``, ``_back_eliminate`` and
-the integer left inverse ``_left_inverse_int``) lives in
-:mod:`fandist.exactnum` and also serves the hull flats and barycentric
-maps here.  A unique solution is checked for positivity.  A
-system with one free weight (nullity one) is decided in closed form in
-integers: each weight is a line in the free weight, and the optimum is
-the least constant line or crossing of a rising with a falling line.
+elimination in :mod:`fandist.exactnum`, whose one reduced echelon form
+over a common pivot also gives the unique solutions, nullity-one lines,
+hull flats and barycentric maps here.  A unique solution is checked for
+positivity.  A system with one free weight (nullity one) is decided in
+closed form in integers: each weight is a line in the free weight, and
+the optimum is the least constant line or crossing of a rising with a
+falling line.
 Only systems of nullity two or more, and those whose optimal weights form
 an interval, reach the two-phase Fraction simplex.  Cyclotomic
 configurations are realified first: each coordinate is replaced by its
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from fandist.errors import PreconditionError, VerificationBug
@@ -33,6 +32,7 @@ from fandist.exactnum import (
     _back_eliminate,
     _eliminate_int,
     _field_data,
+    _kernel_int,
     _left_inverse_int,
     integer_grid,
 )
@@ -165,14 +165,9 @@ def _solve_equalities_int(M, nvars):
             return "inconsistent", None
     if len(pivots) < nvars:
         return "under", pivots
-    x = [Fraction(0)] * nvars
-    for (pr, pc) in reversed(pivots):
-        s = Fraction(M[pr][nvars])
-        for c2 in range(pc + 1, nvars):
-            if M[pr][c2]:
-                s -= M[pr][c2] * x[c2]
-        x[pc] = s / M[pr][pc]
-    return "unique", x
+    # unique: row k of the reduced form reads lead x_k = M[k][nvars]
+    lead = _back_eliminate(M, pivots)
+    return "unique", [Fraction(M[k][nvars], lead) for k in range(nvars)]
 
 
 # --------------------------------------------------------------------------
@@ -213,13 +208,7 @@ class Flat:
         if any(row[dim] for row in M[rank:]):
             raise VerificationBug("inconsistent rows cut out no flat")
         M = M[:rank]
-        _back_eliminate(M, pivots)
-        lead = 1
-        for pr, pc in pivots:
-            v = abs(M[pr][pc])
-            lead = lead * v // gcd(lead, v)
-        M = [[x * (lead // row[pc]) for x in row]
-             for row, (_, pc) in zip(M, pivots)]
+        lead = _back_eliminate(M, pivots)
         return cls(dim, M, [pc for _, pc in pivots], lead)
 
     @classmethod
@@ -308,21 +297,8 @@ def affine_hull(grid, part) -> Flat:
     dim = len(grid[part[0]])
     A = [grid[i] + [-1] for i in part]
     pivots = _eliminate_int(A, dim + 1)
-    _back_eliminate(A, pivots)
-    pivot_cols = {pc for _, pc in pivots}
-    rows = []
-    for f in range(dim + 1):
-        if f in pivot_cols:
-            continue
-        # x_f = prod of pivots makes every pivot variable integral
-        vec = [0] * (dim + 1)
-        vec[f] = 1
-        for pr, pc in pivots:
-            vec[f] *= A[pr][pc]
-        for pr, pc in pivots:
-            vec[pc] = -A[pr][f] * vec[f] // A[pr][pc]
-        rows.append(vec)
-    return Flat.from_rows(rows, dim)
+    lead = _back_eliminate(A, pivots)
+    return Flat.from_rows(_kernel_int(A, pivots, lead, dim + 1), dim)
 
 
 def barycentric_map(grid, part) -> Optional[tuple[list[list[int]], int]]:
@@ -454,7 +430,8 @@ def _max_eps_line(M, pivots, nvars):
     """max over s of min_i t_i(s) for a system of nullity one, in integers.
 
     M is in echelon form with these pivots and one free column, so every
-    weight is a line t_i(s) = (p_i + q_i s) / d_i in the free weight s.
+    weight is a line t_i(s) = (p_i + q_i s) / d_i in the free weight s,
+    with d_i the common pivot of the reduced form for every pivot weight.
     The optimum eps* is the least of the constant lines (q_i = 0) and the
     crossing heights of the rising (q_i > 0) with the falling (q_j < 0)
     lines.  Returns ('nonpositive', None) when eps* <= 0, ('unique', t)
@@ -463,15 +440,12 @@ def _max_eps_line(M, pivots, nvars):
     s then form an interval, and the simplex picks its vertex.
     """
     R = M[:len(pivots)]  # back-eliminated on a copy; M keeps its rows
-    _back_eliminate(R, pivots)
+    lead = _back_eliminate(R, pivots)
     taken = {pc for _, pc in pivots}
     free = next(j for j in range(nvars) if j not in taken)
     lines = [(0, 1, 1)] * nvars
     for row, (_, pc) in zip(R, pivots):
-        p, q, d = row[nvars], -row[free], row[pc]
-        if d < 0:
-            p, q, d = -p, -q, -d
-        lines[pc] = (p, q, d)
+        lines[pc] = (row[nvars], -row[free], lead)
     rising = [ln for ln in lines if ln[1] > 0]
     falling = [ln for ln in lines if ln[1] < 0]
     if not falling:

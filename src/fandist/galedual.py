@@ -9,9 +9,10 @@ construction in this package rests on.
 Over Q the pipeline's side of this module runs in integers, with the
 fraction-free elimination of ``exactnum``: the inverse Gale transform
 reads the primal off the reduced echelon form of the dual's coordinate
-rows, each cleared to integers; a pair checks its basis rows and tests
-dependencies on its primal cleared to one common denominator, and solves
-for functionals with one integer left inverse of its cleared dual.
+rows, each cleared to integers; a pair checks its dual's coordinate rows
+and tests dependencies on its primal cleared to one common denominator,
+and solves for functionals with one integer left inverse of its cleared
+dual.
 Fractions are built only for the points a ``PointConfig`` holds and the
 functionals returned.  Over Q(zeta_N) the same steps run in the field.
 """
@@ -42,6 +43,7 @@ from fandist.exactnum import (
     _clear,
     _eliminate_int,
     _json_int,
+    _kernel_int,
     _left_inverse_int,
     conj,
     hermitian_dot,
@@ -216,15 +218,15 @@ class PointConfig:
 class GaleDualPair:
     """A primal configuration together with its Gale dual.
 
-    ``basis_matrix`` is the matrix B whose rows are the chosen kernel basis
-    of the lifted primal matrix; the dual points are the columns of its
-    conjugate.  Keeping B makes the dependence/functional bridge
-    basis-stable.
+    The dual points are the columns of the conjugate of B, the matrix
+    whose rows are the chosen kernel basis of the lifted primal matrix.
+    So row i of B is conj(g_j[i]) over the dual points g_j, and the pair
+    reads B off its dual; a fixed dual keeps the dependence/functional
+    bridge basis-stable.
     """
 
     primal: PointConfig
     dual: PointConfig
-    basis_matrix: ExactMatrix
 
     @cached_property
     def _left_inverse(self):
@@ -252,19 +254,21 @@ class GaleDualPair:
         return integer_grid(self.primal.points)
 
     def validate(self) -> None:
-        """Every row of ``basis_matrix`` is an affine dependence of the
-        primal; a rational pair decides it on the primal's integer grid,
-        each row cleared to integers."""
+        """Every row of B, a conjugated coordinate row of the dual, is an
+        affine dependence of the primal; a rational pair decides it on
+        the primal's integer grid, each row cleared to integers."""
+        rows = zip(*self.dual.points)
         if self.primal.conductor is None:
             P = self._primal_grid
-            for b in self.basis_matrix.entries:
+            for b in rows:
                 if len(b) != len(P) or \
                         not _is_dependence_int(P, _clear(b)[0]):
                     raise NotADependence("basis row is not in ker A")
             return
         A = self.primal.lifted_matrix()
-        for b in self.basis_matrix.entries:
-            if any(not scalar_is_zero(x) for x in A.mul_vec(b)):
+        for b in rows:
+            if any(not scalar_is_zero(x)
+                   for x in A.mul_vec([conj(c) for c in b])):
                 raise NotADependence("basis row is not in ker A")
 
 
@@ -288,13 +292,10 @@ def gale_transform(primal: PointConfig) -> GaleDualPair:
     if not primal.affinely_spanning():
         raise NotAffinelySpanning(
             f"{primal.n} points do not affinely span dimension {primal.dim}")
-    A = primal.lifted_matrix()
-    kb = A.kernel_basis()  # n - d - 1 vectors of length n
-    B = ExactMatrix(kb, primal.conductor)
-    Bc = B.conjugate()
-    dual_pts = [Bc.column(j) for j in range(primal.n)]
+    kb = primal.lifted_matrix().kernel_basis()  # n - d - 1 vectors
+    dual_pts = [[conj(v[j]) for v in kb] for j in range(primal.n)]
     dual = PointConfig(len(kb), dual_pts, primal.conductor, primal.coloring)
-    return GaleDualPair(primal, dual, B)
+    return GaleDualPair(primal, dual)
 
 
 def _check_dual_preconditions(dual: PointConfig):
@@ -328,15 +329,9 @@ def inverse_gale(dual: PointConfig, verify: bool = True) -> PointConfig:
         pivots = _eliminate_int(M, n)
         if len(pivots) != m:
             raise NotSpanning(f"dual points do not linearly span K^{m}")
-        _back_eliminate(M, pivots)
-        pivot_cols = {pc for _, pc in pivots}
-        coords = []
-        for f in [c for c in range(n) if c not in pivot_cols][1:]:
-            v = [0] * n
-            v[f] = 1
-            for pr, pc in pivots:
-                v[pc] = Fraction(-M[pr][f], M[pr][pc])
-            coords.append(v)
+        lead = _back_eliminate(M, pivots)
+        coords = [[Fraction(x, lead) for x in v]
+                  for v in _kernel_int(M, pivots, lead, n)[1:]]
     else:
         B = ExactMatrix.from_columns(list(dual.points), dual.conductor)
         kb = B.kernel_basis()  # d + 1 vectors of length n iff the dual spans
@@ -356,18 +351,13 @@ def inverse_gale(dual: PointConfig, verify: bool = True) -> PointConfig:
 
 
 def gale_pair_from_dual(dual: PointConfig) -> GaleDualPair:
-    """Inverse Gale transform packaged with its basis matrix.
+    """Inverse Gale transform packaged as a checked pair.
 
-    The resulting pair satisfies: dual points are exactly the given ones
-    (columns of the conjugate of ``basis_matrix``), and the primal is an
-    affinely spanning configuration in K^(n-dim-1).
+    The resulting pair satisfies: dual points are exactly the given ones,
+    and the primal is an affinely spanning configuration in K^(n-dim-1)
+    with every conjugated coordinate row of the dual in its kernel.
     """
-    primal = inverse_gale(dual, verify=False)
-    # rows of B are the conjugates of the coordinate rows of the dual
-    rows = [tuple(conj(dual.points[j][i]) for j in range(dual.n))
-            for i in range(dual.dim)]
-    B = ExactMatrix(rows, dual.conductor)
-    pair = GaleDualPair(primal, dual, B)
+    pair = GaleDualPair(inverse_gale(dual, verify=False), dual)
     pair.validate()
     return pair
 
@@ -420,9 +410,10 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
     """The unique alpha with <alpha, g_i> = lambda_i for every i.
 
     lambda must be a nonzero affine dependence of the primal (checked
-    exactly).  It is solved through the stored kernel basis, lambda =
-    B^T alpha: over Q by the pair's integer left inverse, over Q(zeta_N)
-    by elimination.  Either way alpha is checked against every g_i.
+    exactly).  It is solved through the kernel basis, lambda = B^T alpha,
+    where row i of B^T is conj(g_i): over Q by the pair's integer left
+    inverse, over Q(zeta_N) by elimination.  Either way alpha is checked
+    against every g_i.
     """
     lam = [Fraction(x) if not isinstance(x, Cyclotomic) else x for x in lam]
     if pair.primal.conductor is not None:
@@ -433,7 +424,9 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
         raise NotADependence("lambda is not a nonzero affine dependence")
     if pair.primal.conductor is None:
         return _rational_functional(pair, lam)
-    alpha = pair.basis_matrix.transpose().solve(lam)
+    Bt = ExactMatrix([[conj(c) for c in g] for g in pair.dual.points],
+                     pair.dual.conductor)
+    alpha = Bt.solve(lam)
     if alpha is None:
         raise VerificationBug("dependence must lie in the row space of B")
     for i, g in enumerate(pair.dual.points):

@@ -163,8 +163,8 @@ def corresponding_primal(config: PointConfig,
                          primal: Optional[PointConfig] = None) -> PointConfig:
     """The primal sequence a_1..a_n that the configuration corresponds to.
 
-    Lift-and-augment followed by the inverse Gale transform; the basis
-    exchange pins the all-ones vector, and the appended average point is
+    Lift-and-augment followed by the inverse Gale transform; the last
+    primal point, the one paired with the augmented negated-sum point, is
     dropped from the returned primal.  ``primal``, when given, must be
     that inverse Gale transform (the primal of the pipeline's pair,
     ``gale_pair_from_dual(lift_augment(config)).primal``); it is then not

@@ -43,6 +43,7 @@ from fandist.genpos import (
     SGP_GATE,
     build_counterexample,
     is_typical,
+    random_config,
     robustness_check,
     verify_no_equidistribution,
 )
@@ -429,11 +430,11 @@ def bounds_experiment(r: int, m: int, d_values, seeds, *, bits: int = 6,
     same parameters and certifies non-equidistributability exhaustively,
     escalating ell by one when the minimal value fails to certify.
     """
+    if r < 3:
+        raise PreconditionError("bounds experiment needs r >= 3")
     c = (r - 1) * (m + 1)
     rows = []
     for d in d_values:
-        if r == 2:
-            raise PreconditionError("bounds experiment needs r >= 3")
         if d <= c:
             rows.append({"d": d, "skipped": "d must exceed (r-1)(m+1)"})
             continue
@@ -448,7 +449,6 @@ def bounds_experiment(r: int, m: int, d_values, seeds, *, bits: int = 6,
         n = d + s + 1
         successes = 0
         for seed in seeds:
-            from fandist.genpos import random_config
             coloring = [k % m for k in range(n)]
             X = random_config(n, d, "rational", bits, seed,
                               coloring=sorted(coloring))

@@ -62,7 +62,7 @@ and scanning all pairs in order would return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from fandist.errors import (
@@ -266,11 +266,10 @@ def _next_flat(flat, hull: _PartHull, chosen, last: bool):
         if any(row[n] for row in M[len(pivots):]):
             return None  # the meet is empty
         if len(pivots) == n:
-            # mu_j = w[j] / lead with lead > 0: column k holds mu_{k+1}
-            # = M[k][n] / M[k][k], and mu_0 is 1 - the others
-            _back_eliminate(M, pivots)
-            lead = lcm(*(M[k][k] for k in range(n)))
-            w = [M[k][n] * (lead // M[k][k]) for k in range(n)]
+            # mu_j = w[j] / lead with lead > 0: row k reads lead mu_{k+1}
+            # = M[k][n], and mu_0 is 1 - the others
+            lead = _back_eliminate(M, pivots)
+            w = [M[k][n] for k in range(n)]
             w.insert(0, lead - sum(w))
             if min(w) <= 0:
                 return None

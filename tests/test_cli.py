@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import threading
@@ -239,6 +240,12 @@ class TestAnalysisCommands:
         assert main(["m-eligible", "--r", "3", "--m", "1"]) == 1
         assert main(["m-eligible", "--r", "4", "--m", "2"]) == 2
 
+    @pytest.mark.parametrize("r", ["1", "2"])
+    def test_bounds_small_r_is_precondition(self, capsys, r):
+        assert main(["bounds", "--r", r, "--m", "2",
+                     "--d-values", "7"]) == 2
+        assert "needs r >= 3" in capsys.readouterr().err
+
     def test_counterexample_reports_honestly(self, tmp_path):
         out = tmp_path / "ce.json"
         code = main(["counterexample", "--r", "3", "--m", "2", "--d", "1",
@@ -313,3 +320,51 @@ def test_gate_defaults_are_the_library_defaults():
     for argv, call, keyword, constant in cases:
         default = inspect.signature(call).parameters[keyword].default
         assert parser.parse_args(argv).gate == default == constant, argv[0]
+
+
+# sha256 of the stdout each Gale-layer command writes on fixed gen-random
+# inputs; any change to these bytes is a change of result
+GALE_LAYER_SHA256 = {
+    "gale-Q":
+        "2d1895f50cec1e6f2cd16b8ee8acd21424483007bf9444fa0a570969476398a5",
+    "inverse-gale-Q":
+        "6b7948485ec585ed72e4c59a57bdf6bebfd711b6fc721ca8660aa28f45e04587",
+    "gale-Qi":
+        "2f0978331162e58f30b40b8f8048c7d880f02e5dec7eb47e9a52c0bdaa49a323",
+    "inverse-gale-Qi":
+        "d7f7d86ea4bf49c313366ccfb84a7d4a08c5753fd0a8dcd0ecb80f6fd19adf3d",
+    "verify-fan-Q":
+        "35c96c51617c227882b6932878a3bd9183260777f7b9fa8d674bdd54caf75288",
+}
+
+
+def _stdout(capsys, *argv):
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 0
+    return capsys.readouterr().out
+
+
+def _gale_layer_outputs(tmp_path, capsys):
+    outs = {}
+    for field, name, n, dim, seed in (("rational", "Q", 7, 5, 42),
+                                      ("cyclotomic:4", "Qi", 6, 4, 7300)):
+        cfg, dual = tmp_path / f"{name}.json", tmp_path / f"{name}-g.json"
+        _stdout(capsys, "gen-random", "--n", n, "--dim", dim, "--field",
+                field, "--seed", seed, "--output", cfg)
+        outs[f"gale-{name}"] = _stdout(capsys, "gale", "--input", cfg)
+        dual.write_text(json.dumps(json.loads(outs[f"gale-{name}"])["dual"]))
+        outs[f"inverse-gale-{name}"] = _stdout(capsys, "inverse-gale",
+                                               "--input", dual)
+    cfg, fan = tmp_path / "Q.json", tmp_path / "fan.json"
+    res = _stdout(capsys, "equidistribute", "--input", cfg, "--r", 3)
+    fan.write_text(json.dumps(json.loads(res)["affine_fan"]))
+    outs["verify-fan-Q"] = _stdout(capsys, "verify-fan", "--input", cfg,
+                                   "--fan", fan, "--mode", "equidistribute")
+    return outs
+
+
+@pytest.mark.parametrize("command", sorted(GALE_LAYER_SHA256))
+def test_gale_layer_bytes_are_pinned(tmp_path, capsys, command):
+    out = _gale_layer_outputs(tmp_path, capsys)[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GALE_LAYER_SHA256[command]

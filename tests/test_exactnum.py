@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,11 @@ from fandist.exactnum import (
     ExactMatrix,
     FieldMismatch,
     Positivity,
+    _back_eliminate,
     _clear,
+    _eliminate_int,
     _field_data,
+    _kernel_int,
     conj,
     cyclotomic_poly,
     hermitian_dot,
@@ -443,6 +447,53 @@ def matrices(draw):
                           max_size=4))
     rhs = [draw(entries) for _ in order]
     return N, [distinct[i] for i in order], cols, rhs
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices: negative entries (so negative pivots),
+    repeated rows, zero rows and combinations keeping the rank short."""
+    cols = draw(st.integers(1, 5))
+    ints = st.integers(-6, 6)
+    distinct = draw(st.lists(st.lists(ints, min_size=cols, max_size=cols),
+                             min_size=1, max_size=3))
+    if draw(st.booleans()):
+        distinct.append([0] * cols)
+    if draw(st.booleans()):
+        a, b = draw(ints), draw(ints)
+        distinct.append([a * x + b * y
+                         for x, y in zip(distinct[0], distinct[-1])])
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                          max_size=5))
+    return [list(distinct[i]) for i in order], cols
+
+
+class TestReducedEchelonForm:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_against_rref_oracle(self, case):
+        rows, cols = case
+        M = [list(row) for row in rows]
+        pivots = _eliminate_int(M, cols)
+        lead = _back_eliminate(M, pivots)
+        grid, oracle_pivots = rref_oracle([[F(x) for x in row]
+                                           for row in rows], cols)
+        rank = len(oracle_pivots)
+        assert [pc for _, pc in pivots] == oracle_pivots
+        # lead is the least positive scale making the reduced form integral
+        assert lead > 0
+        assert lead == lcm(*(x.denominator for row in grid[:rank]
+                             for x in row))
+        for (pr, _), row in zip(pivots, grid):
+            assert M[pr] == [lead * x for x in row]
+        free = [c for c in range(cols) if c not in oracle_pivots]
+        kernel = _kernel_int(M, pivots, lead, cols)
+        assert len(kernel) == cols - rank
+        for f, v in zip(free, kernel):
+            assert all(sum(a * b for a, b in zip(row, v)) == 0
+                       for row in rows)
+            assert [v[g] for g in free] == \
+                [lead if g == f else 0 for g in free]
 
 
 class TestCyclotomicProperties:

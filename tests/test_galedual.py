@@ -34,6 +34,7 @@ from fandist.galedual import (
     lift_augment,
     linear_change_of_basis,
 )
+from fandist.genpos import random_config
 
 
 def random_spanning(n, d, seed, bits=6):
@@ -66,9 +67,14 @@ def radon_partition_oracle(points):
 fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
 
 
+def dual_rows(pair):
+    """The rows of B, the dual's coordinate rows (conjugation fixes Q)."""
+    return ExactMatrix(list(zip(*pair.dual.points)))
+
+
 def dependence_of(pair, c):
     """lambda = B^T c, the dependence whose functional is c."""
-    return pair.basis_matrix.transpose().mul_vec(c)
+    return dual_rows(pair).transpose().mul_vec(c)
 
 
 @st.composite
@@ -276,30 +282,50 @@ class TestIntegerPrepare:
     @settings(max_examples=100, deadline=None)
     @given(rational_bridges(), st.data())
     def test_perturbed_basis_row_is_not_a_dependence(self, case, data):
+        # dual coordinate k of point j is entry (k, j) of the basis row k
         pair, _ = case
         pair.validate()
-        rows = [list(b) for b in pair.basis_matrix.entries]
+        pts = [list(g) for g in pair.dual.points]
         n = pair.primal.n
-        k = data.draw(st.integers(0, len(rows) - 1))
+        k = data.draw(st.integers(0, pair.dual.dim - 1))
         j = data.draw(st.integers(0, n - 1))
         delta = data.draw(fracs.filter(bool))
-        rows[k][j] += delta
+        pts[j][k] += delta
 
         def validate():
-            GaleDualPair(pair.primal, pair.dual,
-                         ExactMatrix(rows)).validate()
+            GaleDualPair(pair.primal,
+                         PointConfig(pair.dual.dim, pts)).validate()
 
         with pytest.raises(NotADependence):
             validate()
         # moving the weight to another point keeps the row sum: only a
         # coordinate equation can fail, and fails iff the points differ
         j2 = data.draw(st.integers(0, n - 1).filter(lambda i: i != j))
-        rows[k][j2] -= delta
+        pts[j2][k] -= delta
         if pair.primal.points[j] == pair.primal.points[j2]:
             validate()
         else:
             with pytest.raises(NotADependence):
                 validate()
+
+    @pytest.mark.parametrize("N", [4, 3])
+    def test_perturbed_cyclotomic_dual_is_not_a_dependence(self, N):
+        # row k of B is conj(g_j[k]) over j; moving one entry by delta
+        # moves A b by conj(delta) (a_j, 1), whose last entry is nonzero
+        rng = random.Random(N)
+        zeta = Cyclotomic.root_of_unity(N)
+        for seed in range(3):
+            X = random_config(4, 2, field=N, seed=900 + seed)
+            pair = gale_pair_from_dual(lift_augment(X))
+            for delta in (F(rng.randint(1, 5), rng.randint(1, 3)),
+                          zeta * rng.randint(1, 4)):
+                pts = [list(g) for g in pair.dual.points]
+                k = rng.randrange(pair.dual.dim)
+                j = rng.randrange(pair.dual.n)
+                pts[j][k] += delta
+                perturbed = PointConfig(pair.dual.dim, pts, N)
+                with pytest.raises(NotADependence):
+                    GaleDualPair(pair.primal, perturbed).validate()
 
     @settings(max_examples=150, deadline=None)
     @given(rational_bridges(), st.data())
@@ -393,7 +419,7 @@ class TestBridge:
         for seed in range(10):
             cfg = random_spanning(rng.randint(5, 8), 2, 300 + seed)
             pair = gale_transform(cfg)
-            kb = [list(row) for row in pair.basis_matrix.entries]
+            kb = [list(row) for row in zip(*pair.dual.points)]
             lam = [F(0)] * cfg.n
             for row in kb:
                 c = F(rng.randint(-5, 5), rng.randint(1, 4))
@@ -410,7 +436,7 @@ class TestBridge:
         pair, c = case
         lam = dependence_of(pair, c)
         alpha = dependence_to_functional(pair, lam)
-        assert alpha == pair.basis_matrix.transpose().solve(lam) == c
+        assert alpha == dual_rows(pair).transpose().solve(lam) == c
         assert all(type(a) is F for a in alpha)
 
     def test_rational_bridge_makes_no_solve(self, monkeypatch):

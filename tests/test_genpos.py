@@ -319,7 +319,7 @@ class TestIsTypical:
                    for i in range(primal.dim)]
             full = PointConfig(primal.dim, list(primal.points) + [avg])
             pair = gale_transform(full)
-            kb = [list(b) for b in pair.basis_matrix.entries]
+            kb = [list(b) for b in zip(*pair.dual.points)]
             special = [F(1)] * n + [F(-n)]
             # exchange the special vector into the basis, last position
             W = ExactMatrix.from_columns(kb)

@@ -198,6 +198,13 @@ class TestBounds:
         # the minimal ell does not certify; see the sharpness tests
         assert row["certified_ell"] in (None, 3)
 
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("d_values", [[], [0], [7]])
+    def test_small_r_is_rejected_up_front(self, r, d_values):
+        with pytest.raises(PreconditionError,
+                           match="bounds experiment needs r >= 3"):
+            bounds_experiment(r, 2, d_values, [0])
+
 
 # -- characterisation of the drivers -----------------------------------------
 #
