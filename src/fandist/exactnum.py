@@ -419,10 +419,11 @@ Scalar = Fraction | Cyclotomic
 # scalar-level operations
 
 def conj(s: Scalar) -> Scalar:
-    """Complex conjugation; rationals are fixed."""
+    """Complex conjugation; rationals are fixed, a Fraction returned as
+    it is."""
     if isinstance(s, Cyclotomic):
         return s.conjugate()
-    return Fraction(s)
+    return s if type(s) is Fraction else Fraction(s)
 
 
 def hermitian_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -470,10 +471,9 @@ def _as_scalar(value, conductor):
         if conductor is None or value.N != conductor:
             raise FieldMismatch("mixed scalar fields in matrix")
         return value
-    value = Fraction(value)
     if conductor is not None:
         return Cyclotomic.from_rational(conductor, value)
-    return value
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def scalar_zero(conductor: int | None) -> Scalar:

@@ -477,10 +477,9 @@ def verify_report(fan: Fan, config: PointConfig, mode: str, *,
     if mode not in ("distribute", "equidistribute", "pierce", "rainbow",
                     "two-fan"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    coloring = config.coloring if config.coloring is not None \
-        else [0] * config.n
-    ncls = max(coloring) + 1
-    sizes = [sum(1 for c in coloring if c == k) for k in range(ncls)]
+    coloring = config.coloring or [0] * config.n
+    sizes = config.class_sizes()
+    ncls = len(sizes)
     cls1 = _classify_all(fan, config)
     failures: list[str] = []
     details: dict = {}

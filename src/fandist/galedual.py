@@ -6,15 +6,15 @@ point matrix).  Affine dependencies among the points correspond exactly to
 linear functionals on the dual vectors, which is the bridge every fan
 construction in this package rests on.
 
-Over Q the pipeline's side of this module runs in integers, with the
-fraction-free elimination of ``exactnum``: the inverse Gale transform
-reads the primal off the reduced echelon form of the dual's coordinate
-rows, each cleared to integers; a pair checks its dual's coordinate rows
-and tests dependencies on its primal cleared to one common denominator,
-and solves for functionals with one integer left inverse of its cleared
-dual.
-Fractions are built only for the points a ``PointConfig`` holds and the
-functionals returned.  Over Q(zeta_N) the same steps run in the field.
+The inverse Gale transform is one path for both fields: it reads the
+primal off the kernel basis of the dual's coordinate rows, which
+``ExactMatrix`` reduces fraction-free in integers over Q and in the field
+over Q(zeta_N), and checks the pair it builds once, by the pair's own
+test that every conjugated coordinate row of the dual is an affine
+dependence of the primal.  A rational pair tests dependencies on its
+primal cleared to one common denominator and solves for functionals with
+one integer left inverse of its cleared dual; Fractions are built only
+for the points a ``PointConfig`` holds and the functionals returned.
 """
 
 from __future__ import annotations
@@ -39,17 +39,16 @@ from fandist.exactnum import (
     ExactMatrix,
     FieldMismatch,
     Scalar,
-    _back_eliminate,
     _clear,
     _eliminate_int,
     _json_int,
-    _kernel_int,
     _left_inverse_int,
     conj,
     hermitian_dot,
     integer_grid,
     scalar_from_json,
     scalar_is_zero,
+    scalar_one,
     scalar_to_json,
     scalar_zero,
 )
@@ -93,7 +92,7 @@ class PointConfig:
                         raise FieldMismatch("mixed conductors in one config")
                     row.append(c)
                 else:
-                    row.append(Fraction(c))
+                    row.append(c if type(c) is Fraction else Fraction(c))
             pts.append(tuple(row))
         if conductor is not None:
             pts = [tuple(Cyclotomic.from_rational(conductor, c)
@@ -135,11 +134,9 @@ class PointConfig:
 
     def lifted_matrix(self) -> ExactMatrix:
         """(dim+1) x n matrix whose columns are (a_j, 1)."""
-        one = Fraction(1) if self.conductor is None else \
-            Cyclotomic.from_rational(self.conductor, 1)
         rows = [[self.points[j][i] for j in range(self.n)]
                 for i in range(self.dim)]
-        rows.append([one] * self.n)
+        rows.append([scalar_one(self.conductor)] * self.n)
         return ExactMatrix(rows, self.conductor)
 
     def affinely_spanning(self) -> bool:
@@ -159,11 +156,8 @@ class PointConfig:
         """Embed a config into Q(zeta_N); rational configs promote freely."""
         if self.conductor == N:
             return self
-        if self.conductor is None:
-            pts = [[Cyclotomic.from_rational(N, c) for c in p]
-                   for p in self.points]
-        else:
-            pts = [[c.embed(N) for c in p] for p in self.points]
+        pts = self.points if self.conductor is None else \
+            [[c.embed(N) for c in p] for p in self.points]
         return PointConfig(self.dim, pts, N, self.coloring)
 
     def to_json(self) -> dict:
@@ -191,10 +185,6 @@ class PointConfig:
             field.get("cyclotomic") if isinstance(field, dict) else None,
             "field.cyclotomic")
         pts = [[scalar_from_json(c) for c in p] for p in points]
-        if conductor is not None:
-            pts = [[c if isinstance(c, Cyclotomic)
-                    else Cyclotomic.from_rational(conductor, c) for c in p]
-                   for p in pts]
         coloring = obj.get("coloring")
         if coloring is not None:
             if not isinstance(coloring, list):
@@ -255,20 +245,10 @@ class GaleDualPair:
 
     def validate(self) -> None:
         """Every row of B, a conjugated coordinate row of the dual, is an
-        affine dependence of the primal; a rational pair decides it on
-        the primal's integer grid, each row cleared to integers."""
-        rows = zip(*self.dual.points)
-        if self.primal.conductor is None:
-            P = self._primal_grid
-            for b in rows:
-                if len(b) != len(P) or \
-                        not _is_dependence_int(P, _clear(b)[0]):
-                    raise NotADependence("basis row is not in ker A")
-            return
-        A = self.primal.lifted_matrix()
-        for b in rows:
-            if any(not scalar_is_zero(x)
-                   for x in A.mul_vec([conj(c) for c in b])):
+        affine dependence of the primal, decided by ``_is_dependence``;
+        NotADependence otherwise."""
+        for row in zip(*self.dual.points):
+            if not _is_dependence(self, [conj(c) for c in row]):
                 raise NotADependence("basis row is not in ker A")
 
 
@@ -298,67 +278,48 @@ def gale_transform(primal: PointConfig) -> GaleDualPair:
     return GaleDualPair(primal, dual)
 
 
-def _check_dual_preconditions(dual: PointConfig):
-    m = dual.dim
-    zero = scalar_zero(dual.conductor)
-    total = [zero] * m
-    for p in dual.points:
-        total = [a + b for a, b in zip(total, p)]
-    if any(not scalar_is_zero(t) for t in total):
-        raise NonzeroSum("dual points must sum to zero")
-
-
-def inverse_gale(dual: PointConfig, verify: bool = True) -> PointConfig:
-    """Reconstruct a primal whose Gale transform is the given points.
-
-    The kernel of the matrix with columns g_i has the basis read off its
-    reduced echelon form: one vector per free column f, with 1 at f, 0
-    at the other free columns and minus the reduced row entries of f at
-    the pivot columns.  The points sum to zero, so the all-ones vector is
-    in the kernel, with coefficient 1 on every basis vector; exchanging
-    it for the first one keeps a basis, and the primal's coordinates are
-    the other d vectors.  A rational dual is reduced in integers, each
-    coordinate row cleared to integers first; a cyclotomic one in the
-    field.  The recovered points affinely span K^d with d = n - dim - 1.
-    """
-    _check_dual_preconditions(dual)
-    n, m = dual.n, dual.dim
-    d = n - m - 1
-    if dual.conductor is None:
-        M = [_clear([p[i] for p in dual.points])[0] for i in range(m)]
-        pivots = _eliminate_int(M, n)
-        if len(pivots) != m:
-            raise NotSpanning(f"dual points do not linearly span K^{m}")
-        lead = _back_eliminate(M, pivots)
-        coords = [[Fraction(x, lead) for x in v]
-                  for v in _kernel_int(M, pivots, lead, n)[1:]]
-    else:
-        B = ExactMatrix.from_columns(list(dual.points), dual.conductor)
-        kb = B.kernel_basis()  # d + 1 vectors of length n iff the dual spans
-        if len(kb) != d + 1:
-            raise NotSpanning(f"dual points do not linearly span K^{m}")
-        coords = [[conj(x) for x in v] for v in kb[1:]]
-    primal_pts = [tuple(v[j] for v in coords) for j in range(n)]
-    primal = PointConfig(d, primal_pts, dual.conductor, dual.coloring)
-    if verify:
-        if not primal.affinely_spanning():
-            raise NotSpanning("recovered primal fails to affinely span")
-        pair = gale_transform(primal)
-        if linear_change_of_basis(pair.dual.points, dual.points) is None:
-            raise NotSpanning(
-                "recovered primal's dual is not linearly isomorphic to input")
-    return primal
+def inverse_gale(dual: PointConfig) -> PointConfig:
+    """The primal of ``gale_pair_from_dual(dual)``, checked by its pair."""
+    return gale_pair_from_dual(dual).primal
 
 
 def gale_pair_from_dual(dual: PointConfig) -> GaleDualPair:
     """Inverse Gale transform packaged as a checked pair.
 
-    The resulting pair satisfies: dual points are exactly the given ones,
-    and the primal is an affinely spanning configuration in K^(n-dim-1)
-    with every conjugated coordinate row of the dual in its kernel.
+    The kernel of the matrix with columns g_i has the basis read off its
+    reduced echelon form: one vector per free column f, with 1 at f, 0
+    at the other free columns and minus the reduced row entries of f at
+    the pivot columns.  It holds d + 1 vectors, d = n - dim - 1, exactly
+    when the g_i span K^dim.  The points sum to zero, so the all-ones
+    vector is in the kernel, with coefficient 1 on every basis vector;
+    exchanging it for the first one keeps a basis, and the primal's
+    coordinates are the other d vectors, conjugated.  On the kernel's
+    d + 1 free columns the primal's coordinate rows are then unit vectors
+    and its lifted row is all ones, so the primal affinely spans K^d by
+    construction.
+
+    The pair is checked once by ``GaleDualPair.validate``: the dual
+    points are exactly the given ones and every conjugated coordinate
+    row of the dual is an affine dependence of the primal.  A dual that
+    does not sum to zero raises NonzeroSum, one that does not span
+    raises NotSpanning; a failed check of the pair built here is a bug.
     """
-    pair = GaleDualPair(inverse_gale(dual, verify=False), dual)
-    pair.validate()
+    zero = scalar_zero(dual.conductor)
+    if any(not scalar_is_zero(sum(col, zero)) for col in zip(*dual.points)):
+        raise NonzeroSum("dual points must sum to zero")
+    n, m = dual.n, dual.dim
+    d = n - m - 1
+    kb = ExactMatrix.from_columns(dual.points, dual.conductor).kernel_basis()
+    if len(kb) != d + 1:
+        raise NotSpanning(f"dual points do not linearly span K^{m}")
+    primal_pts = [tuple(conj(v[j]) for v in kb[1:]) for j in range(n)]
+    pair = GaleDualPair(
+        PointConfig(d, primal_pts, dual.conductor, dual.coloring), dual)
+    try:
+        pair.validate()
+    except NotADependence as exc:
+        raise VerificationBug(
+            f"inverse Gale transform fails its own check: {exc}") from exc
     return pair
 
 
@@ -370,8 +331,7 @@ def lift_augment(config: PointConfig) -> PointConfig:
     """
     if not config.affinely_spanning():
         raise NotAffinelySpanning("input must affinely span its space")
-    one = Fraction(1) if config.conductor is None else \
-        Cyclotomic.from_rational(config.conductor, 1)
+    one = scalar_one(config.conductor)
     lifted = [tuple(p) + (one,) for p in config.points]
     acc = list(lifted[0])
     for p in lifted[1:]:
@@ -382,15 +342,15 @@ def lift_augment(config: PointConfig) -> PointConfig:
 
 
 def _is_dependence(pair: GaleDualPair, lam: Sequence[Scalar]) -> bool:
+    """Whether lambda sums to zero and weights the primal to zero: an
+    affine dependence, possibly zero.  A rational pair decides it on its
+    primal's integer grid, lambda cleared to integers."""
     primal = pair.primal
     if len(lam) != primal.n:
         return False
     if primal.conductor is None and \
             not any(isinstance(x, Cyclotomic) for x in lam):
-        Lam = _clear(lam)[0]
-        return any(Lam) and _is_dependence_int(pair._primal_grid, Lam)
-    if all(scalar_is_zero(x) for x in lam):
-        return False
+        return _is_dependence_int(pair._primal_grid, _clear(lam)[0])
     zero = scalar_zero(primal.conductor)
     s = zero
     for x in lam:
@@ -420,7 +380,7 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
         lam = [x if isinstance(x, Cyclotomic)
                else Cyclotomic.from_rational(pair.primal.conductor, x)
                for x in lam]
-    if not _is_dependence(pair, lam):
+    if not any(lam) or not _is_dependence(pair, lam):
         raise NotADependence("lambda is not a nonzero affine dependence")
     if pair.primal.conductor is None:
         return _rational_functional(pair, lam)
@@ -458,7 +418,7 @@ def functional_to_dependence(pair: GaleDualPair, alpha: Sequence[Scalar]):
            for a in alpha):
         raise ZeroFunctional("alpha must be nonzero")
     lam = tuple(hermitian_dot(alpha, g) for g in pair.dual.points)
-    if not _is_dependence(pair, lam):
+    if not any(lam) or not _is_dependence(pair, lam):
         raise VerificationBug("bridge postcondition failed (bug)")
     return lam
 

@@ -163,15 +163,15 @@ def corresponding_primal(config: PointConfig,
                          primal: Optional[PointConfig] = None) -> PointConfig:
     """The primal sequence a_1..a_n that the configuration corresponds to.
 
-    Lift-and-augment followed by the inverse Gale transform; the last
-    primal point, the one paired with the augmented negated-sum point, is
-    dropped from the returned primal.  ``primal``, when given, must be
-    that inverse Gale transform (the primal of the pipeline's pair,
-    ``gale_pair_from_dual(lift_augment(config)).primal``); it is then not
-    computed again.
+    Lift-and-augment followed by the inverse Gale transform, checked by
+    its pair; the last primal point, the one paired with the augmented
+    negated-sum point, is dropped from the returned primal.  ``primal``,
+    when given, must be that inverse Gale transform (the primal of the
+    pipeline's pair, ``gale_pair_from_dual(lift_augment(config)).primal``);
+    it is then not computed again.
     """
     if primal is None:
-        primal = inverse_gale(lift_augment(config), verify=False)
+        primal = inverse_gale(lift_augment(config))
     pts = primal.points[:config.n]
     return PointConfig(primal.dim, pts, primal.conductor, config.coloring)
 

@@ -179,10 +179,10 @@ def _prepare(X: PointConfig, r: int):
     return X, pair, d, warnings
 
 
-def _coloring_and_sizes(X: PointConfig):
-    """The coloring (one class when X has none) and its class sizes."""
-    coloring = X.coloring if X.coloring is not None else [0] * X.n
-    return coloring, [coloring.count(k) for k in range(max(coloring) + 1)]
+def _fan_bound(r: int, d: int, m: int, is_complex: bool) -> int:
+    """The single-fan guarantee bound on n: (r-1)(D + m + 1) + 1, with D
+    = 2d for complex fans and d for real ones."""
+    return (r - 1) * ((2 * d if is_complex else d) + m + 1) + 1
 
 
 def _build_fan(pair, X, tup):
@@ -257,9 +257,9 @@ def equidistribute(X: PointConfig, r: int, *,
     after a warning); inside them, exhaustion raises a bug signal.
     """
     def plan(X, d, is_complex, warnings):
-        coloring, sizes = _coloring_and_sizes(X)
+        sizes = X.class_sizes()
         m = len(sizes)
-        bound = (r - 1) * ((2 * d if is_complex else d) + m + 1) + 1
+        bound = _fan_bound(r, d, m, is_complex)
         guaranteed = True
         if X.n < bound:
             warnings.append(
@@ -272,7 +272,7 @@ def equidistribute(X: PointConfig, r: int, *,
             guaranteed = False
         caps = threshold_caps(sizes, r)
         return m, guaranteed, SearchConstraint.color_cap(
-            caps, list(coloring) + [0])
+            caps, list(X.coloring or [0] * X.n) + [0])
 
     return _single_fan("equidistribute", "equidistribution", plan, X, r,
                        lp_gate=lp_gate)
@@ -292,7 +292,7 @@ def pierce(X: PointConfig, family: SetFamily,
     def plan(X, d, is_complex, warnings):
         if family.n != X.n:
             raise PreconditionError("family ground set must match the points")
-        bound = (r - 1) * ((2 * d if is_complex else d) + m + 1) + 1
+        bound = _fan_bound(r, d, m, is_complex)
         guaranteed = prime_base(r) is not None and X.n >= bound
         if X.n < bound:
             warnings.append(f"n={X.n} below the guarantee bound {bound}")
@@ -375,7 +375,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     t0 = time.monotonic()
     X0 = X
     X, pair, d, warnings = _prepare(X, r)
-    coloring, sizes = _coloring_and_sizes(X)
+    sizes = X.class_sizes()
 
     bound = (r - 1) * (d + 1) + len(sizes) * (r * r - 1) // 2 + 1
     if X.n < bound:
@@ -388,7 +388,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
         # coloring list may stop at the original points
         pairres = search_two_tuples(
             pair.primal, r, cell_caps=caps9,
-            coloring=list(coloring), allowed=range(X.n),
+            coloring=list(X.coloring or [0] * X.n), allowed=range(X.n),
             tuple_gate=tuple_gate, pair_gate=pair_gate)
     elif mode == "pierce":
         if family is None or certificate is None:

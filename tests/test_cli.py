@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fandist.cli import build_parser, main
-from fandist.exactnum import Cyclotomic
+from fandist.exactnum import Cyclotomic, ExactMatrix
 from fandist.galedual import PointConfig
 from fandist.genpos import (
     SGP_GATE,
@@ -67,6 +67,21 @@ class TestGenerateAndTransform:
         back = tmp_path / "back.json"
         assert main(["inverse-gale", "--input", str(dual_cfg),
                      "--output", str(back)]) == 0
+
+    def test_inverse_gale_failed_self_check_exits_4(self, tmp_path,
+                                                    monkeypatch, capsys):
+        dual = tmp_path / "dual.json"
+        dual.write_text(json.dumps(PointConfig(1, [[1], [-2], [1]]).to_json()))
+        kernel_basis = ExactMatrix.kernel_basis
+
+        def perturbed(self):
+            kb = [list(v) for v in kernel_basis(self)]
+            kb[-1][0] += 1
+            return kb
+
+        monkeypatch.setattr(ExactMatrix, "kernel_basis", perturbed)
+        assert main(["inverse-gale", "--input", str(dual)]) == 4
+        assert "internal error" in capsys.readouterr().err
 
     def test_gale_reduces_long_coefficient_lists(self, tmp_path):
         cfg = random_config(6, 4, field=3, seed=5).to_json()

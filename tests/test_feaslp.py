@@ -257,6 +257,39 @@ else:
     print("returned", sys.flags.optimize)
 """
 
+# the inverse Gale transform's check of its own pair, on a perturbed kernel
+GALE_SELF_CHECK_SCRIPT = """
+import sys
+from fandist.errors import VerificationBug
+from fandist.exactnum import ExactMatrix
+from fandist.galedual import PointConfig, inverse_gale
+kernel_basis = ExactMatrix.kernel_basis
+def perturbed(self):
+    kb = [list(v) for v in kernel_basis(self)]
+    kb[-1][0] += 1
+    return kb
+ExactMatrix.kernel_basis = perturbed
+try:
+    inverse_gale(PointConfig(1, [[1], [-2], [1]]))
+except VerificationBug:
+    print("VerificationBug", sys.flags.optimize)
+else:
+    print("returned", sys.flags.optimize)
+"""
+
+
+def run_optimized(script):
+    """What the script prints under ``python -O``, split into words."""
+    src = os.path.dirname(os.path.dirname(fandist.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
 
 class TestReverification:
     def test_feasible_example(self):
@@ -270,15 +303,11 @@ class TestReverification:
             proper_weights(ProperWeightProblem(RADON_POINTS, RADON_PARTS))
 
     def test_failed_verify_raises_under_optimize(self):
-        src = os.path.dirname(os.path.dirname(fandist.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-O", "-c", REVERIFY_SCRIPT],
-                             env=env, capture_output=True, text=True,
-                             timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["VerificationBug", "1"]
+        assert run_optimized(REVERIFY_SCRIPT) == ["VerificationBug", "1"]
+
+    def test_failed_gale_self_check_raises_under_optimize(self):
+        assert run_optimized(GALE_SELF_CHECK_SCRIPT) == \
+            ["VerificationBug", "1"]
 
 
 def solve_counting_simplex(solver, parts, closed_form=True):

@@ -216,15 +216,46 @@ class TestInverseGale:
             assert in_general_position(primal) == dual_general_position(dual)
 
 
+def kernel_oracle(columns, one):
+    """The kernel basis of the matrix with these columns, read off a
+    Gauss-Jordan pass that divides each pivot row: one vector per free
+    column f, with 1 at f, 0 at the other free columns and minus the
+    reduced row entries of f at the pivot columns."""
+    n = len(columns)
+    grid = [list(row) for row in zip(*columns)]
+    pivots = []
+    for col in range(n):
+        prow = len(pivots)
+        pivot = next((r for r in range(prow, len(grid)) if grid[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        grid[prow], grid[pivot] = grid[pivot], grid[prow]
+        pv = grid[prow][col]
+        grid[prow] = [e / pv for e in grid[prow]]
+        for r in range(len(grid)):
+            if r != prow and grid[r][col]:
+                f = grid[r][col]
+                grid[r] = [x - f * y for x, y in zip(grid[r], grid[prow])]
+        pivots.append(col)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [one - one] * n
+        v[f] = one
+        for k, pc in enumerate(pivots):
+            v[pc] = -grid[k][f]
+        basis.append(tuple(v))
+    return basis
+
+
 def inverse_gale_oracle(dual):
     """The primal points of the Fraction inverse Gale transform: the
     kernel basis of the columns g_i, the all-ones vector exchanged in for
     the first basis vector with a nonzero coefficient in it."""
     n, d = dual.n, dual.n - dual.dim - 1
-    kb = ExactMatrix.from_columns(list(dual.points),
-                                  dual.conductor).kernel_basis()
-    assert len(kb) == d + 1
     ones = tuple([scalar_one(dual.conductor)] * n)
+    kb = kernel_oracle(dual.points, ones[0])
+    assert len(kb) == d + 1
     coeff = ExactMatrix.from_columns(kb, dual.conductor).solve(ones)
     swap = next(i for i, c in enumerate(coeff) if not scalar_is_zero(c))
     basis = [kb[i] for i in range(d + 1) if i != swap] + [ones]
@@ -264,10 +295,13 @@ class TestIntegerPrepare:
     @settings(max_examples=200, deadline=None)
     @given(rational_duals())
     def test_inverse_gale_matches_fraction_oracle(self, dual):
-        primal = inverse_gale(dual, verify=False)
+        primal = inverse_gale(dual)
         assert primal.dim == dual.n - dual.dim - 1
         assert primal.points == inverse_gale_oracle(dual)
         assert inverse_gale(dual).points == primal.points
+        assert primal.affinely_spanning()
+        assert linear_change_of_basis(gale_transform(primal).dual.points,
+                                      dual.points) is not None
 
     @pytest.mark.parametrize("N", [3, 4, 8])
     def test_cyclotomic_inverse_gale_matches_oracle(self, N):
@@ -276,8 +310,11 @@ class TestIntegerPrepare:
             pts = [[Cyclotomic(N, [F(rng.randint(-4, 4), rng.randint(1, 3))
                                    for _ in range(2)])] for _ in range(4)]
             dual = zero_sum_dual(1, pts, N)
-            assert inverse_gale(dual, verify=False).points == \
-                inverse_gale_oracle(dual)
+            primal = inverse_gale(dual)
+            assert primal.points == inverse_gale_oracle(dual)
+            assert primal.affinely_spanning()
+            assert linear_change_of_basis(gale_transform(primal).dual.points,
+                                          dual.points) is not None
 
     @settings(max_examples=100, deadline=None)
     @given(rational_bridges(), st.data())
@@ -342,6 +379,40 @@ class TestIntegerPrepare:
     def test_left_inverse_points_are_greedy(self, case):
         pair, _ = case
         assert pair._left_inverse[2] == greedy_columns(pair.dual.points)
+
+
+def perturb_kernel_basis(monkeypatch):
+    """Move the first entry of the last kernel vector by one: the first
+    primal point's last coordinate moves, and every dual row that weights
+    that point stops being a dependence."""
+    kernel_basis = ExactMatrix.kernel_basis
+
+    def perturbed(self):
+        kb = [list(v) for v in kernel_basis(self)]
+        kb[-1][0] += 1
+        return [tuple(v) for v in kb]
+
+    monkeypatch.setattr(ExactMatrix, "kernel_basis", perturbed)
+
+
+class TestSelfCheck:
+    @pytest.mark.parametrize("dual", [
+        PointConfig(1, [[1], [-2], [1]]),
+        lift_augment(random_config(5, 2, field=4, seed=7300)),
+    ], ids=["Q", "Qi"])
+    def test_failed_self_check_is_a_bug(self, monkeypatch, dual):
+        primal = inverse_gale(dual)
+        perturb_kernel_basis(monkeypatch)
+        with pytest.raises(VerificationBug):
+            gale_pair_from_dual(dual)
+        with pytest.raises(VerificationBug):
+            inverse_gale(dual)
+        # a pair the caller built is checked as data, not as a bug
+        pts = [list(g) for g in dual.points]
+        pts[0][0] += 1
+        bad_dual = PointConfig(dual.dim, pts, dual.conductor)
+        with pytest.raises(NotADependence):
+            GaleDualPair(primal, bad_dual).validate()
 
 
 class TestLiftAugment:
