@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success/verified, 1 none-found, 2 precondition or
-certificate failure, 3 size gate, 4 internal verification
-failure (a bug signal).
+Exit codes: 0 success/verified, 1 none-found, 2 user error (a violated
+precondition, an unreadable file or malformed JSON), 3 size gate, 4 any
+other error (a bug signal).
 """
 
 from __future__ import annotations
@@ -10,14 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
-from fandist.errors import (
-    FandistError,
-    GuaranteeViolation,
-    PreconditionError,
-    SizeGateExceeded,
-    VerificationBug,
-)
+from fandist.errors import PreconditionError, SizeGateExceeded
 from fandist.fans import fan_from_json, verify_report
 from fandist.galedual import (
     PointConfig,
@@ -141,6 +136,8 @@ def _cmd_verify_fan(args):
     family = None
     if args.family:
         family = SetFamily.from_json(_read_json(args.family))
+        if family.n != cfg.n:
+            raise PreconditionError("family ground set must match the points")
     other = None
     if args.other_fan:
         other = fan_from_json(_read_json(args.other_fan))
@@ -187,12 +184,20 @@ def _cmd_bounds(args):
 def _cmd_gen_random(args):
     field = "rational"
     if args.field.startswith("cyclotomic:"):
-        field = int(args.field.split(":", 1)[1])
+        field = args.field.split(":", 1)[1]
+        if not field.isdecimal() or int(field) < 1:
+            raise PreconditionError(f"--field: bad conductor {field!r}")
+        field = int(field)
     elif args.field != "rational":
         raise PreconditionError(f"unknown field {args.field!r}")
+    if args.bits < 1:
+        raise PreconditionError("--bits must be at least 1")
     coloring = None
     if args.classes:
-        sizes = [int(x) for x in args.classes.split(",")]
+        sizes = args.classes.split(",")
+        if not all(x.isdecimal() for x in sizes):
+            raise PreconditionError(f"--classes: bad sizes {args.classes!r}")
+        sizes = [int(x) for x in sizes]
         if sum(sizes) != args.n:
             raise PreconditionError("class sizes must sum to n")
         coloring = []
@@ -333,13 +338,15 @@ def main(argv=None) -> int:
     except SizeGateExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (GuaranteeViolation, VerificationBug, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_BUG
-    except (PreconditionError, FandistError, FileNotFoundError,
-            KeyError, ValueError) as exc:
+    except (PreconditionError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        # anything else is a bug: report it with its traceback
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

@@ -191,6 +191,14 @@ def _clear(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _clear_grid(points):
+    """(the rational points scaled by s to integers, s), where s is the
+    least common denominator of their coordinates."""
+    s = lcm(*(c.denominator for p in points for c in p))
+    return [[c.numerator * (s // c.denominator) for c in p]
+            for p in points], s
+
+
 def integer_grid(points) -> list[list[int]]:
     """Rational coordinates scaled by their least common denominator.
 
@@ -198,9 +206,7 @@ def integer_grid(points) -> list[list[int]]:
     systems, hull intersections and affine dependencies are decided on
     this grid unchanged.
     """
-    scale = lcm(*(c.denominator for p in points for c in p))
-    return [[c.numerator * (scale // c.denominator) for c in p]
-            for p in points]
+    return _clear_grid(points)[0]
 
 
 class Cyclotomic:
@@ -498,9 +504,9 @@ def scalar_to_json(s: Scalar):
 
 def _json_int(value, field: str) -> int:
     """The integer a JSON value holds, or PreconditionError naming the
-    field; a fractional number is no integer."""
+    field; a fractional number or a boolean is no integer."""
     try:
-        if isinstance(value, (int, str)) or \
+        if type(value) in (int, str) or \
                 isinstance(value, float) and value.is_integer():
             return int(value)
     except ValueError:
@@ -510,11 +516,11 @@ def _json_int(value, field: str) -> int:
 
 def scalar_from_json(obj, field: str = "coordinate") -> Scalar:
     """A scalar: a rational (a JSON number or a string such as "1/3")
-    or {"N": N, "coeffs": [rationals]}; PreconditionError naming the
+    or {"N": N >= 1, "coeffs": [rationals]}; PreconditionError naming the
     field otherwise."""
     if isinstance(obj, dict):
         N, coeffs = obj.get("N"), obj.get("coeffs")
-        if isinstance(N, int) and isinstance(coeffs, list):
+        if type(N) is int and N >= 1 and isinstance(coeffs, list):
             return Cyclotomic(N, [_rational_from_json(c, field)
                                   for c in coeffs])
         raise PreconditionError(f"malformed {field} {obj!r}")
@@ -523,7 +529,7 @@ def scalar_from_json(obj, field: str = "coordinate") -> Scalar:
 
 def _rational_from_json(obj, field: str = "coordinate") -> Fraction:
     try:
-        if isinstance(obj, (int, float, str, Fraction)):
+        if type(obj) in (int, float, str, Fraction):
             return Fraction(obj)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
@@ -700,20 +706,17 @@ class ExactMatrix:
         return tuple(out)
 
     def _rref(self):
-        """Reduced row echelon form: (pivot rows, pivot column list).
+        """Reduced row echelon form: (rows, pivots as (row, col), lead).
 
         Rational rows are cleared to integers, each over its own common
-        denominator, and reduced fraction-free to the common pivot lead;
-        each pivot row's Fractions are then built once, over lead.
+        denominator, and reduced fraction-free: the form is rows / lead.
         Cyclotomic rows are reduced in the field, inverting each pivot
-        once.
+        once, and lead is 1.
         """
         if self.conductor is None:
             M = self._int_rows()
             pivots = _eliminate_int(M, self.cols)
-            lead = _back_eliminate(M, pivots)
-            return ([[Fraction(x, lead) if x else _ZERO for x in M[pr]]
-                     for pr, _ in pivots], [pc for _, pc in pivots])
+            return M, pivots, _back_eliminate(M, pivots)
         grid = [list(row) for row in self.entries]
         pivots = []
         prow = 0
@@ -732,11 +735,17 @@ class ExactMatrix:
                 if r != prow and not scalar_is_zero(grid[r][col]):
                     f = grid[r][col]
                     grid[r] = [a - f * b for a, b in zip(grid[r], grid[prow])]
-            pivots.append(col)
+            pivots.append((prow, col))
             prow += 1
             if prow == self.rows:
                 break
-        return grid[:prow], pivots
+        return grid, pivots, 1
+
+    def _scalars(self, values, lead) -> tuple:
+        """Values read off ``_rref`` over its lead, as field scalars."""
+        if self.conductor is None:
+            return tuple(Fraction(x, lead) for x in values)
+        return tuple(_as_scalar(x, self.conductor) for x in values)
 
     def _int_rows(self):
         """Each rational row as integers over its own common denominator."""
@@ -751,26 +760,17 @@ class ExactMatrix:
         """
         if self.conductor is None:
             return [c for _, c in _eliminate_int(self._int_rows(), self.cols)]
-        return self._rref()[1]
+        return [c for _, c in self._rref()[1]]
 
     def rank(self) -> int:
         return len(self.pivot_columns())
 
     def kernel_basis(self) -> list[tuple]:
-        """Deterministic basis of the right kernel; empty when injective."""
-        grid, pivots = self._rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        zero = scalar_zero(self.conductor)
-        one = scalar_one(self.conductor)
-        basis = []
-        for f in free:
-            vec = [zero] * self.cols
-            vec[f] = one
-            for prow, pcol in enumerate(pivots):
-                vec[pcol] = -grid[prow][f]
-            basis.append(tuple(vec))
-        return basis
+        """Deterministic basis of the right kernel, ``_kernel_int`` of the
+        reduced form; empty when injective."""
+        M, pivots, lead = self._rref()
+        return [self._scalars(v, lead)
+                for v in _kernel_int(M, pivots, lead, self.cols)]
 
     def solve(self, rhs: Sequence[Scalar]):
         """One exact solution of M x = rhs (free variables zero), or None."""
@@ -778,14 +778,13 @@ class ExactMatrix:
             raise ValueError("dimension mismatch")
         aug = ExactMatrix([list(row) + [r] for row, r in zip(self.entries, rhs)],
                           self.conductor)
-        grid, pivots = aug._rref()
-        if self.cols in pivots:
+        M, pivots, lead = aug._rref()
+        if any(pc == self.cols for _, pc in pivots):
             return None  # inconsistent
-        zero = scalar_zero(self.conductor)
-        x = [zero] * self.cols
-        for prow, pcol in enumerate(pivots):
-            x[pcol] = grid[prow][self.cols]
-        return tuple(x)
+        x = [0] * self.cols
+        for pr, pc in pivots:
+            x[pc] = M[pr][self.cols]
+        return aug._scalars(x, lead)
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix)

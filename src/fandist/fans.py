@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Optional, Sequence, Union
 
@@ -200,6 +201,8 @@ class ComplexFan:
                  beta: Union[Cyclotomic, Fraction, int]):
         if r < 2:
             raise MalformedFan("complex fans need r >= 2")
+        if N < 1:
+            raise MalformedFan("conductor must be positive")
         if N % r:
             raise MalformedFan("conductor must be divisible by r")
         alpha = tuple(a if isinstance(a, Cyclotomic)
@@ -210,6 +213,8 @@ class ComplexFan:
             raise MalformedFan("alpha must be nonzero")
         if not isinstance(beta, Cyclotomic):
             beta = Cyclotomic.from_rational(N, beta)
+        if beta.N != N:
+            raise MalformedFan("beta conductor mismatch")
         # the positive factor carrying the coefficients to integers with
         # content 1; scaling a whole fan by it changes no half-flat
         nums, den = _clear([c for a in alpha for c in a.coeffs]
@@ -236,6 +241,10 @@ class ComplexFan:
     def classify(self, x: Sequence[Cyclotomic]) -> Classification:
         if len(x) != self.dim:
             raise PreconditionError("point dimension mismatch")
+        for xi in x:
+            if isinstance(xi, Cyclotomic) and self.N % xi.N:
+                raise PreconditionError(f"a point over Q(zeta_{xi.N}) is "
+                                        f"not in Q(zeta_{self.N})")
         x = tuple(xi if isinstance(xi, Cyclotomic) and xi.N == self.N
                   else (xi.embed(self.N) if isinstance(xi, Cyclotomic)
                         else Cyclotomic.from_rational(self.N, xi))
@@ -461,8 +470,13 @@ class VerificationReport:
         }
 
 
-def _classify_all(fan: Fan, config: PointConfig) -> list[Classification]:
-    return [fan.classify(x) for x in config.points]
+def _labels(fan: Fan, config: PointConfig):
+    """Each point of config classified under fan: (classifications, each
+    point's interior index or None, center count, per-interior counts)."""
+    cls = [fan.classify(x) for x in config.points]
+    parts = [c.part if c.kind == INTERIOR else None for c in cls]
+    interiors = [parts.count(j) for j in range(fan.r)]
+    return cls, parts, sum(c.kind == CENTER for c in cls), interiors
 
 
 def verify_report(fan: Fan, config: PointConfig, mode: str, *,
@@ -470,116 +484,89 @@ def verify_report(fan: Fan, config: PointConfig, mode: str, *,
                   other_fan: Optional[Fan] = None) -> VerificationReport:
     """Classify every point and check the requested distribution mode.
 
-    Modes: distribute, equidistribute, pierce, rainbow, two-fan.  All
-    counting is exact integer arithmetic; the report carries per-cell
-    counts and the total interior occupancy (the robustness statistic).
+    Modes: distribute, equidistribute, pierce, rainbow, two-fan.  A cell
+    is the set of points interior to half-flat j of the fan, keyed (j,),
+    or, in two-fan mode, to half-flat i of the fan and j of the second,
+    keyed (i, j).  With k such fans, equidistribute and two-fan without a
+    family cap every class c in every cell at fan.r ** k * count <= |X_c|;
+    rainbow allows one point of each class per cell, and two-fan with a
+    family no member inside a cell.  All counting is exact integer
+    arithmetic; the report carries per-cell counts and the total interior
+    occupancy (the robustness statistic).
     """
     if mode not in ("distribute", "equidistribute", "pierce", "rainbow",
                     "two-fan"):
         raise PreconditionError(f"unknown mode {mode!r}")
     coloring = config.coloring or [0] * config.n
     sizes = config.class_sizes()
-    ncls = len(sizes)
-    cls1 = _classify_all(fan, config)
+    cls1, parts, center, interiors = _labels(fan, config)
     failures: list[str] = []
     details: dict = {}
 
     r = fan.r
-    center = sum(1 for c in cls1 if c.kind == CENTER)
-    interiors = [sum(1 for c in cls1 if c.kind == INTERIOR and c.part == j)
-                 for j in range(r)]
-    outside = [i for i, c in enumerate(cls1) if c.kind == OUTSIDE]
-    diagnostics = [i for i, c in enumerate(cls1) if c.diagnostic]
+    diagnostics = {str(i): c.diagnostic for i, c in enumerate(cls1)
+                   if c.diagnostic}
     if diagnostics:
-        details["diagnostics"] = {
-            str(i): cls1[i].diagnostic for i in diagnostics}
+        details["diagnostics"] = diagnostics
+    outside = [i for i, c in enumerate(cls1) if c.kind == OUTSIDE]
     if outside:
         failures.append(f"points outside the fan: {outside}")
 
-    cell_counts: dict[str, int] = {}
+    fans, labels = [fan], [parts]
     if mode == "two-fan":
         if other_fan is None:
             raise PreconditionError("two-fan mode needs the second fan")
-        cls2 = _classify_all(other_fan, config)
+        cls2, parts2, center2, interiors2 = _labels(other_fan, config)
         out2 = [i for i, c in enumerate(cls2) if c.kind == OUTSIDE]
         if out2:
             failures.append(f"points outside the second fan: {out2}")
-        for i in range(r):
-            for j in range(other_fan.r):
-                cell = [p for p in range(config.n)
-                        if cls1[p].kind == INTERIOR and cls1[p].part == i
-                        and cls2[p].kind == INTERIOR and cls2[p].part == j]
-                for k in range(ncls):
-                    cnt = sum(1 for p in cell if coloring[p] == k)
-                    cell_counts[f"({i},{j},{k})"] = cnt
-                    if family is None and r * r * cnt > sizes[k]:
-                        failures.append(
-                            f"cell ({i},{j}) holds {cnt} of class {k}: "
-                            f"{r * r}*{cnt} > {sizes[k]}")
-                if family is not None:
-                    cellset = set(cell)
-                    for m in family.members:
-                        if set(m) <= cellset:
-                            failures.append(
-                                f"family member {list(m)} sits inside "
-                                f"cell ({i},{j})")
-        details["second_fan_interiors"] = [
-            sum(1 for c in cls2 if c.kind == INTERIOR and c.part == j)
-            for j in range(other_fan.r)]
-        details["second_fan_center"] = sum(
-            1 for c in cls2 if c.kind == CENTER)
-    else:
-        for j in range(r):
-            for k in range(ncls):
-                cnt = sum(1 for p in range(config.n)
-                          if cls1[p].kind == INTERIOR and cls1[p].part == j
-                          and coloring[p] == k)
-                cell_counts[f"({j},{k})"] = cnt
+        details.update(second_fan_interiors=interiors2,
+                       second_fan_center=center2)
+        fans, labels = [fan, other_fan], [parts, parts2]
 
-    if mode == "equidistribute":
-        for j in range(r):
-            for k in range(ncls):
-                cnt = cell_counts[f"({j},{k})"]
-                if r * cnt > sizes[k]:
-                    failures.append(
-                        f"half-flat {j} holds {cnt} of class {k}: "
-                        f"{r}*{cnt} > {sizes[k]}")
-    elif mode == "rainbow":
-        for j in range(r):
-            for k in range(ncls):
-                if cell_counts[f"({j},{k})"] > 1:
-                    failures.append(
-                        f"half-flat {j} holds more than one of class {k}")
-    elif mode == "pierce":
+    k = len(fans)
+    cells = {cell: [] for cell in product(*(range(f.r) for f in fans))}
+    for p, cell in enumerate(zip(*labels)):
+        if None not in cell:
+            cells[cell].append(p)
+    capped = mode == "equidistribute" or mode == "two-fan" and family is None
+    cell_counts: dict[str, int] = {}
+    for cell, members in cells.items():
+        name = f"half-flat {cell[0]}" if k == 1 else \
+            f"cell ({','.join(map(str, cell))})"
+        for c, size in enumerate(sizes):
+            cnt = sum(1 for p in members if coloring[p] == c)
+            cell_counts["(" + ",".join(map(str, cell + (c,))) + ")"] = cnt
+            if capped and r ** k * cnt > size:
+                failures.append(f"{name} holds {cnt} of class {c}: "
+                                f"{r ** k}*{cnt} > {size}")
+            if mode == "rainbow" and cnt > 1:
+                failures.append(f"{name} holds more than one of class {c}")
+        if mode == "two-fan" and family is not None:
+            inside = set(members)
+            failures.extend(f"family member {list(m)} sits inside {name}"
+                            for m in family.members if inside.issuperset(m))
+
+    if mode == "pierce":
         if family is None:
             raise PreconditionError("pierce mode needs the family")
-        meets = {}
-        contained = []
+        meets, contained = {}, []
         for m in family.members:
-            tags = set()
-            any_center = False
-            for i in m:
-                if cls1[i].kind == CENTER:
-                    any_center = True
-                elif cls1[i].kind == INTERIOR:
-                    tags.add(cls1[i].part)
-            count = r if any_center else len(tags)
+            tags = {parts[i] for i in m}
+            any_center = any(cls1[i].kind == CENTER for i in m)
+            count = r if any_center else len(tags - {None})
             meets[str(list(m))] = count
             if count < 2:
-                failures.append(
-                    f"family member {list(m)} meets only {count} "
-                    "closed half-flats")
+                failures.append(f"family member {list(m)} meets only "
+                                f"{count} closed half-flats")
             # the stronger conclusion from the proof, reported not enforced
-            if not any_center and len(tags) == 1 and \
-                    all(cls1[i].kind == INTERIOR for i in m):
+            if not any_center and len(tags) == 1 and None not in tags:
                 contained.append(list(m))
         details["closed_halfflat_meets"] = meets
         details["members_inside_one_interior"] = contained
 
-    robustness = sum(interiors)
-    passes = not failures
     return VerificationReport(
-        mode=mode, r=r, passes=passes, center_count=center,
+        mode=mode, r=r, passes=not failures, center_count=center,
         interior_counts=tuple(interiors), cell_class_counts=cell_counts,
-        robustness=robustness, class_sizes=tuple(sizes),
+        robustness=sum(interiors), class_sizes=tuple(sizes),
         failures=tuple(failures), details=details)

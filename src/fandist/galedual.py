@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Optional, Sequence
 
 from fandist.errors import (
@@ -40,6 +39,7 @@ from fandist.exactnum import (
     FieldMismatch,
     Scalar,
     _clear,
+    _clear_grid,
     _eliminate_int,
     _json_int,
     _left_inverse_int,
@@ -79,10 +79,13 @@ class PointConfig:
     def __init__(self, dim: int, points: Sequence[Sequence[Scalar]],
                  conductor: Optional[int] = None,
                  coloring: Optional[Sequence[int]] = None):
+        if dim < 0:
+            raise PreconditionError("dim must be nonnegative")
         pts = []
-        for p in points:
+        for i, p in enumerate(points):
             if len(p) != dim:
-                raise ValueError("point dimension mismatch")
+                raise PreconditionError(
+                    f"points: point {i} has {len(p)} coordinates, dim {dim}")
             row = []
             for c in p:
                 if isinstance(c, Cyclotomic):
@@ -103,8 +106,9 @@ class PointConfig:
         object.__setattr__(self, "conductor", conductor)
         if coloring is not None:
             coloring = tuple(int(c) for c in coloring)
-            if len(coloring) != len(pts):
-                raise ValueError("coloring length mismatch")
+            if len(coloring) != len(pts) or min(coloring, default=0) < 0:
+                raise PreconditionError(
+                    "coloring must give each point a class >= 0")
         object.__setattr__(self, "coloring", coloring)
         object.__setattr__(self, "_spanning", None)
 
@@ -184,7 +188,13 @@ class PointConfig:
         conductor = None if field == "rational" else _json_int(
             field.get("cyclotomic") if isinstance(field, dict) else None,
             "field.cyclotomic")
+        if conductor is not None and conductor < 1:
+            raise PreconditionError("field.cyclotomic must be positive")
         pts = [[scalar_from_json(c) for c in p] for p in points]
+        if any(isinstance(c, Cyclotomic) and c.N != conductor
+               for p in pts for c in p):
+            raise PreconditionError(
+                "points: a coordinate's conductor differs from field")
         coloring = obj.get("coloring")
         if coloring is not None:
             if not isinstance(coloring, list):
@@ -228,10 +238,8 @@ class GaleDualPair:
         rows), and L / D (D > 0) inverts the matrix with rows G_i, i in
         S.  So <alpha, g_i> = lambda_i on S reads alpha = s L lambda_S / D.
         """
-        pts = self.dual.points
         m = self.dual.dim
-        s = lcm(*(c.denominator for p in pts for c in p))
-        G = [[c.numerator * (s // c.denominator) for c in p] for p in pts]
+        G, s = _clear_grid(self.dual.points)
         S = [c for _, c in _eliminate_int(list(zip(*G)), len(G))]
         if len(S) != m:
             raise VerificationBug("dual points must span the dual space")
@@ -333,10 +341,7 @@ def lift_augment(config: PointConfig) -> PointConfig:
         raise NotAffinelySpanning("input must affinely span its space")
     one = scalar_one(config.conductor)
     lifted = [tuple(p) + (one,) for p in config.points]
-    acc = list(lifted[0])
-    for p in lifted[1:]:
-        acc = [a + b for a, b in zip(acc, p)]
-    lifted.append(tuple(-a for a in acc))
+    lifted.append(tuple(-sum(col[1:], col[0]) for col in zip(*lifted)))
     # the augmented point carries no color; callers exclude it by index
     return PointConfig(config.dim + 1, lifted, config.conductor, None)
 
@@ -352,18 +357,9 @@ def _is_dependence(pair: GaleDualPair, lam: Sequence[Scalar]) -> bool:
             not any(isinstance(x, Cyclotomic) for x in lam):
         return _is_dependence_int(pair._primal_grid, _clear(lam)[0])
     zero = scalar_zero(primal.conductor)
-    s = zero
-    for x in lam:
-        s = s + x
-    if not scalar_is_zero(s):
-        return False
-    for i in range(primal.dim):
-        acc = zero
-        for j, x in enumerate(lam):
-            acc = acc + x * primal.points[j][i]
-        if not scalar_is_zero(acc):
-            return False
-    return True
+    return scalar_is_zero(sum(lam, zero)) and all(
+        scalar_is_zero(sum((x * p[i] for x, p in zip(lam, primal.points)),
+                           zero)) for i in range(primal.dim))
 
 
 def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):

@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 SGP_GATE = 10
+# coordinate bits and sampling attempts of build_counterexample
+_SAMPLE_BITS = 4
+_SAMPLE_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -251,9 +254,7 @@ class CounterexampleInstance:
 
 
 def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
-                         seed: int = 0, bits: int = 4,
-                         sgp_gate: int = SGP_GATE,
-                         retries: int = 100) -> CounterexampleInstance:
+                         seed: int = 0) -> CounterexampleInstance:
     """Sharpness instance: Gale dual of a strong-general-position sample
     plus the origin, colored so classes 2..m hold r-1 points each.
 
@@ -272,7 +273,7 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
 
     When the sample size exceeds the SGP gate, only ordinary general
     position is verified and the instance carries sgp_verified=False.
-    With r=3, m=2, d=1 that is every ell >= 3 under the default gate.
+    With r=3, m=2, d=1 that is every ell >= 3 under SGP_GATE.
     """
     if r < 3:
         raise PreconditionError("r must be at least 3")
@@ -290,11 +291,11 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
 
     sample = None
     verified = False
-    for attempt in range(retries):
-        cand = random_config(npts, ambient, "rational", bits,
-                             seed * retries + attempt)
-        if npts <= sgp_gate:
-            if check_sgp(cand, gate=sgp_gate).verdict:
+    for attempt in range(_SAMPLE_RETRIES):
+        cand = random_config(npts, ambient, "rational", _SAMPLE_BITS,
+                             seed * _SAMPLE_RETRIES + attempt)
+        if npts <= SGP_GATE:
+            if check_sgp(cand).verdict:
                 sample, verified = cand, True
                 break
         else:

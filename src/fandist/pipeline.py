@@ -74,6 +74,9 @@ __all__ = [
     "two_fans",
 ]
 
+# coordinate bits of bounds_experiment's lower-bound configurations
+_BOUNDS_BITS = 6
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -419,7 +422,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
         timing=time.monotonic() - t0)
 
 
-def bounds_experiment(r: int, m: int, d_values, seeds, *, bits: int = 6,
+def bounds_experiment(r: int, m: int, d_values, seeds, *,
                       lp_gate: int = DEFAULT_LP_GATE,
                       max_ell_extra: int = 1) -> list[dict]:
     """Bracket the maximum equidistributable size for each ambient d.
@@ -432,25 +435,23 @@ def bounds_experiment(r: int, m: int, d_values, seeds, *, bits: int = 6,
     """
     if r < 3:
         raise PreconditionError("bounds experiment needs r >= 3")
+    if m < 1:
+        raise PreconditionError("bounds experiment needs m >= 1")
     c = (r - 1) * (m + 1)
     rows = []
     for d in d_values:
         if d <= c:
             rows.append({"d": d, "skipped": "d must exceed (r-1)(m+1)"})
             continue
-        s = (d - c) // (r - 2) if r > 3 else d - c
-        t = d - c - (r - 2) * s if r > 3 else 0
-        while r > 3 and t > r - 2:
-            s += 1
-            t = d - c - (r - 2) * s
-        if s < 1 or t < 0:
+        s, t = divmod(d - c, r - 2)
+        if s < 1:
             rows.append({"d": d, "skipped": "no valid (s, t) decomposition"})
             continue
         n = d + s + 1
         successes = 0
         for seed in seeds:
             coloring = [k % m for k in range(n)]
-            X = random_config(n, d, "rational", bits, seed,
+            X = random_config(n, d, "rational", _BOUNDS_BITS, seed,
                               coloring=sorted(coloring))
             res = equidistribute(X, r, lp_gate=lp_gate)
             if res is not None:

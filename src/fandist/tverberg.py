@@ -421,6 +421,8 @@ def search_tuple(config: PointConfig, r: int,
     ``guarantee`` names a satisfied theorem hypothesis yet the exhaustive
     search came up empty (that is a bug signal, not a data error).
     """
+    if r < 1:
+        raise PreconditionError("r must be at least 1")
     if config.n < r:
         raise PreconditionError("need at least r points")
     real = realify_if_needed(config)

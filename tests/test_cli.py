@@ -1,10 +1,14 @@
 import hashlib
 import inspect
 import json
+import os
+import tempfile
 import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fandist.cli import build_parser, main
 from fandist.exactnum import Cyclotomic, ExactMatrix
@@ -383,3 +387,133 @@ def test_gale_layer_bytes_are_pinned(tmp_path, capsys, command):
     out = _gale_layer_outputs(tmp_path, capsys)[command]
     assert hashlib.sha256(out.encode()).hexdigest() == \
         GALE_LAYER_SHA256[command]
+
+
+
+# gen-random arguments of the valid configs the malformations start from
+GEN_RANDOM_BASES = [
+    ["--n", "6", "--dim", "3", "--classes", "3,3", "--seed", "1"],
+    ["--n", "5", "--dim", "2", "--classes", "3,2", "--seed", "2",
+     "--field", "cyclotomic:3"],
+    ["--n", "5", "--dim", "2", "--classes", "2,3", "--seed", "3",
+     "--field", "cyclotomic:4"],
+]
+
+MALFORMATIONS = [
+    "config type", "points type", "point type", "coordinate type",
+    "ragged point", "coloring type", "coloring length", "coloring entry",
+    "negative dim", "dim type", "field", "coordinate conductor",
+    "mixed conductors", "non-rational string",
+]
+
+BAD_TYPES = st.sampled_from([None, True, "x", 5, 1.5, [], {}])
+
+
+def _malformed(obj, kind, i, j, draw):
+    """The valid config ``obj`` with one malformation of this kind at
+    point i, coordinate j; ``draw`` draws the bad value."""
+    pts, coloring = obj["points"], obj["coloring"]
+    if kind == "config type":
+        return draw(st.sampled_from([[obj], "x", 5, None]))
+    if kind == "points type":
+        obj["points"] = draw(BAD_TYPES)
+    elif kind == "point type":
+        pts[i] = draw(BAD_TYPES)
+    elif kind == "coordinate type":
+        pts[i][j] = draw(st.sampled_from([None, True, [], {}, {"N": 3}]))
+    elif kind == "ragged point":
+        pts[i] = pts[i][:-1] if draw(st.booleans()) else pts[i] + ["1"]
+    elif kind == "coloring type":
+        obj["coloring"] = draw(BAD_TYPES.filter(lambda v: v is not None))
+    elif kind == "coloring length":
+        obj["coloring"] = coloring[:-1] if draw(st.booleans()) \
+            else coloring + [0]
+    elif kind == "coloring entry":
+        coloring[i] = draw(st.integers(-9, -1) | BAD_TYPES.filter(
+            lambda v: v != 5))
+    elif kind == "negative dim":
+        obj["dim"] = draw(st.integers(-5, -1))
+    elif kind == "dim type":
+        obj["dim"] = draw(BAD_TYPES)
+    elif kind == "field":
+        obj["field"] = draw(st.sampled_from(
+            [{"cyclotomic": N} for N in (0, -4, "x", None, 1.5)]
+            + ["complex", 5, [], None, True]))
+    elif kind == "coordinate conductor":
+        pts[i][j] = {"N": draw(st.integers(-3, 0)), "coeffs": ["1"]}
+    elif kind == "mixed conductors":
+        pts[i][j] = {"N": draw(st.sampled_from([5, 8])),
+                     "coeffs": ["1", "1"]}
+    elif kind == "non-rational string":
+        pts[i][j] = draw(st.sampled_from(
+            ["abc", "1/0", "nan", "inf", "", "1/2/3", "0x10"]))
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from(GEN_RANDOM_BASES),
+       kind=st.sampled_from(MALFORMATIONS), data=st.data())
+def test_malformed_config_exits_2(base, kind, data):
+    """A malformed config is a user error for every command that loads
+    it: never exit 0 (accepted), 1 (none found) or 4 (a bug)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.json")
+        assert main(["gen-random", *base, "--output", path]) == 0
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        i = data.draw(st.integers(0, len(obj["points"]) - 1))
+        j = data.draw(st.integers(0, obj["dim"] - 1))
+        bad = _malformed(obj, kind, i, j, data.draw)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(bad, fh)
+        for argv in (["gale"], ["equidistribute", "--r", "3"]):
+            assert main([*argv, "--input", path]) == 2, argv
+
+
+@pytest.mark.parametrize("exc", [ValueError("boom"), KeyError("boom")],
+                         ids=["ValueError", "KeyError"])
+def test_unexpected_error_exits_4(monkeypatch, capsys, config_file, exc):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("fandist.cli.gale_transform", boom)
+    assert main(["gale", "--input", config_file]) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen-random", "--n", "4", "--dim", "2", "--field", "cyclotomic:x"],
+     "--field"),
+    (["gen-random", "--n", "4", "--dim", "2", "--field", "cyclotomic:0"],
+     "--field"),
+    (["gen-random", "--n", "4", "--dim", "2", "--classes", "2,x"],
+     "--classes"),
+    (["gen-random", "--n", "4", "--dim", "2", "--bits", "0"], "--bits"),
+    (["gen-random", "--n", "4", "--dim", "-1"], "dim"),
+    (["tverberg", "--input", "{cfg}", "--r", "0"], "r must be"),
+    (["bounds", "--r", "3", "--m", "0", "--d-values", "9"], "m >= 1"),
+], ids=["field-text", "field-zero", "classes-text", "bits-zero",
+        "negative-dim", "tverberg-r0", "bounds-m0"])
+def test_bad_argument_is_precondition(capsys, config_file, argv, message):
+    argv = [a.format(cfg=config_file) for a in argv]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_fan_field_and_family_mismatch(tmp_path, capsys):
+    """A Q(zeta_3) config under a Q(i) fan, and a family over another
+    ground set, are user errors."""
+    cfg, fan = tmp_path / "x.json", tmp_path / "fan.json"
+    cfg.write_text(json.dumps(random_config(5, 1, field=3,
+                                            seed=3).to_json()))
+    fan.write_text(json.dumps({"kind": "complex", "r": 2, "N": 4,
+                               "alpha": ["1"], "beta": "0"}))
+    assert main(["verify-fan", "--input", str(cfg), "--fan", str(fan)]) == 2
+    assert "Q(zeta_3) is not in Q(zeta_4)" in capsys.readouterr().err
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"n": 20, "members": [[15, 16]]}))
+    fan.write_text(json.dumps({"kind": "complex", "r": 3, "N": 3,
+                               "alpha": ["1"], "beta": "0"}))
+    assert main(["verify-fan", "--input", str(cfg), "--fan", str(fan),
+                 "--mode", "pierce", "--family", str(fam)]) == 2
+    assert "ground set" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fandist.errors import MalformedFan, PreconditionError, VerificationBug
 from fandist.exactnum import Cyclotomic, ExactMatrix, Positivity, is_positive_rational
+from fandist.exactnum import conj
 from fandist.fans import (
     CENTER,
     INTERIOR,
@@ -16,6 +17,7 @@ from fandist.fans import (
     Classification,
     ComplexFan,
     RealFan,
+    VerificationReport,
     fan_from_json,
     fan_from_tuple_complex,
     fan_from_tuple_real,
@@ -31,6 +33,7 @@ from fandist.galedual import (
     lift_augment,
 )
 from fandist.kneser import SetFamily
+from fandist.pipeline import canonical_json
 from fandist.tverberg import search_tuple
 
 
@@ -513,6 +516,18 @@ class TestComplexFan:
         back = fan_from_json(fan.to_json())
         assert back.alpha == fan.alpha and back.beta == fan.beta
 
+    def test_field_preconditions(self):
+        alpha = [Cyclotomic.root_of_unity(4)]
+        with pytest.raises(MalformedFan, match="beta conductor"):
+            ComplexFan(2, 4, alpha, Cyclotomic.root_of_unity(3))
+        for N in (0, -4):
+            with pytest.raises(MalformedFan, match="positive"):
+                ComplexFan(2, N, [1], 0)
+        fan = ComplexFan(2, 12, [1], 0)
+        assert fan.classify([Cyclotomic.root_of_unity(4)]).kind == OUTSIDE
+        with pytest.raises(PreconditionError, match="Q\\(zeta_8\\)"):
+            fan.classify([Cyclotomic.root_of_unity(8)])
+
 
 class TestSliceProject:
     def _lifted_run(self, seed):
@@ -634,3 +649,207 @@ class TestVerifyReport:
         cfg = PointConfig(2, [[1, 1]])
         rep = verify_report(fan, cfg, "distribute")
         assert not rep.passes
+
+
+def verify_report_oracle(fan, config, mode, *, family=None, other_fan=None):
+    """A reference implementation of ``verify_report``, kept for comparison:
+    each mode's cells counted by its own rescan of the classifications."""
+    if mode not in ("distribute", "equidistribute", "pierce", "rainbow",
+                    "two-fan"):
+        raise PreconditionError(f"unknown mode {mode!r}")
+    coloring = config.coloring or [0] * config.n
+    sizes = config.class_sizes()
+    ncls = len(sizes)
+    cls1 = [fan.classify(x) for x in config.points]
+    failures = []
+    details = {}
+
+    r = fan.r
+    center = sum(1 for c in cls1 if c.kind == CENTER)
+    interiors = [sum(1 for c in cls1 if c.kind == INTERIOR and c.part == j)
+                 for j in range(r)]
+    outside = [i for i, c in enumerate(cls1) if c.kind == OUTSIDE]
+    diagnostics = [i for i, c in enumerate(cls1) if c.diagnostic]
+    if diagnostics:
+        details["diagnostics"] = {
+            str(i): cls1[i].diagnostic for i in diagnostics}
+    if outside:
+        failures.append(f"points outside the fan: {outside}")
+
+    cell_counts = {}
+    if mode == "two-fan":
+        if other_fan is None:
+            raise PreconditionError("two-fan mode needs the second fan")
+        cls2 = [other_fan.classify(x) for x in config.points]
+        out2 = [i for i, c in enumerate(cls2) if c.kind == OUTSIDE]
+        if out2:
+            failures.append(f"points outside the second fan: {out2}")
+        for i in range(r):
+            for j in range(other_fan.r):
+                cell = [p for p in range(config.n)
+                        if cls1[p].kind == INTERIOR and cls1[p].part == i
+                        and cls2[p].kind == INTERIOR and cls2[p].part == j]
+                for k in range(ncls):
+                    cnt = sum(1 for p in cell if coloring[p] == k)
+                    cell_counts[f"({i},{j},{k})"] = cnt
+                    if family is None and r * r * cnt > sizes[k]:
+                        failures.append(
+                            f"cell ({i},{j}) holds {cnt} of class {k}: "
+                            f"{r * r}*{cnt} > {sizes[k]}")
+                if family is not None:
+                    cellset = set(cell)
+                    for m in family.members:
+                        if set(m) <= cellset:
+                            failures.append(
+                                f"family member {list(m)} sits inside "
+                                f"cell ({i},{j})")
+        details["second_fan_interiors"] = [
+            sum(1 for c in cls2 if c.kind == INTERIOR and c.part == j)
+            for j in range(other_fan.r)]
+        details["second_fan_center"] = sum(
+            1 for c in cls2 if c.kind == CENTER)
+    else:
+        for j in range(r):
+            for k in range(ncls):
+                cnt = sum(1 for p in range(config.n)
+                          if cls1[p].kind == INTERIOR and cls1[p].part == j
+                          and coloring[p] == k)
+                cell_counts[f"({j},{k})"] = cnt
+
+    if mode == "equidistribute":
+        for j in range(r):
+            for k in range(ncls):
+                cnt = cell_counts[f"({j},{k})"]
+                if r * cnt > sizes[k]:
+                    failures.append(
+                        f"half-flat {j} holds {cnt} of class {k}: "
+                        f"{r}*{cnt} > {sizes[k]}")
+    elif mode == "rainbow":
+        for j in range(r):
+            for k in range(ncls):
+                if cell_counts[f"({j},{k})"] > 1:
+                    failures.append(
+                        f"half-flat {j} holds more than one of class {k}")
+    elif mode == "pierce":
+        if family is None:
+            raise PreconditionError("pierce mode needs the family")
+        meets = {}
+        contained = []
+        for m in family.members:
+            tags = set()
+            any_center = False
+            for i in m:
+                if cls1[i].kind == CENTER:
+                    any_center = True
+                elif cls1[i].kind == INTERIOR:
+                    tags.add(cls1[i].part)
+            count = r if any_center else len(tags)
+            meets[str(list(m))] = count
+            if count < 2:
+                failures.append(
+                    f"family member {list(m)} meets only {count} "
+                    "closed half-flats")
+            if not any_center and len(tags) == 1 and \
+                    all(cls1[i].kind == INTERIOR for i in m):
+                contained.append(list(m))
+        details["closed_halfflat_meets"] = meets
+        details["members_inside_one_interior"] = contained
+
+    robustness = sum(interiors)
+    passes = not failures
+    return VerificationReport(
+        mode=mode, r=r, passes=passes, center_count=center,
+        interior_counts=tuple(interiors), cell_class_counts=cell_counts,
+        robustness=robustness, class_sizes=tuple(sizes),
+        failures=tuple(failures), details=details)
+
+
+def real_point(draw, fan):
+    """A point free, on the center or on the flat of one half-flat, so
+    that every classification occurs."""
+    free = draw(st.lists(fracs, min_size=fan.dim, max_size=fan.dim))
+    kind = draw(st.sampled_from(("free", "center", "flat", "flat")))
+    if kind == "free":
+        return free
+    j = draw(st.integers(0, fan.r - 1))
+    on = range(fan.r) if kind == "center" else \
+        [k for k in range(fan.r) if k not in (j, (j - 1) % fan.r)]
+    A = ExactMatrix([fan.normals[k] for k in on])
+    x = A.solve([fan.offsets[k] for k in on])
+    if x is None:
+        return free
+    for u, t in zip(A.kernel_basis(), free):
+        x = [a + t * b for a, b in zip(x, u)]
+    return list(x)
+
+
+def complex_point(draw, fan):
+    """A point whose functional value is beta + t omega^j, t of either
+    sign or zero, or a free point (often not rational-real)."""
+    N = fan.N
+    coeff = st.lists(fracs, max_size=3).map(lambda cs: Cyclotomic(N, cs))
+    x = draw(st.lists(coeff, min_size=fan.dim, max_size=fan.dim))
+    if draw(st.booleans()):
+        return x
+    i = next(i for i, a in enumerate(fan.alpha) if not a.is_zero())
+    target = fan.beta + draw(fracs) * fan.omega(draw(st.integers(0, fan.r)))
+    rest = sum((a * conj(xk) for k, (a, xk) in
+                enumerate(zip(fan.alpha, x)) if k != i),
+               Cyclotomic.from_rational(N, 0))
+    x[i] = conj((target - rest) / fan.alpha[i])
+    return x
+
+
+@st.composite
+def report_inputs(draw):
+    """A fan, a second fan (the first relabelled or rescaled, or drawn
+    apart, or None), a colored config with points of every
+    classification, a family (usually) and a mode."""
+    if draw(st.booleans()):
+        fan = draw(real_fans())
+        s = draw(st.integers(0, fan.r - 1))
+        other = RealFan(fan.r, fan.dim, fan.normals[s:] + fan.normals[:s],
+                        fan.offsets[s:] + fan.offsets[:s])
+        if draw(st.booleans()):
+            other = draw(real_fans())
+            assume(other.dim == fan.dim)
+        make = real_point
+    else:
+        fan = draw(complex_fans())
+        q = draw(st.sampled_from((1, 2, -1)))
+        other = ComplexFan(draw(st.sampled_from(
+            [k for k in range(2, fan.N + 1) if fan.N % k == 0])), fan.N,
+            [a * q for a in fan.alpha], fan.beta * draw(st.sampled_from(
+                (q, 1))))
+        make = complex_point
+    n = draw(st.integers(1, 8))
+    pts = [make(draw, draw(st.sampled_from((fan, other))))
+           for _ in range(n)]
+    coloring = draw(st.none() | st.lists(st.integers(0, 2), min_size=n,
+                                         max_size=n))
+    config = PointConfig(fan.dim, pts, getattr(fan, "N", None), coloring)
+    family = SetFamily(n, draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+        min_size=1, max_size=4)))
+    if draw(st.integers(0, 4)) == 0:
+        family = None
+    mode = draw(st.sampled_from(
+        ("distribute", "equidistribute", "pierce", "rainbow", "two-fan")))
+    if mode == "two-fan" and draw(st.integers(0, 9)) == 0:
+        other = None
+    return fan, config, mode, family, other
+
+
+def report_or_error(verify, fan, config, mode, family, other):
+    try:
+        return canonical_json(verify(fan, config, mode, family=family,
+                                     other_fan=other).to_json())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(report_inputs())
+def test_verify_report_matches_oracle(case):
+    assert report_or_error(verify_report, *case) == \
+        report_or_error(verify_report_oracle, *case)

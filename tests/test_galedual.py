@@ -12,6 +12,7 @@ from fandist.errors import (
     NotADependence,
     NotAffinelySpanning,
     NotSpanning,
+    PreconditionError,
     VerificationBug,
     ZeroFunctional,
 )
@@ -617,3 +618,25 @@ class TestPointConfigJson:
         back = PointConfig.from_json(cfg.to_json())
         assert back == cfg
         assert back.conductor == 4
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"dim": -1, "points": []}, "dim must be nonnegative"),
+    ({"dim": 1, "points": [[1], [2, 3]]}, "point 1 has 2 coordinates"),
+    ({"dim": 1, "points": [[1], [2]], "coloring": [0]}, "coloring"),
+    ({"dim": 1, "points": [[1], [2]], "coloring": [0, -1]}, "coloring"),
+    ({"dim": 1, "points": [[1]], "field": {"cyclotomic": 0}},
+     "field.cyclotomic"),
+    ({"dim": 1, "points": [[{"N": 4, "coeffs": ["1", "1"]}]],
+      "field": {"cyclotomic": 3}}, "differs from field"),
+    ({"dim": 1, "points": [[{"N": 4, "coeffs": ["1", "1"]}]]},
+     "differs from field"),
+    ({"dim": 1, "points": [[{"N": 0, "coeffs": ["1"]}]]}, "coordinate"),
+    ({"dim": 1, "points": [[True]]}, "coordinate"),
+    ({"dim": True, "points": [[1]]}, "dim"),
+], ids=["negative-dim", "ragged", "coloring-length", "negative-class",
+        "field-N0", "coordinate-conductor", "cyclotomic-in-rational",
+        "coordinate-N0", "boolean-coordinate", "boolean-dim"])
+def test_malformed_json_is_precondition(obj, message):
+    with pytest.raises(PreconditionError, match=message):
+        PointConfig.from_json(obj)

@@ -205,6 +205,11 @@ class TestBounds:
                            match="bounds experiment needs r >= 3"):
             bounds_experiment(r, 2, d_values, [0])
 
+    def test_d_below_one_step_has_no_decomposition(self):
+        # r = 5, m = 2: c = (r-1)(m+1) = 12 and d - c = 1 < r - 2, so s = 0
+        assert bounds_experiment(5, 2, [13], [0]) == [
+            {"d": 13, "skipped": "no valid (s, t) decomposition"}]
+
 
 # -- characterisation of the drivers -----------------------------------------
 #
