@@ -7,14 +7,13 @@ linear functionals on the dual vectors, which is the bridge every fan
 construction in this package rests on.
 
 The inverse Gale transform is one path for both fields: it reads the
-primal off the kernel basis of the dual's coordinate rows, which
-``ExactMatrix`` reduces fraction-free in integers over Q and in the field
-over Q(zeta_N), and checks the pair it builds once, by the pair's own
-test that every conjugated coordinate row of the dual is an affine
-dependence of the primal.  A rational pair tests dependencies on its
-primal cleared to one common denominator and solves for functionals with
-one integer left inverse of its cleared dual; Fractions are built only
-for the points a ``PointConfig`` holds and the functionals returned.
+primal off the kernel of B, whose columns are the dual points, and
+checks the pair it builds once, by the pair's own test that every
+conjugated coordinate row of the dual is an affine dependence of the
+primal.  Over Q the kernel and every functional are read off the one
+reduction of [B | I]; the pair tests dependencies on its primal cleared
+to one common denominator, and Fractions are built only for the points a
+``PointConfig`` holds and the functionals returned.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ from fandist.exactnum import (
     Scalar,
     _clear,
     _clear_grid,
-    _eliminate_int,
     _json_int,
-    _left_inverse_int,
+    _kernel_int,
     conj,
     hermitian_dot,
     integer_grid,
@@ -229,22 +227,9 @@ class GaleDualPair:
     dual: PointConfig
 
     @cached_property
-    def _left_inverse(self):
-        """(s, G, S, L, D) solving the rational bridge in integers.
-
-        G = s g is the dual cleared to integers by the least common
-        denominator s, S lists the first dim linearly independent dual
-        points (the pivot columns of one elimination of G's coordinate
-        rows), and L / D (D > 0) inverts the matrix with rows G_i, i in
-        S.  So <alpha, g_i> = lambda_i on S reads alpha = s L lambda_S / D.
-        """
-        m = self.dual.dim
-        G, s = _clear_grid(self.dual.points)
-        S = [c for _, c in _eliminate_int(list(zip(*G)), len(G))]
-        if len(S) != m:
-            raise VerificationBug("dual points must span the dual space")
-        L, D = _left_inverse_int([G[i] for i in S], m)
-        return s, G, S, L, D
+    def _bridge(self):
+        """``_dual_kernel``'s bridge; ``gale_pair_from_dual`` seeds it."""
+        return _dual_kernel(self.dual)[1]
 
     @cached_property
     def _primal_grid(self) -> list[list[int]]:
@@ -312,23 +297,50 @@ def gale_pair_from_dual(dual: PointConfig) -> GaleDualPair:
     does not sum to zero raises NonzeroSum, one that does not span
     raises NotSpanning; a failed check of the pair built here is a bug.
     """
+    if dual.dim < 1:
+        raise PreconditionError("a Gale dual needs dim >= 1")
     zero = scalar_zero(dual.conductor)
     if any(not scalar_is_zero(sum(col, zero)) for col in zip(*dual.points)):
         raise NonzeroSum("dual points must sum to zero")
     n, m = dual.n, dual.dim
     d = n - m - 1
-    kb = ExactMatrix.from_columns(dual.points, dual.conductor).kernel_basis()
+    kb, bridge = _dual_kernel(dual)
     if len(kb) != d + 1:
         raise NotSpanning(f"dual points do not linearly span K^{m}")
     primal_pts = [tuple(conj(v[j]) for v in kb[1:]) for j in range(n)]
     pair = GaleDualPair(
         PointConfig(d, primal_pts, dual.conductor, dual.coloring), dual)
+    pair.__dict__["_bridge"] = bridge  # the cached_property's value
     try:
         pair.validate()
     except NotADependence as exc:
         raise VerificationBug(
             f"inverse Gale transform fails its own check: {exc}") from exc
     return pair
+
+
+def _dual_kernel(dual: PointConfig):
+    """(kernel basis, bridge) of B, the matrix whose columns are the g_i.
+
+    Over Q(zeta_N) it is ``ExactMatrix.kernel_basis`` and no bridge.  Over
+    Q ``ExactMatrix._rref`` reduces [B | I], row k cleared by B's row
+    denominator c_k: the first n columns give B's kernel and, when the g_i
+    span, the identity block of the pivot rows is F with F B_S = lead I on
+    the pivot columns S.  The bridge is (S, F^T, lead, G, s), G = s g the
+    dual on its integer grid.
+    """
+    B = [list(row) for row in zip(*dual.points)]
+    if dual.conductor is not None:
+        return ExactMatrix(B, dual.conductor).kernel_basis(), None
+    n, m = dual.n, dual.dim
+    aug = ExactMatrix([row + [int(j == k) for j in range(m)]
+                       for k, row in enumerate(B)])
+    M, pivots, lead = aug._rref()
+    pivots = [(pr, pc) for pr, pc in pivots if pc < n]
+    kb = [aug._scalars(v, lead) for v in _kernel_int(M, pivots, lead, n)]
+    G, s = _clear_grid(dual.points)
+    return kb, ([pc for _, pc in pivots],
+                list(zip(*(row[n:] for row in M))), lead, G, s)
 
 
 def lift_augment(config: PointConfig) -> PointConfig:
@@ -367,9 +379,10 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
 
     lambda must be a nonzero affine dependence of the primal (checked
     exactly).  It is solved through the kernel basis, lambda = B^T alpha,
-    where row i of B^T is conj(g_i): over Q by the pair's integer left
-    inverse, over Q(zeta_N) by elimination.  Either way alpha is checked
-    against every g_i.
+    where row i of B^T is conj(g_i): over Q as alpha = F^T lambda_S / lead
+    from the pair's bridge, over Q(zeta_N) by elimination.  Either way alpha
+    is checked against every g_i, over Q as <P, G_i> = lead s Lam_i in
+    integers, with lambda = Lam / e and P = F^T Lam_S.
     """
     lam = [Fraction(x) if not isinstance(x, Cyclotomic) else x for x in lam]
     if pair.primal.conductor is not None:
@@ -379,7 +392,13 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
     if not any(lam) or not _is_dependence(pair, lam):
         raise NotADependence("lambda is not a nonzero affine dependence")
     if pair.primal.conductor is None:
-        return _rational_functional(pair, lam)
+        S, Ft, lead, G, s = pair._bridge
+        Lam, e = _clear(lam)
+        P = [sum(f * Lam[i] for f, i in zip(col, S)) for col in Ft]
+        for Gi, li in zip(G, Lam):
+            if sum(a * b for a, b in zip(P, Gi)) != lead * s * li:
+                raise VerificationBug("functional does not reproduce lambda")
+        return tuple(Fraction(p, lead * e) for p in P)
     Bt = ExactMatrix([[conj(c) for c in g] for g in pair.dual.points],
                      pair.dual.conductor)
     alpha = Bt.solve(lam)
@@ -389,23 +408,6 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
         if hermitian_dot(alpha, g) != lam[i]:
             raise VerificationBug("functional does not reproduce lambda")
     return alpha
-
-
-def _rational_functional(pair: GaleDualPair, lam: Sequence[Fraction]):
-    """alpha from the pair's integer left inverse, checked on every i.
-
-    With lambda = Lam / e in integers and P = L Lam_S, alpha = s P / (D e),
-    and <alpha, g_i> = lambda_i is the integer equality <P, G_i> = D Lam_i.
-    """
-    s, G, S, L, D = pair._left_inverse
-    Lam, e = _clear(lam)
-    lam_S = [Lam[i] for i in S]
-    P = [sum(a * b for a, b in zip(row, lam_S)) for row in L]
-    for Gi, li in zip(G, Lam):
-        if sum(a * b for a, b in zip(P, Gi)) != D * li:
-            raise VerificationBug("functional does not reproduce lambda")
-    q = D * e
-    return tuple(Fraction(s * p, q) for p in P)
 
 
 def functional_to_dependence(pair: GaleDualPair, alpha: Sequence[Scalar]):

@@ -279,6 +279,8 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
         raise PreconditionError("r must be at least 3")
     if m < 2:
         raise PreconditionError("m must be at least 2")
+    if d < 1:
+        raise PreconditionError("d must be at least 1")
     if not (0 <= k <= r - 1):
         raise PreconditionError("k must lie in 0..r-1")
     if (ell - 2) * (r - 1) <= k:

@@ -115,8 +115,11 @@ class ColoringCertificate:
         classes = obj.get("classes")
         if not isinstance(classes, list):
             raise PreconditionError("classes must be a list of integers")
+        classes = tuple(_json_int(c, "classes") for c in classes)
+        if min(classes, default=0) < 0:
+            raise PreconditionError("classes must be integers >= 0")
         return cls(SetFamily.from_json(obj), _json_int(obj.get("r"), "r"),
-                   tuple(_json_int(c, "classes") for c in classes))
+                   classes)
 
 
 def has_r_disjoint(members: Sequence[Sequence[int]], r: int,

@@ -437,6 +437,8 @@ def bounds_experiment(r: int, m: int, d_values, seeds, *,
         raise PreconditionError("bounds experiment needs r >= 3")
     if m < 1:
         raise PreconditionError("bounds experiment needs m >= 1")
+    if min(d_values, default=1) < 1:
+        raise PreconditionError("d must be at least 1")
     c = (r - 1) * (m + 1)
     rows = []
     for d in d_values:

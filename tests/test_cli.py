@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fandist import galedual
 from fandist.cli import build_parser, main
-from fandist.exactnum import Cyclotomic, ExactMatrix
+from fandist.exactnum import Cyclotomic
 from fandist.galedual import PointConfig
 from fandist.genpos import (
     SGP_GATE,
@@ -76,16 +77,26 @@ class TestGenerateAndTransform:
                                                     monkeypatch, capsys):
         dual = tmp_path / "dual.json"
         dual.write_text(json.dumps(PointConfig(1, [[1], [-2], [1]]).to_json()))
-        kernel_basis = ExactMatrix.kernel_basis
+        dual_kernel = galedual._dual_kernel
 
-        def perturbed(self):
-            kb = [list(v) for v in kernel_basis(self)]
+        def perturbed(dual):
+            kb, bridge = dual_kernel(dual)
+            kb = [list(v) for v in kb]
             kb[-1][0] += 1
-            return kb
+            return kb, bridge
 
-        monkeypatch.setattr(ExactMatrix, "kernel_basis", perturbed)
+        monkeypatch.setattr(galedual, "_dual_kernel", perturbed)
         assert main(["inverse-gale", "--input", str(dual)]) == 4
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [[], [[], [], []]],
+                             ids=["no-points", "three-points"])
+    def test_inverse_gale_dim_zero_is_precondition(self, tmp_path, capsys,
+                                                   points):
+        dual = tmp_path / "dual.json"
+        dual.write_text(json.dumps({"dim": 0, "points": points}))
+        assert main(["inverse-gale", "--input", str(dual)]) == 2
+        assert "a Gale dual needs dim >= 1" in capsys.readouterr().err
 
     def test_gale_reduces_long_coefficient_lists(self, tmp_path):
         cfg = random_config(6, 4, field=3, seed=5).to_json()
@@ -233,7 +244,9 @@ class TestSearchCommands:
         ([[0], [1]], "object"),
         ({"n": 7, "members": 5, "r": 3, "classes": [0]}, "members"),
         ({"n": 7, "members": [[0]], "r": 3, "classes": 5}, "classes"),
-    ], ids=["top-level-list", "members-number", "classes-number"])
+        ({"n": 9, "members": [[1, 2]], "r": 3, "classes": [-1]}, "classes"),
+    ], ids=["top-level-list", "members-number", "classes-number",
+            "classes-negative"])
     def test_malformed_certificate_is_precondition(self, tmp_path, capsys,
                                                    config_file, blob, field):
         cert = tmp_path / "cert.json"
@@ -492,8 +505,15 @@ def test_unexpected_error_exits_4(monkeypatch, capsys, config_file, exc):
     (["gen-random", "--n", "4", "--dim", "-1"], "dim"),
     (["tverberg", "--input", "{cfg}", "--r", "0"], "r must be"),
     (["bounds", "--r", "3", "--m", "0", "--d-values", "9"], "m >= 1"),
+    (["counterexample", "--r", "3", "--m", "2", "--d", "0", "--ell", "4"],
+     "d must be at least 1"),
+    (["counterexample", "--r", "3", "--m", "2", "--d", "-1", "--ell", "4"],
+     "d must be at least 1"),
+    (["bounds", "--r", "3", "--m", "2", "--d-values", "0"],
+     "d must be at least 1"),
 ], ids=["field-text", "field-zero", "classes-text", "bits-zero",
-        "negative-dim", "tverberg-r0", "bounds-m0"])
+        "negative-dim", "tverberg-r0", "bounds-m0", "counterexample-d0",
+        "counterexample-d-negative", "bounds-d0"])
 def test_bad_argument_is_precondition(capsys, config_file, argv, message):
     argv = [a.format(cfg=config_file) for a in argv]
     assert main(argv) == 2

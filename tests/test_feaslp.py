@@ -261,14 +261,15 @@ else:
 GALE_SELF_CHECK_SCRIPT = """
 import sys
 from fandist.errors import VerificationBug
-from fandist.exactnum import ExactMatrix
+from fandist import galedual
 from fandist.galedual import PointConfig, inverse_gale
-kernel_basis = ExactMatrix.kernel_basis
-def perturbed(self):
-    kb = [list(v) for v in kernel_basis(self)]
+dual_kernel = galedual._dual_kernel
+def perturbed(dual):
+    kb, bridge = dual_kernel(dual)
+    kb = [list(v) for v in kb]
     kb[-1][0] += 1
-    return kb
-ExactMatrix.kernel_basis = perturbed
+    return kb, bridge
+galedual._dual_kernel = perturbed
 try:
     inverse_gale(PointConfig(1, [[1], [-2], [1]]))
 except VerificationBug:

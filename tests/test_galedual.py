@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fandist import exactnum, galedual
 from fandist.errors import (
     NonzeroSum,
     NotADependence,
@@ -379,21 +380,22 @@ class TestIntegerPrepare:
     @given(rational_bridges())
     def test_left_inverse_points_are_greedy(self, case):
         pair, _ = case
-        assert pair._left_inverse[2] == greedy_columns(pair.dual.points)
+        assert pair._bridge[0] == greedy_columns(pair.dual.points)
 
 
-def perturb_kernel_basis(monkeypatch):
+def perturb_dual_kernel(monkeypatch):
     """Move the first entry of the last kernel vector by one: the first
     primal point's last coordinate moves, and every dual row that weights
     that point stops being a dependence."""
-    kernel_basis = ExactMatrix.kernel_basis
+    dual_kernel = galedual._dual_kernel
 
-    def perturbed(self):
-        kb = [list(v) for v in kernel_basis(self)]
+    def perturbed(dual):
+        kb, bridge = dual_kernel(dual)
+        kb = [list(v) for v in kb]
         kb[-1][0] += 1
-        return [tuple(v) for v in kb]
+        return [tuple(v) for v in kb], bridge
 
-    monkeypatch.setattr(ExactMatrix, "kernel_basis", perturbed)
+    monkeypatch.setattr(galedual, "_dual_kernel", perturbed)
 
 
 class TestSelfCheck:
@@ -403,7 +405,7 @@ class TestSelfCheck:
     ], ids=["Q", "Qi"])
     def test_failed_self_check_is_a_bug(self, monkeypatch, dual):
         primal = inverse_gale(dual)
-        perturb_kernel_basis(monkeypatch)
+        perturb_dual_kernel(monkeypatch)
         with pytest.raises(VerificationBug):
             gale_pair_from_dual(dual)
         with pytest.raises(VerificationBug):
@@ -512,29 +514,44 @@ class TestBridge:
         assert all(type(a) is F for a in alpha)
 
     def test_rational_bridge_makes_no_solve(self, monkeypatch):
-        pair = gale_pair_from_dual(lift_augment(random_spanning(7, 3, 5)))
-        c = tuple(F(k + 1, 3) for k in range(pair.dual.dim))
+        """One reduction of the dual serves the primal and r functionals:
+        one elimination in all, and no solve."""
+        dual = lift_augment(random_spanning(7, 3, 5))
+        eliminations = []
+        eliminate = exactnum._eliminate_int
+
+        def counted(M, ncols):
+            eliminations.append(ncols)
+            return eliminate(M, ncols)
 
         def no_solve(*args):
             raise AssertionError("ExactMatrix.solve called")
 
+        monkeypatch.setattr(exactnum, "_eliminate_int", counted)
         monkeypatch.setattr(ExactMatrix, "solve", no_solve)
-        assert dependence_to_functional(pair, dependence_of(pair, c)) == c
+        pair = gale_pair_from_dual(dual)
+        for r in range(3):
+            c = tuple(F(k + r + 1, 3) for k in range(pair.dual.dim))
+            assert dependence_to_functional(pair, dependence_of(pair, c)) == c
+        assert len(eliminations) == 1
+        assert not hasattr(galedual, "_eliminate_int")
+        assert not hasattr(galedual, "_left_inverse_int")
 
     def test_perturbed_left_inverse_fails_postcondition(self, monkeypatch):
         pair = gale_pair_from_dual(lift_augment(random_spanning(7, 3, 6)))
         c = tuple(F(k + 1, 3) for k in range(pair.dual.dim))
         lam = dependence_of(pair, c)
-        s, G, S, L, D = pair._left_inverse
+        S, Ft, lead, G, s = pair._bridge
         assert dependence_to_functional(pair, lam) == c
-        cells = [(k, j) for k in range(len(L)) for j in range(len(S))
+        # Ft[k][j] is entry (j, k) of F, which weights lambda at S[j]
+        cells = [(k, j) for k in range(len(Ft)) for j in range(len(S))
                  if lam[S[j]]]
         assert cells
         for k, j in cells:
-            bad = [list(row) for row in L]
+            bad = [list(col) for col in Ft]
             bad[k][j] += 1
-            monkeypatch.setitem(pair.__dict__, "_left_inverse",
-                                (s, G, S, bad, D))
+            monkeypatch.setitem(pair.__dict__, "_bridge",
+                                (S, bad, lead, G, s))
             with pytest.raises(VerificationBug,
                                match="does not reproduce lambda"):
                 dependence_to_functional(pair, lam)
