@@ -20,8 +20,14 @@ echelon form with every pivot row scaled to one common positive pivot,
 the lcm of the pivots, and ``_kernel_int`` reads its integer kernel; the
 hull flats, weight systems, inverse Gale transform, left inverses and
 fan normalisation of the package all read this one form.  Rational
-matrices reduce in it, each row cleared to integers first; matrices over
-Q(zeta_N) keep field elimination, inverting each pivot once.
+matrices reduce in it, each row cleared to integers first.  Matrices over
+Q(zeta_N) reduce by Gauss-Jordan elimination on integer rows: each row is
+cleared to integer coefficient vectors over one denominator, each pivot
+row is divided by its pivot through the pivot's norm cofactor (the same
+product of conjugates the inverse uses), and every row is kept reduced by
+the gcd of its integers and its denominator, so it holds exactly the
+values of field elimination.  Either way Fractions are built only for
+the values read off the form.
 
 All arithmetic is exact; nothing in this module (or the package) ever
 rounds.  Values are immutable after construction and safe to share.
@@ -149,7 +155,20 @@ class _FieldData:
 
     def mul_int(self, a, b):
         """Integer product a * b reduced mod Phi_N (both of length deg)."""
-        conv = _poly_mul(a, b)
+        return self.reduce_int(_poly_mul(a, b))
+
+    def dot_int(self, xs, ys):
+        """The sum of the products x * y of paired integer vectors: the
+        convolutions are summed, then reduced mod Phi_N once."""
+        acc = [0] * (2 * self.deg - 1)
+        for x, y in zip(xs, ys):
+            for k, c in enumerate(_poly_mul(x, y)):
+                acc[k] += c
+        return self.reduce_int(acc)
+
+    def reduce_int(self, conv):
+        """The integer polynomial conv, of degree below N + deg, reduced
+        mod Phi_N in place."""
         deg, N, table = self.deg, self.N, self.power_table
         for p in range(deg, len(conv)):
             c = conv[p]
@@ -170,6 +189,19 @@ class _FieldData:
                     if ri:
                         out[i] += c * ri
         return out
+
+    def norm_cofactor(self, a):
+        """(prod of sigma_k(a) over k != 1, Norm(a)) for the integer
+        vector a: a times the first is the second (Cohen 4.3).  Raises
+        VerificationBug when that product is not a nonzero rational."""
+        rest = [1] + [0] * (self.deg - 1)
+        for k in self.galois:
+            rest = self.mul_int(rest, self.power_map(a, k))
+        norm = self.mul_int(a, rest)
+        if not norm[0] or any(norm[1:]):
+            raise VerificationBug(
+                f"norm of a nonzero element is not a nonzero rational: {norm}")
+        return rest, norm[0]
 
 
 _FIELD_CACHE: dict[int, _FieldData] = {}
@@ -197,6 +229,22 @@ def _clear_grid(points):
     s = lcm(*(c.denominator for p in points for c in p))
     return [[c.numerator * (s // c.denominator) for c in p]
             for p in points], s
+
+
+def _clear_cyclotomic(values, deg):
+    """(integer coefficient vectors, common denominator) of Cyclotomic
+    values of degree deg."""
+    nums, den = _clear([c for e in values for c in e.coeffs])
+    return [nums[i:i + deg] for i in range(0, len(nums), deg)], den
+
+
+def _clear_cyclotomic_grid(points, N):
+    """``_clear_grid`` over Q(zeta_N): (the points scaled by s, each
+    coordinate an integer coefficient vector, s)."""
+    vecs, s = _clear_cyclotomic([c for p in points for c in p],
+                                _field_data(N).deg)
+    vecs = iter(vecs)
+    return [[next(vecs) for _ in p] for p in points], s
 
 
 def integer_grid(points) -> list[list[int]]:
@@ -339,17 +387,10 @@ class Cyclotomic:
         """1/a = (prod of sigma_k(a), k != 1) / Norm(a), in integers."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        data = _field_data(self.N)
         a, den = _clear(self.coeffs)
-        rest = [1] + [0] * (data.deg - 1)
-        for k in data.galois:
-            rest = data.mul_int(rest, data.power_map(a, k))
-        norm = data.mul_int(a, rest)
-        if not norm[0] or any(norm[1:]):
-            raise VerificationBug(
-                f"norm of a nonzero element is not a nonzero rational: {norm}")
+        rest, norm = _field_data(self.N).norm_cofactor(a)
         # a = A/den and Norm(A) = A * rest, so 1/a = den * rest / Norm(A)
-        return Cyclotomic._from_int(self.N, [den * x for x in rest], norm[0])
+        return Cyclotomic._from_int(self.N, [den * x for x in rest], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -644,6 +685,67 @@ def _left_inverse_int(A, ncols):
 
 
 # --------------------------------------------------------------------------
+# integer Gauss-Jordan elimination over Z[zeta_N]
+
+def _reduce_vec_row(row, den):
+    """(row, den) divided by the gcd of den and every integer of the
+    coefficient vectors in row."""
+    g = den
+    for v in row:
+        for x in v:
+            if x:
+                g = gcd(g, x)
+                if g == 1:
+                    return row, den
+    if g == 1:
+        return row, den
+    return [[x // g for x in v] for v in row], den // g
+
+
+def _eliminate_cyclotomic(data, M, dens, ncols, back):
+    """Gauss-Jordan elimination on the first ncols columns, in integers.
+
+    Row k is the list of integer coefficient vectors M[k] over the
+    denominator dens[k]; both lists are updated in place.  A pivot
+    row R with pivot p becomes R times p's norm cofactor over Norm(p),
+    so its pivot is one; every other row R' over d' with f in the pivot
+    column becomes d R' - f P over d' d, where P over d is the new pivot
+    row, so its pivot column is cleared.  Each row is then reduced by
+    ``_reduce_vec_row``, and so holds exactly the values that field
+    elimination gives it.  Rows above a pivot are cleared only when back
+    is true.  Returns the pivots (row, col).
+    """
+    m = len(M)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for rr in range(r, m):
+            if any(M[rr][c]):
+                pr = rr
+                break
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        dens[r], dens[pr] = dens[pr], dens[r]
+        cof, norm = data.norm_cofactor(M[r][c])
+        M[r], dens[r] = P, d = _reduce_vec_row(
+            [data.mul_int(v, cof) for v in M[r]], norm)
+        for rr in range(0 if back else r + 1, m):
+            f = M[rr][c]
+            if rr != r and any(f):
+                M[rr], dens[rr] = _reduce_vec_row(
+                    [[d * a - b for a, b in zip(v, data.mul_int(f, u))]
+                     if any(u) else [d * a for a in v]
+                     for v, u in zip(M[rr], P)], dens[rr] * d)
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+# --------------------------------------------------------------------------
 # exact matrices
 
 class ExactMatrix:
@@ -652,9 +754,9 @@ class ExactMatrix:
     Entries are all Fraction or all Cyclotomic with a single conductor.
     Elimination is exact with a fixed pivot rule (leftmost column, first
     nonzero row), which makes every derived basis deterministic.  Rational
-    matrices reduce fraction-free in integers, cyclotomic ones in the
-    field; the reduced row echelon form is unique, so both give the same
-    values.
+    matrices reduce fraction-free in integers, cyclotomic ones by
+    Gauss-Jordan elimination on integer rows; both read the reduced row
+    echelon form, which is unique, times one common lead.
     """
 
     __slots__ = ("rows", "cols", "entries", "conductor")
@@ -708,59 +810,56 @@ class ExactMatrix:
     def _rref(self):
         """Reduced row echelon form: (rows, pivots as (row, col), lead).
 
-        Rational rows are cleared to integers, each over its own common
-        denominator, and reduced fraction-free: the form is rows / lead.
-        Cyclotomic rows are reduced in the field, inverting each pivot
-        once, and lead is 1.
+        Every row is cleared to integers over its own common denominator,
+        and the form is rows / lead.  Rational rows are reduced
+        fraction-free.  Cyclotomic rows, integer coefficient vectors, are
+        reduced by ``_eliminate_cyclotomic`` and each pivot row is then
+        scaled to lead, the lcm of their denominators.
         """
         if self.conductor is None:
             M = self._int_rows()
             pivots = _eliminate_int(M, self.cols)
             return M, pivots, _back_eliminate(M, pivots)
-        grid = [list(row) for row in self.entries]
-        pivots = []
-        prow = 0
-        for col in range(self.cols):
-            pivot = None
-            for r in range(prow, self.rows):
-                if not scalar_is_zero(grid[r][col]):
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            grid[prow], grid[pivot] = grid[pivot], grid[prow]
-            inv = 1 / grid[prow][col]
-            grid[prow] = [e * inv for e in grid[prow]]
-            for r in range(self.rows):
-                if r != prow and not scalar_is_zero(grid[r][col]):
-                    f = grid[r][col]
-                    grid[r] = [a - f * b for a, b in zip(grid[r], grid[prow])]
-            pivots.append((prow, col))
-            prow += 1
-            if prow == self.rows:
-                break
-        return grid, pivots, 1
+        M, dens, pivots = self._cyclotomic_rows(True)
+        lead = lcm(*(dens[pr] for pr, _ in pivots))
+        for pr, _ in pivots:
+            s = lead // dens[pr]
+            if s != 1:
+                M[pr] = [[x * s for x in v] for v in M[pr]]
+        return M, pivots, lead
 
     def _scalars(self, values, lead) -> tuple:
-        """Values read off ``_rref`` over its lead, as field scalars."""
-        if self.conductor is None:
+        """Values read off ``_rref`` over its lead, as field scalars:
+        integers over Q, integer coefficient vectors or 0 over Q(zeta_N)."""
+        N = self.conductor
+        if N is None:
             return tuple(Fraction(x, lead) for x in values)
-        return tuple(_as_scalar(x, self.conductor) for x in values)
+        zero = Cyclotomic.from_rational(N, 0)
+        return tuple(Cyclotomic._from_int(N, x, lead) if x else zero
+                     for x in values)
 
     def _int_rows(self):
         """Each rational row as integers over its own common denominator."""
         return [_clear(row)[0] for row in self.entries]
+
+    def _cyclotomic_rows(self, back):
+        """(rows, denominators, pivots) of ``_eliminate_cyclotomic``, each
+        row cleared to integer coefficient vectors over one denominator."""
+        data = _field_data(self.conductor)
+        cleared = [_clear_cyclotomic(row, data.deg) for row in self.entries]
+        M, dens = [v for v, _ in cleared], [d for _, d in cleared]
+        return M, dens, _eliminate_cyclotomic(data, M, dens, self.cols, back)
 
     def pivot_columns(self) -> list[int]:
         """The first linearly independent columns, chosen greedily.
 
         A column is a pivot column of the echelon form exactly when it is
         independent of the columns before it, so one elimination gives
-        the greedy choice; rational matrices need the forward pass only.
+        the greedy choice, and the forward pass alone suffices.
         """
         if self.conductor is None:
             return [c for _, c in _eliminate_int(self._int_rows(), self.cols)]
-        return [c for _, c in self._rref()[1]]
+        return [c for _, c in self._cyclotomic_rows(False)[2]]
 
     def rank(self) -> int:
         return len(self.pivot_columns())
@@ -769,8 +868,16 @@ class ExactMatrix:
         """Deterministic basis of the right kernel, ``_kernel_int`` of the
         reduced form; empty when injective."""
         M, pivots, lead = self._rref()
-        return [self._scalars(v, lead)
-                for v in _kernel_int(M, pivots, lead, self.cols)]
+        if self.conductor is None:
+            return [self._scalars(v, lead)
+                    for v in _kernel_int(M, pivots, lead, self.cols)]
+        # coefficient t of every entry, read on its own: lead is the
+        # vector (lead, 0, ..., 0)
+        layers = [_kernel_int([[v[t] for v in row] for row in M], pivots,
+                              lead if t == 0 else 0, self.cols)
+                  for t in range(_field_data(self.conductor).deg)]
+        return [self._scalars(list(zip(*vecs)), lead)
+                for vecs in zip(*layers)]
 
     def solve(self, rhs: Sequence[Scalar]):
         """One exact solution of M x = rhs (free variables zero), or None."""

@@ -11,9 +11,12 @@ primal off the kernel of B, whose columns are the dual points, and
 checks the pair it builds once, by the pair's own test that every
 conjugated coordinate row of the dual is an affine dependence of the
 primal.  Over Q the kernel and every functional are read off the one
-reduction of [B | I]; the pair tests dependencies on its primal cleared
-to one common denominator, and Fractions are built only for the points a
-``PointConfig`` holds and the functionals returned.
+reduction of [B | I]; over Q(zeta_N) the kernel and each functional come
+from ``ExactMatrix``, which reduces on integer rows too.  The pair tests
+dependencies on its primal cleared to one common denominator, over
+Q(zeta_N) to integer coefficient vectors, each functional is checked on
+every dual point in integers, and Fractions are built only for the
+points a ``PointConfig`` holds and the functionals returned.
 """
 
 from __future__ import annotations
@@ -37,8 +40,12 @@ from fandist.exactnum import (
     ExactMatrix,
     FieldMismatch,
     Scalar,
+    _as_scalar,
     _clear,
+    _clear_cyclotomic,
+    _clear_cyclotomic_grid,
     _clear_grid,
+    _field_data,
     _json_int,
     _kernel_int,
     conj,
@@ -232,9 +239,22 @@ class GaleDualPair:
         return _dual_kernel(self.dual)[1]
 
     @cached_property
-    def _primal_grid(self) -> list[list[int]]:
-        """The rational primal cleared to one common denominator."""
-        return integer_grid(self.primal.points)
+    def _primal_grid(self) -> list[list]:
+        """The primal cleared to one common denominator: integer points
+        over Q, points of integer coefficient vectors over Q(zeta_N)."""
+        primal = self.primal
+        if primal.conductor is None:
+            return integer_grid(primal.points)
+        return _clear_cyclotomic_grid(primal.points, primal.conductor)[0]
+
+    @cached_property
+    def _conj_dual_grid(self):
+        """(conj(G), s): the dual over Q(zeta_N) on its integer grid
+        G = s g, conjugated."""
+        N = self.dual.conductor
+        G, s = _clear_cyclotomic_grid(self.dual.points, N)
+        data = _field_data(N)
+        return [[data.power_map(x, N - 1) for x in g] for g in G], s
 
     def validate(self) -> None:
         """Every row of B, a conjugated coordinate row of the dual, is an
@@ -255,6 +275,13 @@ def _is_dependence_int(P, v) -> bool:
         if x:
             acc = [a + x * c for a, c in zip(acc, p)]
     return not any(acc)
+
+
+def _is_dependence_cyclotomic(data, P, v) -> bool:
+    """``_is_dependence_int`` in Z[zeta_N]: v and the coordinates of the
+    points P are integer coefficient vectors."""
+    return not any(map(sum, zip(*v))) and not any(
+        any(data.dot_int(v, [p[i] for p in P])) for i in range(len(P[0])))
 
 
 def gale_transform(primal: PointConfig) -> GaleDualPair:
@@ -322,7 +349,9 @@ def gale_pair_from_dual(dual: PointConfig) -> GaleDualPair:
 def _dual_kernel(dual: PointConfig):
     """(kernel basis, bridge) of B, the matrix whose columns are the g_i.
 
-    Over Q(zeta_N) it is ``ExactMatrix.kernel_basis`` and no bridge.  Over
+    Over Q(zeta_N) it is ``ExactMatrix.kernel_basis``, B's rows cleared to
+    integer coefficient vectors and reduced by Gauss-Jordan elimination
+    in Z[zeta_N], and no bridge.  Over
     Q ``ExactMatrix._rref`` reduces [B | I], row k cleared by B's row
     denominator c_k: the first n columns give B's kernel and, when the g_i
     span, the identity block of the pivot rows is F with F B_S = lead I on
@@ -360,13 +389,18 @@ def lift_augment(config: PointConfig) -> PointConfig:
 
 def _is_dependence(pair: GaleDualPair, lam: Sequence[Scalar]) -> bool:
     """Whether lambda sums to zero and weights the primal to zero: an
-    affine dependence, possibly zero.  A rational pair decides it on its
-    primal's integer grid, lambda cleared to integers."""
+    affine dependence, possibly zero.  It is decided on the primal's
+    integer grid, lambda cleared to integers: over Q(zeta_N) to integer
+    coefficient vectors."""
     primal = pair.primal
     if len(lam) != primal.n:
         return False
-    if primal.conductor is None and \
-            not any(isinstance(x, Cyclotomic) for x in lam):
+    N = primal.conductor
+    if N is not None:
+        data = _field_data(N)
+        v = _clear_cyclotomic([_as_scalar(x, N) for x in lam], data.deg)[0]
+        return _is_dependence_cyclotomic(data, pair._primal_grid, v)
+    if not any(isinstance(x, Cyclotomic) for x in lam):
         return _is_dependence_int(pair._primal_grid, _clear(lam)[0])
     zero = scalar_zero(primal.conductor)
     return scalar_is_zero(sum(lam, zero)) and all(
@@ -381,8 +415,9 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
     exactly).  It is solved through the kernel basis, lambda = B^T alpha,
     where row i of B^T is conj(g_i): over Q as alpha = F^T lambda_S / lead
     from the pair's bridge, over Q(zeta_N) by elimination.  Either way alpha
-    is checked against every g_i, over Q as <P, G_i> = lead s Lam_i in
-    integers, with lambda = Lam / e and P = F^T Lam_S.
+    is checked against every g_i in integers, with lambda = Lam / e: over
+    Q as <P, G_i> = lead s Lam_i, P = F^T Lam_S; over Q(zeta_N) as
+    e <A, conj(G_i)> = a s Lam_i, alpha = A / a.
     """
     lam = [Fraction(x) if not isinstance(x, Cyclotomic) else x for x in lam]
     if pair.primal.conductor is not None:
@@ -404,8 +439,12 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
     alpha = Bt.solve(lam)
     if alpha is None:
         raise VerificationBug("dependence must lie in the row space of B")
-    for i, g in enumerate(pair.dual.points):
-        if hermitian_dot(alpha, g) != lam[i]:
+    data = _field_data(pair.dual.conductor)
+    A, a = _clear_cyclotomic(alpha, data.deg)
+    Lam, e = _clear_cyclotomic(lam, data.deg)
+    G, s = pair._conj_dual_grid
+    for Gi, li in zip(G, Lam):
+        if [e * x for x in data.dot_int(A, Gi)] != [a * s * x for x in li]:
             raise VerificationBug("functional does not reproduce lambda")
     return alpha
 

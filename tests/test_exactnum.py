@@ -28,7 +28,7 @@ from fandist.exactnum import (
     scalar_from_json,
     scalar_to_json,
 )
-from fandist.galedual import PointConfig
+from fandist.galedual import PointConfig, lift_augment
 from fandist.genpos import random_config
 
 
@@ -430,23 +430,58 @@ def shaped_pairs(draw):
 
 @st.composite
 def matrices(draw):
-    """Small matrices over Q (N is None) or Q(zeta_N), often rank-deficient.
+    """Matrices over Q (N is None) or Q(zeta_N), often rank-deficient, and
+    a right-hand side, often inconsistent.
 
-    Rows repeat, and a zero row or the sum of two rows may join them.
+    Half the shapes are small (up to 4 x 4) over every conductor, half
+    are up to 6 x 8, as the pipeline's duals are, over N in {5, 8, 12}.
+    Rows repeat, and a zero row or a combination of two rows with field
+    coefficients may join them.  The right-hand side is drawn at random,
+    so inconsistent when the rows are dependent, or is M x.
     """
-    N = draw(st.none() | st.sampled_from(CONDUCTORS))
-    entries = fractions if N is None else elements(N)
-    cols = draw(st.integers(1, 4))
-    distinct = draw(st.lists(st.lists(entries, min_size=cols,
-                                      max_size=cols), min_size=1, max_size=3))
     if draw(st.booleans()):
-        distinct.append([a + b for a, b in zip(distinct[0], distinct[-1])])
+        N, most_rows, most_cols = draw(st.none() | st.sampled_from(
+            CONDUCTORS)), 4, 4
+    else:
+        N, most_rows, most_cols = draw(st.sampled_from((5, 8, 12))), 6, 8
+    entries = fractions if N is None else elements(N)
+    cols = draw(st.integers(1, most_cols))
+    distinct = draw(st.lists(st.lists(entries, min_size=cols,
+                                      max_size=cols),
+                             min_size=1, max_size=most_rows - 1))
+    if draw(st.booleans()):
+        a, b = draw(entries), draw(entries)
+        distinct.append([a * x + b * y
+                         for x, y in zip(distinct[0], distinct[-1])])
     if draw(st.booleans()):
         distinct.append([e - e for e in distinct[0]])
-    order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
-                          max_size=4))
-    rhs = [draw(entries) for _ in order]
-    return N, [distinct[i] for i in order], cols, rhs
+    order = draw(st.lists(st.integers(0, len(distinct) - 1),
+                          min_size=most_rows - 3, max_size=most_rows))
+    rows = [distinct[i] for i in order]
+    if draw(st.booleans()):
+        rhs = [draw(entries) for _ in order]
+    else:
+        x = [draw(entries) for _ in range(cols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), x[0] - x[0])
+               for row in rows]
+    return N, rows, cols, rhs
+
+
+def oracle_kernel(rows, cols, N):
+    """The kernel basis read off ``rref_oracle``: per free column f, one at
+    f, zero at the other free columns, minus row k's entry at f at the
+    pivot column of row k."""
+    grid, pivots = rref_oracle(rows, cols)
+    zero, one = (F(0), F(1)) if N is None else \
+        (Cyclotomic(N, []), Cyclotomic(N, [1]))
+    kernel = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [zero] * cols
+        vec[f] = one
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = -grid[prow][f]
+        kernel.append(tuple(vec))
+    return kernel
 
 
 @st.composite
@@ -552,8 +587,12 @@ class TestCyclotomicProperties:
     def test_norm_outside_q_is_a_bug(self, monkeypatch):
         # dropping a conjugate from the norm leaves an irrational "norm"
         monkeypatch.setattr(_field_data(5), "galois", (2, 3))
+        zeta = Cyclotomic.root_of_unity(5)
         with pytest.raises(VerificationBug):
-            Cyclotomic.root_of_unity(5).inverse()
+            zeta.inverse()
+        # the elimination normalises its pivot rows by the same norm
+        with pytest.raises(VerificationBug):
+            ExactMatrix([[zeta, zeta + 1]]).kernel_basis()
 
 
 class TestMatrixOverCyclotomic:
@@ -562,18 +601,11 @@ class TestMatrixOverCyclotomic:
     def test_against_rref_oracle(self, case):
         N, rows, cols, rhs = case
         M = ExactMatrix(rows, N)
-        grid, pivots = rref_oracle(rows, cols)
+        pivots = rref_oracle(rows, cols)[1]
+        assert M.pivot_columns() == pivots
         assert M.rank() == len(pivots)
-        zero, one = (F(0), F(1)) if N is None else \
-            (Cyclotomic(N, []), Cyclotomic(N, [1]))
-        kernel = []
-        for f in (c for c in range(cols) if c not in pivots):
-            vec = [zero] * cols
-            vec[f] = one
-            for prow, pcol in enumerate(pivots):
-                vec[pcol] = -grid[prow][f]
-            kernel.append(tuple(vec))
-        assert M.kernel_basis() == kernel
+        assert M.kernel_basis() == oracle_kernel(rows, cols, N)
+        zero = F(0) if N is None else Cyclotomic(N, [])
         aug, apiv = rref_oracle([r + [b] for r, b in zip(rows, rhs)],
                                 cols + 1)
         if cols in apiv:
@@ -583,3 +615,12 @@ class TestMatrixOverCyclotomic:
             for prow, pcol in enumerate(apiv):
                 x[pcol] = aug[prow][cols]
             assert M.solve(rhs) == tuple(x)
+
+    def test_pipeline_dual_kernel_against_rref_oracle(self):
+        # B, whose columns are the lifted, augmented points, as the
+        # inverse Gale transform reduces it
+        dual = lift_augment(random_config(6, 4, field=8, seed=7300))
+        B = [list(row) for row in zip(*dual.points)]
+        kernel = ExactMatrix(B, 8).kernel_basis()
+        assert len(kernel) == dual.n - dual.dim
+        assert kernel == oracle_kernel(B, dual.n, 8)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from fandist.exactnum import (
     Cyclotomic,
     ExactMatrix,
     conj,
+    hermitian_dot,
     scalar_is_zero,
     scalar_one,
 )
@@ -93,6 +95,28 @@ def rational_bridges(draw):
     pair = gale_pair_from_dual(lift_augment(cfg))
     c = draw(st.lists(fracs, min_size=pair.dual.dim,
                       max_size=pair.dual.dim))
+    assume(any(c))
+    return pair, tuple(c)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_pair(N, n, seed):
+    """The pipeline's Gale pair of a lifted, augmented configuration of n
+    points in Q(zeta_N)^2."""
+    return gale_pair_from_dual(
+        lift_augment(random_config(n, 2, field=N, seed=seed)))
+
+
+@st.composite
+def cyclotomic_bridges(draw):
+    """(pair, c): a Gale pair over Q(zeta_N), N in {3, 4, 8, 12}, and a
+    nonzero c over Q(zeta_N)."""
+    N = draw(st.sampled_from((3, 4, 8, 12)))
+    pair = cyclotomic_pair(N, draw(st.integers(4, 5)),
+                           draw(st.integers(7300, 7303)))
+    c = draw(st.lists(st.builds(lambda cs: Cyclotomic(N, cs),
+                                st.lists(fracs, min_size=3, max_size=3)),
+                      min_size=pair.dual.dim, max_size=pair.dual.dim))
     assume(any(c))
     return pair, tuple(c)
 
@@ -366,15 +390,33 @@ class TestIntegerPrepare:
                 with pytest.raises(NotADependence):
                     GaleDualPair(pair.primal, perturbed).validate()
 
-    @settings(max_examples=150, deadline=None)
-    @given(rational_bridges(), st.data())
+    @settings(max_examples=200, deadline=None)
+    @given(rational_bridges() | cyclotomic_bridges(), st.data())
     def test_is_dependence_matches_fraction_oracle(self, case, data):
+        # lambda_j = <c, g_j> is a dependence; moving one coordinate by a
+        # rational or a multiple of zeta, or moving weight between two
+        # points, keeps it one only by chance; shifting every coordinate
+        # makes its sum nonzero
         pair, c = case
-        lam = list(dependence_of(pair, c))
-        if data.draw(st.booleans()):
-            lam[data.draw(st.integers(0, len(lam) - 1))] += \
-                data.draw(fracs)
+        lam = [hermitian_dot(c, g) for g in pair.dual.points]
+        zeta = Cyclotomic.root_of_unity(pair.primal.conductor or 4)
+        j, j2 = (data.draw(st.integers(0, len(lam) - 1)) for _ in range(2))
+        delta = data.draw(fracs.filter(bool))
+        change = data.draw(st.sampled_from(
+            ("none", "rational", "zeta", "move", "shift")))
+        if change == "rational":
+            lam[j] += delta
+        elif change == "zeta":
+            lam[j] += delta * zeta
+        elif change == "move":
+            lam[j] += delta
+            lam[j2] -= delta
+        elif change == "shift":
+            lam = [x + delta for x in lam]
+        assume(any(lam))
         assert _is_dependence(pair, lam) == is_dependence_oracle(pair, lam)
+        if change in ("none", "shift"):
+            assert _is_dependence(pair, lam) == (change == "none")
 
     @settings(max_examples=100, deadline=None)
     @given(rational_bridges())
@@ -555,6 +597,27 @@ class TestBridge:
             with pytest.raises(VerificationBug,
                                match="does not reproduce lambda"):
                 dependence_to_functional(pair, lam)
+
+    @pytest.mark.parametrize("N", [3, 8])
+    def test_perturbed_cyclotomic_functional_fails_postcondition(
+            self, N, monkeypatch):
+        pair = cyclotomic_pair(N, 5, 7300)
+        zeta = Cyclotomic.root_of_unity(N)
+        c = tuple(zeta * k + 1 for k in range(pair.dual.dim))
+        lam = [hermitian_dot(c, g) for g in pair.dual.points]
+        assert dependence_to_functional(pair, lam) == c
+        solve = ExactMatrix.solve
+        for k in range(pair.dual.dim):
+            for delta in (1, zeta):
+                def moved(self, rhs, k=k, delta=delta):
+                    alpha = list(solve(self, rhs))
+                    alpha[k] += delta
+                    return tuple(alpha)
+
+                monkeypatch.setattr(ExactMatrix, "solve", moved)
+                with pytest.raises(VerificationBug,
+                                   match="does not reproduce lambda"):
+                    dependence_to_functional(pair, lam)
 
     def test_complex_bridge(self):
         i = Cyclotomic.root_of_unity(4)
