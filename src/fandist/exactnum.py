@@ -18,7 +18,7 @@ Exact linear algebra has one integer kernel: fraction-free elimination
 and keeps every row primitive.  ``_back_eliminate`` finishes the reduced
 echelon form with every pivot row scaled to one common positive pivot,
 the lcm of the pivots, and ``_kernel_int`` reads its integer kernel; the
-hull flats, weight systems, inverse Gale transform, left inverses and
+hull flats, weight systems, inverse Gale transform, barycentric maps and
 fan normalisation of the package all read this one form.  Rational
 matrices reduce in it, each row cleared to integers first.  Matrices over
 Q(zeta_N) reduce by Gauss-Jordan elimination on integer rows: each row is
@@ -664,24 +664,6 @@ def _kernel_int(M, pivots, lead, ncols):
             v[pc] = -M[pr][f]
         basis.append(v)
     return basis
-
-
-def _left_inverse_int(A, ncols):
-    """An integer left inverse of A, whose rows are integer lists of ncols.
-
-    Returns (L, D), an ncols x len(A) integer matrix and D > 0 with
-    L A = D I, or None when A has rank below ncols.  Fraction-free
-    reduction of [A | I] gives row operations E with E A = D I, D the
-    common pivot, so L = E.
-    """
-    m = len(A)
-    M = [list(row) + [int(j == k) for j in range(m)]
-         for k, row in enumerate(A)]
-    pivots = _eliminate_int(M, ncols)
-    if len(pivots) < ncols:
-        return None
-    D = _back_eliminate(M, pivots)
-    return [M[k][ncols:] for k in range(ncols)], D
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Fans, fan/tuple conversions, slicing, classification, verification.
+"""Fans, fans from proper tuples, slicing, classification, verification.
 
 A real r-fan of codimension r-2 is stored as r hyperplane normals and
 offsets with the cyclic convention that half-flat j lies inside every
@@ -40,7 +40,6 @@ from fandist.exactnum import (
     scalar_from_json,
     scalar_to_json,
 )
-from fandist.feaslp import WeightWitness, realify_if_needed
 from fandist.galedual import (
     GaleDualPair,
     PointConfig,
@@ -60,7 +59,6 @@ __all__ = [
     "fan_from_tuple_complex",
     "fan_from_tuple_real",
     "slice_project",
-    "tuple_from_fan",
     "verify_report",
 ]
 
@@ -366,51 +364,6 @@ def _verify_distribution(fan: Fan, config: PointConfig,
         elif c.kind != INTERIOR or c.part != want:
             raise VerificationBug(
                 f"point {i} classifies {c}, expected interior({want})")
-
-
-def tuple_from_fan(fan: RealFan, pair: GaleDualPair) -> TverbergTuple:
-    """Proper tuple read off a linear real fan distributing the dual.
-
-    Parts are the interior occupancies; the equal part sums of the
-    positive functional values normalize the weights.  The witness is
-    re-verified by exact substitution before the tuple is returned.
-    """
-    if not isinstance(fan, RealFan):
-        raise PreconditionError("tuple_from_fan applies to real fans")
-    if not fan.is_linear():
-        raise PreconditionError("fan must be linear (zero offsets)")
-    parts: list[list[int]] = [[] for _ in range(fan.r)]
-    for i, g in enumerate(pair.dual.points):
-        c = fan.classify(g)
-        if c.kind == OUTSIDE:
-            raise PreconditionError(
-                f"dual point {i} lies outside the fan")
-        if c.kind == INTERIOR:
-            parts[c.part].append(i)
-    if any(not p for p in parts):
-        raise PreconditionError("every half-flat interior must be occupied")
-    sums = []
-    vals: dict[int, Fraction] = {}
-    for j, p in enumerate(parts):
-        s = Fraction(0)
-        for i in p:
-            v = sum(b * xi for b, xi in zip(fan.normals[j],
-                                            pair.dual.points[i]))
-            vals[i] = v
-            s += v
-        sums.append(s)
-    if any(s != sums[0] for s in sums) or sums[0] <= 0:
-        raise VerificationBug("part sums of functional values differ")
-    weights = {i: vals[i] / sums[0] for i in vals}
-    primal_pts = realify_if_needed(pair.primal).points
-    dimp = len(primal_pts[0]) if primal_pts else 0
-    common = tuple(
-        sum((weights[i] * primal_pts[i][c] for i in parts[0]), Fraction(0))
-        for c in range(dimp))
-    witness = WeightWitness(weights, common, min(weights.values()))
-    tup = TverbergTuple(fan.r, tuple(tuple(p) for p in parts), witness)
-    tup.validate(pair.primal)
-    return tup
 
 
 def slice_project(fan: Fan) -> Fan:

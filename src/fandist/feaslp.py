@@ -33,7 +33,6 @@ from fandist.exactnum import (
     _eliminate_int,
     _field_data,
     _kernel_int,
-    _left_inverse_int,
     integer_grid,
 )
 from fandist.galedual import PointConfig
@@ -313,10 +312,17 @@ def barycentric_map(grid, part) -> Optional[tuple[list[list[int]], int]]:
     L / D is the integer left inverse of B, the matrix with columns
     [a_i | 1], since B lam = [x | 1].
     """
-    dim = len(grid[part[0]])
-    B = [[grid[i][c] for i in part] for c in range(dim)]
-    B.append([1] * len(part))
-    return _left_inverse_int(B, len(part))
+    dim, k = len(grid[part[0]]), len(part)
+    B = [[grid[i][c] for i in part] for c in range(dim)] + [[1] * k]
+    # fraction-free reduction of [B | I] gives row operations E with
+    # E B = D I, D the common pivot, so L = E
+    M = [row + [int(j == c) for j in range(dim + 1)]
+         for c, row in enumerate(B)]
+    pivots = _eliminate_int(M, k)
+    if len(pivots) < k:
+        return None
+    D = _back_eliminate(M, pivots)
+    return [M[j][k:] for j in range(k)], D
 
 
 # --------------------------------------------------------------------------

@@ -417,16 +417,22 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
     from the pair's bridge, over Q(zeta_N) by elimination.  Either way alpha
     is checked against every g_i in integers, with lambda = Lam / e: over
     Q as <P, G_i> = lead s Lam_i, P = F^T Lam_S; over Q(zeta_N) as
-    e <A, conj(G_i)> = a s Lam_i, alpha = A / a.
+    e <A, conj(G_i)> = a s Lam_i, alpha = A / a.  A rational pair takes
+    a rational-valued Cyclotomic entry as its value and raises
+    PreconditionError for any other.
     """
-    lam = [Fraction(x) if not isinstance(x, Cyclotomic) else x for x in lam]
-    if pair.primal.conductor is not None:
+    N = pair.primal.conductor
+    if N is not None:
         lam = [x if isinstance(x, Cyclotomic)
-               else Cyclotomic.from_rational(pair.primal.conductor, x)
+               else Cyclotomic.from_rational(N, x) for x in lam]
+    elif all(not isinstance(x, Cyclotomic) or x.is_rational() for x in lam):
+        lam = [x.coeffs[0] if isinstance(x, Cyclotomic) else Fraction(x)
                for x in lam]
+    else:
+        raise PreconditionError("a rational pair needs a rational lambda")
     if not any(lam) or not _is_dependence(pair, lam):
         raise NotADependence("lambda is not a nonzero affine dependence")
-    if pair.primal.conductor is None:
+    if N is None:
         S, Ft, lead, G, s = pair._bridge
         Lam, e = _clear(lam)
         P = [sum(f * Lam[i] for f, i in zip(col, S)) for col in Ft]

@@ -3,8 +3,9 @@
 Candidates are ordered part-tuples of disjoint nonempty index subsets;
 the stream is generated in lexicographic order of the sequence of sorted
 parts, so ``({0},{1},{2})`` with everything else leftover comes first.
-Canonical mode keeps exactly one relabeling per unordered partition by
-requiring min(I_1) < ... < min(I_r).
+The stream holds one relabeling per unordered partition, the canonical
+one with min(I_1) < ... < min(I_r): permuting the parts of a tuple keeps
+it proper.
 
 One set condition, ``SearchConstraint``, decides each part of a tuple
 and each cell I_a ∩ J_b of a pair on index bitmasks: at most a capped
@@ -93,8 +94,6 @@ from fandist.kneser import (
 __all__ = [
     "SearchConstraint",
     "TverbergTuple",
-    "enumerate_candidates",
-    "search_colored_tuple",
     "search_tuple",
     "search_two_tuples",
 ]
@@ -294,14 +293,15 @@ def _next_flat(flat, hull: _PartHull, chosen, last: bool):
     return met
 
 
-def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
+def _candidate_stream(indices: Sequence[int], r: int,
                       constraint: Optional[SearchConstraint],
                       max_part_size: Optional[int],
                       solver: Optional[ExactWeightSolver] = None,
                       gate: Optional[int] = None, *,
                       hulls: Optional[dict[int, _PartHull]] = None
                       ) -> Iterator[tuple]:
-    """Part-tuples in lexicographic order of the sorted-parts sequence.
+    """Part-tuples in lexicographic order of the sorted-parts sequence,
+    with increasing part minima.
 
     A part takes an index only if ``constraint.may_add`` allows it.  With
     a solver, each part after the first is tested against the prefix's
@@ -351,8 +351,7 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
                 return
             for k in range(start, len(remaining)):
                 i = remaining[k]
-                if not part and canonical_only and prev_min is not None \
-                        and i <= prev_min:
+                if not part and prev_min is not None and i <= prev_min:
                     continue
                 if constraint is not None and not constraint.may_add(mask, i):
                     continue
@@ -394,22 +393,9 @@ def _candidate_stream(indices: Sequence[int], r: int, canonical_only: bool,
     yield from build([], 0, None, None, ())
 
 
-def enumerate_candidates(n: int, r: int,
-                         canonical_only: bool = False) -> Iterator[tuple]:
-    """Every assignment of [n] into r nonempty parts plus leftovers.
-
-    Ordered lexicographically by the sequence of sorted parts; canonical
-    mode suppresses relabelings by requiring increasing part minima.
-    """
-    if n < r:
-        raise PreconditionError("need at least r indices")
-    return _candidate_stream(range(n), r, canonical_only, None, None)
-
-
 def search_tuple(config: PointConfig, r: int,
                  constraint: Optional[SearchConstraint] = None, *,
                  allowed: Optional[Sequence[int]] = None,
-                 canonical_only: bool = True,
                  max_part_size: Optional[int] = None,
                  lp_gate: int = DEFAULT_LP_GATE,
                  guarantee: Optional[str] = None) -> Optional[TverbergTuple]:
@@ -428,8 +414,8 @@ def search_tuple(config: PointConfig, r: int,
     real = realify_if_needed(config)
     solver = ExactWeightSolver(real.points)
     indices = list(range(config.n)) if allowed is None else sorted(allowed)
-    stream = _candidate_stream(indices, r, canonical_only, constraint,
-                               max_part_size, solver, lp_gate)
+    stream = _candidate_stream(indices, r, constraint, max_part_size, solver,
+                               lp_gate)
 
     for parts in stream:
         witness = solver.solve(parts)
@@ -444,23 +430,6 @@ def search_tuple(config: PointConfig, r: int,
         raise GuaranteeViolation(
             f"search exhausted although {guarantee} guarantees a tuple")
     return None
-
-
-def search_colored_tuple(config: PointConfig, r: int, *,
-                         allowed: Optional[Sequence[int]] = None,
-                         lp_gate: int = DEFAULT_LP_GATE,
-                         guarantee: Optional[str] = None
-                         ) -> Optional[TverbergTuple]:
-    """Rainbow-constrained search: at most one point per class per part."""
-    if config.coloring is None:
-        raise PreconditionError("a coloring is required")
-    sizes = config.class_sizes()
-    if any(s < r for s in sizes):
-        raise PreconditionError(
-            f"every class needs at least r={r} points, sizes {sizes}")
-    constraint = SearchConstraint.rainbow(config.coloring)
-    return search_tuple(config, r, constraint, allowed=allowed,
-                        lp_gate=lp_gate, guarantee=guarantee)
 
 
 # --------------------------------------------------------------------------
@@ -530,7 +499,7 @@ def search_two_tuples(config: PointConfig, r: int, *,
     solved: dict[tuple, Optional[TverbergTuple]] = {}
 
     def stream(constraint):
-        return _candidate_stream(indices, r, True, constraint, cara, solver,
+        return _candidate_stream(indices, r, constraint, cara, solver,
                                  hulls=hulls)
 
     def proper(parts) -> Optional[TverbergTuple]:

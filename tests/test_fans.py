@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -22,11 +23,16 @@ from fandist.fans import (
     fan_from_tuple_complex,
     fan_from_tuple_real,
     slice_project,
-    tuple_from_fan,
     verify_report,
 )
-from fandist.feaslp import ProperWeightProblem, proper_weights
+from fandist.feaslp import (
+    ProperWeightProblem,
+    WeightWitness,
+    proper_weights,
+    realify_if_needed,
+)
 from fandist.galedual import (
+    GaleDualPair,
     PointConfig,
     gale_pair_from_dual,
     gale_transform,
@@ -34,7 +40,7 @@ from fandist.galedual import (
 )
 from fandist.kneser import SetFamily
 from fandist.pipeline import canonical_json
-from fandist.tverberg import search_tuple
+from fandist.tverberg import TverbergTuple, search_tuple
 
 
 def random_proper_pair(seed, complex_field=False):
@@ -75,6 +81,53 @@ def classify_oracle(fan, x):
         if all(k in (j, (j - 1) % fan.r) for k in nonzero) and vals[j] > 0:
             return Classification(INTERIOR, j)
     return Classification(OUTSIDE)
+
+
+# -- the converse map, the round-trip oracle of fan_from_tuple_real ----------
+
+def tuple_from_fan(fan: RealFan, pair: GaleDualPair) -> TverbergTuple:
+    """Proper tuple read off a linear real fan distributing the dual.
+
+    Parts are the interior occupancies; the equal part sums of the
+    positive functional values normalize the weights.  The witness is
+    re-verified by exact substitution before the tuple is returned.
+    """
+    if not isinstance(fan, RealFan):
+        raise PreconditionError("tuple_from_fan applies to real fans")
+    if not fan.is_linear():
+        raise PreconditionError("fan must be linear (zero offsets)")
+    parts: list[list[int]] = [[] for _ in range(fan.r)]
+    for i, g in enumerate(pair.dual.points):
+        c = fan.classify(g)
+        if c.kind == OUTSIDE:
+            raise PreconditionError(
+                f"dual point {i} lies outside the fan")
+        if c.kind == INTERIOR:
+            parts[c.part].append(i)
+    if any(not p for p in parts):
+        raise PreconditionError("every half-flat interior must be occupied")
+    sums = []
+    vals: dict[int, Fraction] = {}
+    for j, p in enumerate(parts):
+        s = Fraction(0)
+        for i in p:
+            v = sum(b * xi for b, xi in zip(fan.normals[j],
+                                            pair.dual.points[i]))
+            vals[i] = v
+            s += v
+        sums.append(s)
+    if any(s != sums[0] for s in sums) or sums[0] <= 0:
+        raise VerificationBug("part sums of functional values differ")
+    weights = {i: vals[i] / sums[0] for i in vals}
+    primal_pts = realify_if_needed(pair.primal).points
+    dimp = len(primal_pts[0]) if primal_pts else 0
+    common = tuple(
+        sum((weights[i] * primal_pts[i][c] for i in parts[0]), Fraction(0))
+        for c in range(dimp))
+    witness = WeightWitness(weights, common, min(weights.values()))
+    tup = TverbergTuple(fan.r, tuple(tuple(p) for p in parts), witness)
+    tup.validate(pair.primal)
+    return tup
 
 
 fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 7))

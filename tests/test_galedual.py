@@ -629,6 +629,17 @@ class TestBridge:
         back = dependence_to_functional(pair, lam)
         assert tuple(back) == tuple(alpha)
 
+    def test_rational_pair_reads_rational_cyclotomic_lambda(self):
+        pair = gale_transform(random_config(6, 2, seed=3))
+        lam = functional_to_dependence(pair, [1, 0, 0])
+        want = dependence_to_functional(pair, lam)
+        assert dependence_to_functional(
+            pair, [Cyclotomic.from_rational(4, x) for x in lam]) == want
+        # zeta times a dependence has no rational value
+        zeta = Cyclotomic.root_of_unity(4)
+        with pytest.raises(PreconditionError, match="rational lambda"):
+            dependence_to_functional(pair, [zeta * x for x in lam])
+
 
 class TestFirstIndependentColumns:
     def test_dependent_leading_columns(self):

@@ -1,9 +1,12 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 from unittest import mock
 
 import pytest
 
+import fandist
 from fandist import feaslp, pipeline, tverberg
 from fandist.errors import (
     PreconditionError,
@@ -531,3 +534,18 @@ def test_desk_typicality_is_is_typical(X, run):
     res = run()
     assert res.typical is not None
     assert res.typical == is_typical(X)
+
+
+def test_every_export_resolves():
+    """Each name in a module's ``__all__`` exists, so ``import *`` works."""
+    names = ["fandist"] + [f"fandist.{m.name}"
+                           for m in pkgutil.iter_modules(fandist.__path__)]
+    checked = set()
+    for name in names:
+        module = importlib.import_module(name)
+        if not hasattr(module, "__all__"):
+            continue
+        assert [e for e in module.__all__ if not hasattr(module, e)] == [], name
+        exec(f"from {name} import *", {})
+        checked.add(name)
+    assert {"fandist.fans", "fandist.tverberg"} <= checked

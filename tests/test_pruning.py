@@ -1,8 +1,9 @@
 """The pruned Tverberg search and its exact tests against oracles.
 
-The search oracle streams every candidate of ``enumerate_candidates``,
-filters it by ``allowed``, ``max_part_size`` and ``constraint.admits``,
-and calls ``ExactWeightSolver.solve`` on each one.  Pruning removes
+The search oracle streams every candidate of the plain stream (no
+constraint, part-size bound or solver), filters it by ``allowed``,
+``max_part_size`` and ``constraint.admits``, and calls
+``ExactWeightSolver.solve`` on each one.  Pruning removes
 exactly the candidates whose parts' affine hulls miss each other or meet
 in one point x at which some affinely independent part has a barycentric
 coordinate <= 0, and on a line those whose parts' relative interiors
@@ -38,7 +39,6 @@ from fandist.tverberg import (
     SearchConstraint,
     _candidate_stream,
     _next_flat,
-    enumerate_candidates,
     search_tuple,
 )
 
@@ -96,14 +96,12 @@ def search_cases(draw, min_dim=1):
     if draw(st.booleans()):
         allowed = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
     max_part_size = draw(st.one_of(st.none(), st.integers(1, 3)))
-    # relabelings multiply the stream by up to r!, so only small cases
-    canonical = draw(st.booleans()) if n <= 5 and r <= 3 else True
-    return points, r, constraint, allowed, max_part_size, canonical
+    return points, r, constraint, allowed, max_part_size
 
 
-def oracle_candidates(n, r, canonical, constraint, allowed, max_part_size):
+def oracle_candidates(n, r, constraint, allowed, max_part_size):
     pool = set(range(n)) if allowed is None else set(allowed)
-    for parts in enumerate_candidates(n, r, canonical):
+    for parts in _candidate_stream(range(n), r, None, None):
         if any(i not in pool for p in parts for i in p):
             continue
         if max_part_size is not None and \
@@ -210,25 +208,24 @@ def pruned_by_oracle(points, parts):
 
 @pytest.mark.slow
 @settings(max_examples=150, deadline=None)
-@example(([[F(x)] for x in (0, 0, 0, 0, 0, 1)], 2, None, None, None, True))
+@example(([[F(x)] for x in (0, 0, 0, 0, 0, 1)], 2, None, None, None))
 @given(search_cases())
 def test_pruned_search_matches_oracle(case):
     # in the example the part (0,) is the point 0, which is not in the
     # open interval (0, 1) of the part (1, 2, 3, 4, 5)
-    points, r, constraint, allowed, max_part_size, canonical = case
+    points, r, constraint, allowed, max_part_size = case
     n, d = len(points), len(points[0])
     cfg = PointConfig(d, points)
     solver = ExactWeightSolver(points)
-    oracle = list(oracle_candidates(n, r, canonical, constraint, allowed,
+    oracle = list(oracle_candidates(n, r, constraint, allowed,
                                     max_part_size))
     witnesses = [solver.solve(parts) for parts in oracle]
 
     indices = range(n) if allowed is None else allowed
-    plain = list(_candidate_stream(indices, r, canonical, constraint,
-                                   max_part_size))
+    plain = list(_candidate_stream(indices, r, constraint, max_part_size))
     assert plain == oracle
-    pruned = list(_candidate_stream(indices, r, canonical, constraint,
-                                    max_part_size, solver))
+    pruned = list(_candidate_stream(indices, r, constraint, max_part_size,
+                                    solver))
     assert pruned == [parts for parts in oracle
                       if not pruned_by_oracle(points, parts)]
     feasible = [parts for parts, w in zip(oracle, witnesses) if w is not None]
@@ -237,7 +234,7 @@ def test_pruned_search_matches_oracle(case):
     first = next(((parts, w) for parts, w in zip(oracle, witnesses)
                   if w is not None), None)
     got = search_tuple(cfg, r, constraint, allowed=allowed,
-                       canonical_only=canonical, max_part_size=max_part_size)
+                       max_part_size=max_part_size)
     if first is None:
         assert got is None
     else:
@@ -277,9 +274,8 @@ def test_line_stream_emits_exactly_the_proper_candidates(case):
     points, r, constraint, max_part_size = case
     solver = ExactWeightSolver(points)
     indices = range(len(points))
-    plain = _candidate_stream(indices, r, True, constraint, max_part_size)
-    pruned = _candidate_stream(indices, r, True, constraint, max_part_size,
-                               solver)
+    plain = _candidate_stream(indices, r, constraint, max_part_size)
+    pruned = _candidate_stream(indices, r, constraint, max_part_size, solver)
     assert list(pruned) == [parts for parts in plain
                             if solver.solve(parts) is not None]
 
@@ -462,17 +458,17 @@ def both_flat_tests(flat, hull, chosen, last):
 
 @settings(max_examples=60, deadline=None)
 @example(([[F(0), F(0)], [F(2), F(0)], [F(1), F(0)], [F(1), F(1)]], 2,
-          None, None, None, True))
+          None, None, None))
 @given(search_cases(min_dim=2))
 def test_flat_test_matches_hull_meets(case):
     # in the example the part {2, 3} meets the line of {0, 1} at point 2,
     # where its barycentric coordinates are (1, 0)
-    points, r, constraint, allowed, max_part_size, canonical = case
+    points, r, constraint, allowed, max_part_size = case
     solver = ExactWeightSolver(points)
     indices = range(len(points)) if allowed is None else allowed
     def stream():
-        return _candidate_stream(indices, r, canonical, constraint,
-                                 max_part_size, solver)
+        return _candidate_stream(indices, r, constraint, max_part_size,
+                                 solver)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         want = drive(monkeypatch, hull_meet_next_flat, stream)
@@ -487,7 +483,7 @@ def test_flat_test_matches_hull_meets_on_certification(monkeypatch):
     cap = threshold_caps([len(c1)], inst.r)[0]
     solver = ExactWeightSolver(inst.lifted_primal.points)
     assert drive(monkeypatch, both_flat_tests, lambda: _candidate_stream(
-        c1, inst.r, True, None, cap, solver)) == ([], 14938)
+        c1, inst.r, None, cap, solver)) == ([], 14938)
 
 
 # -- the set condition against a from-scratch set/count oracle ---------------
@@ -529,20 +525,18 @@ def set_passes(s, coloring, caps, members):
 
 
 @settings(max_examples=200, deadline=None)
-@given(set_conditions(), st.integers(1, 3), st.booleans())
-def test_constraint_stream_matches_set_oracle(case, r, canonical):
+@given(set_conditions(), st.integers(1, 3))
+def test_constraint_stream_matches_set_oracle(case, r):
     n, coloring, caps, members, constraint = case
     r = min(r, n)
-    canonical = canonical or n > 5
     expected = []
-    for parts in enumerate_candidates(n, r, canonical):
+    for parts in _candidate_stream(range(n), r, None, None):
         ok = all(set_passes(set(p), coloring, caps, members) for p in parts)
         assert constraint.admits(parts) == ok
         if ok:
             expected.append(parts)
     # the stream prunes with may_add alone
-    assert list(_candidate_stream(range(n), r, canonical, constraint,
-                                  None)) == expected
+    assert list(_candidate_stream(range(n), r, constraint, None)) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fandist.errors import PreconditionError, SizeGateExceeded
+from fandist.errors import (
+    GuaranteeViolation,
+    PreconditionError,
+    SizeGateExceeded,
+)
 from fandist.feaslp import (
     ExactWeightSolver,
     ProperWeightProblem,
@@ -15,12 +19,11 @@ from fandist.feaslp import (
 )
 from fandist.galedual import PointConfig
 from fandist.kneser import ColoringCertificate, SetFamily, threshold_caps
+from fandist.pipeline import rainbow
 from fandist.tverberg import (
     SearchConstraint,
     TverbergTuple,
     _candidate_stream,
-    enumerate_candidates,
-    search_colored_tuple,
     search_tuple,
     search_two_tuples,
 )
@@ -52,40 +55,29 @@ def random_points(n, d, seed, bits=5):
 
 class TestEnumeration:
     def test_two_points_single_candidate(self):
-        assert list(enumerate_candidates(2, 2, canonical_only=True)) == \
+        assert list(_candidate_stream(range(2), 2, None, None)) == \
             [((0,), (1,))]
 
     def test_three_points_six_canonical(self):
-        got = list(enumerate_candidates(3, 2, canonical_only=True))
+        got = list(_candidate_stream(range(3), 2, None, None))
         assert got == [((0,), (1,)), ((0,), (1, 2)), ((0,), (2,)),
                        ((0, 1), (2,)), ((0, 2), (1,)), ((1,), (2,))]
 
     def test_first_candidate_minimal_parts(self):
-        assert next(enumerate_candidates(5, 3, canonical_only=True)) == \
+        assert next(_candidate_stream(range(5), 3, None, None)) == \
             ((0,), (1,), (2,))
 
-    def test_noncanonical_counts_relabelings(self):
-        canon = list(enumerate_candidates(4, 2, canonical_only=True))
-        full = list(enumerate_candidates(4, 2, canonical_only=False))
-        assert len(full) == 2 * len(canon)
-        assert set(full) == {tuple(p) for c in canon
-                             for p in (c, (c[1], c[0]))}
-
     def test_parts_disjoint_nonempty(self):
-        for cand in enumerate_candidates(5, 3, canonical_only=True):
+        for cand in _candidate_stream(range(5), 3, None, None):
             seen = set()
             for part in cand:
                 assert part
                 assert not seen.intersection(part)
                 seen.update(part)
 
-    def test_needs_enough_points(self):
-        with pytest.raises(PreconditionError):
-            enumerate_candidates(2, 3)
-
     def test_stream_strictly_increasing(self):
         prev = None
-        for cand in enumerate_candidates(5, 2, canonical_only=True):
+        for cand in _candidate_stream(range(5), 2, None, None):
             if prev is not None:
                 assert cand > prev, (prev, cand)
             prev = cand
@@ -135,6 +127,18 @@ class TestSearchTuple:
                     misses += 1
             assert misses == 50, (r, d, misses)
 
+    def test_needs_enough_points(self):
+        with pytest.raises(PreconditionError):
+            search_tuple(PointConfig(1, [[1], [2], [3]]), 4)
+
+    def test_exhausted_search(self):
+        # three points on a line hold no proper 3-tuple: None, or a
+        # GuaranteeViolation when a theorem is said to promise one
+        cfg = PointConfig(1, [[1], [2], [3]])
+        assert search_tuple(cfg, 3) is None
+        with pytest.raises(GuaranteeViolation, match="a stated theorem"):
+            search_tuple(cfg, 3, guarantee="a stated theorem")
+
     def test_size_gate_distinct_from_none(self):
         cfg = PointConfig(2, random_points(6, 2, seed=8))
         with pytest.raises(SizeGateExceeded):
@@ -164,16 +168,19 @@ class TestSearchTuple:
 class TestColoredSearch:
     def test_collinear_rainbow(self):
         cfg = PointConfig(1, [[1], [2], [3], [4]], coloring=[0, 1, 0, 1])
-        tup = search_colored_tuple(cfg, 2)
+        tup = search_tuple(cfg, 2, SearchConstraint.rainbow(cfg.coloring))
         assert tup is not None
         for part in tup.parts:
             for k in (0, 1):
                 assert sum(1 for i in part if cfg.coloring[i] == k) <= 1
 
     def test_small_class_rejected(self):
-        cfg = PointConfig(1, [[1], [2], [3], [4]], coloring=[0, 0, 0, 1])
-        with pytest.raises(PreconditionError):
-            search_colored_tuple(cfg, 2)
+        # rainbow needs r >= 3 for real fans; class 1 holds 2 < r points
+        cfg = PointConfig(1, [[1], [2], [3], [4], [5]],
+                          coloring=[0, 0, 0, 1, 1])
+        with pytest.raises(PreconditionError,
+                           match="every class needs at least r=3 points"):
+            rainbow(cfg, 3)
 
     def test_rainbow_agrees_with_oracle(self):
         rng = random.Random(31)
@@ -185,8 +192,8 @@ class TestColoredSearch:
             cfg = PointConfig(d, pts, coloring=coloring)
             if any(coloring.count(k) < r for k in range(3)):
                 continue
-            got = search_colored_tuple(cfg, r) is not None
             con = SearchConstraint.rainbow(coloring)
+            got = search_tuple(cfg, r, con) is not None
             assert got == brute_force_exists(pts, r, con)
 
 
@@ -286,8 +293,7 @@ def collect_then_scan(config, r, cell_ok):
     """
     solver = ExactWeightSolver(config.points)
     collected = []
-    for parts in _candidate_stream(range(config.n), r, True, None,
-                                   config.dim + 1):
+    for parts in _candidate_stream(range(config.n), r, None, config.dim + 1):
         witness = solver.solve(parts)
         if witness is not None:
             collected.append(TverbergTuple(r, parts, witness))
