@@ -6,7 +6,7 @@ through the correspondence between fan distributions and proper Tverberg
 partitions under Gale duality.
 """
 
-from fandist.exactnum import Cyclotomic, ExactMatrix, Positivity
+from fandist.exactnum import Cyclotomic, ExactMatrix
 from fandist.galedual import GaleDualPair, PointConfig
 
 __version__ = "0.1.0"
@@ -16,6 +16,5 @@ __all__ = [
     "ExactMatrix",
     "GaleDualPair",
     "PointConfig",
-    "Positivity",
     "__version__",
 ]

@@ -27,7 +27,11 @@ row is divided by its pivot through the pivot's norm cofactor (the same
 product of conjugates the inverse uses), and every row is kept reduced by
 the gcd of its integers and its denominator, so it holds exactly the
 values of field elimination.  Either way Fractions are built only for
-the values read off the form.
+the values read off the form.  The same integer coefficient vectors
+serve the rest of the Q(zeta_N) path: the Gale functional is one square
+``_eliminate_cyclotomic`` solve, and complex fans classify a point by
+``_FieldData.dot_int`` and the power table, deciding each sign on
+integers.
 
 All arithmetic is exact; nothing in this module (or the package) ever
 rounds.  Values are immutable after construction and safe to share.
@@ -35,7 +39,6 @@ rounds.  Values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -46,13 +49,11 @@ __all__ = [
     "Cyclotomic",
     "ExactMatrix",
     "FieldMismatch",
-    "Positivity",
     "Scalar",
     "conj",
     "cyclotomic_poly",
     "hermitian_dot",
     "integer_grid",
-    "is_positive_rational",
     "scalar_from_json",
     "scalar_to_json",
 ]
@@ -486,33 +487,6 @@ def hermitian_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return total
 
 
-class Positivity(enum.Enum):
-    """Sign classification within the rational subfield."""
-
-    POSITIVE = "yes-positive"
-    ZERO = "yes-zero"
-    NEGATIVE = "negative"
-    NOT_RATIONAL = "not-rational-real"
-
-
-def is_positive_rational(s: Scalar) -> Positivity:
-    """Sign test, restricted to the rational subfield.
-
-    Cyclotomic elements outside Q (after canonical reduction) report
-    NOT_RATIONAL; real-but-irrational elements are deliberately not
-    decided.
-    """
-    if isinstance(s, Cyclotomic):
-        if not s.is_rational():
-            return Positivity.NOT_RATIONAL
-        s = s.coeffs[0]
-    if s > 0:
-        return Positivity.POSITIVE
-    if s < 0:
-        return Positivity.NEGATIVE
-    return Positivity.ZERO
-
-
 def _as_scalar(value, conductor):
     if isinstance(value, Cyclotomic):
         if conductor is None or value.N != conductor:
@@ -849,7 +823,10 @@ class ExactMatrix:
     def kernel_basis(self) -> list[tuple]:
         """Deterministic basis of the right kernel, ``_kernel_int`` of the
         reduced form; empty when injective."""
-        M, pivots, lead = self._rref()
+        return self._kernel(*self._rref())
+
+    def _kernel(self, M, pivots, lead) -> list[tuple]:
+        """``kernel_basis`` read off this matrix's ``_rref``."""
         if self.conductor is None:
             return [self._scalars(v, lead)
                     for v in _kernel_int(M, pivots, lead, self.cols)]

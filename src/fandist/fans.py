@@ -14,7 +14,10 @@ unique such representative.
 
 A complex regular r-fan is a single Hermitian functional alpha and offset
 beta; half-flat j collects the points whose functional value sits on the
-ray through the j-th power of the standard root of unity.
+ray through the j-th power of the standard root of unity.  It is
+classified on integer coefficient vectors: alpha and beta are stored
+integral with content 1, conjugated once, and each point is cleared to
+integer coefficient vectors over one positive denominator.
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ from typing import Optional, Sequence, Union
 from fandist.errors import MalformedFan, PreconditionError, VerificationBug
 from fandist.exactnum import (
     Cyclotomic,
-    Positivity,
     _back_eliminate,
     _clear,
+    _clear_cyclotomic,
     _eliminate_int,
+    _field_data,
     _json_int,
     _kernel_int,
     _rational_from_json,
-    hermitian_dot,
-    is_positive_rational,
     scalar_from_json,
     scalar_to_json,
 )
@@ -191,9 +193,15 @@ class RealFan:
 
 
 class ComplexFan:
-    """Regular complex r-fan: <alpha, z> = beta + t * omega_r^j, t >= 0."""
+    """Regular complex r-fan: <alpha, z> = beta + t * omega_r^j, t >= 0.
 
-    __slots__ = ("r", "N", "dim", "alpha", "beta")
+    alpha and beta are scaled to integer coefficients with content 1, and
+    their conjugates are kept as integer coefficient vectors; points are
+    classified in Z[zeta_N].
+    """
+
+    __slots__ = ("r", "N", "dim", "alpha", "beta", "_conj_alpha",
+                 "_conj_beta")
 
     def __init__(self, r: int, N: int, alpha: Sequence[Cyclotomic],
                  beta: Union[Cyclotomic, Fraction, int]):
@@ -217,15 +225,23 @@ class ComplexFan:
         # content 1; scaling a whole fan by it changes no half-flat
         nums, den = _clear([c for a in alpha for c in a.coeffs]
                            + list(beta.coeffs))
-        lam = Fraction(den, gcd(*nums))
+        g = gcd(*nums)
+        lam = Fraction(den, g)
         if lam != 1:
             alpha = tuple(a * lam for a in alpha)
             beta = beta * lam
+        # the same integers, conjugated: conj(alpha_k), then conj(beta)
+        data = _field_data(N)
+        conjugates = [
+            data.power_map([x // g for x in nums[i:i + data.deg]], N - 1)
+            for i in range(0, len(nums), data.deg)]
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "dim", len(alpha))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_conj_alpha", tuple(conjugates[:-1]))
+        object.__setattr__(self, "_conj_beta", conjugates[-1])
 
     def __setattr__(self, *a):
         raise AttributeError("ComplexFan is immutable")
@@ -237,27 +253,35 @@ class ComplexFan:
         return self.beta.is_zero()
 
     def classify(self, x: Sequence[Cyclotomic]) -> Classification:
+        """Classified in integers by D conj(w), where w = <alpha, x> - beta
+        and x = X / D, D > 0: D conj(w) = sum conj(alpha_k) X_k
+        - conj(beta) D.  w omega^(-j) is a positive rational exactly when
+        its conjugate times D, D conj(w) omega^j, is one."""
         if len(x) != self.dim:
             raise PreconditionError("point dimension mismatch")
+        N = self.N
         for xi in x:
-            if isinstance(xi, Cyclotomic) and self.N % xi.N:
+            if isinstance(xi, Cyclotomic) and N % xi.N:
                 raise PreconditionError(f"a point over Q(zeta_{xi.N}) is "
-                                        f"not in Q(zeta_{self.N})")
-        x = tuple(xi if isinstance(xi, Cyclotomic) and xi.N == self.N
-                  else (xi.embed(self.N) if isinstance(xi, Cyclotomic)
-                        else Cyclotomic.from_rational(self.N, xi))
-                  for xi in x)
-        w = hermitian_dot(self.alpha, x) - self.beta
-        if w.is_zero():
+                                        f"not in Q(zeta_{N})")
+        x = [xi if isinstance(xi, Cyclotomic) and xi.N == N
+             else (xi.embed(N) if isinstance(xi, Cyclotomic)
+                   else Cyclotomic.from_rational(N, xi))
+             for xi in x]
+        data = _field_data(N)
+        X, D = _clear_cyclotomic(x, data.deg)
+        q = [a - D * b for a, b in
+             zip(data.dot_int(self._conj_alpha, X), self._conj_beta)]
+        if not any(q):
             return Classification(CENTER)
+        omega = data.power_table[N // self.r]
         saw_rational = False
         for j in range(self.r):
-            q = w * self.omega(-j)
-            sign = is_positive_rational(q)
-            if sign is Positivity.POSITIVE:
-                return Classification(INTERIOR, j)
-            if sign is not Positivity.NOT_RATIONAL:
+            if not any(q[1:]):
+                if q[0] > 0:
+                    return Classification(INTERIOR, j)
                 saw_rational = True
+            q = data.mul_int(q, omega)
         if saw_rational:
             return Classification(OUTSIDE)
         return Classification(OUTSIDE, diagnostic="not-rational-real")

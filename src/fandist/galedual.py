@@ -11,8 +11,9 @@ primal off the kernel of B, whose columns are the dual points, and
 checks the pair it builds once, by the pair's own test that every
 conjugated coordinate row of the dual is an affine dependence of the
 primal.  Over Q the kernel and every functional are read off the one
-reduction of [B | I]; over Q(zeta_N) the kernel and each functional come
-from ``ExactMatrix``, which reduces on integer rows too.  The pair tests
+reduction of [B | I]; over Q(zeta_N) the kernel and B's pivot columns S
+are read off one reduction of B on integer rows, and each functional is
+one square solve on the rows of S, in Z[zeta_N].  The pair tests
 dependencies on its primal cleared to one common denominator, over
 Q(zeta_N) to integer coefficient vectors, each functional is checked on
 every dual point in integers, and Fractions are built only for the
@@ -45,6 +46,7 @@ from fandist.exactnum import (
     _clear_cyclotomic,
     _clear_cyclotomic_grid,
     _clear_grid,
+    _eliminate_cyclotomic,
     _field_data,
     _json_int,
     _kernel_int,
@@ -349,18 +351,20 @@ def gale_pair_from_dual(dual: PointConfig) -> GaleDualPair:
 def _dual_kernel(dual: PointConfig):
     """(kernel basis, bridge) of B, the matrix whose columns are the g_i.
 
-    Over Q(zeta_N) it is ``ExactMatrix.kernel_basis``, B's rows cleared to
-    integer coefficient vectors and reduced by Gauss-Jordan elimination
-    in Z[zeta_N], and no bridge.  Over
-    Q ``ExactMatrix._rref`` reduces [B | I], row k cleared by B's row
-    denominator c_k: the first n columns give B's kernel and, when the g_i
-    span, the identity block of the pivot rows is F with F B_S = lead I on
-    the pivot columns S.  The bridge is (S, F^T, lead, G, s), G = s g the
-    dual on its integer grid.
+    Over Q(zeta_N) ``ExactMatrix._rref`` reduces B, its rows cleared to
+    integer coefficient vectors, by Gauss-Jordan elimination in
+    Z[zeta_N]; the kernel is read off that form and the bridge is B's
+    pivot columns S, the first g_i that span.  Over Q ``_rref`` reduces
+    [B | I], row k cleared by B's row denominator c_k: the first n
+    columns give B's kernel and, when the g_i span, the identity block of
+    the pivot rows is F with F B_S = lead I on the pivot columns S.  The
+    bridge is (S, F^T, lead, G, s), G = s g the dual on its integer grid.
     """
     B = [list(row) for row in zip(*dual.points)]
     if dual.conductor is not None:
-        return ExactMatrix(B, dual.conductor).kernel_basis(), None
+        mat = ExactMatrix(B, dual.conductor)
+        M, pivots, lead = mat._rref()
+        return mat._kernel(M, pivots, lead), [pc for _, pc in pivots]
     n, m = dual.n, dual.dim
     aug = ExactMatrix([row + [int(j == k) for j in range(m)]
                        for k, row in enumerate(B)])
@@ -413,10 +417,12 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
 
     lambda must be a nonzero affine dependence of the primal (checked
     exactly).  It is solved through the kernel basis, lambda = B^T alpha,
-    where row i of B^T is conj(g_i): over Q as alpha = F^T lambda_S / lead
-    from the pair's bridge, over Q(zeta_N) by elimination.  Either way alpha
-    is checked against every g_i in integers, with lambda = Lam / e: over
-    Q as <P, G_i> = lead s Lam_i, P = F^T Lam_S; over Q(zeta_N) as
+    where row i of B^T is conj(g_i), on the pair's bridge.  Over Q it is
+    alpha = F^T lambda_S / lead.  Over Q(zeta_N) it is the square system
+    e conj(G_i) alpha = s Lam_i on the pivot columns S, G = s g and
+    lambda = Lam / e, reduced by ``_eliminate_cyclotomic``.  Either way
+    alpha is checked against every g_i in integers: over Q as
+    <P, G_i> = lead s Lam_i, P = F^T Lam_S; over Q(zeta_N) as
     e <A, conj(G_i)> = a s Lam_i, alpha = A / a.  A rational pair takes
     a rational-valued Cyclotomic entry as its value and raises
     PreconditionError for any other.
@@ -440,15 +446,19 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
             if sum(a * b for a, b in zip(P, Gi)) != lead * s * li:
                 raise VerificationBug("functional does not reproduce lambda")
         return tuple(Fraction(p, lead * e) for p in P)
-    Bt = ExactMatrix([[conj(c) for c in g] for g in pair.dual.points],
-                     pair.dual.conductor)
-    alpha = Bt.solve(lam)
-    if alpha is None:
-        raise VerificationBug("dependence must lie in the row space of B")
-    data = _field_data(pair.dual.conductor)
-    A, a = _clear_cyclotomic(alpha, data.deg)
+    data = _field_data(N)
     Lam, e = _clear_cyclotomic(lam, data.deg)
     G, s = pair._conj_dual_grid
+    m = pair.dual.dim
+    M = [[[e * x for x in v] for v in G[i]] + [[s * x for x in Lam[i]]]
+         for i in pair._bridge]
+    dens = [1] * len(M)
+    if len(_eliminate_cyclotomic(data, M, dens, m, True)) != m:
+        raise VerificationBug("the dual's pivot columns do not span")
+    # Gauss-Jordan leaves row k as alpha_k = M[k][m] / dens[k]
+    alpha = tuple(Cyclotomic._from_int(N, row[m], d)
+                  for row, d in zip(M, dens))
+    A, a = _clear_cyclotomic(alpha, data.deg)
     for Gi, li in zip(G, Lam):
         if [e * x for x in data.dot_int(A, Gi)] != [a * s * x for x in li]:
             raise VerificationBug("functional does not reproduce lambda")

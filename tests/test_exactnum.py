@@ -15,7 +15,6 @@ from fandist.exactnum import (
     Cyclotomic,
     ExactMatrix,
     FieldMismatch,
-    Positivity,
     _back_eliminate,
     _clear,
     _eliminate_int,
@@ -24,10 +23,10 @@ from fandist.exactnum import (
     conj,
     cyclotomic_poly,
     hermitian_dot,
-    is_positive_rational,
     scalar_from_json,
     scalar_to_json,
 )
+from fandist.fans import CENTER, INTERIOR, OUTSIDE, Classification, ComplexFan
 from fandist.galedual import PointConfig, lift_augment
 from fandist.genpos import random_config
 
@@ -147,8 +146,8 @@ class TestHermitianDot:
                  for _ in range(3)]
             if all(x.is_zero() for x in u):
                 continue
-            assert is_positive_rational(hermitian_dot(u, u)) \
-                is Positivity.POSITIVE
+            d = hermitian_dot(u, u)
+            assert d.is_rational() and d.coeffs[0] > 0
 
 
 class TestKernelBasis:
@@ -193,26 +192,40 @@ class TestKernelBasis:
         assert all(x.is_zero() for x in M.mul_vec(basis[0]))
 
 
+def rational_sign(x, N=4):
+    """x classified by the 2-fan alpha = 1, beta = 0 over Q(zeta_N), whose
+    value at x is conj(x): interior(0) for a positive rational,
+    interior(1) for a negative one, center for zero, and outside with the
+    not-rational-real diagnostic for an element outside Q."""
+    return ComplexFan(2, N, [1], 0).classify([x])
+
+
 class TestPositivity:
+    """The sign of a field element within the rational subfield, as
+    complex fan classification decides it on integer coefficients."""
+
     def test_positive_rational(self):
-        assert is_positive_rational(F(5, 3)) is Positivity.POSITIVE
+        assert rational_sign(F(5, 3)) == Classification(INTERIOR, 0)
 
     def test_zero_and_negative(self):
-        assert is_positive_rational(F(0)) is Positivity.ZERO
-        assert is_positive_rational(F(-2)) is Positivity.NEGATIVE
+        assert rational_sign(F(0)) == Classification(CENTER)
+        assert rational_sign(F(-2)) == Classification(INTERIOR, 1)
 
     def test_i_not_rational(self):
         i = Cyclotomic.root_of_unity(4)
-        assert is_positive_rational(i) is Positivity.NOT_RATIONAL
+        assert rational_sign(i) == \
+            Classification(OUTSIDE, diagnostic="not-rational-real")
 
     def test_reduced_zeta3_element(self):
         z = Cyclotomic(3, [F(-1), F(-1)])  # = zeta^2 after reduction
-        assert is_positive_rational(z) is Positivity.NOT_RATIONAL
+        assert z == Cyclotomic.root_of_unity(3, 2)
+        assert rational_sign(z, 6) == \
+            Classification(OUTSIDE, diagnostic="not-rational-real")
 
     def test_rational_valued_cyclotomic(self):
         z = Cyclotomic.root_of_unity(4)
-        assert is_positive_rational(z * z) is Positivity.NEGATIVE
-        assert is_positive_rational(z * z * z * z) is Positivity.POSITIVE
+        assert rational_sign(z * z) == Classification(INTERIOR, 1)
+        assert rational_sign(z * z * z * z) == Classification(INTERIOR, 0)
 
 
 class TestFieldDiscipline:

@@ -1,7 +1,9 @@
+import enum
 import json
 import random
 from fractions import Fraction
 from fractions import Fraction as F
+from functools import lru_cache
 from math import gcd, lcm
 
 import pytest
@@ -9,8 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fandist.errors import MalformedFan, PreconditionError, VerificationBug
-from fandist.exactnum import Cyclotomic, ExactMatrix, Positivity, is_positive_rational
-from fandist.exactnum import conj
+from fandist.exactnum import Cyclotomic, ExactMatrix, conj, hermitian_dot
 from fandist.fans import (
     CENTER,
     INTERIOR,
@@ -39,7 +40,8 @@ from fandist.galedual import (
     lift_augment,
 )
 from fandist.kneser import SetFamily
-from fandist.pipeline import canonical_json
+from fandist.genpos import random_config
+from fandist.pipeline import canonical_json, equidistribute
 from fandist.tverberg import TverbergTuple, search_tuple
 
 
@@ -217,6 +219,142 @@ def complex_fans(draw):
     alpha = draw(st.lists(elem, min_size=dim, max_size=dim))
     assume(not all(a.is_zero() for a in alpha))
     return ComplexFan(r, N, alpha, draw(elem))
+
+
+class Positivity(enum.Enum):
+    """Sign classification within the rational subfield."""
+
+    POSITIVE = "yes-positive"
+    ZERO = "yes-zero"
+    NEGATIVE = "negative"
+    NOT_RATIONAL = "not-rational-real"
+
+
+def is_positive_rational(s) -> Positivity:
+    """Sign test restricted to the rational subfield: a Cyclotomic
+    element outside Q reports NOT_RATIONAL."""
+    if isinstance(s, Cyclotomic):
+        if not s.is_rational():
+            return Positivity.NOT_RATIONAL
+        s = s.coeffs[0]
+    if s > 0:
+        return Positivity.POSITIVE
+    if s < 0:
+        return Positivity.NEGATIVE
+    return Positivity.ZERO
+
+
+def complex_classify_oracle(fan, x):
+    """ComplexFan classification in Fraction-coefficient field arithmetic:
+    w = <alpha, x> - beta, rotated by omega^(-j) and sign-tested."""
+    if len(x) != fan.dim:
+        raise PreconditionError("point dimension mismatch")
+    for xi in x:
+        if isinstance(xi, Cyclotomic) and fan.N % xi.N:
+            raise PreconditionError(f"a point over Q(zeta_{xi.N}) is "
+                                    f"not in Q(zeta_{fan.N})")
+    x = tuple(xi.embed(fan.N) if isinstance(xi, Cyclotomic)
+              else Cyclotomic.from_rational(fan.N, xi) for xi in x)
+    w = hermitian_dot(fan.alpha, x) - fan.beta
+    if w.is_zero():
+        return Classification(CENTER)
+    saw_rational = False
+    for j in range(fan.r):
+        q = w * Cyclotomic.root_of_unity(fan.N, -(fan.N // fan.r) * j)
+        sign = is_positive_rational(q)
+        if sign is Positivity.POSITIVE:
+            return Classification(INTERIOR, j)
+        if sign is not Positivity.NOT_RATIONAL:
+            saw_rational = True
+    if saw_rational:
+        return Classification(OUTSIDE)
+    return Classification(OUTSIDE, diagnostic="not-rational-real")
+
+
+def with_value(alpha, target, x):
+    """x with the first coordinate that alpha weights moved so that
+    <alpha, x> = target (target * 0 is zero in target's field)."""
+    x = list(x)
+    i = next(i for i, a in enumerate(alpha) if a)
+    rest = sum((a * conj(xk) for k, (a, xk) in enumerate(zip(alpha, x))
+                if k != i), target * 0)
+    x[i] = conj((target - rest) / alpha[i])
+    return x
+
+
+# Q(zeta_5) holds no r-th root of unity for r in {2, 3, 4}, so it enters
+# as the lower conductor of points classified by fans over Q(zeta_10)
+CLASSIFY_FIELDS = [(N, r) for N in (3, 4, 8, 10, 12) for r in (2, 3, 4)
+                   if N % r == 0]
+
+
+@st.composite
+def complex_classify_cases(draw):
+    """A complex fan over Q(zeta_N) with alpha and beta drawn in a subfield
+    Q(zeta_L), L | N, and a point over Q(zeta_L) that classify embeds:
+    free, on the center, on a ray through an r-th root of unity, off
+    every ray (rotated by a root that is not an r-th root, or by
+    2 + zeta_L), with rational coordinates, or over a conductor that
+    does not divide N."""
+    N, r = draw(st.sampled_from(CLASSIFY_FIELDS))
+    L = draw(st.sampled_from([N, N] + [M for M in range(1, N) if N % M == 0]))
+    elem = st.lists(fracs, max_size=6).map(lambda cs: Cyclotomic(L, cs))
+    dim = draw(st.integers(1, 3))
+    alpha = draw(st.lists(elem, min_size=dim, max_size=dim))
+    assume(any(alpha))
+    beta = draw(elem)
+    fan = ComplexFan(r, N, [a.embed(N) for a in alpha], beta.embed(N))
+    x = draw(st.lists(elem, min_size=dim, max_size=dim))
+    kind = draw(st.sampled_from(("free", "center", "ray", "ray", "off-ray",
+                                 "off-ray", "rational", "foreign")))
+    if kind == "rational":
+        return fan, draw(st.lists(fracs, min_size=dim, max_size=dim))
+    if kind == "foreign":
+        M = draw(st.sampled_from([M for M in (3, 4, 5, 8, 12) if N % M]))
+        x[draw(st.integers(0, dim - 1))] = draw(
+            st.lists(fracs, max_size=4).map(lambda cs: Cyclotomic(M, cs)))
+        return fan, x
+    if kind == "free":
+        return fan, x
+    zeta = Cyclotomic.root_of_unity(L)
+    roots = [s * zeta ** k for s in (1, -1) for k in range(L)]
+    w = Cyclotomic.from_rational(L, 0)
+    if kind != "center":
+        on = [rho for rho in roots if rho ** r == 1]
+        off = [rho for rho in roots if rho ** r != 1] + [2 + zeta]
+        t = draw(st.builds(F, st.integers(1, 9), st.integers(1, 7)))
+        w = t * draw(st.sampled_from(on if kind == "ray" else off))
+    return fan, with_value(alpha, beta + w, x)
+
+
+def classify_or_error(classify, fan, x):
+    try:
+        return classify(fan, x)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestComplexIntegerClassification:
+    @settings(max_examples=600, deadline=None)
+    @given(complex_classify_cases())
+    def test_against_field_oracle(self, case):
+        fan, x = case
+        assert classify_or_error(ComplexFan.classify, fan, x) == \
+            classify_or_error(complex_classify_oracle, fan, x)
+
+    def test_affine_fan_with_denominators(self):
+        # alpha = zeta_4 and beta = 1 + zeta_4 are not real, and the
+        # point's denominator D = 6 scales beta
+        N = 4
+        i = Cyclotomic.root_of_unity(N)
+        fan = ComplexFan(2, N, [i], 1 + i)
+        for x, want in [((1 + i) / i, Classification(CENTER)),
+                        ((1 + i + F(1, 6)) / i, Classification(INTERIOR, 0)),
+                        ((1 + i - F(5, 6)) / i, Classification(INTERIOR, 1)),
+                        ((1 + i + i / 6) / i, Classification(
+                            OUTSIDE, diagnostic="not-rational-real"))]:
+            x = [conj(x)]
+            assert fan.classify(x) == complex_classify_oracle(fan, x) == want
 
 
 class TestFanJsonRoundTrip:
@@ -844,13 +982,8 @@ def complex_point(draw, fan):
     x = draw(st.lists(coeff, min_size=fan.dim, max_size=fan.dim))
     if draw(st.booleans()):
         return x
-    i = next(i for i, a in enumerate(fan.alpha) if not a.is_zero())
     target = fan.beta + draw(fracs) * fan.omega(draw(st.integers(0, fan.r)))
-    rest = sum((a * conj(xk) for k, (a, xk) in
-                enumerate(zip(fan.alpha, x)) if k != i),
-               Cyclotomic.from_rational(N, 0))
-    x[i] = conj((target - rest) / fan.alpha[i])
-    return x
+    return with_value(fan.alpha, target, x)
 
 
 @st.composite
@@ -906,3 +1039,104 @@ def report_or_error(verify, fan, config, mode, family, other):
 def test_verify_report_matches_oracle(case):
     assert report_or_error(verify_report, *case) == \
         report_or_error(verify_report_oracle, *case)
+
+
+# -- a verified fan with one point moved --------------------------------------
+
+VERIFIED = {
+    "desk": ((10, 8), {"seed": 4000}, 4),
+    "desk-colored": ((10, 8), {"seed": 4001, "coloring": [0] * 5 + [1] * 5},
+                     4),
+    "complex": ((6, 4), {"field": 4, "seed": 7300,
+                         "coloring": [0, 0, 0, 1, 1, 1]}, 2),
+}
+
+
+@lru_cache(maxsize=None)
+def verified_result(key):
+    """(X, equidistribute(X, r)) for one desk or complex input."""
+    shape, kwargs, r = VERIFIED[key]
+    X = random_config(*shape, **kwargs)
+    return X, equidistribute(X, r)
+
+
+def point_at(fan, kind, j, t, free):
+    """A point on the center of fan, t > 0 into the interior of half-flat
+    j, or t off the fan next to half-flat j.  A real point moves along
+    the center by the coefficients free; a complex point keeps the
+    coordinates free except the first that alpha weights."""
+    if isinstance(fan, RealFan):
+        A = ExactMatrix([list(v) for v in fan.normals])
+        x = list(A.solve(list(fan.offsets)))
+        for u, c in zip(A.kernel_basis(), free):
+            x = [a + c * b for a, b in zip(x, u)]
+        if kind != CENTER:
+            # v_k u = 0 off j and j-1, v_j u = 1, so v_(j-1) u = -1
+            rows = [k for k in range(fan.r) if k != (j - 1) % fan.r]
+            u = ExactMatrix([fan.normals[k] for k in rows]).solve(
+                [int(k == j) for k in rows])
+            s = t if kind == INTERIOR else -t
+            x = [a + s * b for a, b in zip(x, u)]
+        return tuple(x)
+    w = Cyclotomic.from_rational(fan.N, 0)
+    if kind == INTERIOR:
+        w = t * fan.omega(j)
+    elif kind == OUTSIDE:
+        w = t * (2 + Cyclotomic.root_of_unity(fan.N))
+    return tuple(with_value(fan.alpha, fan.beta + w, free))
+
+
+@st.composite
+def moved_points(draw, key):
+    """A verified result and one of its points moved into another
+    half-flat, onto the center, or outside the fan."""
+    X, res = verified_result(key)
+    fan = res.affine_fan
+    kind = draw(st.sampled_from((INTERIOR, CENTER, OUTSIDE)))
+    p = draw(st.sampled_from([p for p, x in enumerate(X.points)
+                              if kind != CENTER
+                              or fan.classify(x).kind != CENTER]))
+    old = fan.classify(X.points[p])
+    j = None if kind == CENTER else draw(st.sampled_from(
+        [j for j in range(fan.r)
+         if kind == OUTSIDE or old != Classification(INTERIOR, j)]))
+    t = draw(st.builds(F, st.integers(1, 9), st.integers(1, 7)))
+    free = X.points[p] if isinstance(fan, ComplexFan) else \
+        draw(st.lists(fracs, min_size=X.dim, max_size=X.dim))
+    x = point_at(fan, kind, j, t, free)
+    moved = PointConfig(X.dim, X.points[:p] + (x,) + X.points[p + 1:],
+                        X.conductor, X.coloring)
+    return X, res, moved, p, kind, j
+
+
+@pytest.mark.parametrize("key", sorted(VERIFIED))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_moved_point_changes_report_by_that_point(key, data):
+    X, res, moved, p, kind, j = data.draw(moved_points(key))
+    fan, rep = res.affine_fan, res.report
+    assert rep.passes
+    old, new = fan.classify(X.points[p]), fan.classify(moved.points[p])
+    assert new.kind == kind and (kind != INTERIOR or new.part == j)
+    got = verify_report(fan, moved, rep.mode)
+
+    assert got.center_count == \
+        rep.center_count - (old.kind == CENTER) + (new.kind == CENTER)
+    assert got.interior_counts == tuple(
+        n - (old == Classification(INTERIOR, k))
+        + (new == Classification(INTERIOR, k))
+        for k, n in enumerate(rep.interior_counts))
+    color = (X.coloring or [0] * X.n)[p]
+    cells = dict(rep.cell_class_counts)
+    if old.kind == INTERIOR:
+        cells[f"({old.part},{color})"] -= 1
+    if new.kind == INTERIOR:
+        cells[f"({new.part},{color})"] += 1
+    assert got.cell_class_counts == cells
+
+    capped = all(fan.r * cells[f"({k},{c})"] <= size
+                 for k in range(fan.r)
+                 for c, size in enumerate(rep.class_sizes))
+    assert got.passes == (capped and new.kind != OUTSIDE)
+    assert (f"points outside the fan: [{p}]" in got.failures) == \
+        (new.kind == OUTSIDE)

@@ -606,15 +606,19 @@ class TestBridge:
         c = tuple(zeta * k + 1 for k in range(pair.dual.dim))
         lam = [hermitian_dot(c, g) for g in pair.dual.points]
         assert dependence_to_functional(pair, lam) == c
-        solve = ExactMatrix.solve
-        for k in range(pair.dual.dim):
-            for delta in (1, zeta):
-                def moved(self, rhs, k=k, delta=delta):
-                    alpha = list(solve(self, rhs))
-                    alpha[k] += delta
-                    return tuple(alpha)
+        eliminate = galedual._eliminate_cyclotomic
+        m = pair.dual.dim
+        for k in range(m):
+            for delta in (Cyclotomic.from_rational(N, 1), zeta):
+                # alpha_k is row k's last entry over its denominator
+                def moved(data, M, dens, ncols, back, k=k,
+                          shift=[int(x) for x in delta.coeffs]):
+                    pivots = eliminate(data, M, dens, ncols, back)
+                    M[k] = M[k][:m] + [[x + dens[k] * y for x, y in
+                                        zip(M[k][m], shift)]]
+                    return pivots
 
-                monkeypatch.setattr(ExactMatrix, "solve", moved)
+                monkeypatch.setattr(galedual, "_eliminate_cyclotomic", moved)
                 with pytest.raises(VerificationBug,
                                    match="does not reproduce lambda"):
                     dependence_to_functional(pair, lam)
