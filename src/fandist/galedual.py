@@ -164,12 +164,18 @@ class PointConfig:
         return PointConfig(self.dim, self.points, self.conductor, coloring)
 
     def to_conductor(self, N: int) -> "PointConfig":
-        """Embed a config into Q(zeta_N); rational configs promote freely."""
+        """Embed a config into Q(zeta_N); rational configs promote freely.
+
+        An embedding of fields keeps every rank, so a verified (or
+        refuted) affine span carries over.
+        """
         if self.conductor == N:
             return self
         pts = self.points if self.conductor is None else \
             [[c.embed(N) for c in p] for p in self.points]
-        return PointConfig(self.dim, pts, N, self.coloring)
+        out = PointConfig(self.dim, pts, N, self.coloring)
+        out._spanning = self._spanning
+        return out
 
     def to_json(self) -> dict:
         field = "rational" if self.conductor is None else \

@@ -29,6 +29,19 @@ search.  Once the flat is a point, every extension can only meet in it,
 and each later part must hold it, by its hull equations, with positive
 barycentric coordinates.  Affinely dependent parts never prune.
 
+A pair test (one part P chosen, with more parts to come) is decided
+once per union U = P ∪ J, by Radon's observation: the hulls of P and J
+meet iff some affine dependence lambda of U (sum lambda_i a_i = 0, sum
+lambda_i = 0) has s = sum_P lambda_i != 0.  The first split of U that
+is tested records U's dependences, read off J's residuals on P's hull
+and P's barycentric map, and every later split reads the record.  An
+independent U misses at every split.  When the dependences form one
+line, a split meets only if s != 0, and then in the one point sum_P
+lambda_i a_i / s, where the barycentric coordinates are lambda_i / s
+on P and -lambda_j / s on J, so their signs decide it.  Any other U,
+or a record read off a dependent P, falls back to the test through J's
+points.
+
 On a line (a grid of dimension 1) the stream decides properness itself.
 There a part's relative interior is the open interval between its least
 and greatest point, or its one point when they coincide, and a candidate
@@ -55,9 +68,9 @@ each proper tuple I it walks a second stream pruned by I's cell
 condition, whose first proper tuple J completes the pair.  The cell
 condition is monotone, so it prunes partial parts: index k joins only
 the cell I_a ∩ J_b of the part I_a holding it.  Solves are memoised by
-candidate, so none is solved twice, and one hull cache serves every
-stream of a search.  The pair is the one that solving every candidate
-and scanning all pairs in order would return.
+candidate, so none is solved twice, and one cache of hulls and one of
+union records serve every stream of a search.  The pair is the one that
+solving every candidate and scanning all pairs in order would return.
 """
 
 from __future__ import annotations
@@ -72,7 +85,7 @@ from fandist.errors import (
     SizeGateExceeded,
     VerificationBug,
 )
-from fandist.exactnum import _back_eliminate, _eliminate_int
+from fandist.exactnum import _back_eliminate, _eliminate_int, _kernel_int
 from fandist.feaslp import (
     ExactWeightSolver,
     Flat,
@@ -212,33 +225,114 @@ class SearchConstraint:
 
 
 class _PartHull:
-    """One part's hull flat and, once a point flat needs it, its
-    barycentric map (``feaslp.barycentric_map``, None if dependent)."""
+    """One part's hull flat and, once needed, its barycentric map
+    (``feaslp.barycentric_map``, None if dependent).  ``unions`` maps the
+    index mask of a union of two parts to its ``_union_record``; the
+    stream hands every hull of a search the same dict."""
 
-    __slots__ = ("flat", "grid", "part", "_bary")
+    __slots__ = ("flat", "grid", "part", "mask", "unions", "_bary")
 
-    def __init__(self, grid, part):
+    def __init__(self, grid, part, unions):
         self.flat = affine_hull(grid, part)
         self.grid = grid
         self.part = tuple(part)
+        self.mask = bitmask(part)
+        self.unions = unions
         self._bary = self  # not computed yet
+
+    def bary(self):
+        if self._bary is self:
+            self._bary = barycentric_map(self.grid, self.part)
+        return self._bary
 
     def positive_at(self, x, lead) -> bool:
         """False iff the part is affinely independent and some barycentric
         coordinate of the point x / lead, which lies on its hull, is <= 0.
         """
-        if self._bary is self:
-            self._bary = barycentric_map(self.grid, self.part)
-        if self._bary is None:
+        bary = self.bary()
+        if bary is None:
             return True
         return all(sum(a * b for a, b in zip(row, x)) + row[-1] * lead > 0
-                   for row in self._bary[0])
+                   for row in bary[0])
 
     def holds(self, x, lead) -> bool:
         """Whether x / lead lies on the hull and passes ``positive_at``."""
         dim = self.flat.dim
         return all(sum(a * b for a, b in zip(row, x)) == row[dim] * lead
                    for row in self.flat.rows) and self.positive_at(x, lead)
+
+
+# ``_union_record`` values besides a dependence {index: lambda_i}
+_MISS = "independent"  # no split of the union has meeting hulls
+_FALLBACK = "fallback"  # the split is tested by the part's points
+
+
+def _union_record(flat, first: _PartHull, hull: _PartHull):
+    """The affine dependences lambda (sum lambda_i a_i = 0, sum lambda_i
+    = 0) of U = first.part ∪ hull.part, read off this split, where flat
+    is the first part's hull.
+
+    ``_MISS`` when U is affinely independent, one spanning dependence
+    {i: lambda_i} when they form a line, and ``_FALLBACK`` when they
+    span more or the first part P is dependent.  With P independent, a
+    dependence restricted to J = hull.part is a kernel vector mu of J's
+    residuals on flat, and then w = sum mu_j [a_j | 1] is B_P nu for
+    unique weights nu = L w / D, (L, D) P's barycentric map; lambda is
+    -L w on P and D mu on J.
+    """
+    P, J = first.part, hull.part
+    if len(P) + flat.codim != flat.dim + 1:
+        return _FALLBACK  # P is affinely dependent
+    grid, n = hull.grid, len(J)
+    res = flat.residuals(grid, J)
+    M = [[r[k] for r in res] for k in range(flat.codim)]
+    pivots = _eliminate_int(M, n)
+    if len(pivots) == n:
+        return _MISS
+    if len(pivots) < n - 1:
+        return _FALLBACK
+    mu, = _kernel_int(M, pivots, _back_eliminate(M, pivots), n)
+    w = [sum(m * grid[j][c] for m, j in zip(mu, J))
+         for c in range(flat.dim)]
+    w.append(sum(mu))
+    L, D = first.bary()
+    lam = [-sum(a * b for a, b in zip(row, w)) for row in L]
+    lam += [D * m for m in mu]
+    g = gcd(*lam)
+    return {i: v // g for i, v in zip(P + J, lam)}
+
+
+def _pair_meet(flat, first: _PartHull, hull: _PartHull):
+    """The pair test of ``_next_flat`` by the union's record: the meet
+    point's flat, None when no candidate extending the pair is proper,
+    or ``_FALLBACK``.
+
+    The hulls of P = first.part and J = hull.part meet iff a dependence
+    lambda of U has s = sum_P lambda_i != 0.  With the dependences one
+    line, both parts are then independent and meet only in x = sum_P
+    lambda_i a_i / s, with barycentric coordinates lambda_i / s on P and
+    -lambda_j / s on J.
+    """
+    key = first.mask | hull.mask
+    lam = hull.unions.get(key)
+    if lam is None:
+        lam = hull.unions[key] = _union_record(flat, first, hull)
+    if lam is _FALLBACK:
+        return _FALLBACK
+    if lam is _MISS:
+        return None
+    P, J = first.part, hull.part
+    s = sum(lam[i] for i in P)
+    if not s:
+        return None
+    if any(lam[i] * s <= 0 for i in P) or any(lam[j] * s >= 0 for j in J):
+        return None
+    grid = hull.grid
+    x = [sum(lam[i] * grid[i][c] for i in P) for c in range(flat.dim)]
+    if s < 0:
+        s, x = -s, [-c for c in x]
+    g = gcd(s, *x)
+    return Flat.from_point([c // g for c in x], s // g)
 
 
 def _next_flat(flat, hull: _PartHull, chosen, last: bool):
@@ -251,7 +345,16 @@ def _next_flat(flat, hull: _PartHull, chosen, last: bool):
     ``Flat.residuals``; with mu_0 = 1 - sum of the others, that is codim
     rows in |J| - 1 unknowns.  Unique weights make J affinely independent,
     with barycentric coordinates mu at the only meeting point.
+
+    A pair test that is not the last (one part chosen, its hull the
+    flat, r >= 3) is decided by ``_pair_meet`` from the record of the
+    pair's union, built at the union's first split and shared by all of
+    them, unless the record falls back to the tests above.
     """
+    if len(chosen) == 1 and not last:
+        met = _pair_meet(flat, chosen[0], hull)
+        if met is not _FALLBACK:
+            return met
     point = flat.point()
     if point is not None:
         return flat if hull.holds(point, flat.lead) else None
@@ -298,7 +401,8 @@ def _candidate_stream(indices: Sequence[int], r: int,
                       max_part_size: Optional[int],
                       solver: Optional[ExactWeightSolver] = None,
                       gate: Optional[int] = None, *,
-                      hulls: Optional[dict[int, _PartHull]] = None
+                      hulls: Optional[dict[int, _PartHull]] = None,
+                      unions: Optional[dict[int, object]] = None
                       ) -> Iterator[tuple]:
     """Part-tuples in lexicographic order of the sorted-parts sequence,
     with increasing part minima.
@@ -311,11 +415,13 @@ def _candidate_stream(indices: Sequence[int], r: int,
     carries the doubled bounds of its parts' common relative interior
     instead, and a part whose bounds miss them is skipped, so only
     proper candidates are emitted.  ``hulls`` caches each part's hull
-    record by its index mask and may be shared by streams over the same
-    solver.  With a gate, each flat or interval test of a part after the
-    first and each emitted candidate (its solve comes next) counts one
-    feasibility check, and the stream raises SizeGateExceeded once the
-    count passes the gate.
+    record by its index mask, and ``unions`` the affine-dependence record
+    of each union of a first part and a part tested against its hull
+    (one per union, whichever split comes first); both may be shared by
+    streams over the same solver.  With a gate, each flat or interval
+    test of a part after the first and each emitted candidate (its solve
+    comes next) counts one feasibility check, and the stream raises
+    SizeGateExceeded once the count passes the gate.
     """
     idx = sorted(indices)
     line = None
@@ -323,6 +429,8 @@ def _candidate_stream(indices: Sequence[int], r: int,
         line = [x for x, in solver.ipoints]
     if hulls is None:
         hulls = {}
+    if unions is None:
+        unions = {}
     checks = 0
 
     def count_check():
@@ -377,7 +485,8 @@ def _candidate_stream(indices: Sequence[int], r: int,
             elif solver is not None:
                 hull = hulls.get(mask)
                 if hull is None:
-                    hull = hulls[mask] = _PartHull(solver.ipoints, sub)
+                    hull = hulls[mask] = _PartHull(solver.ipoints, sub,
+                                                    unions)
                 if depth == 0:
                     # one part's only point has the coordinate 1 or is
                     # repeated, so it never prunes
@@ -496,11 +605,12 @@ def search_two_tuples(config: PointConfig, r: int, *,
     cara = real.dim + 1  # restricting part sizes preserves pair existence
     indices = list(range(config.n)) if allowed is None else sorted(allowed)
     hulls: dict[int, _PartHull] = {}
+    unions: dict[int, object] = {}
     solved: dict[tuple, Optional[TverbergTuple]] = {}
 
     def stream(constraint):
         return _candidate_stream(indices, r, constraint, cara, solver,
-                                 hulls=hulls)
+                                 hulls=hulls, unions=unions)
 
     def proper(parts) -> Optional[TverbergTuple]:
         if parts not in solved:

@@ -13,8 +13,10 @@ from fandist.errors import (
     SizeGateExceeded,
     VerificationBug,
 )
+from fandist.exactnum import ExactMatrix
 from fandist.fans import RealFan, slice_project, verify_report
 from fandist.feaslp import ExactWeightSolver
+from fandist.galedual import PointConfig
 from fandist.genpos import is_typical, random_config
 from fandist.kneser import ColoringCertificate, SetFamily
 from fandist.pipeline import (
@@ -178,6 +180,25 @@ class TestComplexVariants:
         assert res is not None and res.report.passes
         assert res.affine_fan.N == 12
         assert any("zeta_12" in w for w in res.warnings)
+
+    def test_embedding_keeps_the_verified_span(self, monkeypatch):
+        # Q(zeta_3) at r = 2 embeds into Q(zeta_12); the embedding keeps
+        # every rank, so the verified span is not reduced again
+        X = random_config(6, 4, field=3, seed=600, coloring=[0] * 6)
+        calls = []
+        rank = ExactMatrix.rank
+
+        def counting(self):
+            calls.append(self)
+            return rank(self)
+
+        monkeypatch.setattr(ExactMatrix, "rank", counting)
+        X12, _, _, warnings = pipeline._prepare(X, 2)
+        assert X12.conductor == 12 and warnings
+        assert calls == []
+        fresh = PointConfig(X.dim, X.points, 3).to_conductor(12)
+        assert fresh._spanning is None
+        assert fresh.affinely_spanning() and len(calls) == 1
 
     def test_complex_rainbow(self):
         # r=2 (r+1 prime), d=1: three classes of two in C^4; n=6 meets

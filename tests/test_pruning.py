@@ -71,8 +71,8 @@ def degenerate_points(draw, n, d):
 
 
 @st.composite
-def search_cases(draw, min_dim=1):
-    r = draw(st.sampled_from([2, 3, 4]))
+def search_cases(draw, min_dim=1, rs=(2, 3, 4)):
+    r = draw(st.sampled_from(rs))
     d = draw(st.integers(min_dim, 3))
     n = draw(st.integers(r, 6))
     points = draw(degenerate_points(n, d))
@@ -306,7 +306,7 @@ def test_barycentric_map_matches_fraction_oracle(case):
     for c in x:
         lead = lead * c.denominator // gcd(lead, c.denominator)
     X = [int(c * lead) for c in x]
-    positive = tverberg._PartHull(grid, part).positive_at(X, lead)
+    positive = tverberg._PartHull(grid, part, {}).positive_at(X, lead)
     assert positive == (lam is None or min(lam) > 0)
     if bary is None:
         return
@@ -484,6 +484,97 @@ def test_flat_test_matches_hull_meets_on_certification(monkeypatch):
     solver = ExactWeightSolver(inst.lifted_primal.points)
     assert drive(monkeypatch, both_flat_tests, lambda: _candidate_stream(
         c1, inst.r, None, cap, solver)) == ([], 14938)
+
+
+# -- pair tests by one affine-dependence record per union --------------------
+
+def dependences(points, union):
+    """A basis of the affine dependences of the points, in Fractions."""
+    d = len(points[0])
+    rows = [[points[i][c] for i in union] for c in range(d)]
+    rows.append([1] * len(union))
+    M, pivots = rref(rows, len(union))
+    basis = []
+    for f in (c for c in range(len(union)) if c not in pivots):
+        v = [F(0)] * len(union)
+        v[f] = F(1)
+        for k, pc in enumerate(pivots):
+            v[pc] = -M[k][f]
+        basis.append(v)
+    return basis
+
+
+def check_union_record(points, mask, record):
+    """A union's record against its dependences: none, independent; one,
+    that line (or a fallback when it is a first part's own dependence,
+    zero somewhere); more, a fallback."""
+    union = [i for i in range(len(points)) if mask >> i & 1]
+    basis = dependences(points, union)
+    if not basis:
+        assert record == tverberg._MISS
+    elif len(basis) > 1:
+        assert record == tverberg._FALLBACK
+    elif record == tverberg._FALLBACK:
+        assert not all(basis[0])
+    else:
+        v = basis[0]
+        lam = [record[i] for i in union]
+        k = next(k for k, x in enumerate(v) if x)
+        assert [x * lam[k] for x in v] == [y * v[k] for y in lam]
+
+
+# in the example, 0 and 1 coincide (a dependent first part), {2, 3, 4}
+# lie on a line that misses 0 (one dependence with s = 0 at the split
+# {0} | {2, 3, 4}) and {0} | {2, 3, 4, 5} has two dependences; 0 lies in
+# the hull of {2, 3, 4, 5}, so the test does not miss there
+@settings(max_examples=80, deadline=None)
+@example(([[F(x), F(y)] for x, y in ((0, 0), (0, 0), (-1, 1), (0, 1),
+                                     (2, 1), (0, -1))], 3, None, None,
+          None))
+@given(search_cases(min_dim=2, rs=(3, 4)))
+def test_pair_records_match_hull_meets(case):
+    points, r, constraint, allowed, max_part_size = case
+    solver = ExactWeightSolver(points)
+    grid = solver.ipoints
+    indices = range(len(points)) if allowed is None else allowed
+    unions = {}
+
+    def stream():
+        unions.clear()
+        return _candidate_stream(indices, r, constraint, max_part_size,
+                                 solver, unions=unions)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        want = drive(monkeypatch, hull_meet_next_flat, stream)
+        assert not unions
+        assert drive(monkeypatch, both_flat_tests, stream) == want
+    for mask, record in unions.items():
+        check_union_record(grid, mask, record)
+
+
+def test_certification_builds_one_record_per_union(monkeypatch):
+    # the 12,100 pair tests of the ell=4 certification meet 1,474 unions:
+    # 1,012 affinely independent, 462 with one dependence
+    inst = build_counterexample(3, 2, 1, 0, 4, seed=1)
+    c1 = inst.class_one()
+    cap = threshold_caps([len(c1)], inst.r)[0]
+    solver = ExactWeightSolver(inst.lifted_primal.points)
+    pairs = 0
+    next_flat = tverberg._next_flat
+
+    def spy(flat, hull, chosen, last):
+        nonlocal pairs
+        pairs += len(chosen) == 1 and not last
+        return next_flat(flat, hull, chosen, last)
+
+    monkeypatch.setattr(tverberg, "_next_flat", spy)
+    unions = {}
+    assert list(_candidate_stream(c1, inst.r, None, cap, solver,
+                                  unions=unions)) == []
+    assert pairs == 12100
+    assert Counter(record if isinstance(record, str) else "one"
+                   for record in unions.values()) == \
+        {tverberg._MISS: 1012, "one": 462}
 
 
 # -- the set condition against a from-scratch set/count oracle ---------------
