@@ -63,11 +63,6 @@ def _load_config(args) -> PointConfig:
     return PointConfig.from_json(_read_json(args.input))
 
 
-def _warn(messages):
-    for msg in messages:
-        print(f"warning: {msg}", file=sys.stderr)
-
-
 def _cmd_gale(args):
     pair = gale_transform(_load_config(args))
     _write_output({"dual": pair.dual.to_json()}, args.output)
@@ -90,15 +85,20 @@ def _cmd_tverberg(args):
     return EXIT_OK
 
 
-def _run_single_fan(args, runner, **kwargs):
-    cfg = _load_config(args)
-    result = runner(cfg, args.r, lp_gate=args.gate, **kwargs)
+def _finish_driver(result, args):
+    """Exit 1 on no result; else print its warnings, write its JSON."""
     if result is None:
         print("none", file=sys.stderr)
         return EXIT_NONE
-    _warn(result.warnings)
+    for msg in result.warnings:
+        print(f"warning: {msg}", file=sys.stderr)
     _write_output(result.to_json(), args.output)
     return EXIT_OK
+
+
+def _run_single_fan(args, runner):
+    cfg = _load_config(args)
+    return _finish_driver(runner(cfg, args.r, lp_gate=args.gate), args)
 
 
 def _cmd_equidistribute(args):
@@ -121,13 +121,7 @@ def _cmd_two_fans(args):
     if args.certificate:
         cert = ColoringCertificate.from_json(_read_json(args.certificate))
         kwargs.update(family=cert.family, certificate=cert)
-    result = two_fans(cfg, args.r, **kwargs)
-    if result is None:
-        print("none", file=sys.stderr)
-        return EXIT_NONE
-    _warn(result.warnings)
-    _write_output(result.to_json(), args.output)
-    return EXIT_OK
+    return _finish_driver(two_fans(cfg, args.r, **kwargs), args)
 
 
 def _cmd_verify_fan(args):

@@ -25,6 +25,7 @@ from math import gcd
 from typing import Optional
 
 from fandist.errors import (
+    GuaranteeViolation,
     NotAffinelySpanning,
     PreconditionError,
     SizeGateExceeded,
@@ -50,6 +51,7 @@ from fandist.genpos import (
 from fandist.kneser import (
     ColoringCertificate,
     SetFamily,
+    m_eligible,
     prime_base,
     threshold_caps,
     verify_certificate,
@@ -188,6 +190,18 @@ def _fan_bound(r: int, d: int, m: int, is_complex: bool) -> int:
     return (r - 1) * ((2 * d if is_complex else d) + m + 1) + 1
 
 
+def _check_certificate(family: SetFamily, certificate: ColoringCertificate,
+                       k: int, k_name: str) -> None:
+    """Raise unless ``certificate`` is a valid chromatic certificate of
+    ``family`` for the k-uniform Kneser hypergraph (k named ``k_name``)."""
+    if certificate.family != family or certificate.r != k:
+        raise PreconditionError(
+            f"certificate must cover this family and {k_name}")
+    ok, bad = verify_certificate(certificate)
+    if not ok:
+        raise PreconditionError(f"invalid chromatic certificate: {bad}")
+
+
 def _build_fan(pair, X, tup):
     """(linear fan, its slice), the slice checked point by point on X.
 
@@ -209,7 +223,9 @@ def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
                 lp_gate: int, family=None) -> Optional[PipelineResult]:
     """Prepare, plan, search and finish one single-fan run.
 
-    Real fans need r >= 3; that is checked once, before planning.
+    Real fans need r >= 3; that is checked once, before planning.  An
+    exhausted search raises GuaranteeViolation when the plan says the
+    ``theorem`` guarantees a tuple, and returns None otherwise.
 
     ``plan(X, d, is_complex, warnings)`` checks the mode's hypotheses on
     the prepared input, appends its warnings and returns
@@ -221,11 +237,13 @@ def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
         raise PreconditionError("real fans need r >= 3")
     m, guaranteed, constraint = plan(X, d, X.conductor is not None,
                                      warnings)
-    tup = search_tuple(
-        pair.primal, r, constraint, allowed=range(X.n), lp_gate=lp_gate,
-        guarantee=(f"{theorem} theorem hypotheses hold" if guaranteed
-                   else None))
+    tup = search_tuple(pair.primal, r, constraint, allowed=range(X.n),
+                       lp_gate=lp_gate)
     if tup is None:
+        if guaranteed:
+            raise GuaranteeViolation(
+                f"search exhausted although {theorem} theorem hypotheses "
+                "hold guarantees a tuple")
         return None
 
     linear_fan, affine_fan = _build_fan(pair, X, tup)
@@ -285,11 +303,7 @@ def pierce(X: PointConfig, family: SetFamily,
            certificate: ColoringCertificate, r: int, *,
            lp_gate: int = DEFAULT_LP_GATE) -> Optional[PipelineResult]:
     """Distributing fan whose closed half-flats pierce every family member."""
-    if certificate.family != family or certificate.r != r:
-        raise PreconditionError("certificate must cover this family and r")
-    ok, bad = verify_certificate(certificate)
-    if not ok:
-        raise PreconditionError(f"invalid chromatic certificate: {bad}")
+    _check_certificate(family, certificate, r, "r")
     m = certificate.num_classes
 
     def plan(X, d, is_complex, warnings):
@@ -362,48 +376,54 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
              ) -> Optional[TwoFanResult]:
     """Two r-fans whose intersection distributes X with r^2-cell control.
 
-    Equidistribute mode derives per-class cell caps from the coloring;
-    pierce mode takes an explicit family with a chromatic certificate for
-    the r^2-uniform Kneser hypergraph.  The digit condition on the class
-    count is a hard precondition.  The search is exhaustive while at most
-    ``tuple_gate`` proper first tuples are found and at most ``pair_gate``
-    candidates are emitted by the second streams, pruned by the cell
-    condition and the parts' hulls (see ``search_two_tuples``); a
-    tripped gate raises SizeGateExceeded.  Emitted pairs always verify
-    exactly.  Both fans are built and checked like the single-fan
-    drivers' fan.  ``time_budget`` is accepted and ignored: the
-    benchmark's two-fan workload still passes it, and no search reads a
-    clock.
+    Every cell I_a ∩ J_b of the two tuples must pass one condition:
+    equidistribute mode caps each class at its r^2-threshold
+    (``threshold_caps``), pierce mode avoids every member of ``family``.
+    These preconditions are checked in order: a known mode (pierce with
+    a family and a certificate), r an odd prime, for pierce a valid
+    certificate of the family for r^2, and the digit condition
+    (``m_eligible``) on m, the class count or the certificate's.  n
+    below (r-1)(d+1) + m(r^2-1)/2 + 1 only warns.  The search is exhaustive while at most ``tuple_gate`` proper first
+    tuples are found and at most ``pair_gate`` candidates are emitted by
+    the second streams, pruned by the cell condition and the parts'
+    hulls (see ``search_two_tuples``); a tripped gate raises
+    SizeGateExceeded.  Emitted pairs always verify exactly.  Both fans
+    are built and checked like the single-fan drivers' fan.
+    ``time_budget`` is accepted and ignored: the benchmark's two-fan
+    workload still passes it, and no search reads a clock.
     """
     t0 = time.monotonic()
     X0 = X
     X, pair, d, warnings = _prepare(X, r)
-    sizes = X.class_sizes()
-
-    bound = (r - 1) * (d + 1) + len(sizes) * (r * r - 1) // 2 + 1
-    if X.n < bound:
-        warnings.append(f"n={X.n} below the guarantee bound {bound}")
-
     if mode == "equidistribute":
+        sizes = X.class_sizes()
         m = len(sizes)
-        caps9 = threshold_caps(sizes, r * r)
         # the augmented index never enters parts (allowed), so the
         # coloring list may stop at the original points
-        pairres = search_two_tuples(
-            pair.primal, r, cell_caps=caps9,
-            coloring=list(X.coloring or [0] * X.n), allowed=range(X.n),
-            tuple_gate=tuple_gate, pair_gate=pair_gate)
+        check = SearchConstraint.color_cap(threshold_caps(sizes, r * r),
+                                           list(X.coloring or [0] * X.n))
     elif mode == "pierce":
         if family is None or certificate is None:
             raise PreconditionError(
                 "pierce mode needs a family and a certificate")
         m = certificate.num_classes
-        pairres = search_two_tuples(
-            pair.primal, r, family=family, certificate=certificate,
-            allowed=range(X.n), tuple_gate=tuple_gate,
-            pair_gate=pair_gate)
+        check = SearchConstraint.family_avoid(family)
     else:
         raise PreconditionError(f"unknown two-fan mode {mode!r}")
+    if r == 2 or prime_base(r) != r:
+        raise PreconditionError("r must be an odd prime")
+    if mode == "pierce":
+        _check_certificate(family, certificate, r * r, "r^2")
+    eligible, digits = m_eligible(m, r)
+    if not eligible:
+        raise PreconditionError(
+            f"m={m} fails the digit condition: base-{r} digits {digits}")
+    bound = (r - 1) * (d + 1) + m * (r * r - 1) // 2 + 1
+    if X.n < bound:
+        warnings.append(f"n={X.n} below the guarantee bound {bound}")
+
+    pairres = search_two_tuples(pair.primal, r, check, allowed=range(X.n),
+                                tuple_gate=tuple_gate, pair_gate=pair_gate)
     if pairres is None:
         return None
     tup1, tup2 = pairres

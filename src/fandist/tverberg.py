@@ -9,7 +9,9 @@ it proper.
 
 One set condition, ``SearchConstraint``, decides each part of a tuple
 and each cell I_a ∩ J_b of a pair on index bitmasks: at most a capped
-count per color class and no member of a forbidden family.
+count per color class and no member of a forbidden family.  The caller
+passes it in; the searches check no theorem hypothesis and promise no
+tuple (``fandist.pipeline`` does both).
 
 A proper tuple needs a common point in the relative interiors of the
 convex hulls of its parts.  Searches over a point set therefore prune
@@ -80,7 +82,6 @@ from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from fandist.errors import (
-    GuaranteeViolation,
     PreconditionError,
     SizeGateExceeded,
     VerificationBug,
@@ -95,14 +96,7 @@ from fandist.feaslp import (
     realify_if_needed,
 )
 from fandist.galedual import PointConfig
-from fandist.kneser import (
-    ColoringCertificate,
-    SetFamily,
-    bitmask,
-    m_eligible,
-    prime_base,
-    verify_certificate,
-)
+from fandist.kneser import SetFamily, bitmask
 
 __all__ = [
     "SearchConstraint",
@@ -506,15 +500,12 @@ def search_tuple(config: PointConfig, r: int,
                  constraint: Optional[SearchConstraint] = None, *,
                  allowed: Optional[Sequence[int]] = None,
                  max_part_size: Optional[int] = None,
-                 lp_gate: int = DEFAULT_LP_GATE,
-                 guarantee: Optional[str] = None) -> Optional[TverbergTuple]:
+                 lp_gate: int = DEFAULT_LP_GATE) -> Optional[TverbergTuple]:
     """First proper tuple in canonical order passing the constraint.
 
-    Returns None after exhausting the stream; raises SizeGateExceeded when
-    more than ``lp_gate`` feasibility checks (flat or interval tests plus
-    solves) are needed (a distinct outcome), and GuaranteeViolation when
-    ``guarantee`` names a satisfied theorem hypothesis yet the exhaustive
-    search came up empty (that is a bug signal, not a data error).
+    Returns None after exhausting the stream, and raises SizeGateExceeded
+    when more than ``lp_gate`` feasibility checks (flat or interval tests
+    plus solves) are needed (a distinct outcome).
     """
     if r < 1:
         raise PreconditionError("r must be at least 1")
@@ -535,30 +526,19 @@ def search_tuple(config: PointConfig, r: int,
                 raise VerificationBug(
                     "pruned stream emitted a violating candidate")
             return tup
-    if guarantee:
-        raise GuaranteeViolation(
-            f"search exhausted although {guarantee} guarantees a tuple")
     return None
 
 
 # --------------------------------------------------------------------------
 # two-tuple search
 
-def search_two_tuples(config: PointConfig, r: int, *,
-                      family: Optional[SetFamily] = None,
-                      certificate: Optional[ColoringCertificate] = None,
-                      cell_caps: Optional[dict[int, int]] = None,
-                      coloring: Optional[Sequence[int]] = None,
-                      allowed: Optional[Sequence[int]] = None,
+def search_two_tuples(config: PointConfig, r: int, check: SearchConstraint,
+                      *, allowed: Optional[Sequence[int]] = None,
                       tuple_gate: int = DEFAULT_TUPLE_GATE,
                       pair_gate: int = DEFAULT_PAIR_GATE
                       ) -> Optional[tuple[TverbergTuple, TverbergTuple]]:
-    """Two individually proper tuples jointly satisfying a cell condition.
-
-    Cell condition: either no family member inside any Ver-intersection
-    I_i ∩ J_j (family mode, certified for the r^2-uniform Kneser
-    hypergraph), or per-class caps on every cell (caps mode; a class
-    missing from ``cell_caps`` is capped at 0, so it may meet no cell).
+    """Two individually proper tuples I, J whose every cell I_a ∩ J_b
+    passes ``check``.
 
     The pair returned is the first in stream order of its first tuple I,
     then of its second tuple J (J = I allowed), over the canonical stream
@@ -573,33 +553,6 @@ def search_two_tuples(config: PointConfig, r: int, *,
     that pruned second stream; exhaustion returns None and a tripped gate
     raises SizeGateExceeded.  An emitted pair is always exactly verified.
     """
-    if r == 2 or prime_base(r) != r:
-        raise PreconditionError("r must be an odd prime")
-    if family is not None:
-        if certificate is None:
-            raise PreconditionError(
-                "family mode needs a chromatic certificate")
-        if certificate.family != family or certificate.r != r * r:
-            raise PreconditionError(
-                "certificate must cover this family for r^2")
-        ok, bad = verify_certificate(certificate)
-        if not ok:
-            raise PreconditionError(f"invalid certificate: {bad}")
-        m = certificate.num_classes
-        check = SearchConstraint.family_avoid(family)
-    elif cell_caps is not None:
-        if coloring is None:
-            raise PreconditionError("caps mode needs the coloring")
-        m = max(coloring) + 1
-        check = SearchConstraint.color_cap(
-            {c: cell_caps.get(c, 0) for c in range(m)}, coloring)
-    else:
-        raise PreconditionError("either a family or cell caps are required")
-    eligible, digits = m_eligible(m, r)
-    if not eligible:
-        raise PreconditionError(
-            f"m={m} fails the digit condition: base-{r} digits {digits}")
-
     real = realify_if_needed(config)
     solver = ExactWeightSolver(real.points)
     cara = real.dim + 1  # restricting part sizes preserves pair existence

@@ -9,6 +9,7 @@ import pytest
 import fandist
 from fandist import feaslp, pipeline, tverberg
 from fandist.errors import (
+    GuaranteeViolation,
     PreconditionError,
     SizeGateExceeded,
     VerificationBug,
@@ -314,6 +315,16 @@ DRIVER_CASES = {
             9, [list(range(9)), [4]], 9, [0, 1]))), time_budget=0),
     "two-fans-digit-condition": lambda: two_fans(
         random_config(9, 7, seed=11, coloring=[0] * 9), 3),
+    "two-fans-r4": lambda: two_fans(
+        random_config(10, 8, seed=1000, coloring=[0] * 5 + [1] * 5), 4),
+    "two-fans-pierce-certificate-mismatch": lambda: two_fans(
+        random_config(9, 7, seed=12), 3, mode="pierce",
+        **dict(zip(("family", "certificate"), _family(
+            9, [list(range(9)), [4]], 3, [0, 1])))),
+    "two-fans-pierce-bad-certificate": lambda: two_fans(
+        random_config(9, 7, seed=12), 3, mode="pierce",
+        **dict(zip(("family", "certificate"), _family(
+            9, [[i] for i in range(9)], 9, [0] * 9)))),
     "two-fans-pierce-no-certificate": lambda: two_fans(
         random_config(9, 7, seed=12), 3, mode="pierce"),
     "two-fans-unknown-mode": lambda: two_fans(
@@ -407,11 +418,21 @@ DRIVER_OUTCOMES = {
         ("n=10 below the guarantee bound 13",), None,
         "30eb65e5de7cc9909c802948d0c6ab4f8bf2898f9e4a0b8fb11b4555abbe846e"),
     "two-fans-pierce": (
-        (), None,
-        "3f7b2a6160486d5c4a57f3f1cd5d049374523c8928a143af65834599c337e247"),
+        ("n=9 below the guarantee bound 13",), None,
+        "9dd84445a7c113fbafeb367cd531953be0950f3ce4f5802c0705eb88a4eec4b2"),
+    "two-fans-pierce-bad-certificate": (
+        PreconditionError,
+        "invalid chromatic certificate: "
+        "(0, ((0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,)))"),
+    "two-fans-pierce-certificate-mismatch": (
+        PreconditionError,
+        "certificate must cover this family and r^2"),
     "two-fans-pierce-no-certificate": (
         PreconditionError,
         "pierce mode needs a family and a certificate"),
+    "two-fans-r4": (
+        PreconditionError,
+        "r must be an odd prime"),
     "two-fans-unknown-mode": (
         PreconditionError,
         "unknown two-fan mode 'bogus'"),
@@ -434,6 +455,22 @@ def driver_outcome(run):
 @pytest.mark.parametrize("name", sorted(DRIVER_CASES))
 def test_driver_outcome_pinned(name):
     assert driver_outcome(DRIVER_CASES[name]) == DRIVER_OUTCOMES[name]
+
+
+@pytest.mark.parametrize("name", ["equi-real", "equi-real-below"])
+def test_exhausted_search_raises_only_under_guarantee(monkeypatch, name):
+    # an empty search is a bug signal when the hypotheses hold
+    # (equi-real), and a plain None when they do not (equi-real-below)
+    monkeypatch.setattr(pipeline, "search_tuple",
+                        lambda *args, **kwargs: None)
+    if DRIVER_OUTCOMES[name][1]:
+        with pytest.raises(GuaranteeViolation) as exc:
+            DRIVER_CASES[name]()
+        assert str(exc.value) == (
+            "search exhausted although equidistribution theorem "
+            "hypotheses hold guarantees a tuple")
+    else:
+        assert DRIVER_CASES[name]() is None
 
 
 def _counting_solves(run):

@@ -7,18 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fandist.errors import (
-    GuaranteeViolation,
-    PreconditionError,
-    SizeGateExceeded,
-)
+from fandist.errors import PreconditionError, SizeGateExceeded
 from fandist.feaslp import (
     ExactWeightSolver,
     ProperWeightProblem,
     proper_weights,
 )
 from fandist.galedual import PointConfig
-from fandist.kneser import ColoringCertificate, SetFamily, threshold_caps
+from fandist.kneser import SetFamily, threshold_caps
 from fandist.pipeline import rainbow
 from fandist.tverberg import (
     SearchConstraint,
@@ -132,12 +128,9 @@ class TestSearchTuple:
             search_tuple(PointConfig(1, [[1], [2], [3]]), 4)
 
     def test_exhausted_search(self):
-        # three points on a line hold no proper 3-tuple: None, or a
-        # GuaranteeViolation when a theorem is said to promise one
+        # three points on a line hold no proper 3-tuple
         cfg = PointConfig(1, [[1], [2], [3]])
         assert search_tuple(cfg, 3) is None
-        with pytest.raises(GuaranteeViolation, match="a stated theorem"):
-            search_tuple(cfg, 3, guarantee="a stated theorem")
 
     def test_size_gate_distinct_from_none(self):
         cfg = PointConfig(2, random_points(6, 2, seed=8))
@@ -197,20 +190,11 @@ class TestColoredSearch:
             assert got == brute_force_exists(pts, r, con)
 
 
-def two_class_certificate(fam, r):
-    # spread members over two classes (m=2 passes the digit test for
-    # r=3); tiny families never hold r^2 disjoint members in a class
-    k = len(fam.members)
-    classes = tuple(1 if i >= k - 1 else i % 2 for i in range(k))
-    return ColoringCertificate(fam, r * r, classes)
-
-
 class TestTwoTupleSearch:
     def test_whole_ground_set_member_is_vacuous(self):
         cfg = PointConfig(1, [[i] for i in range(1, 10)])
         fam = SetFamily(9, [list(range(9))])
-        cert = two_class_certificate(fam, 3)
-        pair = search_two_tuples(cfg, 3, family=fam, certificate=cert)
+        pair = search_two_tuples(cfg, 3, SearchConstraint.family_avoid(fam))
         assert pair is not None
         for t in pair:
             t.validate(cfg)
@@ -218,8 +202,7 @@ class TestTwoTupleSearch:
     def test_singleton_member_forces_leftover(self):
         cfg = PointConfig(1, [[i] for i in range(1, 10)])
         fam = SetFamily(9, [[4]])
-        cert = two_class_certificate(fam, 3)
-        pair = search_two_tuples(cfg, 3, family=fam, certificate=cert)
+        pair = search_two_tuples(cfg, 3, SearchConstraint.family_avoid(fam))
         assert pair is not None
         s1, s2 = (set(t.support()) for t in pair)
         assert 4 not in (s1 & s2)
@@ -227,8 +210,7 @@ class TestTwoTupleSearch:
     def test_collinear_nine_two_subsets(self):
         cfg = PointConfig(1, [[i] for i in range(1, 10)])
         fam = SetFamily(9, [[0, 1], [0, 2], [1, 2]])
-        cert = two_class_certificate(fam, 3)
-        pair = search_two_tuples(cfg, 3, family=fam, certificate=cert)
+        pair = search_two_tuples(cfg, 3, SearchConstraint.family_avoid(fam))
         if pair is not None:
             for i in pair[0].parts:
                 for j in pair[1].parts:
@@ -236,48 +218,30 @@ class TestTwoTupleSearch:
                     for m in fam.members:
                         assert not set(m) <= cell
 
-    def test_requires_odd_prime(self):
-        cfg = PointConfig(1, [[i] for i in range(1, 10)])
-        fam = SetFamily(9, [[0]])
-        with pytest.raises(PreconditionError):
-            search_two_tuples(cfg, 4, family=fam,
-                              certificate=two_class_certificate(fam, 4))
-
-    def test_digit_condition_enforced(self):
-        cfg = PointConfig(1, [[i] for i in range(1, 10)])
-        fam = SetFamily(9, [[0]])
-        cert = ColoringCertificate(fam, 9, (0,))  # m = 1 is not eligible
-        with pytest.raises(PreconditionError):
-            search_two_tuples(cfg, 3, family=fam, certificate=cert)
-
     def test_caps_mode_disjoint_supports(self):
         cfg = PointConfig(1, [[i] for i in range(1, 12)])
-        coloring = [0] * 6 + [1] * 5
-        pair = search_two_tuples(cfg, 3, cell_caps={0: 0, 1: 0},
-                                 coloring=coloring)
+        check = SearchConstraint.color_cap({0: 0, 1: 0}, [0] * 6 + [1] * 5)
+        pair = search_two_tuples(cfg, 3, check)
         assert pair is not None
         assert not set(pair[0].support()) & set(pair[1].support())
         # reproducible
-        again = search_two_tuples(cfg, 3, cell_caps={0: 0, 1: 0},
-                                  coloring=coloring)
+        again = search_two_tuples(cfg, 3, check)
         assert again == pair
 
-    def test_caps_mode_nonzero_caps_and_missing_class(self):
+    def test_caps_mode_nonzero_caps(self):
         # class 0 has 9 points, so threshold_caps(.., 9) caps it at 1
         cfg = PointConfig(1, [[i] for i in range(1, 11)])
         coloring = [1] + [0] * 9
         caps = threshold_caps([9, 1], 9)
         assert caps == {0: 1, 1: 0}
-        pair = search_two_tuples(cfg, 3, cell_caps=caps, coloring=coloring)
+        pair = search_two_tuples(
+            cfg, 3, SearchConstraint.color_cap(caps, coloring))
         assert pair is not None
         for i in pair[0].parts:
             for j in pair[1].parts:
                 cell = set(i) & set(j)
                 for c, cap in caps.items():
                     assert sum(1 for p in cell if coloring[p] == c) <= cap
-        # a class missing from cell_caps is capped at 0
-        assert search_two_tuples(cfg, 3, cell_caps={0: 1},
-                                 coloring=coloring) == pair
 
 
 # -- the joined two-tuple search against collect-all-then-scan ---------------
@@ -315,7 +279,7 @@ def counted_solves(run):
 
 @st.composite
 def two_tuple_cases(draw):
-    """(config, search keywords, set-based cell test) for r = 3."""
+    """(config, cell constraint, set-based cell test) for r = 3."""
     d = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(3 + 2 * d, 9 - d))
     pts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
@@ -324,14 +288,12 @@ def two_tuple_cases(draw):
     if draw(st.booleans()):
         coloring = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         coloring[draw(st.integers(0, n - 1))] = 1  # m = 2 classes
-        # some classes missing, some capped at 0
-        caps = {c: cap for c in (0, 1)
-                if (cap := draw(st.none() | st.integers(0, 3))) is not None}
+        caps = {c: draw(st.integers(0, 3)) for c in (0, 1)}
 
         def cell_ok(cell):
-            return all(sum(1 for i in cell if coloring[i] == c)
-                       <= caps.get(c, 0) for c in (0, 1))
-        return cfg, dict(cell_caps=caps, coloring=coloring), cell_ok
+            return all(sum(1 for i in cell if coloring[i] == c) <= caps[c]
+                       for c in (0, 1))
+        return cfg, SearchConstraint.color_cap(caps, coloring), cell_ok
     members = draw(st.lists(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
         min_size=1, max_size=3))
@@ -339,19 +301,18 @@ def two_tuple_cases(draw):
 
     def cell_ok(cell):
         return not any(set(mm) <= cell for mm in fam.members)
-    return cfg, dict(family=fam, certificate=two_class_certificate(fam, 3)), \
-        cell_ok
+    return cfg, SearchConstraint.family_avoid(fam), cell_ok
 
 
 @pytest.mark.slow
 @settings(max_examples=60, deadline=None)
 @given(two_tuple_cases())
 def test_join_matches_collect_then_scan(case):
-    cfg, kwargs, cell_ok = case
+    cfg, check, cell_ok = case
     want, oracle_solves = counted_solves(
         lambda: collect_then_scan(cfg, 3, cell_ok))
     got, solves = counted_solves(
-        lambda: search_two_tuples(cfg, 3, **kwargs))
+        lambda: search_two_tuples(cfg, 3, check))
     assert got == want
     assert solves <= oracle_solves
 
@@ -362,8 +323,9 @@ class TestTwoTupleJoin:
     def _line_search(self, n, **gates):
         cfg = PointConfig(1, self.LINE[:n])
         coloring = [0] * (n - n // 2) + [1] * (n // 2)
-        return search_two_tuples(cfg, 3, cell_caps={0: 0, 1: 0},
-                                 coloring=coloring, **gates)
+        return search_two_tuples(
+            cfg, 3, SearchConstraint.color_cap({0: 0, 1: 0}, coloring),
+            **gates)
 
     def test_pair_gate_counts_cell_passing_candidates(self):
         # 1 second-stream candidate passes the cell condition up to the
@@ -387,8 +349,9 @@ class TestTwoTupleJoin:
         coloring = [0, 0, 0, 1, 1, 1, 1]
 
         def search(**gates):
-            return search_two_tuples(cfg, 3, cell_caps={0: 1, 1: 1},
-                                     coloring=coloring, **gates)
+            return search_two_tuples(
+                cfg, 3, SearchConstraint.color_cap({0: 1, 1: 1}, coloring),
+                **gates)
         with pytest.raises(SizeGateExceeded):
             search(pair_gate=2)
         got = search(pair_gate=3)
@@ -418,8 +381,8 @@ class TestTwoTupleJoin:
         def cell_ok(cell):
             return sum(1 for i in cell if coloring[i] == 0) <= 1 and \
                 not any(coloring[i] == 1 for i in cell)
-        got = search_two_tuples(cfg, 3, cell_caps={0: 1},
-                                coloring=coloring)
+        got = search_two_tuples(
+            cfg, 3, SearchConstraint.color_cap({0: 1, 1: 0}, coloring))
         assert got == collect_then_scan(cfg, 3, cell_ok)
         assert tuple(t.parts for t in got) == (
             ((0, 3), (1, 4), (2,)), ((1, 5), (2, 4), (3,)))
