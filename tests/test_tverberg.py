@@ -14,8 +14,8 @@ from fandist.feaslp import (
     proper_weights,
 )
 from fandist.galedual import PointConfig
-from fandist.kneser import SetFamily, threshold_caps
-from fandist.pipeline import rainbow
+from fandist.kneser import ColoringCertificate, SetFamily, threshold_caps
+from fandist.pipeline import rainbow, two_fans
 from fandist.tverberg import (
     SearchConstraint,
     TverbergTuple,
@@ -217,6 +217,16 @@ class TestTwoTupleSearch:
                     cell = set(i) & set(j)
                     for m in fam.members:
                         assert not set(m) <= cell
+
+    def test_digit_condition_enforced(self):
+        # the search checks no hypothesis; its pierce-mode driver refuses
+        # a certificate whose class count fails the digit condition
+        cfg = PointConfig(1, [[i] for i in range(1, 10)])
+        fam = SetFamily(9, [[0]])
+        cert = ColoringCertificate(fam, 9, (0,))  # m = 1 is not eligible
+        with pytest.raises(PreconditionError,
+                           match=r"m=1 fails the digit condition"):
+            two_fans(cfg, 3, mode="pierce", family=fam, certificate=cert)
 
     def test_caps_mode_disjoint_supports(self):
         cfg = PointConfig(1, [[i] for i in range(1, 12)])
