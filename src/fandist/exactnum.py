@@ -628,7 +628,9 @@ def _kernel_int(M, pivots, lead, ncols):
     """The integer kernel of the first ncols columns of M, as
     _back_eliminate leaves it with this lead: one vector per free column
     f, lead at f, 0 at the other free columns and -M[k][f] at the pivot
-    column of row k."""
+    column of row k.  So the vectors are in reduced form at the free
+    columns with the one common lead, which ``feaslp.affine_hull`` takes
+    as its flat's rows as they are."""
     taken = {pc for _, pc in pivots}
     basis = []
     for f in (c for c in range(ncols) if c not in taken):

@@ -175,11 +175,12 @@ def _solve_equalities_int(M, nvars):
 class Flat:
     """The affine flat {x : u.x = c for every row [u | c]} in integers.
 
-    Rows are in fraction-free reduced echelon form with one common
-    leading value: row k holds ``lead`` in column pivots[k] and zero in
-    every other pivot column.  So the rows are independent, their number
-    is the codimension, and another row is reduced against all of them
-    in one linear combination.  No rows means the whole space.
+    Rows are in reduced form at ``pivots`` with one common lead: row k
+    holds ``lead`` > 0 in column pivots[k] and zero in every other pivot
+    column.  Pivots need not be the rows' leading columns, and rows need
+    not be primitive.  So the rows are independent, their number is the
+    codimension, and another row is reduced against all of them in one
+    linear combination.  No rows means the whole space.
     """
 
     __slots__ = ("dim", "rows", "pivots", "lead", "_cols", "_residuals")
@@ -289,15 +290,22 @@ class Flat:
 def affine_hull(grid, part) -> Flat:
     """The affine hull of the points grid[i], i in the part, as a Flat.
 
-    Its equations [u | c] (u.a_i = c on the part) are the kernel of the
-    matrix with rows [a_i | -1], read off that matrix's fraction-free
-    reduced echelon form.
+    Its equations [u | c] (u.a_i = c on the part) are the kernel vectors
+    [c | u] of the matrix with rows [-1 | a_i], read off that matrix's
+    fraction-free reduced echelon form.  The constant column comes first,
+    so it is always a pivot and every free column f is coordinate f - 1.
+    ``_kernel_int`` gives one vector per free column, ``lead`` there and
+    0 at the other free columns, which is already the Flat's reduced form
+    with the free columns as pivots: no second elimination is needed.
     """
     dim = len(grid[part[0]])
-    A = [grid[i] + [-1] for i in part]
+    A = [[-1] + grid[i] for i in part]
     pivots = _eliminate_int(A, dim + 1)
     lead = _back_eliminate(A, pivots)
-    return Flat.from_rows(_kernel_int(A, pivots, lead, dim + 1), dim)
+    taken = {pc for _, pc in pivots}
+    rows = [v[1:] + [v[0]] for v in _kernel_int(A, pivots, lead, dim + 1)]
+    return Flat(dim, rows, [j for j in range(dim) if j + 1 not in taken],
+                lead)
 
 
 def barycentric_map(grid, part) -> Optional[tuple[list[list[int]], int]]:

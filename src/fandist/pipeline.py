@@ -380,10 +380,11 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     equidistribute mode caps each class at its r^2-threshold
     (``threshold_caps``), pierce mode avoids every member of ``family``.
     These preconditions are checked in order: a known mode (pierce with
-    a family and a certificate), r an odd prime, for pierce a valid
-    certificate of the family for r^2, and the digit condition
-    (``m_eligible``) on m, the class count or the certificate's.  n
-    below (r-1)(d+1) + m(r^2-1)/2 + 1 only warns.  The search is exhaustive while at most ``tuple_gate`` proper first
+    a family on the points and a certificate), r an odd prime, for
+    pierce a valid certificate of the family for r^2, and the digit
+    condition (``m_eligible``) on m, the class count or the
+    certificate's.  n below (r-1)(d+1) + m(r^2-1)/2 + 1 only warns.  The
+    search is exhaustive while at most ``tuple_gate`` proper first
     tuples are found and at most ``pair_gate`` candidates are emitted by
     the second streams, pruned by the cell condition and the parts'
     hulls (see ``search_two_tuples``); a tripped gate raises
@@ -406,6 +407,8 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
         if family is None or certificate is None:
             raise PreconditionError(
                 "pierce mode needs a family and a certificate")
+        if family.n != X.n:
+            raise PreconditionError("family ground set must match the points")
         m = certificate.num_classes
         check = SearchConstraint.family_avoid(family)
     else:

@@ -327,6 +327,10 @@ DRIVER_CASES = {
             9, [[i] for i in range(9)], 9, [0] * 9)))),
     "two-fans-pierce-no-certificate": lambda: two_fans(
         random_config(9, 7, seed=12), 3, mode="pierce"),
+    "two-fans-pierce-family-size": lambda: two_fans(
+        random_config(9, 7, seed=12), 3, mode="pierce",
+        **dict(zip(("family", "certificate"), _family(
+            12, [[4], [10]], 9, [0, 1])))),
     "two-fans-unknown-mode": lambda: two_fans(
         random_config(9, 7, seed=12), 3, mode="bogus"),
 }
@@ -430,6 +434,9 @@ DRIVER_OUTCOMES = {
     "two-fans-pierce-no-certificate": (
         PreconditionError,
         "pierce mode needs a family and a certificate"),
+    "two-fans-pierce-family-size": (
+        PreconditionError,
+        "family ground set must match the points"),
     "two-fans-r4": (
         PreconditionError,
         "r must be an odd prime"),

@@ -24,6 +24,7 @@ from fandist import feaslp, tverberg
 from fandist.errors import SizeGateExceeded
 from fandist.feaslp import (
     ExactWeightSolver,
+    Flat,
     affine_hull,
     barycentric_map,
     integer_grid,
@@ -316,18 +317,52 @@ def test_barycentric_map_matches_fraction_oracle(case):
             for row in L] == lam
 
 
+BIG = 2 ** 1200
+
+
 @st.composite
 def point_sets(draw):
-    d = draw(st.integers(1, 3))
-    return d, draw(degenerate_points(draw(st.integers(1, 5)), d))
+    """(d, points, part, other): points as ``degenerate_points`` draws
+    them, or moved by an integer affine map with entries of about 1,200
+    bits; part and other are nonempty index sets."""
+    d = draw(st.integers(1, 5))
+    points = draw(degenerate_points(draw(st.integers(1, 6)), d))
+    if draw(st.booleans()):
+        big = st.tuples(st.sampled_from([-1, 1]),
+                        st.integers(BIG // 2, BIG)).map(lambda t: t[0] * t[1])
+        S = [[draw(big) for _ in range(d)] for _ in range(d)]
+        t = [draw(big) for _ in range(d)]
+        points = [[sum(a * x for a, x in zip(row, p)) + c
+                   for row, c in zip(S, t)] for p in points]
+    idx = st.sets(st.integers(0, len(points) - 1), min_size=1)
+    return d, points, sorted(draw(idx)), sorted(draw(idx))
 
 
-@settings(max_examples=80, deadline=None)
+def hull_by_two_eliminations(grid, part):
+    """The hull flat by two eliminations: the kernel of the rows
+    [a_i | -1], reduced again by ``Flat.from_rows``.  The oracle of
+    ``affine_hull``."""
+    dim = len(grid[part[0]])
+    A = [grid[i] + [-1] for i in part]
+    pivots = feaslp._eliminate_int(A, dim + 1)
+    lead = feaslp._back_eliminate(A, pivots)
+    return Flat.from_rows(feaslp._kernel_int(A, pivots, lead, dim + 1), dim)
+
+
+def _codim(flat):
+    return None if flat is None else flat.codim
+
+
+@settings(max_examples=120, deadline=None)
+@example((5, [[F(BIG + 7 * c) for c in range(5)]], [0], [0]))
+@example((5, [[F(BIG - c) for c in range(5)]] * 3
+          + [[F(c) for c in range(5)]], [0, 1, 2], [2, 3]))
+@example((3, [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)],
+              [F(1), F(1), F(1)]], [0, 1], [2, 3]))
 @given(point_sets())
 def test_affine_hull_cuts_out_the_hull(case):
-    d, points = case
+    d, points, part, other = case
     grid = integer_grid(points)
-    part = list(range(max(1, len(points) - 1)))
     hull = affine_hull(grid, part)
 
     def rank(idx):
@@ -339,6 +374,26 @@ def test_affine_hull_cuts_out_the_hull(case):
         on = all(sum(u * x for u, x in zip(row, grid[i])) == row[d]
                  for row in hull.rows)
         assert on == (rank(part + [i]) == rank(part))
+    # the reduced form at coordinate pivots with one positive lead
+    assert hull.lead > 0
+    assert len(set(hull.pivots)) == len(hull.pivots) == hull.codim
+    assert all(0 <= pc < d for pc in hull.pivots)
+    for row, pc in zip(hull.rows, hull.pivots):
+        assert len(row) == d + 1
+        assert [row[q] for q in hull.pivots] == \
+            [hull.lead if q == pc else 0 for q in hull.pivots]
+    # every consumer reads the same flat as from the old construction
+    want = hull_by_two_eliminations(grid, part)
+    second = hull_by_two_eliminations(grid, other)
+    assert hull.codim == want.codim
+    assert flat_point(hull) == flat_point(want)
+    assert hull.added_rank(second) == want.added_rank(second)
+    assert second.added_rank(hull) == second.added_rank(want)
+    for got, exp in ((hull.meet(second), want.meet(second)),
+                     (second.meet(hull), second.meet(want))):
+        assert _codim(got) == _codim(exp)
+        if got is not None:
+            assert flat_point(got) == flat_point(exp)
 
 
 def _outcome(cfg, r, gate):
