@@ -28,10 +28,11 @@ product of conjugates the inverse uses), and every row is kept reduced by
 the gcd of its integers and its denominator, so it holds exactly the
 values of field elimination.  Either way Fractions are built only for
 the values read off the form.  The same integer coefficient vectors
-serve the rest of the Q(zeta_N) path: the Gale functional is one square
-``_eliminate_cyclotomic`` solve, and complex fans classify a point by
-``_FieldData.dot_int`` and the power table, deciding each sign on
-integers.
+serve the rest of the Q(zeta_N) path: the inverse Gale transform takes
+its kernel as integer coefficient vectors, the Gale functional is one
+square ``_eliminate_cyclotomic`` solve, and complex fans classify a
+point by ``_FieldData.dot_int`` and the power table, deciding each sign
+on integers.
 
 All arithmetic is exact; nothing in this module (or the package) ever
 rounds.  Values are immutable after construction and safe to share.
@@ -224,14 +225,6 @@ def _clear(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _clear_grid(points):
-    """(the rational points scaled by s to integers, s), where s is the
-    least common denominator of their coordinates."""
-    s = lcm(*(c.denominator for p in points for c in p))
-    return [[c.numerator * (s // c.denominator) for c in p]
-            for p in points], s
-
-
 def _clear_cyclotomic(values, deg):
     """(integer coefficient vectors, common denominator) of Cyclotomic
     values of degree deg."""
@@ -239,13 +232,28 @@ def _clear_cyclotomic(values, deg):
     return [nums[i:i + deg] for i in range(0, len(nums), deg)], den
 
 
-def _clear_cyclotomic_grid(points, N):
-    """``_clear_grid`` over Q(zeta_N): (the points scaled by s, each
-    coordinate an integer coefficient vector, s)."""
+def _clear_grid(points, N=None):
+    """(the points scaled by s to integers, s), where s is the least
+    common denominator of their coordinates; over Q(zeta_N) each
+    coordinate becomes an integer coefficient vector."""
+    if N is None:
+        s = lcm(*(c.denominator for p in points for c in p))
+        return [[c.numerator * (s // c.denominator) for c in p]
+                for p in points], s
     vecs, s = _clear_cyclotomic([c for p in points for c in p],
                                 _field_data(N).deg)
     vecs = iter(vecs)
     return [[next(vecs) for _ in p] for p in points], s
+
+
+def _scalars(values, den, N) -> tuple:
+    """The values over den as field scalars: integers over Q, integer
+    coefficient vectors (or 0) over Q(zeta_N).  A negative den negates."""
+    if N is None:
+        return tuple(Fraction(x, den) for x in values)
+    zero = Cyclotomic.from_rational(N, 0)
+    return tuple(Cyclotomic._from_int(N, x, den) if x else zero
+                 for x in values)
 
 
 def integer_grid(points) -> list[list[int]]:
@@ -786,16 +794,6 @@ class ExactMatrix:
                 M[pr] = [[x * s for x in v] for v in M[pr]]
         return M, pivots, lead
 
-    def _scalars(self, values, lead) -> tuple:
-        """Values read off ``_rref`` over its lead, as field scalars:
-        integers over Q, integer coefficient vectors or 0 over Q(zeta_N)."""
-        N = self.conductor
-        if N is None:
-            return tuple(Fraction(x, lead) for x in values)
-        zero = Cyclotomic.from_rational(N, 0)
-        return tuple(Cyclotomic._from_int(N, x, lead) if x else zero
-                     for x in values)
-
     def _int_rows(self):
         """Each rational row as integers over its own common denominator."""
         return [_clear(row)[0] for row in self.entries]
@@ -825,20 +823,21 @@ class ExactMatrix:
     def kernel_basis(self) -> list[tuple]:
         """Deterministic basis of the right kernel, ``_kernel_int`` of the
         reduced form; empty when injective."""
-        return self._kernel(*self._rref())
+        M, pivots, lead = self._rref()
+        return [_scalars(v, lead, self.conductor)
+                for v in self._int_kernel(M, pivots, lead)]
 
-    def _kernel(self, M, pivots, lead) -> list[tuple]:
-        """``kernel_basis`` read off this matrix's ``_rref``."""
+    def _int_kernel(self, M, pivots, lead) -> list[list]:
+        """``kernel_basis`` times lead, read off this matrix's ``_rref``:
+        integers over Q, integer coefficient vectors over Q(zeta_N)."""
         if self.conductor is None:
-            return [self._scalars(v, lead)
-                    for v in _kernel_int(M, pivots, lead, self.cols)]
+            return _kernel_int(M, pivots, lead, self.cols)
         # coefficient t of every entry, read on its own: lead is the
         # vector (lead, 0, ..., 0)
         layers = [_kernel_int([[v[t] for v in row] for row in M], pivots,
                               lead if t == 0 else 0, self.cols)
                   for t in range(_field_data(self.conductor).deg)]
-        return [self._scalars(list(zip(*vecs)), lead)
-                for vecs in zip(*layers)]
+        return [[list(x) for x in zip(*vecs)] for vecs in zip(*layers)]
 
     def solve(self, rhs: Sequence[Scalar]):
         """One exact solution of M x = rhs (free variables zero), or None."""
@@ -852,7 +851,7 @@ class ExactMatrix:
         x = [0] * self.cols
         for pr, pc in pivots:
             x[pc] = M[pr][self.cols]
-        return aug._scalars(x, lead)
+        return _scalars(x, lead, self.conductor)
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix)

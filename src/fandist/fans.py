@@ -96,7 +96,8 @@ class RealFan:
     and kept as ``int`` tuples; points are classified in integers.
     """
 
-    __slots__ = ("r", "dim", "normals", "offsets")
+    # _checked: see _verify_distribution
+    __slots__ = ("r", "dim", "normals", "offsets", "_checked")
 
     def __init__(self, r: int, dim: int,
                  normals: Sequence[Sequence[Fraction]],
@@ -135,6 +136,7 @@ class RealFan:
         object.__setattr__(self, "normals",
                            tuple(tuple(x // g for x in h[:-1]) for h in H))
         object.__setattr__(self, "offsets", tuple(-h[-1] // g for h in H))
+        object.__setattr__(self, "_checked", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RealFan is immutable")
@@ -200,8 +202,9 @@ class ComplexFan:
     classified in Z[zeta_N].
     """
 
+    # _checked: see _verify_distribution
     __slots__ = ("r", "N", "dim", "alpha", "beta", "_conj_alpha",
-                 "_conj_beta")
+                 "_conj_beta", "_checked")
 
     def __init__(self, r: int, N: int, alpha: Sequence[Cyclotomic],
                  beta: Union[Cyclotomic, Fraction, int]):
@@ -242,6 +245,7 @@ class ComplexFan:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "_conj_alpha", tuple(conjugates[:-1]))
         object.__setattr__(self, "_conj_beta", conjugates[-1])
+        object.__setattr__(self, "_checked", None)
 
     def __setattr__(self, *a):
         raise AttributeError("ComplexFan is immutable")
@@ -373,11 +377,18 @@ def fan_from_tuple_complex(pair: GaleDualPair,
 def _verify_distribution(fan: Fan, config: PointConfig,
                          tup: TverbergTuple) -> None:
     """Point i of config must lie in interior j when i is in part j, and
-    on the center otherwise; raises VerificationBug at the first miss."""
+    on the center otherwise; raises VerificationBug at the first miss.
+
+    The checked classifications stay on the fan until the next
+    ``verify_report`` on it, which takes them for this config instead of
+    classifying every point again; they travel with the fan because the
+    drivers call ``verify_report`` through its public signature.
+    """
     part_of = {}
     for j, p in enumerate(tup.parts):
         for i in p:
             part_of[i] = j
+    cls = []
     for i, g in enumerate(config.points):
         c = fan.classify(g)
         want = part_of.get(i)
@@ -388,6 +399,8 @@ def _verify_distribution(fan: Fan, config: PointConfig,
         elif c.kind != INTERIOR or c.part != want:
             raise VerificationBug(
                 f"point {i} classifies {c}, expected interior({want})")
+        cls.append(c)
+    object.__setattr__(fan, "_checked", (config, cls))
 
 
 def slice_project(fan: Fan) -> Fan:
@@ -449,8 +462,13 @@ class VerificationReport:
 
 def _labels(fan: Fan, config: PointConfig):
     """Each point of config classified under fan: (classifications, each
-    point's interior index or None, center count, per-interior counts)."""
-    cls = [fan.classify(x) for x in config.points]
+    point's interior index or None, center count, per-interior counts).
+    The classifications that ``_verify_distribution`` left on the fan are
+    taken, once, when they are of this very config."""
+    checked, cls = fan._checked or (None, None)
+    object.__setattr__(fan, "_checked", None)
+    if checked is not config:
+        cls = [fan.classify(x) for x in config.points]
     parts = [c.part if c.kind == INTERIOR else None for c in cls]
     interiors = [parts.count(j) for j in range(fan.r)]
     return cls, parts, sum(c.kind == CENTER for c in cls), interiors

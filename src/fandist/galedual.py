@@ -6,18 +6,22 @@ point matrix).  Affine dependencies among the points correspond exactly to
 linear functionals on the dual vectors, which is the bridge every fan
 construction in this package rests on.
 
-The inverse Gale transform is one path for both fields: it reads the
-primal off the kernel of B, whose columns are the dual points, and
-checks the pair it builds once, by the pair's own test that every
-conjugated coordinate row of the dual is an affine dependence of the
-primal.  Over Q the kernel and every functional are read off the one
-reduction of [B | I]; over Q(zeta_N) the kernel and B's pivot columns S
-are read off one reduction of B on integer rows, and each functional is
-one square solve on the rows of S, in Z[zeta_N].  The pair tests
-dependencies on its primal cleared to one common denominator, over
-Q(zeta_N) to integer coefficient vectors, each functional is checked on
-every dual point in integers, and Fractions are built only for the
-points a ``PointConfig`` holds and the functionals returned.
+The inverse Gale transform is one path for both fields, on integers
+(integer coefficient vectors over Q(zeta_N)) from the lift to the
+returned functional.  The augmented point is the negated column sum of
+the lifted points' integer grid.  The primal is read off the kernel of
+B, whose columns are the dual points, as integer vectors over one lead,
+conjugated in integers; the same integers are the primal's grid.  The
+pair is checked once, by its own test that every conjugated coordinate
+row of the dual, read off the dual's cleared and conjugated grid, is an
+affine dependence of the primal.  Over Q the kernel and every
+functional are read off the one reduction of [B | I]; over Q(zeta_N)
+the kernel and B's pivot columns S are read off one reduction of B on
+integer rows, and each functional alpha = s alpha' / e comes from one
+square solve conj(G_S) alpha' = Lam_S in Z[zeta_N], whose left block is
+the dual's own grid G = s g.  Each functional is checked on every dual
+point in integers, and Fractions and Cyclotomics are built once, only
+for the points a ``PointConfig`` holds and the functionals returned.
 """
 
 from __future__ import annotations
@@ -44,15 +48,14 @@ from fandist.exactnum import (
     _as_scalar,
     _clear,
     _clear_cyclotomic,
-    _clear_cyclotomic_grid,
     _clear_grid,
     _eliminate_cyclotomic,
     _field_data,
     _json_int,
     _kernel_int,
+    _scalars,
     conj,
     hermitian_dot,
-    integer_grid,
     scalar_from_json,
     scalar_is_zero,
     scalar_one,
@@ -244,33 +247,53 @@ class GaleDualPair:
     @cached_property
     def _bridge(self):
         """``_dual_kernel``'s bridge; ``gale_pair_from_dual`` seeds it."""
-        return _dual_kernel(self.dual)[1]
+        return _dual_kernel(self.dual)[2]
 
     @cached_property
     def _primal_grid(self) -> list[list]:
-        """The primal cleared to one common denominator: integer points
-        over Q, points of integer coefficient vectors over Q(zeta_N)."""
+        """The primal scaled to one integer grid: integer points over Q,
+        points of integer coefficient vectors over Q(zeta_N)."""
         primal = self.primal
-        if primal.conductor is None:
-            return integer_grid(primal.points)
-        return _clear_cyclotomic_grid(primal.points, primal.conductor)[0]
+        return _clear_grid(primal.points, primal.conductor)[0]
 
     @cached_property
     def _conj_dual_grid(self):
-        """(conj(G), s): the dual over Q(zeta_N) on its integer grid
-        G = s g, conjugated."""
+        """(conj(G), s): the dual on its integer grid G = s g, conjugated
+        (over Q conjugation is the identity)."""
         N = self.dual.conductor
-        G, s = _clear_cyclotomic_grid(self.dual.points, N)
-        data = _field_data(N)
-        return [[data.power_map(x, N - 1) for x in g] for g in G], s
+        G, s = _clear_grid(self.dual.points, N)
+        return _conj_int(G, N), s
 
     def validate(self) -> None:
         """Every row of B, a conjugated coordinate row of the dual, is an
-        affine dependence of the primal, decided by ``_is_dependence``;
-        NotADependence otherwise."""
-        for row in zip(*self.dual.points):
-            if not _is_dependence(self, [conj(c) for c in row]):
+        affine dependence of the primal, decided by ``_is_grid_dependence``
+        on the rows of ``_conj_dual_grid``; NotADependence otherwise, and
+        for a primal and dual over different fields or of different
+        sizes."""
+        if (self.dual.conductor != self.primal.conductor
+                or self.dual.n != self.primal.n):
+            raise NotADependence("primal and dual differ in field or size")
+        for row in zip(*self._conj_dual_grid[0]):
+            if not _is_grid_dependence(self, row):
                 raise NotADependence("basis row is not in ker A")
+
+
+def _conj_int(rows, N):
+    """The conjugates of the entries of rows, integers over Q (which
+    conjugation fixes) or integer coefficient vectors over Q(zeta_N),
+    mapped by zeta -> zeta^(N-1)."""
+    if N is None:
+        return rows
+    power_map = _field_data(N).power_map
+    return [[power_map(x, N - 1) for x in row] for row in rows]
+
+
+def _column_sums(G, N):
+    """The sum of the points of the integer grid G: an integer per
+    coordinate over Q, an integer coefficient vector over Q(zeta_N)."""
+    if N is None:
+        return [sum(col) for col in zip(*G)]
+    return [[sum(c) for c in zip(*col)] for col in zip(*G)]
 
 
 def _is_dependence_int(P, v) -> bool:
@@ -290,6 +313,16 @@ def _is_dependence_cyclotomic(data, P, v) -> bool:
     points P are integer coefficient vectors."""
     return not any(map(sum, zip(*v))) and not any(
         any(data.dot_int(v, [p[i] for p in P])) for i in range(len(P[0])))
+
+
+def _is_grid_dependence(pair: GaleDualPair, v) -> bool:
+    """Whether the weights v, cleared to integers (integer coefficient
+    vectors over Q(zeta_N)), are an affine dependence of the primal,
+    decided on its integer grid."""
+    N = pair.primal.conductor
+    if N is None:
+        return _is_dependence_int(pair._primal_grid, v)
+    return _is_dependence_cyclotomic(_field_data(N), pair._primal_grid, v)
 
 
 def gale_transform(primal: PointConfig) -> GaleDualPair:
@@ -317,14 +350,18 @@ def gale_pair_from_dual(dual: PointConfig) -> GaleDualPair:
     The kernel of the matrix with columns g_i has the basis read off its
     reduced echelon form: one vector per free column f, with 1 at f, 0
     at the other free columns and minus the reduced row entries of f at
-    the pivot columns.  It holds d + 1 vectors, d = n - dim - 1, exactly
+    the pivot columns; ``_dual_kernel`` returns it times its lead, in
+    integers.  It holds d + 1 vectors, d = n - dim - 1, exactly
     when the g_i span K^dim.  The points sum to zero, so the all-ones
     vector is in the kernel, with coefficient 1 on every basis vector;
     exchanging it for the first one keeps a basis, and the primal's
     coordinates are the other d vectors, conjugated.  On the kernel's
     d + 1 free columns the primal's coordinate rows are then unit vectors
     and its lifted row is all ones, so the primal affinely spans K^d by
-    construction.
+    construction.  Each primal coordinate is built once from those
+    integers, conjugated in integers over Q(zeta_N), and the same
+    integers seed the pair's primal grid; the zero-sum test and the
+    pair's cleared, conjugated dual share one clearing of the dual.
 
     The pair is checked once by ``GaleDualPair.validate``: the dual
     points are exactly the given ones and every conjugated coordinate
@@ -334,18 +371,23 @@ def gale_pair_from_dual(dual: PointConfig) -> GaleDualPair:
     """
     if dual.dim < 1:
         raise PreconditionError("a Gale dual needs dim >= 1")
-    zero = scalar_zero(dual.conductor)
-    if any(not scalar_is_zero(sum(col, zero)) for col in zip(*dual.points)):
+    N = dual.conductor
+    G, s = _clear_grid(dual.points, N)
+    sums = _column_sums(G, N)
+    if any(sums) if N is None else any(map(any, sums)):
         raise NonzeroSum("dual points must sum to zero")
     n, m = dual.n, dual.dim
     d = n - m - 1
-    kb, bridge = _dual_kernel(dual)
-    if len(kb) != d + 1:
+    K, lead, bridge = _dual_kernel(dual)
+    if len(K) != d + 1:
         raise NotSpanning(f"dual points do not linearly span K^{m}")
-    primal_pts = [tuple(conj(v[j]) for v in kb[1:]) for j in range(n)]
-    pair = GaleDualPair(
-        PointConfig(d, primal_pts, dual.conductor, dual.coloring), dual)
-    pair.__dict__["_bridge"] = bridge  # the cached_property's value
+    rows = _conj_int(K[1:], N)
+    P = [[v[j] for v in rows] for j in range(n)]  # the primal times lead
+    pair = GaleDualPair(PointConfig(d, [_scalars(p, lead, N) for p in P], N,
+                                    dual.coloring), dual)
+    # the cached properties' values
+    pair.__dict__.update(_bridge=bridge, _primal_grid=P,
+                         _conj_dual_grid=(_conj_int(G, N), s))
     try:
         pair.validate()
     except NotADependence as exc:
@@ -355,7 +397,9 @@ def gale_pair_from_dual(dual: PointConfig) -> GaleDualPair:
 
 
 def _dual_kernel(dual: PointConfig):
-    """(kernel basis, bridge) of B, the matrix whose columns are the g_i.
+    """(K, lead, bridge) of B, the matrix whose columns are the g_i: K is
+    B's kernel basis times lead, integers over Q and integer coefficient
+    vectors over Q(zeta_N).
 
     Over Q(zeta_N) ``ExactMatrix._rref`` reduces B, its rows cleared to
     integer coefficient vectors, by Gauss-Jordan elimination in
@@ -364,37 +408,41 @@ def _dual_kernel(dual: PointConfig):
     [B | I], row k cleared by B's row denominator c_k: the first n
     columns give B's kernel and, when the g_i span, the identity block of
     the pivot rows is F with F B_S = lead I on the pivot columns S.  The
-    bridge is (S, F^T, lead, G, s), G = s g the dual on its integer grid.
+    bridge is (S, F^T, lead).
     """
     B = [list(row) for row in zip(*dual.points)]
     if dual.conductor is not None:
         mat = ExactMatrix(B, dual.conductor)
         M, pivots, lead = mat._rref()
-        return mat._kernel(M, pivots, lead), [pc for _, pc in pivots]
+        return (mat._int_kernel(M, pivots, lead), lead,
+                [pc for _, pc in pivots])
     n, m = dual.n, dual.dim
     aug = ExactMatrix([row + [int(j == k) for j in range(m)]
                        for k, row in enumerate(B)])
     M, pivots, lead = aug._rref()
     pivots = [(pr, pc) for pr, pc in pivots if pc < n]
-    kb = [aug._scalars(v, lead) for v in _kernel_int(M, pivots, lead, n)]
-    G, s = _clear_grid(dual.points)
-    return kb, ([pc for _, pc in pivots],
-                list(zip(*(row[n:] for row in M))), lead, G, s)
+    return _kernel_int(M, pivots, lead, n), lead, (
+        [pc for _, pc in pivots], list(zip(*(row[n:] for row in M))), lead)
 
 
 def lift_augment(config: PointConfig) -> PointConfig:
     """Lift points to height one and append the negated sum.
 
     The output linearly spans K^(D+1) and sums to zero, hence is
-    inverse-Gale eligible with d = n - D - 1.
+    inverse-Gale eligible with d = n - D - 1.  The sum is taken on the
+    lifted points' integer grid, and each of its coordinates is built
+    once as a scalar.
     """
     if not config.affinely_spanning():
         raise NotAffinelySpanning("input must affinely span its space")
-    one = scalar_one(config.conductor)
+    N = config.conductor
+    one = scalar_one(N)
     lifted = [tuple(p) + (one,) for p in config.points]
-    lifted.append(tuple(-sum(col[1:], col[0]) for col in zip(*lifted)))
+    G, s = _clear_grid(lifted, N)
+    # the sums over -s are the negated sum
+    lifted.append(_scalars(_column_sums(G, N), -s, N))
     # the augmented point carries no color; callers exclude it by index
-    return PointConfig(config.dim + 1, lifted, config.conductor, None)
+    return PointConfig(config.dim + 1, lifted, N, None)
 
 
 def _is_dependence(pair: GaleDualPair, lam: Sequence[Scalar]) -> bool:
@@ -407,11 +455,10 @@ def _is_dependence(pair: GaleDualPair, lam: Sequence[Scalar]) -> bool:
         return False
     N = primal.conductor
     if N is not None:
-        data = _field_data(N)
-        v = _clear_cyclotomic([_as_scalar(x, N) for x in lam], data.deg)[0]
-        return _is_dependence_cyclotomic(data, pair._primal_grid, v)
+        return _is_grid_dependence(pair, _clear_cyclotomic(
+            [_as_scalar(x, N) for x in lam], _field_data(N).deg)[0])
     if not any(isinstance(x, Cyclotomic) for x in lam):
-        return _is_dependence_int(pair._primal_grid, _clear(lam)[0])
+        return _is_grid_dependence(pair, _clear(lam)[0])
     zero = scalar_zero(primal.conductor)
     return scalar_is_zero(sum(lam, zero)) and all(
         scalar_is_zero(sum((x * p[i] for x, p in zip(lam, primal.points)),
@@ -423,11 +470,12 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
 
     lambda must be a nonzero affine dependence of the primal (checked
     exactly).  It is solved through the kernel basis, lambda = B^T alpha,
-    where row i of B^T is conj(g_i), on the pair's bridge.  Over Q it is
-    alpha = F^T lambda_S / lead.  Over Q(zeta_N) it is the square system
-    e conj(G_i) alpha = s Lam_i on the pivot columns S, G = s g and
-    lambda = Lam / e, reduced by ``_eliminate_cyclotomic``.  Either way
-    alpha is checked against every g_i in integers: over Q as
+    where row i of B^T is conj(g_i), on the pair's bridge and the dual's
+    grid G = s g, lambda = Lam / e.  Over Q it is alpha = F^T lambda_S /
+    lead.  Over Q(zeta_N) ``_eliminate_cyclotomic`` solves the square
+    system conj(G_i) alpha' = Lam_i on the pivot columns S, whose left
+    block is the dual's own conjugated grid, and alpha = s alpha' / e.
+    Either way alpha is checked against every g_i in integers: over Q as
     <P, G_i> = lead s Lam_i, P = F^T Lam_S; over Q(zeta_N) as
     e <A, conj(G_i)> = a s Lam_i, alpha = A / a.  A rational pair takes
     a rational-valued Cyclotomic entry as its value and raises
@@ -444,8 +492,9 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
         raise PreconditionError("a rational pair needs a rational lambda")
     if not any(lam) or not _is_dependence(pair, lam):
         raise NotADependence("lambda is not a nonzero affine dependence")
+    G, s = pair._conj_dual_grid
     if N is None:
-        S, Ft, lead, G, s = pair._bridge
+        S, Ft, lead = pair._bridge
         Lam, e = _clear(lam)
         P = [sum(f * Lam[i] for f, i in zip(col, S)) for col in Ft]
         for Gi, li in zip(G, Lam):
@@ -454,15 +503,13 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
         return tuple(Fraction(p, lead * e) for p in P)
     data = _field_data(N)
     Lam, e = _clear_cyclotomic(lam, data.deg)
-    G, s = pair._conj_dual_grid
     m = pair.dual.dim
-    M = [[[e * x for x in v] for v in G[i]] + [[s * x for x in Lam[i]]]
-         for i in pair._bridge]
+    M = [G[i] + [Lam[i]] for i in pair._bridge]
     dens = [1] * len(M)
     if len(_eliminate_cyclotomic(data, M, dens, m, True)) != m:
         raise VerificationBug("the dual's pivot columns do not span")
-    # Gauss-Jordan leaves row k as alpha_k = M[k][m] / dens[k]
-    alpha = tuple(Cyclotomic._from_int(N, row[m], d)
+    # Gauss-Jordan leaves row k as alpha'_k = M[k][m] / dens[k]
+    alpha = tuple(Cyclotomic._from_int(N, [s * x for x in row[m]], e * d)
                   for row, d in zip(M, dens))
     A, a = _clear_cyclotomic(alpha, data.deg)
     for Gi, li in zip(G, Lam):

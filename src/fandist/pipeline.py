@@ -8,9 +8,10 @@ linear fan, slices at height one, and verifies the result exactly, in
 three steps: the lifted points (the augmented one included) under the
 linear fan against the tuple's labels, then the points of X under the
 slice against the same labels, point by point, then the mode's report
-on X.  A run either returns a fully verified result, returns None (no
-tuple), or raises: guarantee violations and verification failures are
-bug signals, never data errors.
+on X, from the classifications of the second step.  A run either
+returns a fully verified result, returns None (no tuple), or raises:
+guarantee violations and verification failures are bug signals, never
+data errors.
 Every search is sequential and exhaustive within its size gates, so no
 result depends on the clock.
 """
@@ -208,7 +209,8 @@ def _build_fan(pair, X, tup):
     The fan constructor has checked every lifted point, the augmented
     one included, against the tuple's labels; here each point of X is
     classified once under the slice and must carry the same label:
-    interior j for part j, center otherwise.
+    interior j for part j, center otherwise.  The mode's report on X
+    reads those same classifications off the slice.
     """
     if X.conductor is None:
         linear_fan = fan_from_tuple_real(pair, tup)

@@ -80,10 +80,11 @@ class TestGenerateAndTransform:
         dual_kernel = galedual._dual_kernel
 
         def perturbed(dual):
-            kb, bridge = dual_kernel(dual)
-            kb = [list(v) for v in kb]
-            kb[-1][0] += 1
-            return kb, bridge
+            # the kernel is integers over lead: move an entry by one
+            K, lead, bridge = dual_kernel(dual)
+            K = [list(v) for v in K]
+            K[-1][0] += lead
+            return K, lead, bridge
 
         monkeypatch.setattr(galedual, "_dual_kernel", perturbed)
         assert main(["inverse-gale", "--input", str(dual)]) == 4
@@ -365,6 +366,10 @@ GALE_LAYER_SHA256 = {
         "2f0978331162e58f30b40b8f8048c7d880f02e5dec7eb47e9a52c0bdaa49a323",
     "inverse-gale-Qi":
         "d7f7d86ea4bf49c313366ccfb84a7d4a08c5753fd0a8dcd0ecb80f6fd19adf3d",
+    "gale-Qz8":
+        "430c5a70df67ef7589cd4d59ca0326845f9b9d821988af3283ba5416d0cf9d09",
+    "inverse-gale-Qz8":
+        "923c2c7663b0c52cf71953b6e8e421436c5ab9938674bf6d9545cd23ed8bbccf",
     "verify-fan-Q":
         "35c96c51617c227882b6932878a3bd9183260777f7b9fa8d674bdd54caf75288",
 }
@@ -379,7 +384,8 @@ def _stdout(capsys, *argv):
 def _gale_layer_outputs(tmp_path, capsys):
     outs = {}
     for field, name, n, dim, seed in (("rational", "Q", 7, 5, 42),
-                                      ("cyclotomic:4", "Qi", 6, 4, 7300)):
+                                      ("cyclotomic:4", "Qi", 6, 4, 7300),
+                                      ("cyclotomic:8", "Qz8", 6, 4, 7300)):
         cfg, dual = tmp_path / f"{name}.json", tmp_path / f"{name}-g.json"
         _stdout(capsys, "gen-random", "--n", n, "--dim", dim, "--field",
                 field, "--seed", seed, "--output", cfg)

@@ -258,24 +258,32 @@ else:
 """
 
 # the inverse Gale transform's check of its own pair, on a perturbed kernel
+# (integers over lead, integer coefficient vectors over Q(i)), over Q and
+# over Q(i)
 GALE_SELF_CHECK_SCRIPT = """
 import sys
 from fandist.errors import VerificationBug
 from fandist import galedual
-from fandist.galedual import PointConfig, inverse_gale
+from fandist.galedual import PointConfig, inverse_gale, lift_augment
+from fandist.genpos import random_config
+duals = [("Q", PointConfig(1, [[1], [-2], [1]])),
+         ("Qi", lift_augment(random_config(5, 2, field=4, seed=7300)))]
 dual_kernel = galedual._dual_kernel
 def perturbed(dual):
-    kb, bridge = dual_kernel(dual)
-    kb = [list(v) for v in kb]
-    kb[-1][0] += 1
-    return kb, bridge
+    K, lead, bridge = dual_kernel(dual)
+    K = [list(v) for v in K]
+    x = K[-1][0]
+    K[-1][0] = x + lead if dual.conductor is None else [x[0] + lead] + x[1:]
+    return K, lead, bridge
 galedual._dual_kernel = perturbed
-try:
-    inverse_gale(PointConfig(1, [[1], [-2], [1]]))
-except VerificationBug:
-    print("VerificationBug", sys.flags.optimize)
-else:
-    print("returned", sys.flags.optimize)
+for name, dual in duals:
+    try:
+        inverse_gale(dual)
+    except VerificationBug:
+        print(name, "VerificationBug")
+    else:
+        print(name, "returned")
+print(sys.flags.optimize)
 """
 
 
@@ -308,7 +316,7 @@ class TestReverification:
 
     def test_failed_gale_self_check_raises_under_optimize(self):
         assert run_optimized(GALE_SELF_CHECK_SCRIPT) == \
-            ["VerificationBug", "1"]
+            ["Q", "VerificationBug", "Qi", "VerificationBug", "1"]
 
 
 def solve_counting_simplex(solver, parts, closed_form=True):

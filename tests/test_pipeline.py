@@ -15,7 +15,7 @@ from fandist.errors import (
     VerificationBug,
 )
 from fandist.exactnum import ExactMatrix
-from fandist.fans import RealFan, slice_project, verify_report
+from fandist.fans import ComplexFan, RealFan, slice_project, verify_report
 from fandist.feaslp import ExactWeightSolver
 from fandist.galedual import PointConfig
 from fandist.genpos import is_typical, random_config
@@ -51,9 +51,17 @@ class TestEquidistribute:
                                    s.offsets[1:] + s.offsets[:1]))
             return rotated[-1]
 
+        reports = []
+
+        def report(*args, **kwargs):
+            reports.append(args)
+            return verify_report(*args, **kwargs)
+
         monkeypatch.setattr(pipeline, "slice_project", rotate)
+        monkeypatch.setattr(pipeline, "verify_report", report)
         with pytest.raises(VerificationBug, match="classifies .*, expected"):
             equidistribute(X, 3)
+        assert reports == []  # it fails before any report is built
         assert verify_report(rotated[0], X, "equidistribute").passes
 
     def test_warns_below_bound(self):
@@ -89,6 +97,52 @@ class TestEquidistribute:
         blob = json.loads(canonical_json(a.to_json()))
         assert blob["parameters"]["d"] == 1
         assert "timing" not in blob
+
+
+def count_classifications(monkeypatch):
+    """A list that counts every RealFan and ComplexFan classification."""
+    calls = []
+    for cls in (RealFan, ComplexFan):
+        def counted(self, x, classify=cls.classify):
+            calls.append(self)
+            return classify(self, x)
+        monkeypatch.setattr(cls, "classify", counted)
+    return calls
+
+
+class TestClassifyOnce:
+    def test_desk_pass_classifies_each_slice_once(self, monkeypatch):
+        """The benchmark's desk ops: each linear fan classifies the n + 1
+        lifted points and each slice the n points of X, once, for the
+        tuple check and the report together: 124 + 112."""
+        calls = count_classifications(monkeypatch)
+        for s in range(4):
+            fam = SetFamily.all_k_subsets(10, 3)
+            cert = ColoringCertificate(fam, 4, tuple(0 for _ in fam.members))
+            assert equidistribute(random_config(10, 8, seed=4000 + s), 4)
+            assert rainbow(random_config(8, 6, seed=5000 + s,
+                                         coloring=[0] * 4 + [1] * 4), 4)
+            assert pierce(random_config(10, 8, seed=600 + s), fam, cert, 4)
+        assert len(calls) == 236
+
+    @pytest.mark.parametrize("field", ["rational", 4])
+    def test_report_takes_the_checked_labels_once(self, monkeypatch, field):
+        X = random_config(7, 5, field=field, seed=1) if field == "rational" \
+            else random_config(6, 4, field=field, seed=21)
+        res = equidistribute(X, 3 if field == "rational" else 2)
+        calls = count_classifications(monkeypatch)
+        # a later report on the same objects classifies afresh
+        fresh = verify_report(res.affine_fan, X, res.mode)
+        assert calls == [res.affine_fan] * X.n
+        assert fresh == res.report
+
+    def test_two_fans_classify_each_slice_once(self, monkeypatch):
+        X = random_config(10, 8, seed=1000, coloring=[0] * 5 + [1] * 5)
+        calls = count_classifications(monkeypatch)
+        res = two_fans(X, 3)
+        # two linear fans on the 11 lifted points, two slices on X
+        assert len(calls) == 2 * (X.n + 1) + 2 * X.n
+        assert set(calls) >= set(res.affine_fans)
 
 
 class TestPierce:
@@ -263,6 +317,9 @@ DRIVER_CASES = {
     "equi-real-r2": lambda: equidistribute(random_config(7, 5, seed=1), 2),
     "equi-complex": lambda: equidistribute(
         random_config(6, 4, field=4, seed=21), 2),
+    "equi-complex-zeta3": lambda: equidistribute(
+        random_config(6, 4, field=3, seed=7300,
+                      coloring=[0, 0, 0, 1, 1, 1]), 2),
     "equi-complex-r1": lambda: equidistribute(
         random_config(6, 4, field=4, seed=21), 1),
     "equi-complex-embedded": lambda: equidistribute(
@@ -345,6 +402,9 @@ DRIVER_OUTCOMES = {
     "equi-complex-r1": (
         PreconditionError,
         "r must be at least 2"),
+    "equi-complex-zeta3": (
+        ("coordinates embedded into Q(zeta_12) for omega_2",), True,
+        "3f229b1d6db2478f708fd3e4a9b29f34952a490e8b36a39293ef9aefb81c8d9e"),
     "equi-gate": (
         SizeGateExceeded,
         "feasibility-check gate 0 exceeded"),
