@@ -668,6 +668,13 @@ def _reduce_vec_row(row, den):
     return [[x // g for x in v] for v in row], den // g
 
 
+def _pivot_cost(v):
+    """A rational entry before any other, then the fewest coefficient
+    bits: the norm cofactor of a rational pivot is rational, and fewer
+    bits keep the cleared rows small."""
+    return any(v[1:]), sum(x.bit_length() for x in v)
+
+
 def _eliminate_cyclotomic(data, M, dens, ncols, back):
     """Gauss-Jordan elimination on the first ncols columns, in integers.
 
@@ -679,17 +686,16 @@ def _eliminate_cyclotomic(data, M, dens, ncols, back):
     row, so its pivot column is cleared.  Each row is then reduced by
     ``_reduce_vec_row``, and so holds exactly the values that field
     elimination gives it.  Rows above a pivot are cleared only when back
-    is true.  Returns the pivots (row, col).
+    is true.  The pivot row is the cheapest one, by ``_pivot_cost``;
+    the pivot columns and the reduced form do not depend on that choice.
+    Returns the pivots (row, col).
     """
     m = len(M)
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for rr in range(r, m):
-            if any(M[rr][c]):
-                pr = rr
-                break
+        pr = min((rr for rr in range(r, m) if any(M[rr][c])),
+                 key=lambda rr: _pivot_cost(M[rr][c]), default=None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
@@ -718,8 +724,9 @@ class ExactMatrix:
     """Dense rectangular matrix over one scalar field.
 
     Entries are all Fraction or all Cyclotomic with a single conductor.
-    Elimination is exact with a fixed pivot rule (leftmost column, first
-    nonzero row), which makes every derived basis deterministic.  Rational
+    Elimination is exact with a fixed pivot rule (leftmost column; first
+    nonzero row over Q, cheapest nonzero row by ``_pivot_cost`` over
+    Q(zeta_N)), which makes every derived basis deterministic.  Rational
     matrices reduce fraction-free in integers, cyclotomic ones by
     Gauss-Jordan elimination on integer rows; both read the reduced row
     echelon form, which is unique, times one common lead.

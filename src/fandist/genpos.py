@@ -110,7 +110,9 @@ def check_sgp(config: PointConfig, gate: int = SGP_GATE) -> SgpReport:
     recursion that carries the meet of the parts chosen so far and their
     codimension sum.  A prefix of p >= 2 parts is itself a tuple that
     level p checked and passed, so a prefix whose sum exceeds d has an
-    empty meet, as has every extension: that subtree is skipped.
+    empty meet, as has every extension: that subtree is skipped.  Every
+    part has codimension at least one, so at most d parts come before
+    the last one, and the levels stop at r = d + 1.
     """
     if config.conductor is not None:
         raise PreconditionError("strong general position is checked over Q")
@@ -155,7 +157,7 @@ def check_sgp(config: PointConfig, gate: int = SGP_GATE) -> SgpReport:
         return None
 
     whole = Flat.from_rows([], d)
-    for r in range(2, n + 1):
+    for r in range(2, min(n, d + 1) + 1):
         found = violation(list(range(n)), r, whole, 0, ())
         if found is not None:
             return found

@@ -35,14 +35,14 @@ A pair test (one part P chosen, with more parts to come) is decided
 once per union U = P ∪ J, by Radon's observation: the hulls of P and J
 meet iff some affine dependence lambda of U (sum lambda_i a_i = 0, sum
 lambda_i = 0) has s = sum_P lambda_i != 0.  The first split of U that
-is tested records U's dependences, read off J's residuals on P's hull
-and P's barycentric map, and every later split reads the record.  An
-independent U misses at every split.  When the dependences form one
-line, a split meets only if s != 0, and then in the one point sum_P
-lambda_i a_i / s, where the barycentric coordinates are lambda_i / s
-on P and -lambda_j / s on J, so their signs decide it.  Any other U,
-or a record read off a dependent P, falls back to the test through J's
-points.
+is tested records U's dependences, read off the smaller part's
+residuals on the larger part's hull and that part's barycentric map,
+and every later split reads the record.  An independent U misses at
+every split.  When the dependences form one line, a split meets only if
+s != 0, and then in the one point sum_P lambda_i a_i / s, where the
+barycentric coordinates are lambda_i / s on P and -lambda_j / s on J,
+so their signs decide it.  Any other U, or a record whose larger part
+is dependent, falls back to the test through J's points.
 
 On a line (a grid of dimension 1) the stream decides properness itself.
 There a part's relative interior is the open interval between its least
@@ -261,22 +261,25 @@ _MISS = "independent"  # no split of the union has meeting hulls
 _FALLBACK = "fallback"  # the split is tested by the part's points
 
 
-def _union_record(flat, first: _PartHull, hull: _PartHull):
+def _union_record(first: _PartHull, hull: _PartHull):
     """The affine dependences lambda (sum lambda_i a_i = 0, sum lambda_i
-    = 0) of U = first.part ∪ hull.part, read off this split, where flat
-    is the first part's hull.
+    = 0) of U = first.part ∪ hull.part, read off the hull of the base:
+    the part with more points, the first one when both have as many.
 
     ``_MISS`` when U is affinely independent, one spanning dependence
     {i: lambda_i} when they form a line, and ``_FALLBACK`` when they
-    span more or the first part P is dependent.  With P independent, a
-    dependence restricted to J = hull.part is a kernel vector mu of J's
-    residuals on flat, and then w = sum mu_j [a_j | 1] is B_P nu for
-    unique weights nu = L w / D, (L, D) P's barycentric map; lambda is
-    -L w on P and D mu on J.
+    span more or the base is dependent.  With the base independent, a
+    dependence restricted to the other part J is a kernel vector mu of
+    J's residuals on the base's hull, and then w = sum mu_j [a_j | 1] is
+    the base's columns [a_i | 1] times unique weights nu = L w / D,
+    (L, D) the base's barycentric map; lambda is -L w on the base and
+    D mu on J.  The larger base leaves the fewer residuals to eliminate.
     """
-    P, J = first.part, hull.part
-    if len(P) + flat.codim != flat.dim + 1:
-        return _FALLBACK  # P is affinely dependent
+    base, other = ((hull, first) if len(hull.part) > len(first.part)
+                   else (first, hull))
+    flat, J = base.flat, other.part
+    if len(base.part) + flat.codim != flat.dim + 1:
+        return _FALLBACK  # the base is affinely dependent
     grid, n = hull.grid, len(J)
     res = flat.residuals(grid, J)
     M = [[r[k] for r in res] for k in range(flat.codim)]
@@ -289,14 +292,14 @@ def _union_record(flat, first: _PartHull, hull: _PartHull):
     w = [sum(m * grid[j][c] for m, j in zip(mu, J))
          for c in range(flat.dim)]
     w.append(sum(mu))
-    L, D = first.bary()
+    L, D = base.bary()
     lam = [-sum(a * b for a, b in zip(row, w)) for row in L]
     lam += [D * m for m in mu]
     g = gcd(*lam)
-    return {i: v // g for i, v in zip(P + J, lam)}
+    return {i: v // g for i, v in zip(base.part + J, lam)}
 
 
-def _pair_meet(flat, first: _PartHull, hull: _PartHull):
+def _pair_meet(first: _PartHull, hull: _PartHull):
     """The pair test of ``_next_flat`` by the union's record: the meet
     point's flat, None when no candidate extending the pair is proper,
     or ``_FALLBACK``.
@@ -305,12 +308,13 @@ def _pair_meet(flat, first: _PartHull, hull: _PartHull):
     lambda of U has s = sum_P lambda_i != 0.  With the dependences one
     line, both parts are then independent and meet only in x = sum_P
     lambda_i a_i / s, with barycentric coordinates lambda_i / s on P and
-    -lambda_j / s on J.
+    -lambda_j / s on J.  A record read off either split of U serves: s,
+    x and the signs are unchanged when lambda is scaled or negated.
     """
     key = first.mask | hull.mask
     lam = hull.unions.get(key)
     if lam is None:
-        lam = hull.unions[key] = _union_record(flat, first, hull)
+        lam = hull.unions[key] = _union_record(first, hull)
     if lam is _FALLBACK:
         return _FALLBACK
     if lam is _MISS:
@@ -322,7 +326,7 @@ def _pair_meet(flat, first: _PartHull, hull: _PartHull):
     if any(lam[i] * s <= 0 for i in P) or any(lam[j] * s >= 0 for j in J):
         return None
     grid = hull.grid
-    x = [sum(lam[i] * grid[i][c] for i in P) for c in range(flat.dim)]
+    x = [sum(lam[i] * grid[i][c] for i in P) for c in range(first.flat.dim)]
     if s < 0:
         s, x = -s, [-c for c in x]
     g = gcd(s, *x)
@@ -346,7 +350,7 @@ def _next_flat(flat, hull: _PartHull, chosen, last: bool):
     them, unless the record falls back to the tests above.
     """
     if len(chosen) == 1 and not last:
-        met = _pair_meet(flat, chosen[0], hull)
+        met = _pair_meet(chosen[0], hull)
         if met is not _FALLBACK:
             return met
     point = flat.point()
@@ -401,11 +405,19 @@ def _candidate_stream(indices: Sequence[int], r: int,
     """Part-tuples in lexicographic order of the sorted-parts sequence,
     with increasing part minima.
 
-    A part takes an index only if ``constraint.may_add`` allows it.  With
-    a solver, each part after the first is tested against the prefix's
-    flat by ``_next_flat``; candidates extending a prefix whose flat is
-    empty, or is a point where some affinely independent part has a
-    barycentric coordinate <= 0, are skipped.  On a line the prefix
+    A part takes an index only if ``constraint.may_add`` allows it.  The
+    stream keeps one table of the parts that the constraint and
+    ``max_part_size`` admit: each part's admitted one-index extensions,
+    keyed by its mask and filled when the part is first reached, so
+    ``may_add`` runs once per entry and a search that stops early lists
+    only the parts it reached.  Each depth walks the table in pre-order
+    from the one-point parts above the previous part's least index, a
+    part before its extensions, and never enters a part that meets the
+    indices used so far.  With a solver, each part after the first is
+    tested against the prefix's flat by ``_next_flat``; candidates
+    extending a prefix whose flat is empty, or is a point where some
+    affinely independent part has a barycentric coordinate <= 0, are
+    skipped.  On a line the prefix
     carries the doubled bounds of its parts' common relative interior
     instead, and a part whose bounds miss them is skipped, so only
     proper candidates are emitted.  ``hulls`` caches each part's hull
@@ -426,6 +438,7 @@ def _candidate_stream(indices: Sequence[int], r: int,
     if unions is None:
         unions = {}
     checks = 0
+    table: dict[int, list] = {}
 
     def count_check():
         nonlocal checks
@@ -435,33 +448,39 @@ def _candidate_stream(indices: Sequence[int], r: int,
                 raise SizeGateExceeded(
                     f"feasibility-check gate {gate} exceeded")
 
+    def extensions(part, mask, start):
+        # fill the table's entry for part: its admitted one-index
+        # extensions (part + (idx[j],), their mask, j + 1) for j >= start,
+        # last first, so that a stack pops them in increasing order
+        kids = table[mask] = []
+        if max_part_size is None or len(part) < max_part_size:
+            for j in range(len(idx) - 1, start - 1, -1):
+                i = idx[j]
+                if constraint is None or constraint.may_add(mask, i):
+                    kids.append((part + (i,), mask | 1 << i, j + 1))
+        return kids
+
+    roots = extensions((), 0, 0)
+
     def build(parts, used, prev_min, meet, chosen):
         depth = len(parts)
         if depth == r:
             count_check()
-            yield tuple(tuple(p) for p in parts)
+            yield parts
             return
-        remaining = [i for i in idx if not used >> i & 1]
-        if len(remaining) < r - depth:
+        if len(idx) - used.bit_count() < r - depth:
             return
-
-        def extend(part, mask, start):
-            # a completed nonempty part is emitted before its extensions
-            if part:
-                yield list(part), mask
-            if max_part_size is not None and len(part) >= max_part_size:
-                return
-            for k in range(start, len(remaining)):
-                i = remaining[k]
-                if not part and prev_min is not None and i <= prev_min:
-                    continue
-                if constraint is not None and not constraint.may_add(mask, i):
-                    continue
-                part.append(i)
-                yield from extend(part, mask | 1 << i, k + 1)
-                part.pop()
-
-        for sub, mask in extend([], 0, 0):
+        # a stack walk of the table in pre-order: a popped part pushes its
+        # extensions that miss used, so it comes before them, and an
+        # extension of a part that meets used is never reached
+        stack = [e for e in roots if e[0][0] > prev_min and not e[1] & used]
+        while stack:
+            sub, mask, start = stack.pop()
+            kids = table.get(mask)
+            if kids is None:
+                kids = extensions(sub, mask, start)
+            if kids:
+                stack += [e for e in kids if not e[1] & used]
             sub_meet = hull = None
             if line is not None:
                 # twice the part's relative interior: the open interval
@@ -490,10 +509,10 @@ def _candidate_stream(indices: Sequence[int], r: int,
                     sub_meet = _next_flat(meet, hull, chosen, depth == r - 1)
                     if sub_meet is None:
                         continue
-            yield from build(parts + [sub], used | mask, sub[0], sub_meet,
+            yield from build(parts + (sub,), used | mask, sub[0], sub_meet,
                              chosen + (hull,))
 
-    yield from build([], 0, None, None, ())
+    yield from build((), 0, -1, None, ())
 
 
 def search_tuple(config: PointConfig, r: int,

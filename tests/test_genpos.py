@@ -17,7 +17,9 @@ from fandist.galedual import (
     gale_transform,
     lift_augment,
 )
+from fandist import genpos
 from fandist.genpos import (
+    SgpReport,
     build_counterexample,
     check_sgp,
     corresponding_primal,
@@ -214,6 +216,75 @@ class TestSgpOracle:
         assert reasons == {"", "ordinary general position fails",
                            "empty intersection below codim budget",
                            "codimension equation fails"}
+
+
+# check_sgp as it was before its levels stopped at r = d + 1, walking
+# every level r = 2 .. n: verbatim but for the module prefixes
+def full_level_check_sgp(config: PointConfig) -> SgpReport:
+    n, d = config.n, config.dim
+    grid = integer_grid(config.points)
+    bad = genpos._ordinary_general_position(grid, d)
+    if bad is not None:
+        return SgpReport(False, n, d, (bad,), None, None,
+                         "ordinary general position fails")
+
+    hulls: dict[tuple, Flat] = {}
+
+    def violation(avail, left, flat, csum, chosen):
+        for size in range(1, d + 1):
+            for part in combinations(avail, size):
+                h = hulls.get(part)
+                if h is None:
+                    h = hulls[part] = affine_hull(grid, part)
+                total = csum + h.codim
+                if left == 1:
+                    added = flat.added_rank(h)
+                    if added is None:
+                        if total <= d:
+                            return SgpReport(
+                                False, n, d, chosen + (part,), d + 1, total,
+                                "empty intersection below codim budget")
+                    elif flat.codim + added != total:
+                        return SgpReport(False, n, d, chosen + (part,),
+                                         flat.codim + added, total,
+                                         "codimension equation fails")
+                elif total <= d:
+                    rest = [i for i in avail if i > part[0] and i not in part]
+                    found = violation(rest, left - 1, flat.meet(h), total,
+                                      chosen + (part,))
+                    if found is not None:
+                        return found
+        return None
+
+    whole = Flat.from_rows([], d)
+    for r in range(2, n + 1):
+        found = violation(list(range(n)), r, whole, 0, ())
+        if found is not None:
+            return found
+    return SgpReport(True, n, d)
+
+
+@st.composite
+def small_bit_configs(draw):
+    """d <= 3 and n <= 7 integer points of 2 or 4 coordinate bits: the
+    2-bit ones mostly fail, the 4-bit ones mostly pass."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 7))
+    half = draw(st.sampled_from([2, 8]))
+    coord = st.integers(-half, half - 1)
+    return PointConfig(d, draw(st.lists(
+        st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_bit_configs(),
+                 st.randoms(use_true_random=False).map(_segments_config)))
+def test_sgp_levels_past_d_plus_one_cannot_fail(cfg):
+    # every part has codim >= 1 and a prefix is recursed into only while
+    # its codim sum is <= d, so the levels r >= d + 2 never reach a last
+    # part: stopping at d + 1 gives the same report.  Concurrent segments
+    # fail at level d + 1 = 3
+    assert check_sgp(cfg) == full_level_check_sgp(cfg)
 
 
 @st.composite

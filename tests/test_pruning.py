@@ -13,7 +13,7 @@ candidate stays, in order.
 
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -436,6 +436,28 @@ def test_line_gate_counts_interval_tests():
         search_tuple(cfg, 3, lp_gate=156)
 
 
+def test_uncapped_stream_trips_a_small_gate_early():
+    # the part table is filled only as far as the walk goes: an uncapped
+    # search over 26 points in convex position trips a gate of 50 checks
+    # after a few hundred may_add calls, not after listing the 2^25
+    # parts that hold index 0, and it asks may_add once per table entry
+    calls = []
+
+    class Counting:
+        def may_add(self, mask, i):
+            calls.append((mask, i))
+            assert len(calls) <= 5000, "part table built eagerly"
+            return True
+
+        def admits(self, parts):
+            return True
+
+    cfg = PointConfig(2, [[F(t), F(t * t)] for t in range(26)])
+    with pytest.raises(SizeGateExceeded):
+        search_tuple(cfg, 2, Counting(), lp_gate=50)
+    assert len(calls) == len(set(calls))
+
+
 def test_ell_four_certification_needs_no_solve(monkeypatch):
     calls = []
     solve = ExactWeightSolver.solve
@@ -607,6 +629,29 @@ def test_pair_records_match_hull_meets(case):
         check_union_record(grid, mask, record)
 
 
+@pytest.mark.parametrize("pair, meets", [
+    (((1, 1, 2), (1, 1, 2)), False),  # coincident: P is dependent
+    (((1, 1, -2), (1, 1, 2)), True),  # a segment through the triangle
+    (((5, 5, -2), (5, 5, 2)), False),  # through its plane, outside it
+])
+def test_union_record_read_off_the_larger_part(pair, meets):
+    # P = {0, 1} has fewer points than the triangle J = {2, 3, 4}, so the
+    # record of P ∪ J is read off J's hull and P's residuals on it; point
+    # 5 lies off the triangle's plane.  Each union has one dependence, so
+    # the record is that line, even where P itself is dependent
+    points = [[F(x) for x in p] for p in
+              pair + ((0, 0, 0), (4, 0, 0), (0, 4, 0), (1, 1, 3))]
+    grid = ExactWeightSolver(points).ipoints
+    unions = {}
+    first = tverberg._PartHull(grid, (0, 1), unions)
+    hull = tverberg._PartHull(grid, (2, 3, 4), unions)
+    met = both_flat_tests(first.flat, hull, (first,), False)
+    assert (met is not None) == meets
+    mask = first.mask | hull.mask
+    assert isinstance(unions[mask], dict)
+    check_union_record(grid, mask, unions[mask])
+
+
 def test_certification_builds_one_record_per_union(monkeypatch):
     # the 12,100 pair tests of the ell=4 certification meet 1,474 unions:
     # 1,012 affinely independent, 462 with one dependence
@@ -683,6 +728,41 @@ def test_constraint_stream_matches_set_oracle(case, r):
             expected.append(parts)
     # the stream prunes with may_add alone
     assert list(_candidate_stream(range(n), r, constraint, None)) == expected
+
+
+def itertools_candidates(allowed, r, constraint, max_part_size):
+    """Every candidate built directly: label each allowed index with the
+    part that takes it (0 for none) and keep the labellings with r
+    nonempty parts in increasing minima, each within the size bound and
+    admitted by the constraint, in Python tuple order."""
+    out = []
+    for labels in product(range(r + 1), repeat=len(allowed)):
+        parts = tuple(tuple(i for i, b in zip(allowed, labels) if b == a)
+                      for a in range(1, r + 1))
+        if not all(parts) or \
+                any(p[0] >= q[0] for p, q in zip(parts, parts[1:])):
+            continue
+        if max_part_size is not None and \
+                any(len(p) > max_part_size for p in parts):
+            continue
+        if constraint is None or constraint.admits(parts):
+            out.append(parts)
+    return sorted(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_conditions(), st.integers(1, 4), st.data())
+def test_stream_order_matches_itertools_oracle(case, r, data):
+    # the stream's order is the sorted order of the sorted-parts tuples:
+    # each part comes before its extensions and after every part with a
+    # smaller least index
+    _, coloring, _, _, constraint = case
+    ground = range(len(coloring))
+    allowed = sorted(data.draw(st.sets(st.sampled_from(ground), min_size=1)))
+    max_part_size = data.draw(st.one_of(st.none(), st.integers(1, 3)))
+    constraint = data.draw(st.sampled_from([None, constraint]))
+    assert list(_candidate_stream(allowed, r, constraint, max_part_size)) \
+        == itertools_candidates(allowed, r, constraint, max_part_size)
 
 
 @settings(max_examples=200, deadline=None)
