@@ -36,7 +36,7 @@ from fandist.pipeline import (
     rainbow,
     two_fans,
 )
-from fandist.tverberg import DEFAULT_LP_GATE, DEFAULT_PAIR_GATE, search_tuple
+from fandist.tverberg import DEFAULT_LP_GATE, search_tuple
 
 EXIT_OK = 0
 EXIT_NONE = 1
@@ -117,7 +117,7 @@ def _cmd_rainbow(args):
 
 def _cmd_two_fans(args):
     cfg = _load_config(args)
-    kwargs = dict(mode=args.mode, pair_gate=args.gate)
+    kwargs = dict(mode=args.mode, lp_gate=args.gate)
     if args.certificate:
         cert = ColoringCertificate.from_json(_read_json(args.certificate))
         kwargs.update(family=cert.family, certificate=cert)
@@ -230,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         if gate is not None:
             p.add_argument("--gate", type=int, default=gate,
                            help="size gate: exact feasibility checks; "
-                                "for two-fans, candidates the pruned "
-                                "second stream emits; for check-sgp "
-                                "and typical, points")
+                                "for check-sgp and typical, points")
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -263,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rainbow)
 
     p = sub.add_parser("two-fans", help="two-fan distribution")
-    common(p, needs_r=True, gate=DEFAULT_PAIR_GATE)
+    common(p, needs_r=True, gate=DEFAULT_LP_GATE)
     p.add_argument("--mode", choices=["equidistribute", "pierce"],
                    default="equidistribute")
     p.add_argument("--certificate", default=None,

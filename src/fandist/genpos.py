@@ -47,6 +47,7 @@ __all__ = [
     "corresponding_primal",
     "found_equidistributing_tuple",
     "is_typical",
+    "least_ell",
     "random_config",
     "robustness_check",
     "verify_no_equidistribution",
@@ -255,6 +256,12 @@ class CounterexampleInstance:
         }
 
 
+def least_ell(r: int, k: int) -> int:
+    """The least ell with ell > 2 + k/(r-1), for r >= 2 and k >= 0: the
+    rule ``build_counterexample`` enforces."""
+    return 3 + k // (r - 1)
+
+
 def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
                          seed: int = 0) -> CounterexampleInstance:
     """Sharpness instance: Gale dual of a strong-general-position sample
@@ -285,7 +292,7 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
         raise PreconditionError("d must be at least 1")
     if not (0 <= k <= r - 1):
         raise PreconditionError("k must lie in 0..r-1")
-    if (ell - 2) * (r - 1) <= k:
+    if ell < least_ell(r, k):
         raise PreconditionError("need ell > 2 + k/(r-1)")
     n = (r - 1) * (d + m + 1) + k + 1
     npts = n + ell - 1

@@ -12,7 +12,7 @@ on X, from the classifications of the second step.  A run either
 returns a fully verified result, returns None (no tuple), or raises:
 guarantee violations and verification failures are bug signals, never
 data errors.
-Every search is sequential and exhaustive within its size gates, so no
+Every search is sequential and exhaustive within its size gate, so no
 result depends on the clock.
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -45,6 +44,7 @@ from fandist.genpos import (
     SGP_GATE,
     build_counterexample,
     is_typical,
+    least_ell,
     random_config,
     robustness_check,
     verify_no_equidistribution,
@@ -59,8 +59,6 @@ from fandist.kneser import (
 )
 from fandist.tverberg import (
     DEFAULT_LP_GATE,
-    DEFAULT_PAIR_GATE,
-    DEFAULT_TUPLE_GATE,
     SearchConstraint,
     TverbergTuple,
     search_two_tuples,
@@ -95,8 +93,7 @@ class PipelineResult:
     """Verified outcome of a single-fan pipeline run.
 
     The affine fan classifies the original input points exactly as the
-    tuple's parts; timing is carried on the object but never serialized,
-    keeping result JSON byte-deterministic.
+    tuple's parts.
     """
 
     mode: str
@@ -115,7 +112,6 @@ class PipelineResult:
     report: VerificationReport
     robustness: int
     typical: Optional[bool]
-    timing: float
 
     def to_json(self) -> dict:
         return {
@@ -150,7 +146,6 @@ class TwoFanResult:
     tuples: tuple
     affine_fans: tuple
     report: VerificationReport
-    timing: float
 
     def to_json(self) -> dict:
         return {
@@ -233,7 +228,6 @@ def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
     the prepared input, appends its warnings and returns
     (m, guaranteed, search constraint).
     """
-    t0 = time.monotonic()
     X, pair, d, warnings = _prepare(X, r)
     if X.conductor is None and r < 3:
         raise PreconditionError("real fans need r >= 3")
@@ -267,8 +261,7 @@ def _single_fan(mode: str, theorem: str, plan, X: PointConfig, r: int, *,
         {"cyclotomic": X.conductor},
         warnings=tuple(warnings), guaranteed=guaranteed, tuple_=tup,
         linear_fan=linear_fan, affine_fan=affine_fan, report=report,
-        robustness=report.robustness, typical=typical,
-        timing=time.monotonic() - t0)
+        robustness=report.robustness, typical=typical)
 
 
 def equidistribute(X: PointConfig, r: int, *,
@@ -372,8 +365,7 @@ def rainbow(X: PointConfig, r: int, *, lp_gate: int = DEFAULT_LP_GATE
 def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
              family: Optional[SetFamily] = None,
              certificate: Optional[ColoringCertificate] = None,
-             tuple_gate: int = DEFAULT_TUPLE_GATE,
-             pair_gate: int = DEFAULT_PAIR_GATE,
+             lp_gate: int = DEFAULT_LP_GATE,
              time_budget: Optional[float] = None
              ) -> Optional[TwoFanResult]:
     """Two r-fans whose intersection distributes X with r^2-cell control.
@@ -386,16 +378,14 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     pierce a valid certificate of the family for r^2, and the digit
     condition (``m_eligible``) on m, the class count or the
     certificate's.  n below (r-1)(d+1) + m(r^2-1)/2 + 1 only warns.  The
-    search is exhaustive while at most ``tuple_gate`` proper first
-    tuples are found and at most ``pair_gate`` candidates are emitted by
-    the second streams, pruned by the cell condition and the parts'
-    hulls (see ``search_two_tuples``); a tripped gate raises
-    SizeGateExceeded.  Emitted pairs always verify exactly.  Both fans
-    are built and checked like the single-fan drivers' fan.
+    search (``search_two_tuples``) is exhaustive within ``lp_gate``
+    feasibility checks, counted over all its streams as the single-fan
+    drivers' search counts them; a tripped gate raises SizeGateExceeded.
+    Emitted pairs always verify exactly.  Both fans are built and checked
+    like the single-fan drivers' fan.
     ``time_budget`` is accepted and ignored: the benchmark's two-fan
     workload still passes it, and no search reads a clock.
     """
-    t0 = time.monotonic()
     X0 = X
     X, pair, d, warnings = _prepare(X, r)
     if mode == "equidistribute":
@@ -428,7 +418,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
         warnings.append(f"n={X.n} below the guarantee bound {bound}")
 
     pairres = search_two_tuples(pair.primal, r, check, allowed=range(X.n),
-                                tuple_gate=tuple_gate, pair_gate=pair_gate)
+                                lp_gate=lp_gate)
     if pairres is None:
         return None
     tup1, tup2 = pairres
@@ -443,8 +433,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     return TwoFanResult(
         mode=f"two-fan-{mode}", input_digest=_digest(X0), r=r, m=m, d=d,
         n=X.n, warnings=tuple(warnings), tuples=(tup1, tup2),
-        affine_fans=tuple(fans), report=report,
-        timing=time.monotonic() - t0)
+        affine_fans=tuple(fans), report=report)
 
 
 def bounds_experiment(r: int, m: int, d_values, seeds, *,
@@ -483,7 +472,7 @@ def bounds_experiment(r: int, m: int, d_values, seeds, *,
             res = equidistribute(X, r, lp_gate=lp_gate)
             if res is not None:
                 successes += 1
-        ell_min = 3 if _ell_three_admissible(t, r) else 4
+        ell_min = least_ell(r, t)
         certified_at = None
         for ell in range(ell_min, ell_min + max_ell_extra + 1):
             inst = build_counterexample(r, m, s, t, ell,
@@ -502,11 +491,6 @@ def bounds_experiment(r: int, m: int, d_values, seeds, *,
             "certified_ell": certified_at,
         })
     return rows
-
-
-def _ell_three_admissible(k: int, r: int) -> bool:
-    """Whether ell = 3 satisfies ell > 2 + k/(r-1)."""
-    return (3 - 2) * (r - 1) > k
 
 
 # re-exported for the CLI

@@ -60,19 +60,21 @@ candidates that have no proper weights, so the first feasible candidate
 and every feasible one are unchanged; an emitted candidate with uniquely
 solvable weights, or on a line any emitted candidate, is proper.
 
-Searches are exhaustive within a size gate that counts exact feasibility
-checks: every flat or interval test of a part after the first and every
-weight-system solve counts one.  They run sequentially and return the
-first feasible candidate in stream order.
+Searches are exhaustive within one size gate that counts exact
+feasibility checks: every flat or interval test of a part after the
+first and every emitted candidate (its solve comes next) counts one,
+summed over every stream of the search.  They run sequentially and
+return the first feasible candidate in stream order.
 
-The two-tuple search is a join.  It walks the canonical stream, and for
-each proper tuple I it walks a second stream pruned by I's cell
-condition, whose first proper tuple J completes the pair.  The cell
-condition is monotone, so it prunes partial parts: index k joins only
-the cell I_a ∩ J_b of the part I_a holding it.  Solves are memoised by
-candidate, so none is solved twice, and one cache of hulls and one of
-union records serve every stream of a search.  The pair is the one that
-solving every candidate and scanning all pairs in order would return.
+The two-tuple search is a join.  It walks the proper tuples I of the
+canonical stream and takes, for each, the first proper tuple J of a
+second stream pruned by I's cell condition, which completes the pair.
+The cell condition is monotone, so it prunes partial parts: index k
+joins only the cell I_a ∩ J_b of the part I_a holding it.  Solves are
+memoised by candidate, so none is solved twice, and every stream of a
+search shares one state: the hull records, the union records and the
+check count.  The pair is the one that solving every candidate and
+scanning all pairs in order would return.
 """
 
 from __future__ import annotations
@@ -106,8 +108,6 @@ __all__ = [
 ]
 
 DEFAULT_LP_GATE = 50_000_000
-DEFAULT_PAIR_GATE = 1_000_000
-DEFAULT_TUPLE_GATE = 200_000
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,8 @@ class SearchConstraint:
 class _PartHull:
     """One part's hull flat and, once needed, its barycentric map
     (``feaslp.barycentric_map``, None if dependent).  ``unions`` maps the
-    index mask of a union of two parts to its ``_union_record``; the
-    stream hands every hull of a search the same dict."""
+    index mask of a union of two parts to its ``_union_record``; every
+    hull of a search holds its ``_SearchState``'s dict."""
 
     __slots__ = ("flat", "grid", "part", "mask", "unions", "_bary")
 
@@ -394,13 +394,32 @@ def _next_flat(flat, hull: _PartHull, chosen, last: bool):
     return met
 
 
+class _SearchState:
+    """What every stream of one search shares: each part's ``_PartHull``
+    by its index mask, each ``_union_record`` by the union's mask, and
+    the count of feasibility checks, which raises SizeGateExceeded once
+    it passes ``gate``."""
+
+    __slots__ = ("gate", "checks", "hulls", "unions")
+
+    def __init__(self, gate: int = DEFAULT_LP_GATE):
+        self.gate = gate
+        self.checks = 0
+        self.hulls: dict[int, _PartHull] = {}
+        self.unions: dict[int, object] = {}
+
+    def count_check(self) -> None:
+        self.checks += 1
+        if self.checks > self.gate:
+            raise SizeGateExceeded(
+                f"feasibility-check gate {self.gate} exceeded")
+
+
 def _candidate_stream(indices: Sequence[int], r: int,
                       constraint: Optional[SearchConstraint],
                       max_part_size: Optional[int],
                       solver: Optional[ExactWeightSolver] = None,
-                      gate: Optional[int] = None, *,
-                      hulls: Optional[dict[int, _PartHull]] = None,
-                      unions: Optional[dict[int, object]] = None
+                      state: Optional[_SearchState] = None
                       ) -> Iterator[tuple]:
     """Part-tuples in lexicographic order of the sorted-parts sequence,
     with increasing part minima.
@@ -420,33 +439,19 @@ def _candidate_stream(indices: Sequence[int], r: int,
     skipped.  On a line the prefix
     carries the doubled bounds of its parts' common relative interior
     instead, and a part whose bounds miss them is skipped, so only
-    proper candidates are emitted.  ``hulls`` caches each part's hull
-    record by its index mask, and ``unions`` the affine-dependence record
-    of each union of a first part and a part tested against its hull
-    (one per union, whichever split comes first); both may be shared by
-    streams over the same solver.  With a gate, each flat or interval
-    test of a part after the first and each emitted candidate (its solve
-    comes next) counts one feasibility check, and the stream raises
-    SizeGateExceeded once the count passes the gate.
+    proper candidates are emitted.  Each flat or interval test of a part
+    after the first and each emitted candidate (its solve comes next)
+    counts one check on ``state``, which also keeps the hull and union
+    records; streams over the same solver may share it.
     """
     idx = sorted(indices)
     line = None
     if solver is not None and solver.dim == 1:
         line = [x for x, in solver.ipoints]
-    if hulls is None:
-        hulls = {}
-    if unions is None:
-        unions = {}
-    checks = 0
+    if state is None:
+        state = _SearchState()
+    count_check, hulls = state.count_check, state.hulls
     table: dict[int, list] = {}
-
-    def count_check():
-        nonlocal checks
-        if gate is not None:
-            checks += 1
-            if checks > gate:
-                raise SizeGateExceeded(
-                    f"feasibility-check gate {gate} exceeded")
 
     def extensions(part, mask, start):
         # fill the table's entry for part: its admitted one-index
@@ -499,7 +504,7 @@ def _candidate_stream(indices: Sequence[int], r: int,
                 hull = hulls.get(mask)
                 if hull is None:
                     hull = hulls[mask] = _PartHull(solver.ipoints, sub,
-                                                    unions)
+                                                    state.unions)
                 if depth == 0:
                     # one part's only point has the coordinate 1 or is
                     # repeated, so it never prunes
@@ -515,6 +520,19 @@ def _candidate_stream(indices: Sequence[int], r: int,
     yield from build((), 0, -1, None, ())
 
 
+def _setup(config: PointConfig, r: int,
+           allowed: Optional[Sequence[int]]
+           ) -> tuple[ExactWeightSolver, list[int]]:
+    """The preconditions and the (solver, indices) of every search."""
+    if r < 1:
+        raise PreconditionError("r must be at least 1")
+    if config.n < r:
+        raise PreconditionError("need at least r points")
+    solver = ExactWeightSolver(realify_if_needed(config).points)
+    indices = list(range(config.n)) if allowed is None else sorted(allowed)
+    return solver, indices
+
+
 def search_tuple(config: PointConfig, r: int,
                  constraint: Optional[SearchConstraint] = None, *,
                  allowed: Optional[Sequence[int]] = None,
@@ -526,15 +544,9 @@ def search_tuple(config: PointConfig, r: int,
     when more than ``lp_gate`` feasibility checks (flat or interval tests
     plus solves) are needed (a distinct outcome).
     """
-    if r < 1:
-        raise PreconditionError("r must be at least 1")
-    if config.n < r:
-        raise PreconditionError("need at least r points")
-    real = realify_if_needed(config)
-    solver = ExactWeightSolver(real.points)
-    indices = list(range(config.n)) if allowed is None else sorted(allowed)
+    solver, indices = _setup(config, r, allowed)
     stream = _candidate_stream(indices, r, constraint, max_part_size, solver,
-                               lp_gate)
+                               _SearchState(lp_gate))
 
     for parts in stream:
         witness = solver.solve(parts)
@@ -553,61 +565,45 @@ def search_tuple(config: PointConfig, r: int,
 
 def search_two_tuples(config: PointConfig, r: int, check: SearchConstraint,
                       *, allowed: Optional[Sequence[int]] = None,
-                      tuple_gate: int = DEFAULT_TUPLE_GATE,
-                      pair_gate: int = DEFAULT_PAIR_GATE
+                      lp_gate: int = DEFAULT_LP_GATE
                       ) -> Optional[tuple[TverbergTuple, TverbergTuple]]:
     """Two individually proper tuples I, J whose every cell I_a ∩ J_b
     passes ``check``.
 
     The pair returned is the first in stream order of its first tuple I,
     then of its second tuple J (J = I allowed), over the canonical stream
-    with parts of at most dim + 1 indices.  Each feasible I is joined
-    with a second stream pruned by I's cell condition and, like the
-    first, by the parts' hulls (empty meets and point meets with a
-    nonpositive barycentric coordinate), or on a line by the parts'
-    relative interiors, so that there the first candidate passing the
-    cell condition completes the pair.  The search is exhaustive while
-    at most ``tuple_gate`` feasible first tuples are found and at most
-    ``pair_gate`` candidates, summed over first tuples, are emitted by
-    that pruned second stream; exhaustion returns None and a tripped gate
-    raises SizeGateExceeded.  An emitted pair is always exactly verified.
+    with parts of at most dim + 1 indices.  Each proper I is joined with
+    a second stream pruned by I's cell condition and, like the first, by
+    the parts' hulls (empty meets and point meets with a nonpositive
+    barycentric coordinate), or on a line by the parts' relative
+    interiors, whose first proper candidate completes the pair.  Every
+    stream counts its flat or interval tests and emitted candidates
+    against one gate, as ``search_tuple`` does: exhaustion returns None,
+    more than ``lp_gate`` checks raise SizeGateExceeded.  An emitted pair
+    is always exactly verified.
     """
-    real = realify_if_needed(config)
-    solver = ExactWeightSolver(real.points)
-    cara = real.dim + 1  # restricting part sizes preserves pair existence
-    indices = list(range(config.n)) if allowed is None else sorted(allowed)
-    hulls: dict[int, _PartHull] = {}
-    unions: dict[int, object] = {}
+    solver, indices = _setup(config, r, allowed)
+    cara = solver.dim + 1  # restricting part sizes preserves pair existence
+    state = _SearchState(lp_gate)
     solved: dict[tuple, Optional[TverbergTuple]] = {}
 
-    def stream(constraint):
-        return _candidate_stream(indices, r, constraint, cara, solver,
-                                 hulls=hulls, unions=unions)
+    def proper_tuples(constraint):
+        for parts in _candidate_stream(indices, r, constraint, cara, solver,
+                                       state):
+            if parts not in solved:
+                witness = solver.solve(parts)
+                solved[parts] = (None if witness is None
+                                 else TverbergTuple(r, parts, witness))
+            if solved[parts] is not None:
+                yield solved[parts]
 
-    def proper(parts) -> Optional[TverbergTuple]:
-        if parts not in solved:
-            witness = solver.solve(parts)
-            solved[parts] = (None if witness is None
-                             else TverbergTuple(r, parts, witness))
-        return solved[parts]
-
-    found = passed = 0
-    for parts in stream(None):
-        first = proper(parts)
-        if first is None:
-            continue
-        found += 1
-        if found > tuple_gate:
-            raise SizeGateExceeded(f"first-tuple gate {tuple_gate} exceeded")
-        for parts2 in stream(_CellCondition(check, parts)):
-            passed += 1
-            if passed > pair_gate:
-                raise SizeGateExceeded(f"pair gate {pair_gate} exceeded")
-            second = proper(parts2)
-            if second is not None:
-                pair = (first, second)
-                _validate_pair(pair, config, check)
-                return pair
+    for first in proper_tuples(None):
+        second = next(proper_tuples(_CellCondition(check, first.parts)),
+                      None)
+        if second is not None:
+            pair = (first, second)
+            _validate_pair(pair, config, check)
+            return pair
     return None
 
 

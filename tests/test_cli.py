@@ -29,7 +29,7 @@ from fandist.pipeline import (
     rainbow,
     two_fans,
 )
-from fandist.tverberg import DEFAULT_LP_GATE, DEFAULT_PAIR_GATE, search_tuple
+from fandist.tverberg import DEFAULT_LP_GATE, search_tuple
 
 
 def run(tmp_path, *argv):
@@ -169,13 +169,19 @@ class TestSearchCommands:
     def test_gate_exit_code(self, tmp_path, config_file):
         assert main(["tverberg", "--input", config_file, "--r", "3",
                      "--gate", "1"]) == 3
-        # a tripped two-fan pair gate exits 3 at once, without sampling
+        # a tripped two-fan gate exits 3 at once, without sampling
         cfg = random_config(10, 8, seed=1000, coloring=[0] * 5 + [1] * 5)
         path = tmp_path / "two.json"
         path.write_text(json.dumps(cfg.to_json()))
         assert main(["two-fans", "--input", str(path), "--r", "3",
                      "--gate", "0"]) == 3
         assert main(["two-fans", "--input", str(path), "--r", "3"]) == 0
+        # the second streams of this input emit nothing (every cell cap is
+        # 0), yet their checks count: the gate trips at once
+        cfg = random_config(11, 8, seed=1, coloring=[0] * 5 + [1] * 6)
+        path.write_text(json.dumps(cfg.to_json()))
+        assert main(["two-fans", "--input", str(path), "--r", "3",
+                     "--gate", "1000"]) == 3
 
     def test_verify_fan_two_fan_mode(self, tmp_path):
         from fandist.fans import fan_from_tuple_real
@@ -345,7 +351,7 @@ def test_gate_defaults_are_the_library_defaults():
          found_equidistributing_tuple, "lp_gate", DEFAULT_LP_GATE),
         (["bounds", *r, "--m", "2", "--d-values", "7"], bounds_experiment,
          "lp_gate", DEFAULT_LP_GATE),
-        (["two-fans", *x, *r], two_fans, "pair_gate", DEFAULT_PAIR_GATE),
+        (["two-fans", *x, *r], two_fans, "lp_gate", DEFAULT_LP_GATE),
         (["check-sgp", *x], check_sgp, "gate", SGP_GATE),
         (["typical", *x], is_typical, "gate", SGP_GATE),
     ]

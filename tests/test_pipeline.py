@@ -1,13 +1,15 @@
 import hashlib
 import importlib
+import itertools
 import json
 import pkgutil
+import time
 from unittest import mock
 
 import pytest
 
 import fandist
-from fandist import feaslp, pipeline, tverberg
+from fandist import feaslp, genpos, pipeline, tverberg
 from fandist.errors import (
     GuaranteeViolation,
     PreconditionError,
@@ -18,7 +20,12 @@ from fandist.exactnum import ExactMatrix
 from fandist.fans import ComplexFan, RealFan, slice_project, verify_report
 from fandist.feaslp import ExactWeightSolver
 from fandist.galedual import PointConfig
-from fandist.genpos import is_typical, random_config
+from fandist.genpos import (
+    build_counterexample,
+    is_typical,
+    least_ell,
+    random_config,
+)
 from fandist.kneser import ColoringCertificate, SetFamily
 from fandist.pipeline import (
     bounds_experiment,
@@ -185,6 +192,17 @@ class TestRainbow:
 
 
 class TestTwoFans:
+    def test_gate_trips_early_when_second_streams_emit_nothing(self):
+        # every cell cap is 0 (5 // 9 and 6 // 9), so the second streams
+        # emit nothing, but their flat tests count against the gate: the
+        # ungated search runs for minutes and finds no pair
+        X = random_config(11, 8, seed=1, coloring=[0] * 5 + [1] * 6)
+        start = time.process_time()
+        with pytest.raises(SizeGateExceeded,
+                           match="^feasibility-check gate 1000 exceeded$"):
+            two_fans(X, 3, lp_gate=1000)
+        assert time.process_time() - start < 1
+
     def test_m_eligibility_hard(self):
         X = random_config(9, 7, seed=11, coloring=[0] * 9)  # m=1 at r=3
         with pytest.raises(PreconditionError):
@@ -283,6 +301,43 @@ class TestBounds:
         with pytest.raises(PreconditionError,
                            match="bounds experiment needs r >= 3"):
             bounds_experiment(r, 2, d_values, [0])
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_rows_start_from_the_least_accepted_ell(self, r, monkeypatch):
+        # build_counterexample stops once it accepts its parameters; the
+        # least ell it accepts is least_ell(r, k) for every k in 0..r-1,
+        # and each row starts there, its t ranging over 0..r-3
+        class Accepted(Exception):
+            pass
+
+        def accepted(*args, **kwargs):
+            raise Accepted
+
+        def least_accepted(k):
+            for ell in itertools.count():
+                try:
+                    build_counterexample(r, 2, 1, k, ell)
+                except PreconditionError as exc:
+                    assert str(exc) == "need ell > 2 + k/(r-1)"
+                except Accepted:
+                    return ell
+
+        monkeypatch.setattr(genpos, "random_config", accepted)
+        assert [least_accepted(k) for k in range(r)] == \
+            [least_ell(r, k) for k in range(r)]
+        started = []
+
+        def build(r, m, s, t, ell, seed):
+            started.append((t, ell))
+            return build_counterexample(r, m, s, t, ell, seed)
+
+        monkeypatch.setattr(pipeline, "build_counterexample", build)
+        monkeypatch.setattr(pipeline, "equidistribute", lambda *a, **kw: None)
+        c = (r - 1) * (2 + 1)
+        for t in range(r - 2):
+            with pytest.raises(Accepted):
+                bounds_experiment(r, 2, [c + r - 2 + t], [0])
+        assert started == [(t, least_accepted(t)) for t in range(r - 2)]
 
     def test_d_below_one_step_has_no_decomposition(self):
         # r = 5, m = 2: c = (r-1)(m+1) = 12 and d - c = 1 < r - 2, so s = 0

@@ -614,18 +614,18 @@ def test_pair_records_match_hull_meets(case):
     solver = ExactWeightSolver(points)
     grid = solver.ipoints
     indices = range(len(points)) if allowed is None else allowed
-    unions = {}
+    states = []
 
     def stream():
-        unions.clear()
+        states.append(tverberg._SearchState())
         return _candidate_stream(indices, r, constraint, max_part_size,
-                                 solver, unions=unions)
+                                 solver, states[-1])
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         want = drive(monkeypatch, hull_meet_next_flat, stream)
-        assert not unions
+        assert not states[-1].unions
         assert drive(monkeypatch, both_flat_tests, stream) == want
-    for mask, record in unions.items():
+    for mask, record in states[-1].unions.items():
         check_union_record(grid, mask, record)
 
 
@@ -668,12 +668,12 @@ def test_certification_builds_one_record_per_union(monkeypatch):
         return next_flat(flat, hull, chosen, last)
 
     monkeypatch.setattr(tverberg, "_next_flat", spy)
-    unions = {}
+    state = tverberg._SearchState()
     assert list(_candidate_stream(c1, inst.r, None, cap, solver,
-                                  unions=unions)) == []
+                                  state)) == []
     assert pairs == 12100
     assert Counter(record if isinstance(record, str) else "one"
-                   for record in unions.values()) == \
+                   for record in state.unions.values()) == \
         {tverberg._MISS: 1012, "one": 462}
 
 

@@ -191,6 +191,15 @@ class TestColoredSearch:
 
 
 class TestTwoTupleSearch:
+    @pytest.mark.parametrize("r, message", [
+        (0, "r must be at least 1"), (4, "need at least r points")])
+    def test_preconditions_shared_with_search_tuple(self, r, message):
+        cfg = PointConfig(1, [[0], [1], [2]])
+        for search in (lambda: search_tuple(cfg, r),
+                       lambda: search_two_tuples(cfg, r, SearchConstraint())):
+            with pytest.raises(PreconditionError, match=f"^{message}$"):
+                search()
+
     def test_whole_ground_set_member_is_vacuous(self):
         cfg = PointConfig(1, [[i] for i in range(1, 10)])
         fam = SetFamily(9, [list(range(9))])
@@ -327,60 +336,87 @@ def test_join_matches_collect_then_scan(case):
     assert solves <= oracle_solves
 
 
+@settings(max_examples=25, deadline=None)
+@given(two_tuple_cases())
+def test_join_gate_sweep_matches_ungated(case):
+    # one gate counts the checks of every stream of the join: it trips
+    # below one threshold and changes nothing from there on
+    cfg, check, _ = case
+
+    def outcome(gate):
+        try:
+            return search_two_tuples(cfg, 3, check, lp_gate=gate)
+        except SizeGateExceeded:
+            return "gate"
+    ungated = search_two_tuples(cfg, 3, check)
+    lo, hi = 0, 1
+    assert outcome(lo) == "gate"
+    while outcome(hi) == "gate":
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outcome(mid) == "gate":
+            lo = mid
+        else:
+            hi = mid
+    step = max(1, hi // 8)
+    for gate in sorted({*range(0, hi + 2 * step, step), hi - 1, hi + 1}):
+        want = "gate" if gate < hi else ungated
+        assert outcome(gate) == want, gate
+
+
 class TestTwoTupleJoin:
     LINE = [[i] for i in range(1, 11)]
 
-    def _line_search(self, n, **gates):
+    def _line_search(self, n, **gate):
         cfg = PointConfig(1, self.LINE[:n])
         coloring = [0] * (n - n // 2) + [1] * (n // 2)
         return search_two_tuples(
             cfg, 3, SearchConstraint.color_cap({0: 0, 1: 0}, coloring),
-            **gates)
+            **gate)
 
-    def test_pair_gate_counts_cell_passing_candidates(self):
-        # 1 second-stream candidate passes the cell condition up to the
-        # answer; the first tuple already has a partner
+    def test_gate_counts_the_checks_of_every_stream(self):
+        # the first stream's checks up to its first proper tuple, then
+        # the second stream's up to the partner: 382 in all
         with pytest.raises(SizeGateExceeded):
-            self._line_search(10, pair_gate=0)
-        got = self._line_search(10, pair_gate=1)
+            self._line_search(10, lp_gate=381)
+        got = self._line_search(10, lp_gate=382)
         assert got == collect_then_scan(PointConfig(1, self.LINE), 3,
                                         lambda cell: not cell)
         assert tuple(t.parts for t in got) == (
             ((0, 3), (1, 4), (2,)), ((5, 8), (6, 9), (7,)))
 
-    def test_pair_gate_apart_from_first_tuples_joined(self):
-        # one first tuple is joined, but 3 second-stream candidates pass
-        # the cell condition up to the answer: a gate that counted first
-        # tuples would let pair_gate=2 through.  The points are planar:
-        # on a line every emitted candidate is proper, so the first
-        # cell-passing one completes the pair
+    def test_gate_counts_checks_not_first_tuples(self):
+        # one first tuple is joined, but its second stream emits 3
+        # cell-passing candidates and tests their parts up to the
+        # answer: 729 checks.  The points are planar: on a line every
+        # emitted candidate is proper, so the first cell-passing one
+        # completes the pair
         cfg = PointConfig(2, [[F(x), F(y)] for x, y in (
             (6, 4), (6, 7), (0, 8), (0, 4), (6, 9), (5, 8), (6, 0))])
         coloring = [0, 0, 0, 1, 1, 1, 1]
 
-        def search(**gates):
+        def search(**gate):
             return search_two_tuples(
                 cfg, 3, SearchConstraint.color_cap({0: 1, 1: 1}, coloring),
-                **gates)
+                **gate)
         with pytest.raises(SizeGateExceeded):
-            search(pair_gate=2)
-        got = search(pair_gate=3)
+            search(lp_gate=728)
+        got = search(lp_gate=729)
         assert tuple(t.parts for t in got) == (
             ((0, 2, 4), (1, 3), (5, 6)), ((0, 5), (1, 2), (3, 4, 6)))
-        assert search(tuple_gate=1) == got
+        assert search() == got
         assert got == collect_then_scan(
             cfg, 3, lambda cell: all(
                 sum(coloring[i] == c for i in cell) <= 1 for c in (0, 1)))
 
-    def test_tuple_gate_counts_feasible_first_tuples(self):
+    def test_gate_counts_the_checks_of_an_exhausted_join(self):
         # nine points on a line admit no pair; each of the 756 proper
-        # tuples is joined with a second stream that passes nothing
-        assert self._line_search(9) is None
-        assert self._line_search(9, tuple_gate=756, pair_gate=0) is None
+        # tuples is joined with a second stream that emits nothing, yet
+        # tests parts: the join exhausts after 12,636 checks
+        assert self._line_search(9, lp_gate=12636) is None
         with pytest.raises(SizeGateExceeded):
-            self._line_search(9, tuple_gate=1)
-        with pytest.raises(SizeGateExceeded):
-            self._line_search(9, tuple_gate=755)
+            self._line_search(9, lp_gate=12635)
 
     def test_cell_condition_grows_one_cell_per_index(self):
         # J's part (1, 5) holds two class-0 indices, but they sit in
