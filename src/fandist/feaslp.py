@@ -346,28 +346,23 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(T, basis, cost, ncols, iteration_cap):
-    """Maximize cost.x on the tableau in place; Bland's rule throughout."""
-    m = len(T)
-    z = [Fraction(0)] * (ncols + 1)
-    for r in range(m):
-        cb = cost[basis[r]]
-        if cb:
-            for j in range(ncols + 1):
-                z[j] += cb * T[r][j]
-    red = [z[j] - cost[j] for j in range(ncols)]
-    iters = 0
+def _run_simplex(T, basis):
+    """Maximize on the tableau in place under Bland's rule; return z.
+
+    T's last row is the objective, z_j - c_j then z; ``_pivot`` keeps
+    it priced against the current basis.
+    """
+    ncols = len(T[0]) - 1
+    pivots = 0
     while True:
-        col = None
-        for j in range(ncols):
-            if red[j] < 0:
-                col = j
-                break
+        col = next((j for j in range(ncols) if T[-1][j] < 0), None)
         if col is None:
-            return z[ncols]
+            return T[-1][ncols]
+        if pivots == SIMPLEX_ITERATION_CAP:
+            raise VerificationBug("simplex exceeded its iteration bound")
         row = None
         best = None
-        for r in range(m):
+        for r in range(len(T) - 1):
             a = T[r][col]
             if a > 0:
                 ratio = T[r][ncols] / a
@@ -377,59 +372,55 @@ def _run_simplex(T, basis, cost, ncols, iteration_cap):
         if row is None:
             raise VerificationBug("objective unbounded (cannot happen here)")
         _pivot(T, basis, row, col)
-        for j in range(ncols + 1):
-            z[j] = sum(cost[basis[r]] * T[r][j] for r in range(m)
-                       if cost[basis[r]])
-        red = [z[j] - cost[j] for j in range(ncols)]
-        iters += 1
-        if iters > iteration_cap:
-            raise VerificationBug("simplex exceeded its iteration bound")
+        pivots += 1
 
 
 def _simplex_max_eps(rows, rhs, nvars):
     """max eps s.t. t_i >= eps and the equality rows, via standard form.
 
     Variables: u_i = t_i - eps >= 0, eps = ep - em with ep, em >= 0.
+    Each phase's objective is the tableau's last row.  Phase 1 maximizes
+    -sum(artificials); priced against the artificial basis, its row is
+    minus the column sums, zero on the artificial columns.  Phase 2
+    maximizes ep - em, priced once against the basis phase 1 leaves.
     Returns (eps_opt, t) where t is a list of Fractions, or (None, None)
     when the equality system is infeasible.
     """
     m = len(rows)
-    ncols = nvars + 2 + m  # u's, ep, em, artificials
+    keep = nvars + 2  # u's, ep, em; the m artificials follow
     T = []
     for row, b in zip(rows, rhs):
         s = sum(row, Fraction(0))
         line = list(row) + [s, -s] + [Fraction(0)] * m + [b]
-        T.append(line)
+        T.append(line if b >= 0 else [-x for x in line])
+    # phase 1: maximize -sum(artificials), their columns still zero here
+    T.append([-sum(col) for col in zip(*T)])
     for r in range(m):
-        if T[r][ncols] < 0:
-            T[r] = [-x for x in T[r]]
-        T[r][nvars + 2 + r] = Fraction(1)
-    basis = [nvars + 2 + r for r in range(m)]
-    # phase 1: maximize -sum(artificials)
-    cost1 = [Fraction(0)] * ncols
-    for r in range(m):
-        cost1[nvars + 2 + r] = Fraction(-1)
-    val = _run_simplex(T, basis, cost1, ncols, SIMPLEX_ITERATION_CAP)
-    if val != 0:
+        T[r][keep + r] = Fraction(1)
+    basis = [keep + r for r in range(m)]
+    if _run_simplex(T, basis) != 0:
         return None, None
+    T.pop()
     # drive leftover artificials out of the basis, drop redundant rows
     r = 0
     while r < len(T):
-        if basis[r] >= nvars + 2:
-            col = next((j for j in range(nvars + 2) if T[r][j]), None)
+        if basis[r] >= keep:
+            col = next((j for j in range(keep) if T[r][j]), None)
             if col is None:
                 del T[r]
                 del basis[r]
                 continue
             _pivot(T, basis, r, col)
         r += 1
-    # strip artificial columns
-    keep = nvars + 2
+    # strip artificial columns; phase 2 prices ep - em against the basis
     T = [row[:keep] + [row[-1]] for row in T]
-    cost2 = [Fraction(0)] * keep
-    cost2[nvars] = Fraction(1)
-    cost2[nvars + 1] = Fraction(-1)
-    eps = _run_simplex(T, basis, cost2, keep, SIMPLEX_ITERATION_CAP)
+    obj = [Fraction(0)] * nvars + [Fraction(-1), Fraction(1), Fraction(0)]
+    for row, b in zip(T, basis):
+        if obj[b]:
+            f = obj[b]
+            obj = [z - f * x for z, x in zip(obj, row)]
+    T.append(obj)
+    eps = _run_simplex(T, basis)
     x = [Fraction(0)] * keep
     for r, b in enumerate(basis):
         x[b] = T[r][keep]

@@ -169,6 +169,8 @@ def _prepare(X: PointConfig, r: int):
     if d < 1:
         raise PreconditionError("need n >= D + 2 so that d >= 1")
     if X.conductor is not None:
+        if r < 2:
+            raise PreconditionError("r must be at least 2")
         N = X.conductor
         target = 4 * r // gcd(4, r)
         target = target * N // gcd(target, N)
@@ -493,5 +495,5 @@ def bounds_experiment(r: int, m: int, d_values, seeds, *,
     return rows
 
 
-# re-exported for the CLI
+# re-exported for perfbench's certify op and tracer; the CLI uses genpos
 __all__ += ["build_counterexample", "verify_no_equidistribution"]

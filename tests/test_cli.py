@@ -532,6 +532,17 @@ def test_bad_argument_is_precondition(capsys, config_file, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", ["0", "-1", "1"])
+@pytest.mark.parametrize("command", ["equidistribute", "rainbow", "two-fans"])
+def test_complex_r_below_two_exits_2(tmp_path, capsys, command, r):
+    path = tmp_path / "c4.json"
+    assert main(["gen-random", "--n", "6", "--dim", "4", "--field",
+                 "cyclotomic:4", "--classes", "3,3", "--seed", "7300",
+                 "--output", str(path)]) == 0
+    assert main([command, "--input", str(path), "--r", r]) == 2
+    assert "r must be at least 2" in capsys.readouterr().err
+
+
 def test_verify_fan_field_and_family_mismatch(tmp_path, capsys):
     """A Q(zeta_3) config under a Q(i) fan, and a family over another
     ground set, are user errors."""

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -420,3 +422,96 @@ class TestClosedForm:
         assert w.slack == F(3, 7)
         assert w.weights == {0: F(4, 7), 1: F(3, 7), 2: F(10, 21),
                              3: F(11, 21), 4: F(3, 7), 5: F(4, 7)}
+
+
+def pinned_systems(count):
+    """Seeded candidate systems: r parts over small integer points.
+
+    Repeated points and centered parts (each part sums to the origin, so
+    its uniform weights are proper) give degenerate and feasible systems
+    next to generic, mostly infeasible ones.
+    """
+    for seed in range(count):
+        rng = random.Random(seed)
+        r = rng.choice([2, 3])
+        d = rng.randint(1, 2)
+        n = r + (r - 1) * d + rng.choice([1, 2, 3])
+        cuts = sorted(rng.sample(range(1, n), r - 1))
+        bounds = [0] + cuts + [n]
+        parts = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        pts = [[F(rng.randint(-3, 3)) for _ in range(d)] for _ in range(n)]
+        kind = rng.choice(["generic", "repeated", "centered"])
+        if kind == "repeated":
+            for i in range(1, n):
+                if rng.random() < 0.5:
+                    pts[i] = list(pts[rng.randrange(i)])
+        elif kind == "centered":
+            for part in parts:
+                *rest, last = part
+                pts[last] = [-sum(pts[i][c] for i in rest) for c in range(d)]
+        yield [tuple(p) for p in pts], parts
+
+
+def count_pivots(monkeypatch):
+    """A list that grows by one entry per simplex pivot from now on."""
+    pivots = []
+    pivot = feaslp._pivot
+
+    def counted(T, basis, row, col):
+        pivots.append(col)
+        pivot(T, basis, row, col)
+
+    monkeypatch.setattr(feaslp, "_pivot", counted)
+    return pivots
+
+
+class TestSimplexPins:
+    """The simplex's vertex choices under Bland's rule, pinned.
+
+    Where the optimal weights are not unique the witness is the vertex
+    the simplex reaches, so these pins hold exactly as long as every
+    entering and leaving choice stays the same.
+    """
+
+    def test_seeded_systems(self, monkeypatch):
+        pivots = count_pivots(monkeypatch)
+        witnesses, calls = [], 0
+        for pts, parts in pinned_systems(200):
+            w, c = solve_counting_simplex(ExactWeightSolver(pts), parts,
+                                          closed_form=False)
+            witnesses.append(None if w is None else w.to_json())
+            calls += c
+        digest = hashlib.sha256(
+            json.dumps(witnesses, sort_keys=True).encode()).hexdigest()
+        assert sum(w is not None for w in witnesses) == 106
+        assert digest == ("d76d0f8835ebb545daa954b78f2e75c0"
+                          "28ca9f3bce87937c1cf0258e976be45e")
+        assert calls == 181
+        assert len(pivots) == 1129
+
+    @pytest.mark.slow
+    def test_two_fan_search(self, monkeypatch):
+        from fandist.genpos import random_config
+        from fandist.pipeline import two_fans
+        pivots = count_pivots(monkeypatch)
+        X = random_config(9, 6, seed=1, coloring=[0] * 4 + [1] * 5)
+        assert two_fans(X, 3) is None
+        assert len(pivots) == 2925
+
+
+class TestIterationBound:
+    # nullity two: the larger simplex phase makes exactly five pivots
+    PTS = [(F(x),) for x in (0, 6, 1, 4, 2, 3, 5)]
+    PARTS = [(0, 1), (2, 3, 4), (5, 6)]
+
+    def test_optimum_within_the_bound_returns(self, monkeypatch):
+        monkeypatch.setattr(feaslp, "SIMPLEX_ITERATION_CAP", 5)
+        w = ExactWeightSolver(self.PTS).solve(self.PARTS)
+        assert w.weights == {0: F(19, 42), 1: F(23, 42), 2: F(1, 7),
+                             3: F(5, 7), 4: F(1, 7), 5: F(6, 7), 6: F(1, 7)}
+        assert w.slack == F(1, 7)
+
+    def test_one_pivot_over_the_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(feaslp, "SIMPLEX_ITERATION_CAP", 4)
+        with pytest.raises(VerificationBug, match="iteration bound"):
+            ExactWeightSolver(self.PTS).solve(self.PARTS)

@@ -273,6 +273,15 @@ class TestComplexVariants:
         assert fresh._spanning is None
         assert fresh.affinely_spanning() and len(calls) == 1
 
+    @pytest.mark.parametrize("r", [0, -1, 1])
+    @pytest.mark.parametrize("driver", [equidistribute, rainbow, two_fans])
+    def test_complex_r_below_two_is_precondition(self, driver, r):
+        # complex fans need r >= 2, checked before the omega_r embedding
+        X = random_config(6, 4, field=4, seed=7300,
+                          coloring=[0, 0, 0, 1, 1, 1])
+        with pytest.raises(PreconditionError, match="^r must be at least 2$"):
+            driver(X, r)
+
     def test_complex_rainbow(self):
         # r=2 (r+1 prime), d=1: three classes of two in C^4; n=6 meets
         # the proof-side bound r(2d+1)
