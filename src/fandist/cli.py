@@ -117,23 +117,23 @@ def _cmd_rainbow(args):
 
 def _cmd_two_fans(args):
     cfg = _load_config(args)
-    kwargs = dict(mode=args.mode, lp_gate=args.gate)
-    if args.certificate:
+    cert = None
+    if args.certificate is not None:
         cert = ColoringCertificate.from_json(_read_json(args.certificate))
-        kwargs.update(family=cert.family, certificate=cert)
-    return _finish_driver(two_fans(cfg, args.r, **kwargs), args)
+    return _finish_driver(
+        two_fans(cfg, args.r, certificate=cert, lp_gate=args.gate), args)
 
 
 def _cmd_verify_fan(args):
     cfg = _load_config(args)
     fan = fan_from_json(_read_json(args.fan))
     family = None
-    if args.family:
+    if args.family is not None:
         family = SetFamily.from_json(_read_json(args.family))
         if family.n != cfg.n:
             raise PreconditionError("family ground set must match the points")
     other = None
-    if args.other_fan:
+    if args.other_fan is not None:
         other = fan_from_json(_read_json(args.other_fan))
     report = verify_report(fan, cfg, args.mode, family=family,
                            other_fan=other)
@@ -262,10 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("two-fans", help="two-fan distribution")
     common(p, needs_r=True, gate=DEFAULT_LP_GATE)
-    p.add_argument("--mode", choices=["equidistribute", "pierce"],
-                   default="equidistribute")
     p.add_argument("--certificate", default=None,
-                   help="r^2 chromatic certificate JSON (pierce mode)")
+                   help="r^2 chromatic certificate JSON, carrying the "
+                        "family: selects pierce mode")
     p.set_defaults(func=_cmd_two_fans)
 
     p = sub.add_parser("verify-fan", help="verify a fan against points")
@@ -274,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="distribute",
                    choices=["distribute", "equidistribute", "pierce",
                             "rainbow", "two-fan"])
-    p.add_argument("--family", default=None, help="family JSON (pierce)")
+    p.add_argument("--family", default=None,
+                   help="family JSON (pierce, two-fan)")
     p.add_argument("--other-fan", default=None,
                    help="second fan JSON (two-fan mode)")
     p.set_defaults(func=_cmd_verify_fan)

@@ -487,11 +487,17 @@ def verify_report(fan: Fan, config: PointConfig, mode: str, *,
     rainbow allows one point of each class per cell, and two-fan with a
     family no member inside a cell.  All counting is exact integer
     arithmetic; the report carries per-cell counts and the total interior
-    occupancy (the robustness statistic).
+    occupancy (the robustness statistic).  A second fan outside two-fan
+    mode, or a family outside pierce and two-fan mode, is refused rather
+    than ignored.
     """
     if mode not in ("distribute", "equidistribute", "pierce", "rainbow",
                     "two-fan"):
         raise PreconditionError(f"unknown mode {mode!r}")
+    if other_fan is not None and mode != "two-fan":
+        raise PreconditionError("only two-fan mode reads a second fan")
+    if family is not None and mode not in ("pierce", "two-fan"):
+        raise PreconditionError("only pierce and two-fan modes read a family")
     coloring = config.coloring or [0] * config.n
     sizes = config.class_sizes()
     cls1, parts, center, interiors = _labels(fan, config)

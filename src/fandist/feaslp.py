@@ -74,6 +74,24 @@ def realify_if_needed(config: PointConfig) -> PointConfig:
     return config if config.conductor is None else realify(config)
 
 
+def check_parts(parts, n: int) -> tuple[tuple[int, ...], ...]:
+    """The parts as sorted index tuples; each must be nonempty, and every
+    index must lie in range(n) and occur once in all the parts."""
+    seen, norm = set(), []
+    for part in parts:
+        t = tuple(sorted(int(i) for i in part))
+        if not t:
+            raise PreconditionError("parts must be nonempty")
+        for i in t:
+            if i in seen:
+                raise PreconditionError(f"index {i} given twice")
+            if not 0 <= i < n:
+                raise PreconditionError(f"index {i} out of range({n})")
+            seen.add(i)
+        norm.append(t)
+    return tuple(norm)
+
+
 class ProperWeightProblem:
     """Rational points plus pairwise disjoint nonempty parts."""
 
@@ -81,21 +99,8 @@ class ProperWeightProblem:
 
     def __init__(self, points: Sequence[Sequence[Fraction]],
                  parts: Sequence[Sequence[int]]):
-        pts = tuple(tuple(Fraction(c) for c in p) for p in points)
-        seen: set[int] = set()
-        norm = []
-        for part in parts:
-            t = tuple(sorted(int(i) for i in part))
-            if not t:
-                raise PreconditionError("parts must be nonempty")
-            if seen.intersection(t):
-                raise PreconditionError("parts must be pairwise disjoint")
-            if t[0] < 0 or t[-1] >= len(pts):
-                raise PreconditionError("part index out of range")
-            seen.update(t)
-            norm.append(t)
-        self.points = pts
-        self.parts = tuple(norm)
+        self.points = tuple(tuple(Fraction(c) for c in p) for p in points)
+        self.parts = check_parts(parts, len(self.points))
 
 
 @dataclass(frozen=True)

@@ -364,8 +364,7 @@ def rainbow(X: PointConfig, r: int, *, lp_gate: int = DEFAULT_LP_GATE
     return _single_fan("rainbow", "rainbow", plan, X, r, lp_gate=lp_gate)
 
 
-def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
-             family: Optional[SetFamily] = None,
+def two_fans(X: PointConfig, r: int, *,
              certificate: Optional[ColoringCertificate] = None,
              lp_gate: int = DEFAULT_LP_GATE,
              time_budget: Optional[float] = None
@@ -373,12 +372,12 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     """Two r-fans whose intersection distributes X with r^2-cell control.
 
     Every cell I_a ∩ J_b of the two tuples must pass one condition:
-    equidistribute mode caps each class at its r^2-threshold
-    (``threshold_caps``), pierce mode avoids every member of ``family``.
-    These preconditions are checked in order: a known mode (pierce with
-    a family on the points and a certificate), r an odd prime, for
-    pierce a valid certificate of the family for r^2, and the digit
-    condition (``m_eligible``) on m, the class count or the
+    without a certificate (equidistribute mode) each class is capped at
+    its r^2-threshold (``threshold_caps``); with one (pierce mode) the
+    cell holds no member of the certificate's family.  These
+    preconditions are checked in order: for pierce the family on the
+    points, r an odd prime, for pierce a valid certificate for r^2, and
+    the digit condition (``m_eligible``) on m, the class count or the
     certificate's.  n below (r-1)(d+1) + m(r^2-1)/2 + 1 only warns.  The
     search (``search_two_tuples``) is exhaustive within ``lp_gate``
     feasibility checks, counted over all its streams as the single-fan
@@ -390,26 +389,23 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
     """
     X0 = X
     X, pair, d, warnings = _prepare(X, r)
-    if mode == "equidistribute":
+    if certificate is None:
+        family, mode = None, "equidistribute"
         sizes = X.class_sizes()
         m = len(sizes)
         # the augmented index never enters parts (allowed), so the
         # coloring list may stop at the original points
         check = SearchConstraint.color_cap(threshold_caps(sizes, r * r),
                                            list(X.coloring or [0] * X.n))
-    elif mode == "pierce":
-        if family is None or certificate is None:
-            raise PreconditionError(
-                "pierce mode needs a family and a certificate")
+    else:
+        family, mode = certificate.family, "pierce"
         if family.n != X.n:
             raise PreconditionError("family ground set must match the points")
         m = certificate.num_classes
         check = SearchConstraint.family_avoid(family)
-    else:
-        raise PreconditionError(f"unknown two-fan mode {mode!r}")
     if r == 2 or prime_base(r) != r:
         raise PreconditionError("r must be an odd prime")
-    if mode == "pierce":
+    if certificate is not None:
         _check_certificate(family, certificate, r * r, "r^2")
     eligible, digits = m_eligible(m, r)
     if not eligible:
@@ -427,7 +423,7 @@ def two_fans(X: PointConfig, r: int, *, mode: str = "equidistribute",
 
     fans = [_build_fan(pair, X, tup)[1] for tup in pairres]
     report = verify_report(fans[0], X, "two-fan", other_fan=fans[1],
-                           family=family if mode == "pierce" else None)
+                           family=family)
     if not report.passes:
         raise VerificationBug(f"two-fan verification failed: "
                               f"{report.failures}")

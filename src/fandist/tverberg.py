@@ -95,6 +95,7 @@ from fandist.feaslp import (
     WeightWitness,
     affine_hull,
     barycentric_map,
+    check_parts,
     realify_if_needed,
 )
 from fandist.galedual import PointConfig
@@ -127,13 +128,7 @@ class TverbergTuple:
     def validate(self, config: PointConfig) -> None:
         if len(self.parts) != self.r:
             raise PreconditionError("wrong number of parts")
-        seen: set[int] = set()
-        for p in self.parts:
-            if not p:
-                raise PreconditionError("empty part")
-            if seen.intersection(p):
-                raise PreconditionError("parts overlap")
-            seen.update(p)
+        check_parts(self.parts, config.n)
         real = realify_if_needed(config)
         if not self.witness.verify(real.points, self.parts):
             raise PreconditionError("witness fails exact re-verification")
@@ -529,7 +524,9 @@ def _setup(config: PointConfig, r: int,
     if config.n < r:
         raise PreconditionError("need at least r points")
     solver = ExactWeightSolver(realify_if_needed(config).points)
-    indices = list(range(config.n)) if allowed is None else sorted(allowed)
+    if allowed is None:
+        allowed = range(config.n)
+    indices = sorted(i for i, in check_parts(([i] for i in allowed), config.n))
     return solver, indices
 
 

@@ -560,3 +560,51 @@ def test_verify_fan_field_and_family_mismatch(tmp_path, capsys):
     assert main(["verify-fan", "--input", str(cfg), "--fan", str(fan),
                  "--mode", "pierce", "--family", str(fam)]) == 2
     assert "ground set" in capsys.readouterr().err
+
+
+# sha256 of the `two-fans --mode pierce --certificate` output, when the
+# subcommand still took --mode, on the input and certificate below
+TWO_FANS_PIERCE_SHA256 = (
+    "c47b82dc83254dec8d238f8613aa6d62eff71ff12cf458c9666643d8548ebd34")
+
+
+def test_two_fans_certificate_selects_pierce(tmp_path):
+    """--certificate alone selects pierce mode; --mode is gone."""
+    x, cert, out = (tmp_path / name for name in ("y.json", "c.json",
+                                                 "out.json"))
+    assert main(["gen-random", "--n", "10", "--dim", "8", "--classes",
+                 "5,5", "--seed", "1000", "--output", str(x)]) == 0
+    fam = SetFamily(10, [range(10), [4]])
+    cert.write_text(json.dumps(ColoringCertificate(fam, 9, (0, 1)).to_json()))
+    assert main(["two-fans", "--input", str(x), "--r", "3",
+                 "--certificate", str(cert), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["mode"] == "two-fan-pierce"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        TWO_FANS_PIERCE_SHA256
+    with pytest.raises(SystemExit) as exc:
+        main(["two-fans", "--input", str(x), "--r", "3", "--mode", "pierce",
+              "--certificate", str(cert)])
+    assert exc.value.code == 2
+
+
+def test_verify_fan_refuses_inputs_its_mode_ignores(tmp_path, capsys):
+    """A second fan outside two-fan mode and a family outside pierce and
+    two-fan mode exit 2 instead of being dropped."""
+    X = random_config(7, 5, seed=1)
+    x, fan, fam = (tmp_path / name for name in ("x7.json", "f7.json",
+                                                "fam.json"))
+    x.write_text(json.dumps(X.to_json()))
+    fan.write_text(json.dumps(equidistribute(X, 3).affine_fan.to_json()))
+    fam.write_text(json.dumps(SetFamily(7, [[0]]).to_json()))
+    base = ["verify-fan", "--input", str(x), "--fan", str(fan)]
+    assert main(base) == 0
+    assert main(base + ["--other-fan", str(fan)]) == 2
+    assert "only two-fan mode reads a second fan" in capsys.readouterr().err
+    assert main(base + ["--mode", "equidistribute", "--family",
+                        str(fam)]) == 2
+    assert "only pierce and two-fan" in capsys.readouterr().err
+    # an empty path is a path that cannot be read, not a missing flag
+    assert main(base + ["--other-fan", ""]) == 2
+    assert main(base + ["--family", ""]) == 2
+    assert main(["two-fans", "--input", str(x), "--r", "3",
+                 "--certificate", ""]) == 2

@@ -841,6 +841,22 @@ class TestVerifyReport:
         rep = verify_report(fan, cfg, "distribute")
         assert not rep.passes
 
+    @pytest.mark.parametrize("mode", ["distribute", "equidistribute",
+                                      "pierce", "rainbow"])
+    def test_second_fan_outside_two_fan_mode_refused(self, mode):
+        fan, cfg = self._center_only_config()
+        fam = SetFamily(3, [[0]])
+        with pytest.raises(PreconditionError,
+                           match="only two-fan mode reads a second fan"):
+            verify_report(fan, cfg, mode, family=fam, other_fan=fan)
+
+    @pytest.mark.parametrize("mode", ["distribute", "equidistribute",
+                                      "rainbow"])
+    def test_family_outside_pierce_and_two_fan_refused(self, mode):
+        fan, cfg = self._center_only_config()
+        with pytest.raises(PreconditionError, match="only pierce and two-fan"):
+            verify_report(fan, cfg, mode, family=SetFamily(3, [[0]]))
+
 
 def verify_report_oracle(fan, config, mode, *, family=None, other_fan=None):
     """A reference implementation of ``verify_report``, kept for comparison:
@@ -848,6 +864,10 @@ def verify_report_oracle(fan, config, mode, *, family=None, other_fan=None):
     if mode not in ("distribute", "equidistribute", "pierce", "rainbow",
                     "two-fan"):
         raise PreconditionError(f"unknown mode {mode!r}")
+    if other_fan is not None and mode != "two-fan":
+        raise PreconditionError("only two-fan mode reads a second fan")
+    if family is not None and mode not in ("pierce", "two-fan"):
+        raise PreconditionError("only pierce and two-fan modes read a family")
     coloring = config.coloring or [0] * config.n
     sizes = config.class_sizes()
     ncls = len(sizes)
@@ -1021,8 +1041,13 @@ def report_inputs(draw):
         family = None
     mode = draw(st.sampled_from(
         ("distribute", "equidistribute", "pierce", "rainbow", "two-fan")))
-    if mode == "two-fan" and draw(st.integers(0, 9)) == 0:
+    # one draw in ten drops the second fan of two-fan mode, or keeps an
+    # input that the mode does not read (and so refuses)
+    odd = draw(st.integers(0, 9)) == 0
+    if (mode == "two-fan") == odd:
         other = None
+    if mode not in ("pierce", "two-fan") and not odd:
+        family = None
     return fan, config, mode, family, other
 
 

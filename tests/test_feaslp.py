@@ -515,3 +515,40 @@ class TestIterationBound:
         monkeypatch.setattr(feaslp, "SIMPLEX_ITERATION_CAP", 4)
         with pytest.raises(VerificationBug, match="iteration bound"):
             ExactWeightSolver(self.PTS).solve(self.PARTS)
+
+
+class TestSimplexPhaseOneExits:
+    """Phase 1's two rarer exits: a leftover artificial driven out of the
+    basis, and an infeasible equality system."""
+
+    def test_leftover_artificial_is_driven_out(self, monkeypatch):
+        # rank 3 over 4 rows: phase 1 ends with an artificial still basic
+        rows = [[F(x) for x in row]
+                for row in ([0, 2, -2], [0, -2, 0], [2, 2, 2], [0, -1, 2])]
+        rhs = [F(0), F(0), F(1), F(0)]
+        returned, pivots = [], []
+        run, pivot = feaslp._run_simplex, feaslp._pivot
+
+        def spied_run(T, basis):
+            z = run(T, basis)
+            returned.append(z)
+            return z
+
+        def spied_pivot(T, basis, row, col):
+            # (phases returned so far, an artificial leaves the basis)
+            pivots.append((len(returned), basis[row] >= 3 + 2))
+            pivot(T, basis, row, col)
+
+        monkeypatch.setattr(feaslp, "_run_simplex", spied_run)
+        monkeypatch.setattr(feaslp, "_pivot", spied_pivot)
+        eps, t = feaslp._simplex_max_eps(rows, rhs, 3)
+        assert (eps, t) == (0, [F(1, 2), 0, 0])
+        M = [[int(x) for x in row] + [int(b)] for row, b in zip(rows, rhs)]
+        assert feaslp._solve_equalities_int(M, 3) == ("unique", t)
+        assert returned == [0, 0]
+        # the third pivot drives the artificial out between the phases
+        assert pivots == [(0, True), (0, True), (1, True)]
+
+    def test_infeasible_equalities(self):
+        assert feaslp._simplex_max_eps([[F(1), F(1)], [F(1), F(1)]],
+                                       [F(1), F(0)], 2) == (None, None)

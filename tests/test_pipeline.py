@@ -213,7 +213,7 @@ class TestTwoFans:
         X = random_config(9, 7, seed=12)
         fam = SetFamily(9, [[0, 1, 2, 3, 4, 5, 6, 7, 8], [4]])
         cert = ColoringCertificate(fam, 9, (0, 1))
-        res = two_fans(X, 3, mode="pierce", family=fam, certificate=cert)
+        res = two_fans(X, 3, certificate=cert)
         assert res.report.passes
         assert tuple(t.parts for t in res.tuples) == (
             ((0, 2), (1,), (3, 6)), ((0, 2), (1,), (3, 6)))
@@ -431,29 +431,21 @@ DRIVER_CASES = {
         random_config(10, 8, seed=1000, coloring=[0] * 5 + [1] * 5), 3,
         time_budget=0),
     "two-fans-pierce": lambda: two_fans(
-        random_config(9, 7, seed=12), 3, mode="pierce",
-        **dict(zip(("family", "certificate"), _family(
-            9, [list(range(9)), [4]], 9, [0, 1]))), time_budget=0),
+        random_config(9, 7, seed=12), 3, certificate=_family(
+            9, [list(range(9)), [4]], 9, [0, 1])[1], time_budget=0),
     "two-fans-digit-condition": lambda: two_fans(
         random_config(9, 7, seed=11, coloring=[0] * 9), 3),
     "two-fans-r4": lambda: two_fans(
         random_config(10, 8, seed=1000, coloring=[0] * 5 + [1] * 5), 4),
     "two-fans-pierce-certificate-mismatch": lambda: two_fans(
-        random_config(9, 7, seed=12), 3, mode="pierce",
-        **dict(zip(("family", "certificate"), _family(
-            9, [list(range(9)), [4]], 3, [0, 1])))),
+        random_config(9, 7, seed=12), 3, certificate=_family(
+            9, [list(range(9)), [4]], 3, [0, 1])[1]),
     "two-fans-pierce-bad-certificate": lambda: two_fans(
-        random_config(9, 7, seed=12), 3, mode="pierce",
-        **dict(zip(("family", "certificate"), _family(
-            9, [[i] for i in range(9)], 9, [0] * 9)))),
-    "two-fans-pierce-no-certificate": lambda: two_fans(
-        random_config(9, 7, seed=12), 3, mode="pierce"),
+        random_config(9, 7, seed=12), 3, certificate=_family(
+            9, [[i] for i in range(9)], 9, [0] * 9)[1]),
     "two-fans-pierce-family-size": lambda: two_fans(
-        random_config(9, 7, seed=12), 3, mode="pierce",
-        **dict(zip(("family", "certificate"), _family(
-            12, [[4], [10]], 9, [0, 1])))),
-    "two-fans-unknown-mode": lambda: two_fans(
-        random_config(9, 7, seed=12), 3, mode="bogus"),
+        random_config(9, 7, seed=12), 3, certificate=_family(
+            12, [[4], [10]], 9, [0, 1])[1]),
 }
 
 DRIVER_OUTCOMES = {
@@ -555,18 +547,12 @@ DRIVER_OUTCOMES = {
     "two-fans-pierce-certificate-mismatch": (
         PreconditionError,
         "certificate must cover this family and r^2"),
-    "two-fans-pierce-no-certificate": (
-        PreconditionError,
-        "pierce mode needs a family and a certificate"),
     "two-fans-pierce-family-size": (
         PreconditionError,
         "family ground set must match the points"),
     "two-fans-r4": (
         PreconditionError,
         "r must be an odd prime"),
-    "two-fans-unknown-mode": (
-        PreconditionError,
-        "unknown two-fan mode 'bogus'"),
 }
 
 

@@ -11,9 +11,11 @@ from fandist.errors import PreconditionError, SizeGateExceeded
 from fandist.feaslp import (
     ExactWeightSolver,
     ProperWeightProblem,
+    WeightWitness,
     proper_weights,
 )
 from fandist.galedual import PointConfig
+from fandist.genpos import random_config
 from fandist.kneser import ColoringCertificate, SetFamily, threshold_caps
 from fandist.pipeline import rainbow, two_fans
 from fandist.tverberg import (
@@ -235,7 +237,7 @@ class TestTwoTupleSearch:
         cert = ColoringCertificate(fam, 9, (0,))  # m = 1 is not eligible
         with pytest.raises(PreconditionError,
                            match=r"m=1 fails the digit condition"):
-            two_fans(cfg, 3, mode="pierce", family=fam, certificate=cert)
+            two_fans(cfg, 3, certificate=cert)
 
     def test_caps_mode_disjoint_supports(self):
         cfg = PointConfig(1, [[i] for i in range(1, 12)])
@@ -432,3 +434,60 @@ class TestTwoTupleJoin:
         assert got == collect_then_scan(cfg, 3, cell_ok)
         assert tuple(t.parts for t in got) == (
             ((0, 3), (1, 4), (2,)), ((1, 5), (2, 4), (3,)))
+
+
+class TestIndexChecks:
+    """Part and ``allowed`` indices are checked by ``feaslp.check_parts``:
+    a negative index would alias a point from the end, and a repeated
+    one lets the stream re-enter parts."""
+
+    X = random_config(7, 2, seed=1)
+
+    def _tuple(self):
+        tup = search_tuple(self.X, 3)
+        assert tup.parts == ((0, 1, 2), (3, 6), (4, 5))
+        return tup
+
+    @pytest.mark.parametrize("alias", [-7, -1, 7])
+    def test_validate_rejects_index_out_of_range(self, alias):
+        # point 0 re-keyed as alias, in the parts and in the witness
+        tup = self._tuple()
+        w = tup.witness
+        weights = {alias if i == 0 else i: v for i, v in w.weights.items()}
+        parts = ((alias, 1, 2),) + tup.parts[1:]
+        bad = TverbergTuple(3, parts, WeightWitness(weights, w.common_point,
+                                                    w.slack))
+        with pytest.raises(PreconditionError, match="out of range"):
+            bad.validate(self.X)
+
+    @pytest.mark.parametrize("parts,message", [
+        (((0, 1, 2), (3, 6)), "wrong number of parts"),
+        (((0, 1, 2), (), (4, 5)), "nonempty"),
+        (((0, 1, 2), (2, 6), (4, 5)), "index 2 given twice"),
+    ], ids=["part-count", "empty-part", "overlap"])
+    def test_validate_rejects_malformed_parts(self, parts, message):
+        tup = self._tuple()
+        bad = TverbergTuple(3, parts, tup.witness)
+        with pytest.raises(PreconditionError, match=message):
+            bad.validate(self.X)
+
+    def test_validate_rejects_failing_witness(self):
+        tup = self._tuple()
+        w = tup.witness
+        bad = TverbergTuple(3, tup.parts, WeightWitness(
+            w.weights, w.common_point, w.slack / 2))
+        with pytest.raises(PreconditionError, match="re-verification"):
+            bad.validate(self.X)
+        tup.validate(self.X)
+
+    @pytest.mark.parametrize("allowed,message", [
+        ([0, 0, 1, 2, 3, 4, 5, 6], "index 0 given twice"),
+        ([0, 1, 2, 3, 4, 5, 6, 99], r"index 99 out of range\(7\)"),
+        ([-1, 0, 1, 2, 3, 4, 5], r"index -1 out of range\(7\)"),
+    ], ids=["repeated", "too-large", "negative"])
+    def test_searches_reject_bad_allowed(self, allowed, message):
+        with pytest.raises(PreconditionError, match=message):
+            search_tuple(self.X, 3, allowed=allowed, lp_gate=100_000)
+        with pytest.raises(PreconditionError, match=message):
+            search_two_tuples(self.X, 3, SearchConstraint(), allowed=allowed,
+                              lp_gate=100_000)
