@@ -124,9 +124,8 @@ class RealFan:
             if m == 0:
                 raise MalformedFan(
                     f"any r-1 hyperplanes must be independent (drop {drop})")
-        if all(m < 0 for m in mu):
-            mu = [-m for m in mu]
-        elif not all(m > 0 for m in mu):
+        # mu holds lead > 0 at its free column, so it is never all negative
+        if not all(m > 0 for m in mu):
             raise MalformedFan("orientations admit no positive normalization")
         # mu_j H_j sum to zero; dividing by their content keeps that
         H = [[m * x for x in h] for m, h in zip(mu, H)]
@@ -489,7 +488,7 @@ def verify_report(fan: Fan, config: PointConfig, mode: str, *,
     arithmetic; the report carries per-cell counts and the total interior
     occupancy (the robustness statistic).  A second fan outside two-fan
     mode, or a family outside pierce and two-fan mode, is refused rather
-    than ignored.
+    than ignored, and so is a family over another ground set.
     """
     if mode not in ("distribute", "equidistribute", "pierce", "rainbow",
                     "two-fan"):
@@ -498,6 +497,8 @@ def verify_report(fan: Fan, config: PointConfig, mode: str, *,
         raise PreconditionError("only two-fan mode reads a second fan")
     if family is not None and mode not in ("pierce", "two-fan"):
         raise PreconditionError("only pierce and two-fan modes read a family")
+    if family is not None and family.n != config.n:
+        raise PreconditionError("family ground set must match the points")
     coloring = config.coloring or [0] * config.n
     sizes = config.class_sizes()
     cls1, parts, center, interiors = _labels(fan, config)

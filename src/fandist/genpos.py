@@ -8,11 +8,12 @@ accepted exactly when the sum exceeds d).  A configuration in K^(n-d-1)
 is typical when its Gale-corresponding primal in K^d is in strong general
 position.
 
-The sharpness constructor samples a strong-general-position primal, takes
-its Gale dual, appends the origin, and colors so every class but the
-first has r-1 points with the origin in the last class.  Whether the
-coloring admits an equidistributing fan is then decided exhaustively
-through the proper-tuple correspondence.
+The sharpness constructor samples a primal in ordinary general position
+(every d+1 points affinely independent), takes its Gale dual, appends
+the origin, and colors so every class but the first has r-1 points with
+the origin in the last class.  Whether the coloring admits an
+equidistributing fan is then decided exhaustively through the
+proper-tuple correspondence.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fandist.errors import (
     SizeGateExceeded,
     VerificationBug,
 )
-from fandist.exactnum import Cyclotomic
+from fandist.exactnum import Cyclotomic, _eliminate_int
 from fandist.feaslp import Flat, affine_hull, integer_grid
 from fandist.galedual import (
     PointConfig,
@@ -89,10 +90,10 @@ class SgpReport:
 
 def _ordinary_general_position(grid, d: int):
     """The first k = min(n, d+1) of the grid points that are affinely
-    dependent (their hull's codim exceeds d+1-k), or None."""
+    dependent (the rows [a_i | 1] have rank below k), or None."""
     k = min(len(grid), d + 1)
     for sub in combinations(range(len(grid)), k):
-        if k and affine_hull(grid, sub).codim != d + 1 - k:
+        if len(_eliminate_int([grid[i] + [1] for i in sub], d + 1)) < k:
             return sub
     return None
 
@@ -233,14 +234,13 @@ class CounterexampleInstance:
 
     config: PointConfig               # n+ell points in R^(n-d-1), colored
     lifted_primal: PointConfig        # n+ell points in R^(d+ell)
-    primal_sample: PointConfig        # the SGP points in R^(d+ell-1)
+    primal_sample: PointConfig        # the OGP points in R^(d+ell-1)
     r: int
     m: int
     d: int
     k: int
     ell: int
     seed: int
-    sgp_verified: bool
 
     def class_one(self) -> tuple[int, ...]:
         return self.config.class_indices(0)
@@ -252,7 +252,8 @@ class CounterexampleInstance:
             "config": self.config.to_json(),
             "lifted_primal": self.lifted_primal.to_json(),
             "primal_sample": self.primal_sample.to_json(),
-            "sgp_verified": self.sgp_verified,
+            # the sample exceeds SGP_GATE; the key stays for the pinned digests
+            "sgp_verified": False,
         }
 
 
@@ -264,8 +265,9 @@ def least_ell(r: int, k: int) -> int:
 
 def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
                          seed: int = 0) -> CounterexampleInstance:
-    """Sharpness instance: Gale dual of a strong-general-position sample
-    plus the origin, colored so classes 2..m hold r-1 points each.
+    """Sharpness instance: Gale dual of a sample in ordinary general
+    position plus the origin, colored so classes 2..m hold r-1 points
+    each.
 
     Class one holds |X_1| = (r-1)(d+2)+k+1+ell points.  A proper r-tuple
     of points in general position in R^(d+ell-1) needs (r-1)(d+ell)+1
@@ -280,9 +282,8 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
     the sample.  Either way verify_no_equidistribution is the exact
     decision.
 
-    When the sample size exceeds the SGP gate, only ordinary general
-    position is verified and the instance carries sgp_verified=False.
-    With r=3, m=2, d=1 that is every ell >= 3 under SGP_GATE.
+    The sample has (r-1)(d+m+1)+k+ell >= 11 points, above the strong
+    general position gate, so only ordinary general position is checked.
     """
     if r < 3:
         raise PreconditionError("r must be at least 3")
@@ -297,26 +298,16 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
     n = (r - 1) * (d + m + 1) + k + 1
     npts = n + ell - 1
     ambient = d + ell - 1
-    if npts < ambient + 1:
-        raise PreconditionError("parameters leave too few points to span")
 
-    sample = None
-    verified = False
     for attempt in range(_SAMPLE_RETRIES):
-        cand = random_config(npts, ambient, "rational", _SAMPLE_BITS,
-                             seed * _SAMPLE_RETRIES + attempt)
-        if npts <= SGP_GATE:
-            if check_sgp(cand).verdict:
-                sample, verified = cand, True
-                break
-        else:
-            if _ordinary_general_position(integer_grid(cand.points),
-                                          ambient) is None:
-                sample, verified = cand, False
-                break
-    if sample is None:
+        sample = random_config(npts, ambient, "rational", _SAMPLE_BITS,
+                               seed * _SAMPLE_RETRIES + attempt)
+        if _ordinary_general_position(integer_grid(sample.points),
+                                      ambient) is None:
+            break
+    else:
         raise PreconditionError(
-            "no strong-general-position sample found (degenerate parameters)")
+            "no sample in ordinary general position found")
 
     pair = gale_transform(sample)
     duals = list(pair.dual.points)          # npts points in R^(n-d-1)
@@ -325,19 +316,14 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
 
     total = n + ell
     colored = (m - 1) * (r - 1)
-    coloring = [0] * total
-    tail = list(range(total - colored, total - 1)) + [total - 1]
-    pos = 0
-    for cls in range(1, m):
-        for _ in range(r - 1):
-            coloring[tail[pos]] = cls
-            pos += 1
+    coloring = [0] * (total - colored) + [c for c in range(1, m)
+                                          for _ in range(r - 1)]
     if coloring[total - 1] != m - 1:
         raise VerificationBug("origin must sit in the last class")
 
     X = PointConfig(n - d - 1, xs, None, coloring)
     if not X.affinely_spanning():
-        raise PreconditionError("dual-plus-origin fails to affinely span")
+        raise VerificationBug("dual-plus-origin fails to affinely span")
 
     one = Fraction(1)
     lifted_pts = [tuple(p) + (one,) for p in sample.points]
@@ -346,8 +332,7 @@ def build_counterexample(r: int, m: int, d: int, k: int, ell: int,
     if not lifted.affinely_spanning():
         raise VerificationBug("lifted primal fails to affinely span")
 
-    return CounterexampleInstance(X, lifted, sample, r, m, d, k, ell,
-                                  seed, verified)
+    return CounterexampleInstance(X, lifted, sample, r, m, d, k, ell, seed)
 
 
 def found_equidistributing_tuple(instance: CounterexampleInstance,

@@ -216,14 +216,9 @@ def m_eligible(m: int, r: int) -> tuple[bool, list[int]]:
         raise PreconditionError("r must be an odd prime")
     if m < 1:
         raise PreconditionError("m must be at least 1")
-    v = m * (r - 1)
-    if v % 2:
-        raise PreconditionError("m(r-1) is odd and cannot be halved")
-    v //= 2
+    v = m * (r - 1) // 2
     digits = []
     while v:
         digits.append(v % r)
         v //= r
-    if not digits:
-        digits = [0]
     return all(d % 2 == 0 for d in digits), digits

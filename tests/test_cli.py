@@ -513,6 +513,10 @@ def test_unexpected_error_exits_4(monkeypatch, capsys, config_file, exc):
      "--field"),
     (["gen-random", "--n", "4", "--dim", "2", "--classes", "2,x"],
      "--classes"),
+    (["gen-random", "--n", "4", "--dim", "2", "--field", "bogus"],
+     "unknown field 'bogus'"),
+    (["gen-random", "--n", "4", "--dim", "2", "--classes", "2,1"],
+     "class sizes must sum to n"),
     (["gen-random", "--n", "4", "--dim", "2", "--bits", "0"], "--bits"),
     (["gen-random", "--n", "4", "--dim", "-1"], "dim"),
     (["tverberg", "--input", "{cfg}", "--r", "0"], "r must be"),
@@ -523,13 +527,24 @@ def test_unexpected_error_exits_4(monkeypatch, capsys, config_file, exc):
      "d must be at least 1"),
     (["bounds", "--r", "3", "--m", "2", "--d-values", "0"],
      "d must be at least 1"),
-], ids=["field-text", "field-zero", "classes-text", "bits-zero",
+], ids=["field-text", "field-zero", "classes-text", "field-unknown",
+        "classes-sum", "bits-zero",
         "negative-dim", "tverberg-r0", "bounds-m0", "counterexample-d0",
         "counterexample-d-negative", "bounds-d0"])
 def test_bad_argument_is_precondition(capsys, config_file, argv, message):
     argv = [a.format(cfg=config_file) for a in argv]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_equidistribute_without_a_fan_prints_none(tmp_path, capsys):
+    x, out = tmp_path / "x5.json", tmp_path / "out.json"
+    assert main(["gen-random", "--n", "5", "--dim", "3", "--seed", "1",
+                 "--output", str(x)]) == 0
+    assert main(["equidistribute", "--input", str(x), "--r", "3",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "none\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("r", ["0", "-1", "1"])

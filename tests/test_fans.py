@@ -654,6 +654,16 @@ class TestComplexFan:
         assert fan.classify([w3 * w3]).part == 1
         assert fan.classify([Cyclotomic.from_rational(N, 2)]).part == 0
 
+    def test_tuple_needs_cyclotomic_pair_with_r_dividing_n(self):
+        cfg = random_config(7, 2, seed=1)
+        tup = search_tuple(cfg, 3)
+        with pytest.raises(PreconditionError, match="cyclotomic"):
+            fan_from_tuple_complex(gale_transform(cfg), tup)
+        pair = gale_transform(random_config(7, 2, field=4, seed=1))
+        with pytest.raises(PreconditionError,
+                           match="conductor 4 must be divisible by r=3"):
+            fan_from_tuple_complex(pair, tup)
+
     def test_tuple_to_complex_fan(self):
         made = random_proper_pair(7, complex_field=True)
         assert made is not None
@@ -856,6 +866,18 @@ class TestVerifyReport:
         fan, cfg = self._center_only_config()
         with pytest.raises(PreconditionError, match="only pierce and two-fan"):
             verify_report(fan, cfg, mode, family=SetFamily(3, [[0]]))
+
+    @pytest.mark.parametrize("mode, family", [
+        ("pierce", SetFamily(12, [[4], [10]])),
+        ("two-fan", SetFamily(12, [[10]])),
+        ("pierce", SetFamily(5, [[0, 1]])),
+    ], ids=["member-past-n", "two-fan-member-past-n", "smaller-ground-set"])
+    def test_family_over_another_ground_set_refused(self, mode, family):
+        X = random_config(7, 5, seed=1)
+        fan = equidistribute(X, 3).affine_fan
+        other = fan if mode == "two-fan" else None
+        with pytest.raises(PreconditionError, match="family ground set"):
+            verify_report(fan, X, mode, family=family, other_fan=other)
 
 
 def verify_report_oracle(fan, config, mode, *, family=None, other_fan=None):

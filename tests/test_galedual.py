@@ -21,6 +21,7 @@ from fandist.errors import (
 from fandist.exactnum import (
     Cyclotomic,
     ExactMatrix,
+    FieldMismatch,
     conj,
     hermitian_dot,
     scalar_is_zero,
@@ -739,6 +740,17 @@ class TestPointConfigJson:
 def test_malformed_json_is_precondition(obj, message):
     with pytest.raises(PreconditionError, match=message):
         PointConfig.from_json(obj)
+
+
+def test_conductor_read_off_cyclotomic_coordinates():
+    z3 = Cyclotomic.root_of_unity(3)
+    cfg = PointConfig(1, [[z3], [F(1)]])
+    assert cfg.conductor == 3
+    assert cfg.points[1][0] == Cyclotomic.from_rational(3, 1)
+    with pytest.raises(FieldMismatch, match="mixed conductors"):
+        PointConfig(1, [[z3], [Cyclotomic.root_of_unity(4)]])
+    with pytest.raises(FieldMismatch, match="mixed conductors"):
+        PointConfig(1, [[z3]], 4)
 
 
 # -- the integer path against the field path ---------------------------------

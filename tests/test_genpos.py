@@ -1,7 +1,8 @@
+import hashlib
 import random
 from collections import namedtuple
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 import pytest
@@ -29,6 +30,7 @@ from fandist.genpos import (
     robustness_check,
     verify_no_equidistribution,
 )
+from fandist.pipeline import canonical_json
 
 
 class TestCheckSgp:
@@ -216,6 +218,29 @@ class TestSgpOracle:
         assert reasons == {"", "ordinary general position fails",
                            "empty intersection below codim budget",
                            "codimension equation fails"}
+
+
+def hull_ogp_oracle(grid, d):
+    """The first k = min(n, d+1) grid points whose affine hull has
+    codimension above d+1-k, or None."""
+    k = min(len(grid), d + 1)
+    for sub in combinations(range(len(grid)), k):
+        if k and affine_hull(grid, sub).codim != d + 1 - k:
+            return sub
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ordinary_general_position_matches_hull_oracle(seed):
+    rng = random.Random(seed)
+    d = rng.randint(1, 4)
+    k = rng.choice([1, 2, 9])
+    grid = [[rng.randint(-k, k) for _ in range(d)]
+            for _ in range(rng.randint(1, 8))]
+    if seed % 4 == 0:
+        grid.append(list(rng.choice(grid)))
+    assert genpos._ordinary_general_position(grid, d) == \
+        hull_ogp_oracle(grid, d)
 
 
 # check_sgp as it was before its levels stopped at r = d + 1, walking
@@ -446,6 +471,13 @@ class TestRandomConfig:
         assert cfg.affinely_spanning()
 
 
+# sha256 of the canonical JSON of build_counterexample(3, 2, 1, 0, 4,
+# seed=1), as the sampler drew it when it still held a strong general
+# position branch
+COUNTEREXAMPLE_SHA256 = (
+    "417b4f1149b73e1ac697195c6efc01ddd0046dae4e790f9c34eac4f1ec9ddc55")
+
+
 class TestCounterexample:
     def test_parameters_and_shape(self):
         inst = build_counterexample(3, 2, 1, 0, 3, seed=1)
@@ -490,6 +522,30 @@ class TestCounterexample:
         # comes back False and returns the witness
         inst = build_counterexample(3, 2, 1, 0, 3, seed=1)
         assert found_equidistributing_tuple(inst) is not None
+
+    def test_every_admitted_sample_is_above_the_sgp_gate(self, monkeypatch):
+        # the sample has (r-1)(d+m+1) + k + ell >= 11 points, so
+        # strong general position is never checkable on it
+        class Sampled(Exception):
+            pass
+
+        def sampled(n, *args, **kwargs):
+            raise Sampled(n)
+
+        monkeypatch.setattr(genpos, "random_config", sampled)
+        for r in range(3, 8):
+            for m, d, k in product(range(2, 6), range(1, 6), range(r)):
+                least = genpos.least_ell(r, k)
+                for ell in range(least, least + 3):
+                    with pytest.raises(Sampled) as drawn:
+                        build_counterexample(r, m, d, k, ell)
+                    assert drawn.value.args[0] > genpos.SGP_GATE
+
+    def test_instance_json_is_pinned(self):
+        out = build_counterexample(3, 2, 1, 0, 4, seed=1).to_json()
+        assert out["sgp_verified"] is False
+        assert hashlib.sha256(canonical_json(out).encode()).hexdigest() == \
+            COUNTEREXAMPLE_SHA256
 
 
 @pytest.mark.slow

@@ -12,6 +12,7 @@ import fandist
 from fandist import feaslp, genpos, pipeline, tverberg
 from fandist.errors import (
     GuaranteeViolation,
+    NotAffinelySpanning,
     PreconditionError,
     SizeGateExceeded,
     VerificationBug,
@@ -25,6 +26,7 @@ from fandist.genpos import (
     is_typical,
     least_ell,
     random_config,
+    verify_no_equidistribution,
 )
 from fandist.kneser import ColoringCertificate, SetFamily
 from fandist.pipeline import (
@@ -352,6 +354,30 @@ class TestBounds:
         # r = 5, m = 2: c = (r-1)(m+1) = 12 and d - c = 1 < r - 2, so s = 0
         assert bounds_experiment(5, 2, [13], [0]) == [
             {"d": 13, "skipped": "no valid (s, t) decomposition"}]
+
+    def test_d_at_most_c_is_skipped(self):
+        # r = 3, m = 2: c = (r-1)(m+1) = 6
+        assert bounds_experiment(3, 2, [5, 6], [0]) == [
+            {"d": 5, "skipped": "d must exceed (r-1)(m+1)"},
+            {"d": 6, "skipped": "d must exceed (r-1)(m+1)"}]
+
+    def test_gated_certification_leaves_the_row_open(self):
+        # 50 checks decide the lower-bound run but not the ell = 4 instance
+        with pytest.raises(SizeGateExceeded):
+            verify_no_equidistribution(build_counterexample(3, 2, 1, 0, 4),
+                                       lp_gate=50)
+        assert bounds_experiment(3, 2, [7], [0], lp_gate=50) == [
+            {"d": 7, "s": 1, "t": 0, "n_lower": 9, "lower_successes": 1,
+             "lower_runs": 1, "upper_points": None, "certified_ell": None}]
+
+
+@pytest.mark.parametrize("run", [equidistribute, two_fans])
+def test_driver_refuses_non_spanning_and_d_zero_inputs(run):
+    line = PointConfig(2, [[0, 0], [1, 1], [2, 2], [3, 3]])
+    with pytest.raises(NotAffinelySpanning):
+        run(line, 3)
+    with pytest.raises(PreconditionError, match="need n >= D \\+ 2"):
+        run(random_config(4, 3, seed=1), 3)
 
 
 # -- characterisation of the drivers -----------------------------------------

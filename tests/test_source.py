@@ -3,7 +3,8 @@
 The exact checks must hold under ``python -O``, so the package has no
 ``assert`` statement; exact arithmetic means no float literal and no
 ``float(...)`` call; from ``math`` only ``gcd`` and ``lcm`` are used,
-and ``numpy`` is not a dependency.
+and ``numpy`` is not a dependency.  Every search reads no clock, so
+neither ``time`` nor ``datetime`` is imported.
 """
 
 import ast
@@ -15,6 +16,7 @@ import fandist
 
 SOURCES = sorted(Path(fandist.__file__).parent.rglob("*.py"))
 MATH_NAMES = {"gcd", "lcm"}
+CLOCKS = {"time", "datetime"}
 
 
 def violations(tree: ast.AST) -> list[str]:
@@ -34,12 +36,16 @@ def violations(tree: ast.AST) -> list[str]:
                 rule = "import math"
             elif "numpy" in names:
                 rule = "numpy import"
+            elif CLOCKS & set(names):
+                rule = "clock import"
             else:
                 continue
         elif isinstance(node, ast.ImportFrom) and node.module:
             top = node.module.split(".")[0]
             if top == "numpy":
                 rule = "numpy import"
+            elif top in CLOCKS:
+                rule = "clock import"
             elif top == "math" and not {a.name for a in node.names} \
                     <= MATH_NAMES:
                 rule = "math import beyond gcd and lcm"
@@ -68,6 +74,10 @@ def test_source_keeps_the_rules(path):
     ("from math import sqrt", "math import beyond gcd and lcm"),
     ("import numpy as np", "numpy import"),
     ("from numpy.linalg import solve", "numpy import"),
+    ("import time", "clock import"),
+    ("import datetime", "clock import"),
+    ("from time import perf_counter", "clock import"),
+    ("from datetime import datetime", "clock import"),
 ])
 def test_each_rule_catches_a_one_line_mutant(line, rule):
     assert violations(ast.parse("from math import gcd, lcm\n" + line)) == \
