@@ -13,26 +13,31 @@ numerators over one common denominator and build their Fractions once;
 the inverse is the product of the other Galois conjugates divided by the
 norm (Cohen, A Course in Computational Algebraic Number Theory, 4.3).
 
-Exact linear algebra has one integer kernel: fraction-free elimination
-(Bareiss 1968), which clears each pivot column by cross-multiplying rows
-and keeps every row primitive.  ``_back_eliminate`` finishes the reduced
-echelon form with every pivot row scaled to one common positive pivot,
-the lcm of the pivots, and ``_kernel_int`` reads its integer kernel; the
-hull flats, weight systems, inverse Gale transform, barycentric maps and
-fan normalisation of the package all read this one form.  Rational
-matrices reduce in it, each row cleared to integers first.  Matrices over
-Q(zeta_N) reduce by Gauss-Jordan elimination on integer rows: each row is
-cleared to integer coefficient vectors over one denominator, each pivot
-row is divided by its pivot through the pivot's norm cofactor (the same
-product of conjugates the inverse uses), and every row is kept reduced by
-the gcd of its integers and its denominator, so it holds exactly the
-values of field elimination.  Either way Fractions are built only for
-the values read off the form.  The same integer coefficient vectors
-serve the rest of the Q(zeta_N) path: the inverse Gale transform takes
-its kernel as integer coefficient vectors, the Gale functional is one
-square ``_eliminate_cyclotomic`` solve, and complex fans classify a
-point by ``_FieldData.dot_int`` and the power table, deciding each sign
-on integers.
+Exact linear algebra reads one integer form: lead times the reduced row
+echelon form, lead the least common denominator, which is unique.
+``_eliminate_int`` is fraction-free forward elimination: it clears each
+pivot column by cross-multiplying rows and divides every row by its
+content, so rows stay primitive.  ``_back_eliminate`` finishes the form
+the same way, with every pivot row scaled to one common positive pivot,
+and ``_kernel_int`` reads its integer kernel; the hull flats, weight
+systems, barycentric maps and fan normalisation of the package reduce
+in these two passes.  Rational matrices, the inverse Gale transform's
+[B | I] among them, reach the same form in one pass, ``_rref_int``:
+Gauss-Jordan elimination with the exact division of Bareiss (1968),
+every row cleared to integers first.
+
+Matrices over Q(zeta_N) reduce by Gauss-Jordan elimination on integer
+rows: each row is cleared to integer coefficient vectors over one
+denominator, each pivot row is divided by its pivot through the pivot's
+norm cofactor (the same product of conjugates the inverse uses), and
+every row is kept reduced by the gcd of its integers and its
+denominator, so it holds exactly the values of field elimination.
+Either way Fractions are built only for the values read off the form.
+The same integer coefficient vectors serve the rest of the Q(zeta_N)
+path: the inverse Gale transform takes its kernel as integer coefficient
+vectors, the Gale functional is one square ``_eliminate_cyclotomic``
+solve, and complex fans classify a point by ``_FieldData.dot_int`` and
+the power table, deciding each sign on integers.
 
 All arithmetic is exact; nothing in this module (or the package) ever
 rounds.  Values are immutable after construction and safe to share.
@@ -560,7 +565,8 @@ def _rational_from_json(obj, field: str = "coordinate") -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# fraction-free integer elimination (Bareiss 1968)
+# fraction-free integer elimination: rows divided by their content, or
+# (``_rref_int``) by the previous pivot, as Bareiss 1968
 
 def _reduce_row(row):
     g = 0
@@ -630,6 +636,60 @@ def _back_eliminate(M, pivots) -> int:
         if s != 1:
             M[pr] = [x * s for x in M[pr]]
     return lead
+
+
+def _rref_int(M, ncols):
+    """The reduced echelon form of M in one fraction-free pass, in place.
+
+    Gauss-Jordan elimination with Bareiss's exact division, on the first
+    ncols columns, with ``_eliminate_int``'s pivot rule (leftmost column,
+    then first nonzero row).  For a pivot p at (r, c) every other row R
+    becomes (p R - R[c] P) // prev, where P is row r and prev is the
+    previous pivot (1 at first); a row with R[c] = 0 becomes p R // prev.
+    Sylvester's identity makes every division exact and every entry a
+    minor of M (Bareiss 1968), so no row outgrows its minors and no gcd
+    is taken on the way.  At the end every pivot equals the last one, D,
+    and the pivot rows are divided by +-gcd(D, all their entries), so that
+    lead > 0.  Returns (pivots, lead): the form ``_back_eliminate``
+    leaves, each pivot row lead times its row of the reduced row echelon
+    form, and the rows from len(pivots) on zero in the first ncols
+    columns.
+    """
+    m = len(M)
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = next((rr for rr in range(r, m) if M[rr][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        P = M[r]
+        p = P[c]
+        for rr, R in enumerate(M):
+            if rr == r:
+                continue
+            f = R[c]
+            if f:
+                M[rr] = [(p * a - f * b) // prev for a, b in zip(R, P)]
+            elif p != prev:
+                M[rr] = [p * a // prev for a in R]
+        prev = p
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    g = prev
+    for pr, _ in pivots:
+        g = gcd(g, *M[pr])
+        if g == 1:
+            break
+    if prev < 0:
+        g = -g
+    if g != 1:
+        for pr, _ in pivots:
+            M[pr] = [x // g for x in M[pr]]
+    return pivots, prev // g
 
 
 def _kernel_int(M, pivots, lead, ncols):
@@ -784,15 +844,14 @@ class ExactMatrix:
         """Reduced row echelon form: (rows, pivots as (row, col), lead).
 
         Every row is cleared to integers over its own common denominator,
-        and the form is rows / lead.  Rational rows are reduced
-        fraction-free.  Cyclotomic rows, integer coefficient vectors, are
-        reduced by ``_eliminate_cyclotomic`` and each pivot row is then
-        scaled to lead, the lcm of their denominators.
+        and the form is rows / lead.  Rational rows are reduced in one
+        Bareiss pass, ``_rref_int``.  Cyclotomic rows, integer coefficient
+        vectors, are reduced by ``_eliminate_cyclotomic`` and each pivot
+        row is then scaled to lead, the lcm of their denominators.
         """
         if self.conductor is None:
             M = self._int_rows()
-            pivots = _eliminate_int(M, self.cols)
-            return M, pivots, _back_eliminate(M, pivots)
+            return (M, *_rref_int(M, self.cols))
         M, dens, pivots = self._cyclotomic_rows(True)
         lead = lcm(*(dens[pr] for pr, _ in pivots))
         for pr, _ in pivots:

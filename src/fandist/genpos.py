@@ -115,6 +115,14 @@ def check_sgp(config: PointConfig, gate: int = SGP_GATE) -> SgpReport:
     empty meet, as has every extension: that subtree is skipped.  Every
     part has codimension at least one, so at most d parts come before
     the last one, and the levels stop at r = d + 1.
+
+    Ordinary general position is tested only to name a failure the
+    recursion found.  A minimal affinely dependent set T of at most
+    d + 1 points has each of its points b in the hull of P = T - {b},
+    so the pair (P, {b}), with b the largest, meets in codimension d
+    against a sum of 2d + 2 - |T| > d: level 2 finds a violation
+    whenever ordinary general position fails, and the report is then
+    that failure's, as if it had been tested first.
     """
     if config.conductor is not None:
         raise PreconditionError("strong general position is checked over Q")
@@ -122,11 +130,6 @@ def check_sgp(config: PointConfig, gate: int = SGP_GATE) -> SgpReport:
     if n > gate:
         raise SizeGateExceeded(f"n={n} above the SGP gate {gate}")
     grid = integer_grid(config.points)
-    bad = _ordinary_general_position(grid, d)
-    if bad is not None:
-        return SgpReport(False, n, d, (bad,), None, None,
-                         "ordinary general position fails")
-
     hulls: dict[tuple, Flat] = {}
 
     def violation(avail, left, flat, csum, chosen):
@@ -162,8 +165,14 @@ def check_sgp(config: PointConfig, gate: int = SGP_GATE) -> SgpReport:
     for r in range(2, min(n, d + 1) + 1):
         found = violation(list(range(n)), r, whole, 0, ())
         if found is not None:
-            return found
-    return SgpReport(True, n, d)
+            break
+    else:
+        return SgpReport(True, n, d)
+    bad = _ordinary_general_position(grid, d)
+    if bad is not None:
+        return SgpReport(False, n, d, (bad,), None, None,
+                         "ordinary general position fails")
+    return found
 
 
 def corresponding_primal(config: PointConfig,

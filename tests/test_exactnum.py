@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -20,6 +22,7 @@ from fandist.exactnum import (
     _eliminate_int,
     _field_data,
     _kernel_int,
+    _rref_int,
     conj,
     cyclotomic_poly,
     hermitian_dot,
@@ -27,7 +30,7 @@ from fandist.exactnum import (
     scalar_to_json,
 )
 from fandist.fans import CENTER, INTERIOR, OUTSIDE, Classification, ComplexFan
-from fandist.galedual import PointConfig, lift_augment
+from fandist.galedual import PointConfig, _dual_kernel, lift_augment
 from fandist.genpos import random_config
 
 
@@ -498,22 +501,61 @@ def oracle_kernel(rows, cols, N):
 
 
 @st.composite
-def integer_matrices(draw):
-    """Small integer matrices: negative entries (so negative pivots),
-    repeated rows, zero rows and combinations keeping the rank short."""
-    cols = draw(st.integers(1, 5))
-    ints = st.integers(-6, 6)
-    distinct = draw(st.lists(st.lists(ints, min_size=cols, max_size=cols),
-                             min_size=1, max_size=3))
+def integer_matrices(draw, bound=6):
+    """Small integer matrices, wide, tall, square or zero: entries of at
+    most bound, negative ones (so negative pivots) and zeros, repeated
+    rows, zero rows and combinations keeping the rank short, and up to
+    two columns past the ncols that are reduced.  Returns (rows, ncols)."""
+    cols = draw(st.integers(1, 7))
+    width = cols + draw(st.integers(0, 2))
+    ints = st.integers(-bound, bound) | st.just(0)
+    distinct = draw(st.lists(st.lists(ints, min_size=width,
+                                      max_size=width),
+                             min_size=1, max_size=4))
     if draw(st.booleans()):
-        distinct.append([0] * cols)
+        distinct.append([0] * width)
     if draw(st.booleans()):
         a, b = draw(ints), draw(ints)
         distinct.append([a * x + b * y
                          for x, y in zip(distinct[0], distinct[-1])])
     order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
-                          max_size=5))
-    return [list(distinct[i]) for i in order], cols
+                          max_size=8))
+    rows = [list(distinct[i]) for i in order]
+    if draw(st.integers(0, 9)) == 0:
+        rows = [[0] * width for _ in rows]
+    return rows, cols
+
+
+class ExactInt(int):
+    """An int whose products, differences and quotients stay ExactInt,
+    and whose floor division fails on a nonzero remainder."""
+
+    divisions = 0
+
+    def __mul__(self, other):
+        return ExactInt(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return ExactInt(int(self) - int(other))
+
+    def __floordiv__(self, other):
+        q, rem = divmod(int(self), int(other))
+        assert not rem, f"{int(self)} // {int(other)} leaves {rem}"
+        ExactInt.divisions += 1
+        return ExactInt(q)
+
+
+def one_pass(rows, cols):
+    M = [list(row) for row in rows]
+    return (M, *_rref_int(M, cols))
+
+
+def two_passes(rows, cols):
+    M = [list(row) for row in rows]
+    pivots = _eliminate_int(M, cols)
+    return M, pivots, _back_eliminate(M, pivots)
 
 
 class TestReducedEchelonForm:
@@ -521,27 +563,55 @@ class TestReducedEchelonForm:
     @given(integer_matrices())
     def test_against_rref_oracle(self, case):
         rows, cols = case
-        M = [list(row) for row in rows]
-        pivots = _eliminate_int(M, cols)
-        lead = _back_eliminate(M, pivots)
         grid, oracle_pivots = rref_oracle([[F(x) for x in row]
                                            for row in rows], cols)
         rank = len(oracle_pivots)
-        assert [pc for _, pc in pivots] == oracle_pivots
-        # lead is the least positive scale making the reduced form integral
-        assert lead > 0
-        assert lead == lcm(*(x.denominator for row in grid[:rank]
-                             for x in row))
-        for (pr, _), row in zip(pivots, grid):
-            assert M[pr] == [lead * x for x in row]
-        free = [c for c in range(cols) if c not in oracle_pivots]
-        kernel = _kernel_int(M, pivots, lead, cols)
-        assert len(kernel) == cols - rank
-        for f, v in zip(free, kernel):
-            assert all(sum(a * b for a, b in zip(row, v)) == 0
-                       for row in rows)
-            assert [v[g] for g in free] == \
-                [lead if g == f else 0 for g in free]
+        # both forms are lead times the oracle's rows, so they agree
+        for M, pivots, lead in (one_pass(rows, cols),
+                                two_passes(rows, cols)):
+            assert [pc for _, pc in pivots] == oracle_pivots
+            assert [pr for pr, _ in pivots] == list(range(rank))
+            # lead is the least positive scale making the reduced form
+            # integral, columns past ncols included
+            assert lead > 0
+            assert lead == lcm(*(x.denominator for row in grid[:rank]
+                                 for x in row))
+            for (pr, _), row in zip(pivots, grid):
+                assert M[pr] == [lead * x for x in row]
+            assert not any(x for row in M[rank:] for x in row[:cols])
+            free = [c for c in range(cols) if c not in oracle_pivots]
+            kernel = _kernel_int(M, pivots, lead, cols)
+            assert len(kernel) == cols - rank
+            for f, v in zip(free, kernel):
+                assert all(sum(a * b for a, b in zip(row, v)) == 0
+                           for row in rows)
+                assert [v[g] for g in free] == \
+                    [lead if g == f else 0 for g in free]
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices(99))
+    def test_one_pass_divisions_are_exact(self, case):
+        # every entry is a minor, so no division may leave a remainder;
+        # dividing by the current pivot, or leaving a row whose pivot
+        # column is zero unscaled, does
+        rows, cols = case
+        ExactInt.divisions = 0
+        M, pivots, lead = one_pass([[ExactInt(x) for x in row]
+                                    for row in rows], cols)
+        if len(pivots) > 1:
+            assert ExactInt.divisions > 0
+        assert (M, pivots, lead) == one_pass(rows, cols)
+
+    def test_one_pass_entries_are_minors(self):
+        # the pivot -4 sits in the second row; it scales the first row,
+        # zero in its column, to (0, 12, 0), and the next pivot 12 clears
+        # the second row's 5 as (12 (-4, 5, 1) - 5 (0, 12, 0)) // -4
+        ExactInt.divisions = 0
+        M, pivots, lead = one_pass([[ExactInt(x) for x in row] for row in
+                                    ([0, -3, 0], [-4, 5, 1])], 3)
+        assert pivots == [(0, 0), (1, 1)] and lead == 4
+        assert M == [[4, 0, -1], [0, 4, 0]]
+        assert ExactInt.divisions > 0
 
 
 class TestCyclotomicProperties:
@@ -637,3 +707,70 @@ class TestMatrixOverCyclotomic:
         kernel = ExactMatrix(B, 8).kernel_basis()
         assert len(kernel) == dual.n - dual.dim
         assert kernel == oracle_kernel(B, dual.n, 8)
+
+
+def seeded_rational_cases():
+    """Seeded rational matrices with right-hand sides: wide, tall and
+    square shapes, each made rank-deficient by a repeated row, a zero row
+    or a combination of two rows about half the time; the right-hand side
+    is M x (consistent) or drawn at random (inconsistent when the rows
+    are dependent)."""
+    rng = random.Random(34)
+    cases = []
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+        M = [[F(rng.randint(-40, 40), rng.randint(1, 12))
+              for _ in range(cols)] for _ in range(rows)]
+        defect = rng.randint(0, 5)
+        if defect == 1:
+            M.append(list(M[0]))
+        elif defect == 2:
+            M.append([F(0)] * cols)
+        elif defect == 3:
+            a, b = F(rng.randint(-5, 5), 3), F(rng.randint(-5, 5), 2)
+            M.append([a * x + b * y for x, y in zip(M[0], M[-1])])
+        if rng.random() < 0.5:
+            x = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
+            rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in M]
+        else:
+            rhs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in M]
+        cases.append((M, rhs))
+    return cases
+
+
+def digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, default=str).encode()).hexdigest()
+
+
+class TestPinnedReductions:
+    """sha256 pins of what the rational reduction returns.  The reduced
+    row echelon form times its least common denominator is unique, so
+    these pins hold for any exact method that keeps the pivot rule."""
+
+    @pytest.mark.parametrize("seed,coloring,pin", [
+        (4000, None, ("ccc346c2139c01be196af30f440b51dd"
+                      "0d0a7a65f0708a42c88ff56024eb6f14")),
+        (4001, None, ("1e66b5d4f9c1cd87c8148f9bfa9fcece"
+                      "afe4b44a5188368d701ade5443359513")),
+        (4002, None, ("f49f5fe94a5d5a65830ddf975a6f0f34"
+                      "1d70b072e8b28e733588f979ef9848b9")),
+        (4003, None, ("199833e273e09f4b5069befc4cee67a2"
+                      "ef8fdc1e75747deea01cddffa7b3e60a")),
+        (1000, [0] * 5 + [1] * 5, ("be328bbae715807512247a14886941e7"
+                                   "d3c4c54ac5c63ca957037f23282aa9ca")),
+        (1001, [0] * 5 + [1] * 5, ("73b5ef7a38fc646fca11b0a0b5957722"
+                                   "ae204b33fc0c1aeba45bb69ee550fac9")),
+    ])
+    def test_dual_kernel(self, seed, coloring, pin):
+        dual = lift_augment(random_config(10, 8, seed=seed,
+                                          coloring=coloring))
+        assert digest(_dual_kernel(dual)) == pin
+
+    def test_kernel_basis_solve_and_rank(self):
+        out = []
+        for M, rhs in seeded_rational_cases():
+            mat = ExactMatrix(M)
+            out.append([mat.rank(), mat.kernel_basis(), mat.solve(rhs)])
+        assert sum(row[2] is None for row in out) == 21
+        assert digest(out) == ("4d2b8bd33c9a9ae0fb85812fd4f640cb"
+                               "34ec20190c592e9ec55ad2f321e459d2")

@@ -566,22 +566,26 @@ class TestBridge:
         one elimination in all, and no solve."""
         dual = lift_augment(random_spanning(7, 3, 5))
         eliminations = []
-        eliminate = exactnum._eliminate_int
 
-        def counted(M, ncols):
-            eliminations.append(ncols)
-            return eliminate(M, ncols)
+        def counted(name):
+            eliminate = getattr(exactnum, name)
+
+            def call(M, ncols):
+                eliminations.append(name)
+                return eliminate(M, ncols)
+            return call
 
         def no_solve(*args):
             raise AssertionError("ExactMatrix.solve called")
 
-        monkeypatch.setattr(exactnum, "_eliminate_int", counted)
+        for name in ("_rref_int", "_eliminate_int"):
+            monkeypatch.setattr(exactnum, name, counted(name))
         monkeypatch.setattr(ExactMatrix, "solve", no_solve)
         pair = gale_pair_from_dual(dual)
         for r in range(3):
             c = tuple(F(k + r + 1, 3) for k in range(pair.dual.dim))
             assert dependence_to_functional(pair, dependence_of(pair, c)) == c
-        assert len(eliminations) == 1
+        assert eliminations == ["_rref_int"]
         assert not hasattr(galedual, "_eliminate_int")
         assert not hasattr(galedual, "_left_inverse_int")
 

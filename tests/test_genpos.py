@@ -190,6 +190,21 @@ def _segments_config(rng):
     return PointConfig(2, pts)
 
 
+def _planted_config(rng):
+    """3 <= n <= 8 grid points in d <= 3 with a repeated point or a third
+    point on the line through two others planted among them."""
+    d = rng.randint(1, 3)
+    n = rng.randint(max(3, d + 1), 8)
+    pts = [[F(rng.randint(-4, 4)) for _ in range(d)] for _ in range(n)]
+    i, j, k = rng.sample(range(n), 3)
+    if rng.random() < 0.5:
+        pts[k] = list(pts[i])
+    else:
+        t = F(rng.randint(-3, 3), rng.randint(1, 3))
+        pts[k] = [a + t * (b - a) for a, b in zip(pts[i], pts[j])]
+    return PointConfig(d, pts)
+
+
 def _assert_matches_reference(cfg):
     rep, ref = check_sgp(cfg), reference_check_sgp(cfg)
     assert (rep.verdict, rep.n, rep.dim, rep.violating_parts,
@@ -209,10 +224,12 @@ class TestSgpOracle:
 
     def test_every_outcome_matches_reference(self):
         # seeded, so a pruning fault that changes any of these reports
-        # (pruning a prefix at codim sum >= d, say) fails every run
+        # (pruning a prefix at codim sum >= d, say) fails every run; the
+        # planted repeats and collinear points fail ordinary general
+        # position, which check_sgp tests only after its recursion
         reasons = set()
         for seed in range(100):
-            for build in (_grid_config, _segments_config):
+            for build in (_grid_config, _segments_config, _planted_config):
                 rep = _assert_matches_reference(build(random.Random(seed)))
                 reasons.add(rep.reason)
         assert reasons == {"", "ordinary general position fails",
