@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from fandist.errors import PreconditionError, VerificationBug
@@ -183,21 +184,18 @@ class Flat:
     Rows are in reduced form at ``pivots`` with one common lead: row k
     holds ``lead`` > 0 in column pivots[k] and zero in every other pivot
     column.  Pivots need not be the rows' leading columns, and rows need
-    not be primitive.  So the rows are independent, their number is the
-    codimension, and another row is reduced against all of them in one
-    linear combination.  No rows means the whole space.
+    not be primitive.  So the rows are independent and their number is
+    the codimension.  No rows means the whole space.  Two flats meet by
+    one elimination of their stacked rows.
     """
 
-    __slots__ = ("dim", "rows", "pivots", "lead", "_cols", "_residuals")
+    __slots__ = ("dim", "rows", "pivots", "lead", "_residuals")
 
     def __init__(self, dim, rows, pivots, lead):
         self.dim = dim
         self.rows = rows
         self.pivots = pivots
         self.lead = lead
-        taken = set(pivots)
-        # the columns a reduced row can still be nonzero in, rhs last
-        self._cols = [j for j in range(dim) if j not in taken] + [dim]
         self._residuals = None  # residuals by point index, once used
 
     @property
@@ -205,23 +203,25 @@ class Flat:
         return len(self.rows)
 
     @classmethod
-    def from_rows(cls, rows, dim) -> "Flat":
-        """The flat cut out by consistent integer rows [u | c]."""
+    def from_rows(cls, rows, dim) -> Optional["Flat"]:
+        """The flat cut out by integer rows [u | c], or None when the rows
+        are inconsistent."""
         M = list(rows)
         pivots = _eliminate_int(M, dim)
         rank = len(pivots)
         if any(row[dim] for row in M[rank:]):
-            raise VerificationBug("inconsistent rows cut out no flat")
+            return None
         M = M[:rank]
         lead = _back_eliminate(M, pivots)
         return cls(dim, M, [pc for _, pc in pivots], lead)
 
     @classmethod
     def from_point(cls, x, lead) -> "Flat":
-        """The flat {x / lead}, for lead > 0 with gcd(lead, *x) = 1: the
-        rows ``from_rows`` gives for that point."""
-        dim = len(x)
-        rows = [[lead if j == k else 0 for j in range(dim)] + [x[k]]
+        """The flat {x / lead}, for lead > 0: the rows ``from_rows`` gives
+        for that point, with x and lead divided by gcd(lead, *x)."""
+        g = gcd(lead, *x)
+        lead, dim = lead // g, len(x)
+        rows = [[lead if j == k else 0 for j in range(dim)] + [x[k] // g]
                 for k in range(dim)]
         return cls(dim, rows, list(range(dim)), lead)
 
@@ -254,42 +254,16 @@ class Flat:
             x[pc] = row[self.dim]
         return x
 
-    def added_rank(self, other: "Flat") -> Optional[int]:
-        """How many independent rows other adds; None if the meet is empty.
-
-        Cheaper than ``meet``: no flat is built.
-        """
-        if not self.rows:
-            return other.codim
-        lead, cols = self.lead, self._cols
-        pivot_rows = list(zip(self.pivots, self.rows))
-        reduced = []
-        for g in other.rows:
-            coeffs = [(g[pc], row) for pc, row in pivot_rows if g[pc]]
-            red = [lead * g[j] - sum(c * row[j] for c, row in coeffs)
-                   for j in cols]
-            if any(red[:-1]):
-                reduced.append(red)
-            elif red[-1]:
-                # the row reads 0 = c with c nonzero; against a point
-                # flat every row reduces to this 0 = c form
-                return None
-        free = len(cols) - 1
-        rank = len(_eliminate_int(reduced, free))
-        if any(row[free] for row in reduced[rank:]):
-            return None
-        return rank
-
     def meet(self, other: "Flat") -> Optional["Flat"]:
-        """The intersection of the two flats, or None when it is empty."""
-        added = self.added_rank(other)
-        if added is None:
-            return None
-        if added == 0:
-            return self
+        """The intersection of the two flats, or None when it is empty:
+        ``other`` when this flat has no rows, and this flat itself when
+        ``other`` adds no rank to it."""
         if not self.rows:
             return other
-        return Flat.from_rows(self.rows + other.rows, self.dim)
+        met = Flat.from_rows(self.rows + other.rows, self.dim)
+        if met is not None and met.codim == self.codim:
+            return self
+        return met
 
 
 def affine_hull(grid, part) -> Flat:

@@ -143,15 +143,18 @@ def check_sgp(config: PointConfig, gate: int = SGP_GATE) -> SgpReport:
                     h = hulls[part] = affine_hull(grid, part)
                 total = csum + h.codim
                 if left == 1:
-                    added = flat.added_rank(h)
-                    if added is None:
+                    # the rank of the stacked rows is the meet's codim; a
+                    # nonzero right-hand side past it makes the meet empty
+                    M = flat.rows + h.rows
+                    rank = len(_eliminate_int(M, d))
+                    if any(row[d] for row in M[rank:]):
                         if total <= d:
                             return SgpReport(
                                 False, n, d, chosen + (part,), d + 1, total,
                                 "empty intersection below codim budget")
-                    elif flat.codim + added != total:
+                    elif rank != total:
                         return SgpReport(False, n, d, chosen + (part,),
-                                         flat.codim + added, total,
+                                         rank, total,
                                          "codimension equation fails")
                 elif total <= d:
                     rest = [i for i in avail if i > part[0] and i not in part]

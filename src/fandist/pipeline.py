@@ -207,13 +207,18 @@ def _build_fan(pair, X, tup):
     one included, against the tuple's labels; here each point of X is
     classified once under the slice and must carry the same label:
     interior j for part j, center otherwise.  The mode's report on X
-    reads those same classifications off the slice.
+    reads those same classifications off the slice.  The fan layer's
+    input checks fail here only on the pipeline's own tuple and pair,
+    so they surface as VerificationBug.
     """
-    if X.conductor is None:
-        linear_fan = fan_from_tuple_real(pair, tup)
-    else:
-        linear_fan = fan_from_tuple_complex(pair, tup)
-    affine_fan = slice_project(linear_fan)
+    try:
+        if X.conductor is None:
+            linear_fan = fan_from_tuple_real(pair, tup)
+        else:
+            linear_fan = fan_from_tuple_complex(pair, tup)
+        affine_fan = slice_project(linear_fan)
+    except PreconditionError as exc:
+        raise VerificationBug(f"fan construction failed: {exc}") from exc
     _verify_distribution(affine_fan, X, tup)
     return linear_fan, affine_fan
 
@@ -290,7 +295,7 @@ def equidistribute(X: PointConfig, r: int, *,
             guaranteed = False
         caps = threshold_caps(sizes, r)
         return m, guaranteed, SearchConstraint.color_cap(
-            caps, list(X.coloring or [0] * X.n) + [0])
+            caps, X.coloring or [0] * X.n)
 
     return _single_fan("equidistribute", "equidistribution", plan, X, r,
                        lp_gate=lp_gate)
@@ -355,11 +360,10 @@ def rainbow(X: PointConfig, r: int, *, lp_gate: int = DEFAULT_LP_GATE
             if X.n < r * (d + 1):
                 warnings.append(f"n={X.n} below the bound {r * (d + 1)}")
                 guaranteed = False
-        if (not is_complex and r < 4) or r < 2:
+        if not is_complex and r < 4:
             warnings.append("r below the theorem's range")
             guaranteed = False
-        return m, guaranteed, SearchConstraint.rainbow(
-            list(X.coloring) + [m])
+        return m, guaranteed, SearchConstraint.rainbow(X.coloring)
 
     return _single_fan("rainbow", "rainbow", plan, X, r, lp_gate=lp_gate)
 
@@ -393,10 +397,8 @@ def two_fans(X: PointConfig, r: int, *,
         family, mode = None, "equidistribute"
         sizes = X.class_sizes()
         m = len(sizes)
-        # the augmented index never enters parts (allowed), so the
-        # coloring list may stop at the original points
         check = SearchConstraint.color_cap(threshold_caps(sizes, r * r),
-                                           list(X.coloring or [0] * X.n))
+                                           X.coloring or [0] * X.n)
     else:
         family, mode = certificate.family, "pierce"
         if family.n != X.n:

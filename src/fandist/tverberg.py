@@ -324,8 +324,7 @@ def _pair_meet(first: _PartHull, hull: _PartHull):
     x = [sum(lam[i] * grid[i][c] for i in P) for c in range(first.flat.dim)]
     if s < 0:
         s, x = -s, [-c for c in x]
-    g = gcd(s, *x)
-    return Flat.from_point([c // g for c in x], s // g)
+    return Flat.from_point(x, s)
 
 
 def _next_flat(flat, hull: _PartHull, chosen, last: bool):
@@ -370,8 +369,6 @@ def _next_flat(flat, hull: _PartHull, chosen, last: bool):
                 return None
             x = [sum(wk * grid[i][c] for wk, i in zip(w, part))
                  for c in range(flat.dim)]
-            g = gcd(lead, *x)
-            lead, x = lead // g, [c // g for c in x]
             if not all(h.positive_at(x, lead) for h in chosen):
                 return None
             return Flat.from_point(x, lead)
@@ -539,7 +536,8 @@ def search_tuple(config: PointConfig, r: int,
 
     Returns None after exhausting the stream, and raises SizeGateExceeded
     when more than ``lp_gate`` feasibility checks (flat or interval tests
-    plus solves) are needed (a distinct outcome).
+    plus solves) are needed (a distinct outcome).  The solver re-verifies
+    the returned witness exactly.
     """
     solver, indices = _setup(config, r, allowed)
     stream = _candidate_stream(indices, r, constraint, max_part_size, solver,
@@ -548,12 +546,10 @@ def search_tuple(config: PointConfig, r: int,
     for parts in stream:
         witness = solver.solve(parts)
         if witness is not None:
-            tup = TverbergTuple(r, parts, witness)
-            tup.validate(config)
             if constraint is not None and not constraint.admits(parts):
                 raise VerificationBug(
                     "pruned stream emitted a violating candidate")
-            return tup
+            return TverbergTuple(r, parts, witness)
     return None
 
 
@@ -599,7 +595,7 @@ def search_two_tuples(config: PointConfig, r: int, check: SearchConstraint,
                       None)
         if second is not None:
             pair = (first, second)
-            _validate_pair(pair, config, check)
+            _validate_pair(pair, check)
             return pair
     return None
 
@@ -621,10 +617,9 @@ class _CellCondition:
         return part is None or self._check.may_add(mask & part, k)
 
 
-def _validate_pair(pair, config, check: SearchConstraint) -> None:
-    """Exact re-verification of both tuples and of every cell I_a ∩ J_b."""
-    for t in pair:
-        t.validate(config)
+def _validate_pair(pair, check: SearchConstraint) -> None:
+    """Exact re-verification of every cell I_a ∩ J_b (``solve`` has
+    re-verified both witnesses)."""
     first, second = ([bitmask(p) for p in t.parts] for t in pair)
     if not all(check.admits_mask(a & b) for a in first for b in second):
         raise VerificationBug("emitted pair fails its cell condition")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fandist import galedual
+from fandist.errors import MalformedFan, NotADependence, PreconditionError
 from fandist.cli import build_parser, main
 from fandist.exactnum import Cyclotomic
 from fandist.galedual import PointConfig
@@ -504,6 +505,25 @@ def test_unexpected_error_exits_4(monkeypatch, capsys, config_file, exc):
     monkeypatch.setattr("fandist.cli.gale_transform", boom)
     assert main(["gale", "--input", config_file]) == 4
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target,exc", [
+    ("fandist.pipeline.slice_project", MalformedFan("zero normal")),
+    ("fandist.pipeline.fan_from_tuple_real", NotADependence("no dependence")),
+    ("fandist.tverberg.TverbergTuple.validate",
+     PreconditionError("witness fails exact re-verification")),
+], ids=["slice", "dependence", "tuple"])
+def test_fan_layer_check_on_own_tuple_exits_4(monkeypatch, capsys,
+                                              config_file, target, exc):
+    """The fan layer's input checks fail inside a run only on the
+    pipeline's own tuple and pair: a bug (exit 4), not a user error."""
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(target, boom)
+    assert main(["equidistribute", "--input", config_file, "--r", "3"]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: fan construction failed" in err
 
 
 @pytest.mark.parametrize("argv,message", [

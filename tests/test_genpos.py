@@ -261,7 +261,8 @@ def test_ordinary_general_position_matches_hull_oracle(seed):
 
 
 # check_sgp as it was before its levels stopped at r = d + 1, walking
-# every level r = 2 .. n: verbatim but for the module prefixes
+# every level r = 2 .. n: verbatim but for the module prefixes and the
+# last part, decided by the meet's codimension
 def full_level_check_sgp(config: PointConfig) -> SgpReport:
     n, d = config.n, config.dim
     grid = integer_grid(config.points)
@@ -280,15 +281,15 @@ def full_level_check_sgp(config: PointConfig) -> SgpReport:
                     h = hulls[part] = affine_hull(grid, part)
                 total = csum + h.codim
                 if left == 1:
-                    added = flat.added_rank(h)
-                    if added is None:
+                    met = flat.meet(h)
+                    if met is None:
                         if total <= d:
                             return SgpReport(
                                 False, n, d, chosen + (part,), d + 1, total,
                                 "empty intersection below codim budget")
-                    elif flat.codim + added != total:
+                    elif met.codim != total:
                         return SgpReport(False, n, d, chosen + (part,),
-                                         flat.codim + added, total,
+                                         met.codim, total,
                                          "codimension equation fails")
                 elif total <= d:
                     rest = [i for i in avail if i > part[0] and i not in part]
@@ -327,6 +328,38 @@ def test_sgp_levels_past_d_plus_one_cannot_fail(cfg):
     # part: stopping at d + 1 gives the same report.  Concurrent segments
     # fail at level d + 1 = 3
     assert check_sgp(cfg) == full_level_check_sgp(cfg)
+
+
+def _pinned_sgp_config(seed):
+    """1 <= d <= 4 and n <= 7 points with small rational coordinates,
+    generic for seed = 0 mod 4, with a repeated point for 1 mod 4 and a
+    planted midpoint for 2 mod 4; concurrent planar segments for 3 mod 4
+    (``_segments_config``)."""
+    rng = random.Random(seed)
+    if seed % 4 == 3:
+        return _segments_config(rng)
+    d = rng.randint(1, 4)
+    n = rng.randint(d + 1, min(d + 4, 7))
+    k = rng.choice([2, 9])
+    pts = [[F(rng.randint(-k, k), rng.randint(1, 3)) for _ in range(d)]
+           for _ in range(n)]
+    if n >= 3 and seed % 4:
+        i, j, m = rng.sample(range(n), 3)
+        pts[m] = (list(pts[i]) if seed % 4 == 1
+                  else [(a + b) / 2 for a, b in zip(pts[i], pts[j])])
+    return PointConfig(d, pts)
+
+
+def test_check_sgp_reports_pinned():
+    # sha256 of the canonical JSON of the 400 reports, recorded while the
+    # last part was decided by reducing the hull's rows against the
+    # prefix's flat; all four reasons occur (183 ordinary general
+    # position, 46 empty meets, 30 codimension equations)
+    reports = [check_sgp(_pinned_sgp_config(seed)).to_json()
+               for seed in range(400)]
+    assert sum(r["verdict"] == "fail" for r in reports) == 259
+    assert hashlib.sha256(canonical_json(reports).encode()).hexdigest() == \
+        "b901bb2bc038f8462f96d9e65a70446861feed85b7f721870dd6eca5e534237a"
 
 
 @st.composite

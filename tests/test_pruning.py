@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from fandist import feaslp, tverberg
 from fandist.errors import SizeGateExceeded
+from fandist.exactnum import ExactMatrix
 from fandist.feaslp import (
     ExactWeightSolver,
     Flat,
@@ -387,13 +388,81 @@ def test_affine_hull_cuts_out_the_hull(case):
     second = hull_by_two_eliminations(grid, other)
     assert hull.codim == want.codim
     assert flat_point(hull) == flat_point(want)
-    assert hull.added_rank(second) == want.added_rank(second)
-    assert second.added_rank(hull) == second.added_rank(want)
+    assert (hull.meet(second) is hull) == (want.meet(second) is want)
+    assert (second.meet(hull) is second) == (second.meet(want) is second)
     for got, exp in ((hull.meet(second), want.meet(second)),
                      (second.meet(hull), second.meet(want))):
         assert _codim(got) == _codim(exp)
         if got is not None:
             assert flat_point(got) == flat_point(exp)
+
+
+@st.composite
+def flat_pairs(draw):
+    """Two (flat, point) pairs on the grid of ``point_sets`` points.  A
+    flat is the hull of an index set, degenerate sets included, with
+    point None, or the point flat at lead times a grid point or at a
+    small rational point, given unreduced to ``Flat.from_point``, with
+    that point as Fractions."""
+    d, points, part, other = draw(point_sets())
+    grid = integer_grid(points)
+
+    def flat(idx):
+        kind = draw(st.sampled_from(["hull", "grid point", "point"]))
+        if kind == "hull":
+            return affine_hull(grid, idx), None
+        k = draw(st.integers(1, 6))
+        if kind == "grid point":
+            x, lead = grid[idx[0]], k
+        else:
+            x = draw(st.lists(COORD, min_size=d, max_size=d))
+            lead = draw(st.integers(1, 6))
+        return (Flat.from_point([k * c for c in x], k * lead),
+                [F(c, lead) for c in x])
+
+    return flat(part), flat(other)
+
+
+def _rank(rows):
+    return ExactMatrix([[F(x) for x in row] for row in rows]).rank()
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_pairs())
+def test_meet_against_the_stacked_system(case):
+    # the meet is empty exactly when the stacked rows [u | c] have no
+    # solution; otherwise its codim is the rank of the stacked u, its
+    # rows span the stacked rows' space, and it is this flat itself
+    # exactly when that rank did not grow
+    (a, xa), (b, xb) = case
+    dim = a.dim
+    for f, x in ((a, xa), (b, xb)):
+        if x is not None:
+            # a reduced point flat, as from_rows builds it
+            lead = 1
+            for c in x:
+                lead = lead * c.denominator // gcd(lead, c.denominator)
+            want = Flat.from_rows(
+                [[lead * (j == k) for j in range(dim)] + [int(c * lead)]
+                 for k, c in enumerate(x)], dim)
+            assert (f.rows, f.pivots, f.lead) == \
+                (want.rows, want.pivots, want.lead)
+    rows = a.rows + b.rows
+    met = a.meet(b)
+    if not rows:
+        assert met is b and met.codim == 0
+        return
+    U = ExactMatrix([[F(x) for x in row[:dim]] for row in rows])
+    sol = U.solve([F(row[dim]) for row in rows])
+    assert (met is None) == (sol is None)
+    if met is None:
+        return
+    assert met.codim == U.rank()
+    assert _rank(rows + met.rows) == _rank(rows)
+    if a.rows:
+        assert (met is a) == (met.codim == a.codim)
+    else:
+        assert met is b
 
 
 def _outcome(cfg, r, gate):
@@ -491,7 +560,7 @@ def hull_meet_next_flat(flat, hull, chosen, last):
     if last and flat.codim + hull.flat.codim < flat.dim:
         # the last part's flat is never met again and the meet cannot be
         # a point: test only
-        return flat if flat.added_rank(hull.flat) is not None else None
+        return flat if flat.meet(hull.flat) is not None else None
     met = flat.meet(hull.flat)
     point = None if met is None else met.point()
     if point is not None and not all(h.positive_at(point, met.lead)
