@@ -328,11 +328,18 @@ def fan_from_tuple_real(pair: GaleDualPair, tup: TverbergTuple) -> RealFan:
     For each j the dependence with weights +t on part j and -t on part
     j-1 is carried to a functional alpha_j; the stored normal for
     half-flat j is -alpha_(j+1), which aligns the interior predicate with
-    the part labels.  The distribution claim is re-verified exactly.
+    the part labels.  The tuple's witness and the distribution claim are
+    re-verified exactly.
     """
     if pair.primal.conductor is not None:
         raise PreconditionError("real fans need a rational configuration")
     tup.validate(pair.primal)
+    return _real_fan(pair, tup)
+
+
+def _real_fan(pair: GaleDualPair, tup: TverbergTuple) -> RealFan:
+    """``fan_from_tuple_real`` on a rational pair and a tuple whose
+    witness has been verified."""
     r = tup.r
     n = pair.primal.n
     t = tup.witness.weights
@@ -353,14 +360,22 @@ def fan_from_tuple_real(pair: GaleDualPair, tup: TverbergTuple) -> RealFan:
 
 def fan_from_tuple_complex(pair: GaleDualPair,
                            tup: TverbergTuple) -> ComplexFan:
-    """Linear complex regular fan from a proper tuple over Q(zeta_N)."""
+    """Linear complex regular fan from a proper tuple over Q(zeta_N).  The
+    tuple's witness and the distribution claim are re-verified exactly."""
     N = pair.primal.conductor
     if N is None:
         raise PreconditionError("complex fans need a cyclotomic configuration")
-    r = tup.r
-    if N % r:
-        raise PreconditionError(f"conductor {N} must be divisible by r={r}")
+    if N % tup.r:
+        raise PreconditionError(
+            f"conductor {N} must be divisible by r={tup.r}")
     tup.validate(pair.primal)
+    return _complex_fan(pair, tup)
+
+
+def _complex_fan(pair: GaleDualPair, tup: TverbergTuple) -> ComplexFan:
+    """``fan_from_tuple_complex`` on a pair over Q(zeta_N), r | N, and a
+    tuple whose witness has been verified."""
+    N, r = pair.primal.conductor, tup.r
     n = pair.primal.n
     t = tup.witness.weights
     lam = [Cyclotomic.from_rational(N, 0)] * n

@@ -189,7 +189,7 @@ class Flat:
     one elimination of their stacked rows.
     """
 
-    __slots__ = ("dim", "rows", "pivots", "lead", "_residuals")
+    __slots__ = ("dim", "rows", "pivots", "lead", "_residuals", "_point")
 
     def __init__(self, dim, rows, pivots, lead):
         self.dim = dim
@@ -197,6 +197,7 @@ class Flat:
         self.pivots = pivots
         self.lead = lead
         self._residuals = None  # residuals by point index, once used
+        self._point = self  # not read yet
 
     @property
     def codim(self) -> int:
@@ -246,12 +247,15 @@ class Flat:
 
     def point(self) -> Optional[list[int]]:
         """``lead`` times the flat's only point, or None when the flat is
-        more than a point."""
-        if self.codim < self.dim:
-            return None
-        x = [0] * self.dim
-        for pc, row in zip(self.pivots, self.rows):
-            x[pc] = row[self.dim]
+        more than a point; read once."""
+        x = self._point
+        if x is self:
+            x = None
+            if len(self.rows) == self.dim:
+                x = [0] * self.dim
+                for pc, row in zip(self.pivots, self.rows):
+                    x[pc] = row[self.dim]
+            self._point = x
         return x
 
     def meet(self, other: "Flat") -> Optional["Flat"]:

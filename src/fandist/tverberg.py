@@ -34,15 +34,21 @@ barycentric coordinates.  Affinely dependent parts never prune.
 A pair test (one part P chosen, with more parts to come) is decided
 once per union U = P ∪ J, by Radon's observation: the hulls of P and J
 meet iff some affine dependence lambda of U (sum lambda_i a_i = 0, sum
-lambda_i = 0) has s = sum_P lambda_i != 0.  The first split of U that
-is tested records U's dependences, read off the smaller part's
-residuals on the larger part's hull and that part's barycentric map,
-and every later split reads the record.  An independent U misses at
-every split.  When the dependences form one line, a split meets only if
-s != 0, and then in the one point sum_P lambda_i a_i / s, where the
-barycentric coordinates are lambda_i / s on P and -lambda_j / s on J,
-so their signs decide it.  Any other U, or a record whose larger part
-is dependent, falls back to the test through J's points.
+lambda_i = 0) has s = sum_P lambda_i != 0, then with barycentric
+coordinates lambda_i / s on P and -lambda_j / s on J if the dependences
+form one line.  So with one line and no zero entry, only the split into
+lambda's sign sides can meet, in x = sum_pos lambda_i a_i / sum_pos
+lambda_i; with a zero entry, or no dependence, no split can.  The first
+split of U that is tested records this, read off the larger part's hull
+and the other part's residuals on it, and builds x when a split first
+matches.  Any other U, or a record whose larger part is dependent, falls
+back to the test through J's points.
+
+The same record decides a point test of J against a prefix point y whose
+last part P is not the first: y lies on P's hull, inside it if P is
+independent, and a dependent part's own dependence has s = 0, so J holds
+y with positive coordinates iff the split is the record's and y = x (a
+zero entry of lambda would fall on J).
 
 On a line (a grid of dimension 1) the stream decides properness itself.
 There a part's relative interior is the open interval between its least
@@ -80,7 +86,6 @@ scanning all pairs in order would return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from fandist.errors import (
@@ -251,24 +256,46 @@ class _PartHull:
                    for row in self.flat.rows) and self.positive_at(x, lead)
 
 
-# ``_union_record`` values besides a dependence {index: lambda_i}
-_MISS = "independent"  # no split of the union has meeting hulls
+# ``_union_record`` values besides a ``_Split``
+_MISS = "miss"  # no split of the union has meeting relative interiors
 _FALLBACK = "fallback"  # the split is tested by the part's points
 
 
-def _union_record(first: _PartHull, hull: _PartHull):
-    """The affine dependences lambda (sum lambda_i a_i = 0, sum lambda_i
-    = 0) of U = first.part ∪ hull.part, read off the hull of the base:
-    the part with more points, the first one when both have as many.
+class _Split:
+    """The record of a union whose dependences are one line lambda with
+    no zero entry: ``pos`` masks its positive side, and ``meet`` builds
+    once the flat of x = sum_pos lambda_i a_i / sum_pos lambda_i from the
+    positive side's pairs (i, lambda_i)."""
 
-    ``_MISS`` when U is affinely independent, one spanning dependence
-    {i: lambda_i} when they form a line, and ``_FALLBACK`` when they
-    span more or the base is dependent.  With the base independent, a
-    dependence restricted to the other part J is a kernel vector mu of
-    J's residuals on the base's hull, and then w = sum mu_j [a_j | 1] is
-    the base's columns [a_i | 1] times unique weights nu = L w / D,
-    (L, D) the base's barycentric map; lambda is -L w on the base and
-    D mu on J.  The larger base leaves the fewer residuals to eliminate.
+    __slots__ = ("pos", "_terms", "_grid", "_meet")
+
+    def __init__(self, pos, terms, grid):
+        self.pos, self._terms, self._grid, self._meet = pos, terms, grid, None
+
+    def meet(self) -> Flat:
+        if self._meet is None:
+            grid, terms = self._grid, self._terms
+            x = [sum(v * grid[i][c] for i, v in terms)
+                 for c in range(len(grid[0]))]
+            self._meet = Flat.from_point(x, sum(v for _, v in terms))
+        return self._meet
+
+
+def _union_record(first: _PartHull, hull: _PartHull):
+    """Every split's decision by the affine dependences lambda (sum
+    lambda_i a_i = 0, sum lambda_i = 0) of U = first.part ∪ hull.part,
+    read off the hull of the base: the part with more points, the first
+    one when both have as many.
+
+    ``_MISS`` when U is affinely independent or its dependences form one
+    line with a zero entry, a ``_Split`` when they form one line with
+    none, and ``_FALLBACK`` when they span more or the base is dependent.
+    With the base independent, a dependence restricted to the other part
+    J is a kernel vector mu of J's residuals on the base's hull, and then
+    w = sum mu_j [a_j | 1] is the base's columns [a_i | 1] times unique
+    weights nu = L w / D, (L, D) the base's barycentric map; lambda is
+    -L w on the base and D mu on J.  The larger base leaves the fewer
+    residuals to eliminate.
     """
     base, other = ((hull, first) if len(hull.part) > len(first.part)
                    else (first, hull))
@@ -290,64 +317,47 @@ def _union_record(first: _PartHull, hull: _PartHull):
     L, D = base.bary()
     lam = [-sum(a * b for a, b in zip(row, w)) for row in L]
     lam += [D * m for m in mu]
-    g = gcd(*lam)
-    return {i: v // g for i, v in zip(base.part + J, lam)}
-
-
-def _pair_meet(first: _PartHull, hull: _PartHull):
-    """The pair test of ``_next_flat`` by the union's record: the meet
-    point's flat, None when no candidate extending the pair is proper,
-    or ``_FALLBACK``.
-
-    The hulls of P = first.part and J = hull.part meet iff a dependence
-    lambda of U has s = sum_P lambda_i != 0.  With the dependences one
-    line, both parts are then independent and meet only in x = sum_P
-    lambda_i a_i / s, with barycentric coordinates lambda_i / s on P and
-    -lambda_j / s on J.  A record read off either split of U serves: s,
-    x and the signs are unchanged when lambda is scaled or negated.
-    """
-    key = first.mask | hull.mask
-    lam = hull.unions.get(key)
-    if lam is None:
-        lam = hull.unions[key] = _union_record(first, hull)
-    if lam is _FALLBACK:
-        return _FALLBACK
-    if lam is _MISS:
-        return None
-    P, J = first.part, hull.part
-    s = sum(lam[i] for i in P)
-    if not s:
-        return None
-    if any(lam[i] * s <= 0 for i in P) or any(lam[j] * s >= 0 for j in J):
-        return None
-    grid = hull.grid
-    x = [sum(lam[i] * grid[i][c] for i in P) for c in range(first.flat.dim)]
-    if s < 0:
-        s, x = -s, [-c for c in x]
-    return Flat.from_point(x, s)
+    if not all(lam):
+        return _MISS
+    terms = [(i, v) for i, v in zip(base.part + J, lam) if v > 0]
+    return _Split(bitmask(i for i, _ in terms), terms, grid)
 
 
 def _next_flat(flat, hull: _PartHull, chosen, last: bool):
     """The prefix flat once a part with this hull joins the chosen parts,
     or None when no candidate extending the longer prefix is proper.
 
-    A point flat is tested with ``_PartHull.holds``.  Any other flat with
-    equations is tested through the part J's points: J meets it where
+    A pair test that is not the last (one part chosen, r >= 3) and a
+    point test after two or more parts read the record of the union of
+    the last chosen part and J, shared by all of its splits, unless it
+    falls back: they pass only at the record's split, the first with its
+    meet flat, the second if the prefix point is that meet point.
+
+    Any other point flat is tested with ``_PartHull.holds``.  Any other
+    flat with equations is tested through J's points: J meets it where
     affine weights mu on J's points have sum mu_j r_j = 0, r_j their
     ``Flat.residuals``; with mu_0 = 1 - sum of the others, that is codim
     rows in |J| - 1 unknowns.  Unique weights make J affinely independent,
     with barycentric coordinates mu at the only meeting point.
-
-    A pair test that is not the last (one part chosen, its hull the
-    flat, r >= 3) is decided by ``_pair_meet`` from the record of the
-    pair's union, built at the union's first split and shared by all of
-    them, unless the record falls back to the tests above.
     """
-    if len(chosen) == 1 and not last:
-        met = _pair_meet(chosen[0], hull)
-        if met is not _FALLBACK:
-            return met
     point = flat.point()
+    if len(chosen) == 1 and not last or len(chosen) > 1 and point is not None:
+        prev = chosen[-1]
+        key = prev.mask | hull.mask
+        rec = hull.unions.get(key)
+        if rec is None:
+            rec = hull.unions[key] = _union_record(prev, hull)
+        if rec is _MISS:
+            return None
+        if rec is not _FALLBACK:
+            if rec.pos != prev.mask and rec.pos != hull.mask:
+                return None
+            met = rec.meet()
+            if len(chosen) == 1:
+                return met
+            lead, m, y = flat.lead, met.lead, met.point()
+            return flat if all(a * m == b * lead
+                               for a, b in zip(point, y)) else None
     if point is not None:
         return flat if hull.holds(point, flat.lead) else None
     if flat.rows:

@@ -510,9 +510,7 @@ def test_unexpected_error_exits_4(monkeypatch, capsys, config_file, exc):
 @pytest.mark.parametrize("target,exc", [
     ("fandist.pipeline.slice_project", MalformedFan("zero normal")),
     ("fandist.pipeline.fan_from_tuple_real", NotADependence("no dependence")),
-    ("fandist.tverberg.TverbergTuple.validate",
-     PreconditionError("witness fails exact re-verification")),
-], ids=["slice", "dependence", "tuple"])
+], ids=["slice", "dependence"])
 def test_fan_layer_check_on_own_tuple_exits_4(monkeypatch, capsys,
                                               config_file, target, exc):
     """The fan layer's input checks fail inside a run only on the
@@ -524,6 +522,24 @@ def test_fan_layer_check_on_own_tuple_exits_4(monkeypatch, capsys,
     assert main(["equidistribute", "--input", config_file, "--r", "3"]) == 4
     err = capsys.readouterr().err
     assert "internal error: fan construction failed" in err
+
+
+def test_pipeline_validates_no_tuple_twice(monkeypatch, capsys,
+                                           config_file):
+    # the search's solve has verified each witness, so the fan layer of a
+    # run, real, complex or two-fan, does not call TverbergTuple.validate
+    calls = []
+    monkeypatch.setattr("fandist.tverberg.TverbergTuple.validate",
+                        lambda self, config: calls.append(self))
+    assert main(["equidistribute", "--input", config_file, "--r", "3"]) == 0
+    capsys.readouterr()
+    assert equidistribute(random_config(6, 4, field=4, seed=7300,
+                                        coloring=[0, 0, 0, 1, 1, 1]),
+                          2) is not None
+    assert two_fans(random_config(10, 8, seed=1000,
+                                  coloring=[0] * 5 + [1] * 5),
+                    3) is not None
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv,message", [

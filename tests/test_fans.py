@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import json
 import random
@@ -611,6 +612,21 @@ class TestFanFromTuple:
         if tup is not None:
             with pytest.raises(PreconditionError):
                 fan_from_tuple_real(pair, tup)
+
+
+def test_constructors_reject_a_corrupted_witness():
+    # the public constructors check a caller's tuple: a witness whose
+    # common point is moved fails exact re-verification
+    for made in (random_proper_pair(1), random_proper_pair(7, True)):
+        pair, tup = made
+        moved = tuple(c + 1 for c in tup.witness.common_point)
+        bad = dataclasses.replace(tup, witness=dataclasses.replace(
+            tup.witness, common_point=moved))
+        build = (fan_from_tuple_real if pair.primal.conductor is None
+                 else fan_from_tuple_complex)
+        build(pair, tup)
+        with pytest.raises(PreconditionError, match="re-verification"):
+            build(pair, bad)
 
 
 class TestTupleFromFan:

@@ -651,31 +651,42 @@ def dependences(points, union):
 
 
 def check_union_record(points, mask, record):
-    """A union's record against its dependences: none, independent; one,
-    that line (or a fallback when it is a first part's own dependence,
-    zero somewhere); more, a fallback."""
+    """A union's record against its dependences: none, a miss; more, a
+    fallback; one with a zero entry, a miss (or a fallback when it is the
+    larger part's own dependence); one with no zero, the split into its
+    sign sides, named by one side, and their hulls' meet point."""
     union = [i for i in range(len(points)) if mask >> i & 1]
     basis = dependences(points, union)
     if not basis:
         assert record == tverberg._MISS
     elif len(basis) > 1:
         assert record == tverberg._FALLBACK
-    elif record == tverberg._FALLBACK:
-        assert not all(basis[0])
+    elif not all(basis[0]):
+        assert record in (tverberg._MISS, tverberg._FALLBACK)
     else:
-        v = basis[0]
-        lam = [record[i] for i in union]
-        k = next(k for k, x in enumerate(v) if x)
-        assert [x * lam[k] for x in v] == [y * v[k] for y in lam]
+        assert isinstance(record, tverberg._Split)
+        lam = dict(zip(union, basis[0]))
+        side = {i: x for i, x in lam.items() if record.pos >> i & 1}
+        assert set(side) in ({i for i, x in lam.items() if x > 0},
+                             {i for i, x in lam.items() if x < 0})
+        s = sum(side.values())
+        assert flat_point(record.meet()) == [
+            sum(x * points[i][c] for i, x in side.items()) / s
+            for c in range(len(points[0]))]
 
 
-# in the example, 0 and 1 coincide (a dependent first part), {2, 3, 4}
-# lie on a line that misses 0 (one dependence with s = 0 at the split
-# {0} | {2, 3, 4}) and {0} | {2, 3, 4, 5} has two dependences; 0 lies in
-# the hull of {2, 3, 4, 5}, so the test does not miss there
+# in the first example, 0 and 1 coincide (a dependent first part),
+# {2, 3, 4} lie on a line that misses 0 (one dependence with s = 0 at the
+# split {0} | {2, 3, 4}) and {0} | {2, 3, 4, 5} has two dependences; 0
+# lies in the hull of {2, 3, 4, 5}, so the test does not miss there.  In
+# the second, three segments cross at the origin, and the point test of
+# {4, 5} after {0, 1}, {2, 3} passes at the record of {2, 3, 4, 5}
 @settings(max_examples=80, deadline=None)
 @example(([[F(x), F(y)] for x, y in ((0, 0), (0, 0), (-1, 1), (0, 1),
                                      (2, 1), (0, -1))], 3, None, None,
+          None))
+@example(([[F(x), F(y)] for x, y in ((-1, 0), (1, 0), (0, -1), (0, 1),
+                                     (-1, -1), (1, 1))], 3, None, None,
           None))
 @given(search_cases(min_dim=2, rs=(3, 4)))
 def test_pair_records_match_hull_meets(case):
@@ -706,8 +717,10 @@ def test_pair_records_match_hull_meets(case):
 def test_union_record_read_off_the_larger_part(pair, meets):
     # P = {0, 1} has fewer points than the triangle J = {2, 3, 4}, so the
     # record of P ∪ J is read off J's hull and P's residuals on it; point
-    # 5 lies off the triangle's plane.  Each union has one dependence, so
-    # the record is that line, even where P itself is dependent
+    # 5 lies off the triangle's plane.  Each union has one dependence:
+    # P's own where P is dependent, zero on J, so a miss; else it has no
+    # zero, and the record names its sign sides, P | J only where they
+    # meet
     points = [[F(x) for x in p] for p in
               pair + ((0, 0, 0), (4, 0, 0), (0, 4, 0), (1, 1, 3))]
     grid = ExactWeightSolver(points).ipoints
@@ -717,33 +730,43 @@ def test_union_record_read_off_the_larger_part(pair, meets):
     met = both_flat_tests(first.flat, hull, (first,), False)
     assert (met is not None) == meets
     mask = first.mask | hull.mask
-    assert isinstance(unions[mask], dict)
-    check_union_record(grid, mask, unions[mask])
+    record = unions[mask]
+    assert (record is tverberg._MISS) == (pair[0] == pair[1])
+    check_union_record(grid, mask, record)
 
 
 def test_certification_builds_one_record_per_union(monkeypatch):
-    # the 12,100 pair tests of the ell=4 certification meet 1,474 unions:
-    # 1,012 affinely independent, 462 with one dependence
+    # the ell=4 certification makes 14,938 checks, its 12,100 pair tests
+    # and 2,838 point tests, all decided by records; its 1,474 unions hold
+    # 1,012 misses and 462 lines, and 250 of those build their meet point
     inst = build_counterexample(3, 2, 1, 0, 4, seed=1)
     c1 = inst.class_one()
     cap = threshold_caps([len(c1)], inst.r)[0]
     solver = ExactWeightSolver(inst.lifted_primal.points)
-    pairs = 0
+    tests = Counter()
     next_flat = tverberg._next_flat
 
     def spy(flat, hull, chosen, last):
-        nonlocal pairs
-        pairs += len(chosen) == 1 and not last
+        tests["pair" if len(chosen) == 1 and not last else
+              "point" if flat.point() is not None else "other"] += 1
         return next_flat(flat, hull, chosen, last)
 
+    def no_holds(*args):
+        raise AssertionError("a point test fell back to holds")
+
     monkeypatch.setattr(tverberg, "_next_flat", spy)
+    monkeypatch.setattr(tverberg._PartHull, "holds", no_holds)
     state = tverberg._SearchState()
     assert list(_candidate_stream(c1, inst.r, None, cap, solver,
                                   state)) == []
-    assert pairs == 12100
-    assert Counter(record if isinstance(record, str) else "one"
-                   for record in state.unions.values()) == \
-        {tverberg._MISS: 1012, "one": 462}
+    assert tests == {"pair": 12100, "point": 2838}
+    assert state.checks == 14938
+    records = state.unions.values()
+    assert Counter(record if isinstance(record, str) else "line"
+                   for record in records) == {tverberg._MISS: 1012,
+                                              "line": 462}
+    assert sum(record._meet is not None for record in records
+               if isinstance(record, tverberg._Split)) == 250
 
 
 # -- the set condition against a from-scratch set/count oracle ---------------
