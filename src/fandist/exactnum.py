@@ -24,7 +24,8 @@ systems, barycentric maps and fan normalisation of the package reduce
 in these two passes.  Rational matrices, the inverse Gale transform's
 [B | I] among them, reach the same form in one pass, ``_rref_int``:
 Gauss-Jordan elimination with the exact division of Bareiss (1968),
-every row cleared to integers first.
+every row cleared to integers first; ``_det_int`` runs its forward half
+alone for a determinant.
 
 Matrices over Q(zeta_N) reduce by Gauss-Jordan elimination on integer
 rows: each row is cleared to integer coefficient vectors over one
@@ -690,6 +691,24 @@ def _rref_int(M, ncols):
         for pr, _ in pivots:
             M[pr] = [x // g for x in M[pr]]
     return pivots, prev // g
+
+
+def _det_int(M):
+    """The determinant of the square integer matrix M, whose rows are
+    read, not changed: forward elimination with Bareiss's exact division,
+    each step dropping the pivot row and column, so the last pivot is the
+    determinant up to the sign of the row moves."""
+    sign, prev = 1, 1
+    while M:
+        pr = next((r for r, R in enumerate(M) if R[0]), None)
+        if pr is None:
+            return 0
+        P, p = M[pr], M[pr][0]
+        sign = -sign if pr & 1 else sign
+        M = [[(p * a - R[0] * b) // prev for a, b in zip(R[1:], P[1:])]
+             for R in M[:pr] + M[pr + 1:]]
+        prev = p
+    return sign * prev
 
 
 def _kernel_int(M, pivots, lead, ncols):

@@ -26,10 +26,11 @@ extending the prefix is skipped.  Unique weights make the part affinely
 independent and are its barycentric coordinates at the only meeting
 point x, so a weight <= 0 skips the prefix, and so does a coordinate
 <= 0 of an affinely independent part chosen earlier.  Otherwise the
-flat is met with the part's hull equations, computed once per part and
-search.  Once the flat is a point, every extension can only meet in it,
-and each later part must hold it, by its hull equations, with positive
-barycentric coordinates.  Affinely dependent parts never prune.
+flat is met with the part's hull equations, built on first use, once
+per part and search.  Once the flat is a point, every extension can only
+meet in it, and each later part must hold it, by its hull equations,
+with positive barycentric coordinates.  Affinely dependent parts never
+prune.
 
 A pair test (one part P chosen, with more parts to come) is decided
 once per union U = P ∪ J, by Radon's observation: the hulls of P and J
@@ -39,10 +40,11 @@ coordinates lambda_i / s on P and -lambda_j / s on J if the dependences
 form one line.  So with one line and no zero entry, only the split into
 lambda's sign sides can meet, in x = sum_pos lambda_i a_i / sum_pos
 lambda_i; with a zero entry, or no dependence, no split can.  The first
-split of U that is tested records this, read off the larger part's hull
-and the other part's residuals on it, and builds x when a split first
-matches.  Any other U, or a record whose larger part is dependent, falls
-back to the test through J's points.
+split of U that is tested records this, and builds x when a split first
+matches.  Any other U, or a record whose line lies on its larger part,
+falls back to the test through J's points.  Records read lambda from
+memoised maximal minors of the lifted columns [a_i | 1], in a frame where
+the search's points span their own affine hull.
 
 The same record decides a point test of J against a prefix point y whose
 last part P is not the first: y lies on P's hull, inside it if P is
@@ -93,7 +95,12 @@ from fandist.errors import (
     SizeGateExceeded,
     VerificationBug,
 )
-from fandist.exactnum import _back_eliminate, _eliminate_int, _kernel_int
+from fandist.exactnum import (
+    _back_eliminate,
+    _det_int,
+    _eliminate_int,
+    _kernel_int,
+)
 from fandist.feaslp import (
     ExactWeightSolver,
     Flat,
@@ -219,20 +226,26 @@ class SearchConstraint:
 
 
 class _PartHull:
-    """One part's hull flat and, once needed, its barycentric map
-    (``feaslp.barycentric_map``, None if dependent).  ``unions`` maps the
-    index mask of a union of two parts to its ``_union_record``; every
-    hull of a search holds its ``_SearchState``'s dict."""
+    """One part's hull flat, built on first read, and, once needed, its
+    barycentric map (``feaslp.barycentric_map``, None if dependent).
+    ``state`` is the ``_SearchState`` of the search, which holds the
+    union records."""
 
-    __slots__ = ("flat", "grid", "part", "mask", "unions", "_bary")
+    __slots__ = ("grid", "part", "mask", "state", "_flat", "_bary")
 
-    def __init__(self, grid, part, unions):
-        self.flat = affine_hull(grid, part)
+    def __init__(self, grid, part, state):
         self.grid = grid
         self.part = tuple(part)
         self.mask = bitmask(part)
-        self.unions = unions
+        self.state = state
+        self._flat = None
         self._bary = self  # not computed yet
+
+    @property
+    def flat(self) -> Flat:
+        if self._flat is None:
+            self._flat = affine_hull(self.grid, self.part)
+        return self._flat
 
     def bary(self):
         if self._bary is self:
@@ -251,9 +264,10 @@ class _PartHull:
 
     def holds(self, x, lead) -> bool:
         """Whether x / lead lies on the hull and passes ``positive_at``."""
-        dim = self.flat.dim
+        flat = self.flat
+        dim = flat.dim
         return all(sum(a * b for a, b in zip(row, x)) == row[dim] * lead
-                   for row in self.flat.rows) and self.positive_at(x, lead)
+                   for row in flat.rows) and self.positive_at(x, lead)
 
 
 # ``_union_record`` values besides a ``_Split``
@@ -284,48 +298,55 @@ class _Split:
 def _union_record(first: _PartHull, hull: _PartHull):
     """Every split's decision by the affine dependences lambda (sum
     lambda_i a_i = 0, sum lambda_i = 0) of U = first.part ∪ hull.part,
-    read off the hull of the base: the part with more points, the first
-    one when both have as many.
+    whose base is the part with more points, the first one when both
+    have as many.
 
     ``_MISS`` when U is affinely independent or its dependences form one
     line with a zero entry, a ``_Split`` when they form one line with
-    none, and ``_FALLBACK`` when they span more or the base is dependent.
-    With the base independent, a dependence restricted to the other part
-    J is a kernel vector mu of J's residuals on the base's hull, and then
-    w = sum mu_j [a_j | 1] is the base's columns [a_i | 1] times unique
-    weights nu = L w / D, (L, D) the base's barycentric map; lambda is
-    -L w on the base and D mu on J.  The larger base leaves the fewer
-    residuals to eliminate.
+    none, and ``_FALLBACK`` when they span more or the line lies on the
+    base (the base is dependent).  In the state's frame, where the
+    search's points span e dimensions, more than e + 2 points have two
+    dependences or more; e + 2 points u_0 < ... < u_{e+1} have lambda_i =
+    (-1)^i m(U - u_i), m(S) the memoised minor of the columns of S, all
+    zero when they have more; fewer are independent when the minor of U
+    and the first other points is not zero, and only otherwise is the
+    kernel of their columns eliminated.
     """
-    base, other = ((hull, first) if len(hull.part) > len(first.part)
-                   else (first, hull))
-    flat, J = base.flat, other.part
-    if len(base.part) + flat.codim != flat.dim + 1:
-        return _FALLBACK  # the base is affinely dependent
-    grid, n = hull.grid, len(J)
-    res = flat.residuals(grid, J)
-    M = [[r[k] for r in res] for k in range(flat.codim)]
-    pivots = _eliminate_int(M, n)
-    if len(pivots) == n:
-        return _MISS
-    if len(pivots) < n - 1:
+    state, grid = hull.state, hull.grid
+    cols, e = state.frame(grid)
+    base = hull if len(hull.part) > len(first.part) else first
+    umask = first.mask | hull.mask
+    U = sorted(first.part + hull.part)
+    k = len(U)
+    if k > e + 2:
         return _FALLBACK
-    mu, = _kernel_int(M, pivots, _back_eliminate(M, pivots), n)
-    w = [sum(m * grid[j][c] for m, j in zip(mu, J))
-         for c in range(flat.dim)]
-    w.append(sum(mu))
-    L, D = base.bary()
-    lam = [-sum(a * b for a, b in zip(row, w)) for row in L]
-    lam += [D * m for m in mu]
-    if not all(lam):
+    if k == e + 2:
+        lam = [state.minor(umask ^ 1 << i) * (-1) ** j
+               for j, i in enumerate(U)]
+    else:
+        pad = [i for i in state.indices if not umask >> i & 1][:e + 1 - k]
+        if state.minor(umask | bitmask(pad)):
+            return _MISS
+        M = [[cols[i][c] for i in U] for c in range(e + 1)]
+        pivots = _eliminate_int(M, k)
+        if len(pivots) == k:
+            return _MISS
+        if len(pivots) < k - 1:
+            return _FALLBACK
+        lam, = _kernel_int(M, pivots, _back_eliminate(M, pivots), k)
+    support = bitmask(i for i, v in zip(U, lam) if v)
+    if support & base.mask == support:
+        return _FALLBACK
+    if support != umask:
         return _MISS
-    terms = [(i, v) for i, v in zip(base.part + J, lam) if v > 0]
+    terms = [(i, v) for i, v in zip(U, lam) if v > 0]
     return _Split(bitmask(i for i, _ in terms), terms, grid)
 
 
 def _next_flat(flat, hull: _PartHull, chosen, last: bool):
     """The prefix flat once a part with this hull joins the chosen parts,
     or None when no candidate extending the longer prefix is proper.
+    A prefix of one part carries the flat None, read as the part's own.
 
     A pair test that is not the last (one part chosen, r >= 3) and a
     point test after two or more parts read the record of the union of
@@ -340,13 +361,13 @@ def _next_flat(flat, hull: _PartHull, chosen, last: bool):
     rows in |J| - 1 unknowns.  Unique weights make J affinely independent,
     with barycentric coordinates mu at the only meeting point.
     """
-    point = flat.point()
+    point = None if flat is None else flat.point()
     if len(chosen) == 1 and not last or len(chosen) > 1 and point is not None:
-        prev = chosen[-1]
+        prev, unions = chosen[-1], hull.state.unions
         key = prev.mask | hull.mask
-        rec = hull.unions.get(key)
+        rec = unions.get(key)
         if rec is None:
-            rec = hull.unions[key] = _union_record(prev, hull)
+            rec = unions[key] = _union_record(prev, hull)
         if rec is _MISS:
             return None
         if rec is not _FALLBACK:
@@ -358,6 +379,9 @@ def _next_flat(flat, hull: _PartHull, chosen, last: bool):
             lead, m, y = flat.lead, met.lead, met.point()
             return flat if all(a * m == b * lead
                                for a, b in zip(point, y)) else None
+    if flat is None:
+        flat = chosen[0].flat
+        point = flat.point()
     if point is not None:
         return flat if hull.holds(point, flat.lead) else None
     if flat.rows:
@@ -398,23 +422,50 @@ def _next_flat(flat, hull: _PartHull, chosen, last: bool):
 
 class _SearchState:
     """What every stream of one search shares: each part's ``_PartHull``
-    by its index mask, each ``_union_record`` by the union's mask, and
-    the count of feasibility checks, which raises SizeGateExceeded once
-    it passes ``gate``."""
+    by its index mask, each ``_union_record`` by the union's mask, the
+    frame of ``indices`` and its minors, and the count of feasibility
+    checks, which raises SizeGateExceeded once it passes ``gate``."""
 
-    __slots__ = ("gate", "checks", "hulls", "unions")
+    __slots__ = ("gate", "checks", "hulls", "unions", "indices", "minors",
+                 "_frame")
 
     def __init__(self, gate: int = DEFAULT_LP_GATE):
         self.gate = gate
         self.checks = 0
         self.hulls: dict[int, _PartHull] = {}
         self.unions: dict[int, object] = {}
+        self.indices: Sequence[int] = ()
+        self.minors: dict[int, int] = {}
+        self._frame = None
 
     def count_check(self) -> None:
         self.checks += 1
         if self.checks > self.gate:
             raise SizeGateExceeded(
                 f"feasibility-check gate {self.gate} exceeded")
+
+    def minor(self, mask) -> int:
+        """m(S), memoised: the determinant of the frame columns of the
+        e + 1 indices S in the mask, in increasing order."""
+        m = self.minors.get(mask)
+        if m is None:
+            cols = self._frame[0]
+            m = self.minors[mask] = _det_int(
+                [cols[i] for i in self.indices if mask >> i & 1])
+        return m
+
+    def frame(self, grid):
+        """(cols, e): e is the dimension of the affine hull of the points
+        grid[i], i in ``indices``, and cols[i] is [a_i | 1] for a_i the
+        point's coordinates off the hull's pivots, a projection injective
+        on the hull that keeps every affine dependence.  Built once, by
+        the first union record."""
+        if self._frame is None:
+            hull = affine_hull(grid, self.indices)
+            keep = [c for c in range(hull.dim) if c not in hull.pivots]
+            self._frame = ({i: [grid[i][c] for c in keep] + [1]
+                            for i in self.indices}, len(keep))
+        return self._frame
 
 
 def _candidate_stream(indices: Sequence[int], r: int,
@@ -444,7 +495,8 @@ def _candidate_stream(indices: Sequence[int], r: int,
     proper candidates are emitted.  Each flat or interval test of a part
     after the first and each emitted candidate (its solve comes next)
     counts one check on ``state``, which also keeps the hull and union
-    records; streams over the same solver may share it.
+    records and the frame of the indices; streams over the same solver
+    and indices may share it.
     """
     idx = sorted(indices)
     line = None
@@ -452,6 +504,7 @@ def _candidate_stream(indices: Sequence[int], r: int,
         line = [x for x, in solver.ipoints]
     if state is None:
         state = _SearchState()
+    state.indices = idx
     count_check, hulls = state.count_check, state.hulls
     table: dict[int, list] = {}
 
@@ -505,13 +558,10 @@ def _candidate_stream(indices: Sequence[int], r: int,
             elif solver is not None:
                 hull = hulls.get(mask)
                 if hull is None:
-                    hull = hulls[mask] = _PartHull(solver.ipoints, sub,
-                                                    state.unions)
-                if depth == 0:
-                    # one part's only point has the coordinate 1 or is
-                    # repeated, so it never prunes
-                    sub_meet = hull.flat
-                else:
+                    hull = hulls[mask] = _PartHull(solver.ipoints, sub, state)
+                # one part never prunes (its only point has the coordinate
+                # 1 or is repeated), and its prefix carries no flat
+                if depth:
                     count_check()
                     sub_meet = _next_flat(meet, hull, chosen, depth == r - 1)
                     if sub_meet is None:

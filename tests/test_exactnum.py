@@ -5,7 +5,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import lcm
+from itertools import combinations, permutations
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from fandist.exactnum import (
     FieldMismatch,
     _back_eliminate,
     _clear,
+    _det_int,
     _eliminate_int,
     _field_data,
     _kernel_int,
@@ -558,7 +560,35 @@ def two_passes(rows, cols):
     return M, pivots, _back_eliminate(M, pivots)
 
 
+@st.composite
+def square_matrices(draw):
+    """Square integer matrices up to 5 x 5 with zeros, and sometimes a
+    last row that combines two others, so the determinant is zero."""
+    n = draw(st.integers(1, 5))
+    ints = st.integers(-99, 99) | st.just(0)
+    rows = draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 2 and draw(st.booleans()):
+        a, b = draw(ints), draw(ints)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
 class TestReducedEchelonForm:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_det_against_permutation_expansion(self, rows):
+        # Leibniz's signed sum over permutations; every division of the
+        # elimination is exact, and the rows are left as given
+        n = len(rows)
+        pairs = list(combinations(range(n), 2))
+        want = sum((-1) ** sum(p[a] > p[b] for a, b in pairs)
+                   * prod(rows[k][p[k]] for k in range(n))
+                   for p in permutations(range(n)))
+        given_rows = [list(row) for row in rows]
+        assert _det_int([[ExactInt(x) for x in row] for row in rows]) == want
+        assert _det_int(rows) == want and rows == given_rows
+
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices())
     def test_against_rref_oracle(self, case):

@@ -553,7 +553,10 @@ def test_ell_four_certification_gate_pinned():
 
 def hull_meet_next_flat(flat, hull, chosen, last):
     """The stream's flat test by meets of the parts' hull flats: the
-    reference for ``tverberg._next_flat``."""
+    reference for ``tverberg._next_flat``.  The prefix of one part
+    carries no flat (None): its flat is the part's own."""
+    if flat is None:
+        flat = chosen[0].flat
     point = flat.point()
     if point is not None:
         return flat if hull.holds(point, flat.lead) else None
@@ -650,11 +653,12 @@ def dependences(points, union):
     return basis
 
 
-def check_union_record(points, mask, record):
+def check_union_record(points, mask, record, base=None):
     """A union's record against its dependences: none, a miss; more, a
-    fallback; one with a zero entry, a miss (or a fallback when it is the
-    larger part's own dependence); one with no zero, the split into its
-    sign sides, named by one side, and their hulls' meet point."""
+    fallback; one with a zero entry, a miss, or a fallback when it is the
+    larger part's own dependence (decided when ``base`` masks that part);
+    one with no zero, the split into its sign sides, named by one side,
+    and their hulls' meet point."""
     union = [i for i in range(len(points)) if mask >> i & 1]
     basis = dependences(points, union)
     if not basis:
@@ -662,7 +666,13 @@ def check_union_record(points, mask, record):
     elif len(basis) > 1:
         assert record == tverberg._FALLBACK
     elif not all(basis[0]):
-        assert record in (tverberg._MISS, tverberg._FALLBACK)
+        if base is None:
+            assert record in (tverberg._MISS, tverberg._FALLBACK)
+        else:
+            on_base = all(base >> i & 1 for i, x in zip(union, basis[0])
+                          if x)
+            assert record == (tverberg._FALLBACK if on_base
+                              else tverberg._MISS)
     else:
         assert isinstance(record, tverberg._Split)
         lam = dict(zip(union, basis[0]))
@@ -715,36 +725,131 @@ def test_pair_records_match_hull_meets(case):
     (((5, 5, -2), (5, 5, 2)), False),  # through its plane, outside it
 ])
 def test_union_record_read_off_the_larger_part(pair, meets):
-    # P = {0, 1} has fewer points than the triangle J = {2, 3, 4}, so the
-    # record of P ∪ J is read off J's hull and P's residuals on it; point
-    # 5 lies off the triangle's plane.  Each union has one dependence:
+    # P = {0, 1} has fewer points than the triangle J = {2, 3, 4}, so J
+    # is the base of the record of P ∪ J; point 5 lies off the triangle's
+    # plane, so the frame of all six points is 3-D and the record reads
+    # five minors.  Each union has one dependence:
     # P's own where P is dependent, zero on J, so a miss; else it has no
     # zero, and the record names its sign sides, P | J only where they
     # meet
     points = [[F(x) for x in p] for p in
               pair + ((0, 0, 0), (4, 0, 0), (0, 4, 0), (1, 1, 3))]
     grid = ExactWeightSolver(points).ipoints
-    unions = {}
-    first = tverberg._PartHull(grid, (0, 1), unions)
-    hull = tverberg._PartHull(grid, (2, 3, 4), unions)
+    state = tverberg._SearchState()
+    state.indices = range(len(points))
+    first = tverberg._PartHull(grid, (0, 1), state)
+    hull = tverberg._PartHull(grid, (2, 3, 4), state)
     met = both_flat_tests(first.flat, hull, (first,), False)
     assert (met is not None) == meets
     mask = first.mask | hull.mask
-    record = unions[mask]
+    record = state.unions[mask]
     assert (record is tverberg._MISS) == (pair[0] == pair[1])
     check_union_record(grid, mask, record)
+
+
+@st.composite
+def embedded_points(draw):
+    """(points, embedded, r, max_part_size): n planar or 3-D integer points,
+    some repeated and some on a line through two others, and their images
+    in a higher-dimensional grid: each point takes a constant last
+    coordinate, as the certification's lift does, and then an injective
+    integer affine map."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(4, 7))
+    pts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                 max_size=d), min_size=n, max_size=n))
+    for i in range(2, n):
+        kind = draw(st.sampled_from(["free", "repeated", "collinear"]))
+        j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        t = draw(st.integers(-2, 2))
+        if kind == "repeated":
+            pts[i] = list(pts[j])
+        elif kind == "collinear":
+            pts[i] = [a + t * (b - a) for a, b in zip(pts[j], pts[k])]
+    dim = d + 1 + draw(st.integers(0, 2))
+    A = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d + 1,
+                               max_size=d + 1), min_size=dim, max_size=dim)
+             .filter(lambda A: ExactMatrix(
+                 [[F(x) for x in row] for row in A]).rank() == d + 1))
+    b = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    embedded = [[F(sum(a * x for a, x in zip(row, p + [1])) + c)
+                 for row, c in zip(A, b)] for p in pts]
+    return ([[F(x) for x in p] for p in pts], embedded,
+            draw(st.sampled_from([3, 4])),
+            draw(st.sampled_from([None, 2, 3])))
+
+
+def record_kinds(state):
+    """Each union's record kind, a split as the pair of its sides."""
+    return {mask: record if isinstance(record, str)
+            else {record.pos, mask ^ record.pos}
+            for mask, record in state.unions.items()}
+
+
+# the records read minors in the frame of the search's points.  In the
+# first example 0, 2 and 3 lie on a line, so the union {2, 3}, padded
+# with 0, has a zero minor although it is independent, and its kernel
+# decides the miss; in the second {1, 2, 3} lies on a line off point 0,
+# so the only dependence of {0, 1, 2, 3} is the larger part's own, and
+# its record, first read at the split {0} | {1, 2, 3}, falls back
+@settings(max_examples=60, deadline=None)
+@example(([[F(0), F(0)], [F(0), F(1)], [F(1), F(0)], [F(2), F(0)]],
+          [[F(0), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(0), F(1)],
+           [F(2), F(0), F(1)]], 3, None))
+@example(([[F(0), F(1)], [F(0), F(0)], [F(2), F(0)], [F(1), F(0)],
+           [F(1), F(1)]],
+          [[F(0), F(1), F(1)], [F(0), F(0), F(1)], [F(2), F(0), F(1)],
+           [F(1), F(0), F(1)], [F(1), F(1), F(1)]], 3, None))
+@given(embedded_points())
+def test_union_records_keep_under_an_affine_embedding(case):
+    points, embedded, r, max_part_size = case
+    union_record = tverberg._union_record
+    bases = {}  # each union's larger part at its first split, the first
+    #             part when both have as many points
+
+    def spy(first, hull):
+        base = hull if len(hull.part) > len(first.part) else first
+        bases[first.mask | hull.mask] = base.mask
+        return union_record(first, hull)
+
+    runs = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tverberg, "_union_record", spy)
+        for pts in (points, embedded):
+            solver = ExactWeightSolver(pts)
+            state = tverberg._SearchState()
+            emitted = list(_candidate_stream(range(len(pts)), r, None,
+                                             max_part_size, solver, state))
+            runs.append((emitted, state.checks, record_kinds(state)))
+            for mask, record in state.unions.items():
+                check_union_record(solver.ipoints, mask, record, bases[mask])
+    assert runs[0] == runs[1]
 
 
 def test_certification_builds_one_record_per_union(monkeypatch):
     # the ell=4 certification makes 14,938 checks, its 12,100 pair tests
     # and 2,838 point tests, all decided by records; its 1,474 unions hold
-    # 1,012 misses and 462 lines, and 250 of those build their meet point
+    # 1,012 misses and 462 lines, and 250 of those build their meet point.
+    # The records read 462 minors in the frame, the one affine hull built,
+    # and no part's hull flat, barycentric map or elimination
     inst = build_counterexample(3, 2, 1, 0, 4, seed=1)
     c1 = inst.class_one()
     cap = threshold_caps([len(c1)], inst.r)[0]
     solver = ExactWeightSolver(inst.lifted_primal.points)
     tests = Counter()
-    next_flat = tverberg._next_flat
+    calls = Counter()
+    hulls = []
+    next_flat, hull_of = tverberg._next_flat, tverberg.affine_hull
+
+    def counting(name, f):
+        def spy(*args):
+            calls[name] += 1
+            return f(*args)
+        return spy
+
+    def spy_hull(grid, part):
+        hulls.append(tuple(part))
+        return hull_of(grid, part)
 
     def spy(flat, hull, chosen, last):
         tests["pair" if len(chosen) == 1 and not last else
@@ -756,11 +861,17 @@ def test_certification_builds_one_record_per_union(monkeypatch):
 
     monkeypatch.setattr(tverberg, "_next_flat", spy)
     monkeypatch.setattr(tverberg._PartHull, "holds", no_holds)
+    monkeypatch.setattr(tverberg, "affine_hull", spy_hull)
+    for name in ("_det_int", "barycentric_map", "_eliminate_int"):
+        monkeypatch.setattr(tverberg, name,
+                            counting(name, getattr(tverberg, name)))
     state = tverberg._SearchState()
     assert list(_candidate_stream(c1, inst.r, None, cap, solver,
                                   state)) == []
     assert tests == {"pair": 12100, "point": 2838}
     assert state.checks == 14938
+    assert calls == {"_det_int": 462}
+    assert hulls == [tuple(c1)]
     records = state.unions.values()
     assert Counter(record if isinstance(record, str) else "line"
                    for record in records) == {tverberg._MISS: 1012,
