@@ -25,7 +25,11 @@ in these two passes.  Rational matrices, the inverse Gale transform's
 [B | I] among them, reach the same form in one pass, ``_rref_int``:
 Gauss-Jordan elimination with the exact division of Bareiss (1968),
 every row cleared to integers first; ``_det_int`` runs its forward half
-alone for a determinant.
+alone for a determinant, past the closed forms of sizes up to 3.  A
+search's maximal minors of one fixed matrix are read off one reduction:
+its reduced form against a basis B, scaled by D = det(B), holds every
+minor with one column of B replaced, and any other minor is a smaller
+determinant of those, divided by a power of D (Sylvester's identity).
 
 Matrices over Q(zeta_N) reduce by Gauss-Jordan elimination on integer
 rows: each row is cleared to integer coefficient vectors over one
@@ -695,9 +699,19 @@ def _rref_int(M, ncols):
 
 def _det_int(M):
     """The determinant of the square integer matrix M, whose rows are
-    read, not changed: forward elimination with Bareiss's exact division,
-    each step dropping the pivot row and column, so the last pivot is the
+    read, not changed.  Up to 3 x 3 it is the cofactor expansion; larger
+    matrices take forward elimination with Bareiss's exact division, each
+    step dropping the pivot row and column, so the last pivot is the
     determinant up to the sign of the row moves."""
+    n = len(M)
+    if n < 4:
+        if n < 2:
+            return M[0][0] if n else 1
+        if n == 2:
+            (a, b), (c, d) = M
+            return a * d - b * c
+        (a, b, c), (d, e, f), (g, h, i) = M
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     sign, prev = 1, 1
     while M:
         pr = next((r for r, R in enumerate(M) if R[0]), None)

@@ -41,10 +41,12 @@ form one line.  So with one line and no zero entry, only the split into
 lambda's sign sides can meet, in x = sum_pos lambda_i a_i / sum_pos
 lambda_i; with a zero entry, or no dependence, no split can.  The first
 split of U that is tested records this, and builds x when a split first
-matches.  Any other U, or a record whose line lies on its larger part,
-falls back to the test through J's points.  Records read lambda from
-memoised maximal minors of the lifted columns [a_i | 1], in a frame where
-the search's points span their own affine hull.
+matches.  Any other U falls back to the test through J's points.
+Records read lambda from memoised maximal minors of the lifted columns
+[a_i | 1], in a frame where the search's points span their own affine
+hull.  One reduction of the frame's columns against a basis B of them
+gives every minor that replaces one point of B; any other minor is a
+small determinant of those, divided by a power of det(B).
 
 The same record decides a point test of J against a prefix point y whose
 last part P is not the first: y lies on P's hull, inside it if P is
@@ -100,6 +102,7 @@ from fandist.exactnum import (
     _det_int,
     _eliminate_int,
     _kernel_int,
+    _rref_int,
 )
 from fandist.feaslp import (
     ExactWeightSolver,
@@ -297,24 +300,23 @@ class _Split:
 
 def _union_record(first: _PartHull, hull: _PartHull):
     """Every split's decision by the affine dependences lambda (sum
-    lambda_i a_i = 0, sum lambda_i = 0) of U = first.part ∪ hull.part,
-    whose base is the part with more points, the first one when both
-    have as many.
+    lambda_i a_i = 0, sum lambda_i = 0) of U = first.part ∪ hull.part.
 
     ``_MISS`` when U is affinely independent or its dependences form one
     line with a zero entry, a ``_Split`` when they form one line with
-    none, and ``_FALLBACK`` when they span more or the line lies on the
-    base (the base is dependent).  In the state's frame, where the
-    search's points span e dimensions, more than e + 2 points have two
-    dependences or more; e + 2 points u_0 < ... < u_{e+1} have lambda_i =
-    (-1)^i m(U - u_i), m(S) the memoised minor of the columns of S, all
-    zero when they have more; fewer are independent when the minor of U
-    and the first other points is not zero, and only otherwise is the
-    kernel of their columns eliminated.
+    none, and ``_FALLBACK`` when they span more.  A line that lies on one
+    part has zero entries on the other, so it misses: the parts' affine
+    spans cannot meet, since their meet would give a dependence with s !=
+    0.  In the state's frame, where the search's points span e
+    dimensions, more than e + 2 points have two dependences or more; e +
+    2 points u_0 < ... < u_{e+1} have lambda_i = (-1)^i m(U - u_i), m(S)
+    the memoised minor of the columns of S read off the frame's basis
+    (``_SearchState.minor``), all zero when they have more; fewer are
+    independent when the minor of U and the first other points is not
+    zero, and only otherwise is the kernel of their columns eliminated.
     """
     state, grid = hull.state, hull.grid
     cols, e = state.frame(grid)
-    base = hull if len(hull.part) > len(first.part) else first
     umask = first.mask | hull.mask
     U = sorted(first.part + hull.part)
     k = len(U)
@@ -323,6 +325,8 @@ def _union_record(first: _PartHull, hull: _PartHull):
     if k == e + 2:
         lam = [state.minor(umask ^ 1 << i) * (-1) ** j
                for j, i in enumerate(U)]
+        if not any(lam):
+            return _FALLBACK
     else:
         pad = [i for i in state.indices if not umask >> i & 1][:e + 1 - k]
         if state.minor(umask | bitmask(pad)):
@@ -334,10 +338,7 @@ def _union_record(first: _PartHull, hull: _PartHull):
         if len(pivots) < k - 1:
             return _FALLBACK
         lam, = _kernel_int(M, pivots, _back_eliminate(M, pivots), k)
-    support = bitmask(i for i, v in zip(U, lam) if v)
-    if support & base.mask == support:
-        return _FALLBACK
-    if support != umask:
+    if not all(lam):
         return _MISS
     terms = [(i, v) for i, v in zip(U, lam) if v > 0]
     return _Split(bitmask(i for i, _ in terms), terms, grid)
@@ -427,7 +428,7 @@ class _SearchState:
     checks, which raises SizeGateExceeded once it passes ``gate``."""
 
     __slots__ = ("gate", "checks", "hulls", "unions", "indices", "minors",
-                 "_frame")
+                 "_frame", "_basis")
 
     def __init__(self, gate: int = DEFAULT_LP_GATE):
         self.gate = gate
@@ -436,7 +437,7 @@ class _SearchState:
         self.unions: dict[int, object] = {}
         self.indices: Sequence[int] = ()
         self.minors: dict[int, int] = {}
-        self._frame = None
+        self._frame = self._basis = None
 
     def count_check(self) -> None:
         self.checks += 1
@@ -446,12 +447,31 @@ class _SearchState:
 
     def minor(self, mask) -> int:
         """m(S), memoised: the determinant of the frame columns of the
-        e + 1 indices S in the mask, in increasing order."""
+        e + 1 indices S in the mask, in increasing order.
+
+        S shares ``common`` with the frame's basis B, takes t indices
+        ``new`` off it and leaves ``out`` of B.  With Z[i][k] the minor
+        of B with its k-th index replaced by i, in place, m(S) is (-1)^s
+        det(Z[new][out]) / D^(t-1), D = det(B) = m(B): dividing the
+        columns by B's is Cramer's rule, and bringing ``common`` to the
+        front passes s = sum over x in new and out of the common indices
+        above x."""
         m = self.minors.get(mask)
         if m is None:
-            cols = self._frame[0]
-            m = self.minors[mask] = _det_int(
-                [cols[i] for i in self.indices if mask >> i & 1])
+            basis, D, Z, pos = self._basis
+            common, new, out = mask & basis, mask & ~basis, basis & ~mask
+            rows = [Z[i] for i in self.indices if new >> i & 1]
+            if rows:
+                ks = [k for i, k in pos.items() if out >> i & 1]
+                m = _det_int([[row[k] for k in ks] for row in rows])
+                if len(rows) > 1:
+                    m //= D ** (len(rows) - 1)
+                if sum((common >> i + 1).bit_count() for i in self.indices
+                       if (new | out) >> i & 1) & 1:
+                    m = -m
+            else:
+                m = D
+            self.minors[mask] = m
         return m
 
     def frame(self, grid):
@@ -459,12 +479,25 @@ class _SearchState:
         grid[i], i in ``indices``, and cols[i] is [a_i | 1] for a_i the
         point's coordinates off the hull's pivots, a projection injective
         on the hull that keeps every affine dependence.  Built once, by
-        the first union record."""
+        the first union record, with what ``minor`` reads: the basis B of
+        the first e + 1 indices whose columns are independent, the pivots
+        of one ``_rref_int`` of the columns; D = det(B); and for each
+        index i off B, Z[i][k] = D T[k][i] / lead, T the reduced form,
+        which is the minor of B with its k-th index replaced by i."""
         if self._frame is None:
-            hull = affine_hull(grid, self.indices)
+            idx = self.indices
+            hull = affine_hull(grid, idx)
             keep = [c for c in range(hull.dim) if c not in hull.pivots]
-            self._frame = ({i: [grid[i][c] for c in keep] + [1]
-                            for i in self.indices}, len(keep))
+            cols = {i: [grid[i][c] for c in keep] + [1] for i in idx}
+            e = len(keep)
+            T = [[cols[i][c] for i in idx] for c in range(e + 1)]
+            pivots, lead = _rref_int(T, len(idx))
+            pos = {idx[pc]: k for k, (_, pc) in enumerate(pivots)}
+            D = _det_int([cols[i] for i in pos])
+            Z = {i: [D * row[j] // lead for row in T]
+                 for j, i in enumerate(idx) if i not in pos}
+            self._frame = cols, e
+            self._basis = bitmask(pos), D, Z, pos
         return self._frame
 
 

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fandist
@@ -563,8 +563,9 @@ def two_passes(rows, cols):
 @st.composite
 def square_matrices(draw):
     """Square integer matrices up to 5 x 5 with zeros, and sometimes a
-    last row that combines two others, so the determinant is zero."""
-    n = draw(st.integers(1, 5))
+    last row that combines two others, so the determinant is zero.  Half
+    are at most 3 x 3, the sizes of the closed forms, 0 x 0 among them."""
+    n = draw(st.integers(0, 3) | st.integers(4, 5))
     ints = st.integers(-99, 99) | st.just(0)
     rows = draw(st.lists(st.lists(ints, min_size=n, max_size=n),
                          min_size=n, max_size=n))
@@ -576,10 +577,15 @@ def square_matrices(draw):
 
 class TestReducedEchelonForm:
     @settings(max_examples=300, deadline=None)
+    @example([])
+    @example([[-7]])
+    @example([[0, 2], [3, 5]])
+    @example([[0, 0, 2], [0, 3, 1], [5, 1, 1]])
     @given(square_matrices())
     def test_det_against_permutation_expansion(self, rows):
-        # Leibniz's signed sum over permutations; every division of the
-        # elimination is exact, and the rows are left as given
+        # Leibniz's signed sum over permutations (1 for the empty matrix);
+        # every division of the elimination is exact, and the rows are
+        # left as given
         n = len(rows)
         pairs = list(combinations(range(n), 2))
         want = sum((-1) ** sum(p[a] > p[b] for a, b in pairs)

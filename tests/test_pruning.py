@@ -17,12 +17,12 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fandist import feaslp, tverberg
 from fandist.errors import SizeGateExceeded
-from fandist.exactnum import ExactMatrix
+from fandist.exactnum import ExactMatrix, _det_int
 from fandist.feaslp import (
     ExactWeightSolver,
     Flat,
@@ -34,6 +34,7 @@ from fandist.galedual import PointConfig
 from fandist.genpos import (
     build_counterexample,
     found_equidistributing_tuple,
+    random_config,
     verify_no_equidistribution,
 )
 from fandist.kneser import SetFamily, bitmask, threshold_caps
@@ -653,26 +654,17 @@ def dependences(points, union):
     return basis
 
 
-def check_union_record(points, mask, record, base=None):
+def check_union_record(points, mask, record):
     """A union's record against its dependences: none, a miss; more, a
-    fallback; one with a zero entry, a miss, or a fallback when it is the
-    larger part's own dependence (decided when ``base`` masks that part);
-    one with no zero, the split into its sign sides, named by one side,
-    and their hulls' meet point."""
+    fallback; one with a zero entry, a miss, also when it is one part's
+    own dependence; one with no zero, the split into its sign sides, named
+    by one side, and their hulls' meet point."""
     union = [i for i in range(len(points)) if mask >> i & 1]
     basis = dependences(points, union)
-    if not basis:
+    if not basis or len(basis) == 1 and not all(basis[0]):
         assert record == tverberg._MISS
     elif len(basis) > 1:
         assert record == tverberg._FALLBACK
-    elif not all(basis[0]):
-        if base is None:
-            assert record in (tverberg._MISS, tverberg._FALLBACK)
-        else:
-            on_base = all(base >> i & 1 for i, x in zip(union, basis[0])
-                          if x)
-            assert record == (tverberg._FALLBACK if on_base
-                              else tverberg._MISS)
     else:
         assert isinstance(record, tverberg._Split)
         lam = dict(zip(union, basis[0]))
@@ -725,11 +717,11 @@ def test_pair_records_match_hull_meets(case):
     (((5, 5, -2), (5, 5, 2)), False),  # through its plane, outside it
 ])
 def test_union_record_read_off_the_larger_part(pair, meets):
-    # P = {0, 1} has fewer points than the triangle J = {2, 3, 4}, so J
-    # is the base of the record of P ∪ J; point 5 lies off the triangle's
-    # plane, so the frame of all six points is 3-D and the record reads
-    # five minors.  Each union has one dependence:
-    # P's own where P is dependent, zero on J, so a miss; else it has no
+    # P = {0, 1} has fewer points than the triangle J = {2, 3, 4}; point
+    # 5 lies off the triangle's plane, so the frame of all six points is
+    # 3-D and the record reads five minors.  Each union has one
+    # dependence: P's own where P is dependent, zero on the larger part J,
+    # so a miss, as the parts' affine spans cannot meet; else it has no
     # zero, and the record names its sign sides, P | J only where they
     # meet
     points = [[F(x) for x in p] for p in
@@ -745,6 +737,64 @@ def test_union_record_read_off_the_larger_part(pair, meets):
     record = state.unions[mask]
     assert (record is tverberg._MISS) == (pair[0] == pair[1])
     check_union_record(grid, mask, record)
+
+
+@st.composite
+def frame_points(draw):
+    """Integer points spanning 1 to 5 dimensions, some repeated and some
+    on a line through two others, with enough of them that an
+    (e + 1)-subset can leave the first e + 1 independent ones entirely.
+    Each point keeps its coordinates and takes up to two more, integer
+    affine functions of them, placed first."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(d + 2, 2 * d + 3))
+    pts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                 max_size=d), min_size=n, max_size=n))
+    for i in range(2, n):
+        kind = draw(st.sampled_from(["free", "free", "repeated",
+                                     "collinear"]))
+        j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        t = draw(st.integers(-2, 2))
+        if kind == "repeated":
+            pts[i] = list(pts[j])
+        elif kind == "collinear":
+            pts[i] = [a + t * (b - a) for a, b in zip(pts[j], pts[k])]
+    extra = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d + 1,
+                                   max_size=d + 1), max_size=2))
+    return [[sum(a * x for a, x in zip(row, p + [1])) for row in extra] + p
+            for p in pts]
+
+
+# the frame's basis B is the first e + 1 indices with independent
+# columns; S takes t of its indices off B, for every t that the points
+# allow, so both the sign and the division by D^(t - 1) are exercised
+@settings(max_examples=150, deadline=None)
+@given(frame_points(), st.data())
+def test_minors_read_off_the_frame_basis(grid, data):
+    n = len(grid)
+    state = tverberg._SearchState()
+    state.indices = range(n)
+    cols, e = state.frame(grid)
+    assume(e >= 1)
+    _, basis = rref([[cols[i][c] for i in range(n)] for c in range(e + 1)],
+                    n)
+    assert len(basis) == e + 1
+    off = [i for i in range(n) if i not in basis]
+    asked = set()
+    for t in range(min(e + 1, len(off)) + 1):
+        new = data.draw(st.lists(st.sampled_from(off), min_size=t,
+                                 max_size=t, unique=True)) if t else []
+        common = data.draw(st.lists(st.sampled_from(basis),
+                                    min_size=e + 1 - t, max_size=e + 1 - t,
+                                    unique=True))
+        asked.add(bitmask(new + common))
+    if n <= 8:
+        asked.update(bitmask(S) for S in combinations(range(n), e + 1))
+    for mask in asked:
+        state.minor(mask)
+    assert set(state.minors) == asked
+    for mask, m in state.minors.items():
+        assert m == _det_int([cols[i] for i in range(n) if mask >> i & 1])
 
 
 @st.composite
@@ -790,8 +840,8 @@ def record_kinds(state):
 # first example 0, 2 and 3 lie on a line, so the union {2, 3}, padded
 # with 0, has a zero minor although it is independent, and its kernel
 # decides the miss; in the second {1, 2, 3} lies on a line off point 0,
-# so the only dependence of {0, 1, 2, 3} is the larger part's own, and
-# its record, first read at the split {0} | {1, 2, 3}, falls back
+# so the only dependence of {0, 1, 2, 3} is the larger part's own, zero
+# at 0, and its record, first read at the split {0} | {1, 2, 3}, misses
 @settings(max_examples=60, deadline=None)
 @example(([[F(0), F(0)], [F(0), F(1)], [F(1), F(0)], [F(2), F(0)]],
           [[F(0), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(0), F(1)],
@@ -803,26 +853,15 @@ def record_kinds(state):
 @given(embedded_points())
 def test_union_records_keep_under_an_affine_embedding(case):
     points, embedded, r, max_part_size = case
-    union_record = tverberg._union_record
-    bases = {}  # each union's larger part at its first split, the first
-    #             part when both have as many points
-
-    def spy(first, hull):
-        base = hull if len(hull.part) > len(first.part) else first
-        bases[first.mask | hull.mask] = base.mask
-        return union_record(first, hull)
-
     runs = []
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(tverberg, "_union_record", spy)
-        for pts in (points, embedded):
-            solver = ExactWeightSolver(pts)
-            state = tverberg._SearchState()
-            emitted = list(_candidate_stream(range(len(pts)), r, None,
-                                             max_part_size, solver, state))
-            runs.append((emitted, state.checks, record_kinds(state)))
-            for mask, record in state.unions.items():
-                check_union_record(solver.ipoints, mask, record, bases[mask])
+    for pts in (points, embedded):
+        solver = ExactWeightSolver(pts)
+        state = tverberg._SearchState()
+        emitted = list(_candidate_stream(range(len(pts)), r, None,
+                                         max_part_size, solver, state))
+        runs.append((emitted, state.checks, record_kinds(state)))
+        for mask, record in state.unions.items():
+            check_union_record(solver.ipoints, mask, record)
     assert runs[0] == runs[1]
 
 
@@ -831,7 +870,9 @@ def test_certification_builds_one_record_per_union(monkeypatch):
     # and 2,838 point tests, all decided by records; its 1,474 unions hold
     # 1,012 misses and 462 lines, and 250 of those build their meet point.
     # The records read 462 minors in the frame, the one affine hull built,
-    # and no part's hull flat, barycentric map or elimination
+    # and no part's hull flat, barycentric map or elimination: one
+    # reduction of the frame's columns and D = det(B) read every minor,
+    # each with one determinant of its t > 0 indices off the basis B
     inst = build_counterexample(3, 2, 1, 0, 4, seed=1)
     c1 = inst.class_one()
     cap = threshold_caps([len(c1)], inst.r)[0]
@@ -862,7 +903,8 @@ def test_certification_builds_one_record_per_union(monkeypatch):
     monkeypatch.setattr(tverberg, "_next_flat", spy)
     monkeypatch.setattr(tverberg._PartHull, "holds", no_holds)
     monkeypatch.setattr(tverberg, "affine_hull", spy_hull)
-    for name in ("_det_int", "barycentric_map", "_eliminate_int"):
+    for name in ("_det_int", "_rref_int", "barycentric_map",
+                 "_eliminate_int"):
         monkeypatch.setattr(tverberg, name,
                             counting(name, getattr(tverberg, name)))
     state = tverberg._SearchState()
@@ -870,7 +912,8 @@ def test_certification_builds_one_record_per_union(monkeypatch):
                                   state)) == []
     assert tests == {"pair": 12100, "point": 2838}
     assert state.checks == 14938
-    assert calls == {"_det_int": 462}
+    assert calls == {"_rref_int": 1, "_det_int": 462}
+    assert len(state.minors) == 462
     assert hulls == [tuple(c1)]
     records = state.unions.values()
     assert Counter(record if isinstance(record, str) else "line"
@@ -879,6 +922,19 @@ def test_certification_builds_one_record_per_union(monkeypatch):
     assert sum(record._meet is not None for record in records
                if isinstance(record, tverberg._Split)) == 250
 
+
+
+@pytest.mark.parametrize("n, dim, e, minors", [(11, 9, 9, 11), (9, 6, 6, 36)])
+def test_high_dimensional_searches_memoise_only_the_minors_they_read(
+        n, dim, e, minors):
+    # an uncapped r = 3 search over points spanning many dimensions reads
+    # few of the frame's (e + 1)-subsets, and keeps only those
+    solver = ExactWeightSolver(random_config(n, dim, seed=1).points)
+    state = tverberg._SearchState()
+    assert list(_candidate_stream(range(n), 3, None, None, solver,
+                                  state)) == []
+    assert state.frame(solver.ipoints)[1] == e
+    assert len(state.minors) == minors
 
 # -- the set condition against a from-scratch set/count oracle ---------------
 
