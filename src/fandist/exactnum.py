@@ -532,7 +532,7 @@ def scalar_is_zero(s: Scalar) -> bool:
 def scalar_to_json(s: Scalar):
     if isinstance(s, Cyclotomic):
         return {"N": s.N, "coeffs": [str(c) for c in s.coeffs]}
-    return str(Fraction(s))
+    return str(s if type(s) in (int, Fraction) else Fraction(s))
 
 
 def _json_int(value, field: str) -> int:

@@ -28,7 +28,12 @@ from itertools import product
 from math import gcd
 from typing import Optional, Sequence, Union
 
-from fandist.errors import MalformedFan, PreconditionError, VerificationBug
+from fandist.errors import (
+    MalformedFan,
+    NotADependence,
+    PreconditionError,
+    VerificationBug,
+)
 from fandist.exactnum import (
     Cyclotomic,
     _back_eliminate,
@@ -45,6 +50,8 @@ from fandist.exactnum import (
 from fandist.galedual import (
     GaleDualPair,
     PointConfig,
+    _functional_int,
+    _is_grid_dependence,
     dependence_to_functional,
 )
 from fandist.kneser import SetFamily
@@ -130,12 +137,15 @@ class RealFan:
         # mu_j H_j sum to zero; dividing by their content keeps that
         H = [[m * x for x in h] for m, h in zip(mu, H)]
         g = gcd(*(x for h in H for x in h))
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "normals",
-                           tuple(tuple(x // g for x in h[:-1]) for h in H))
-        object.__setattr__(self, "offsets", tuple(-h[-1] // g for h in H))
-        object.__setattr__(self, "_checked", None)
+        self._store(r, dim, tuple(tuple(x // g for x in h[:-1]) for h in H),
+                    tuple(-h[-1] // g for h in H))
+
+    def _store(self, r, dim, normals, offsets) -> "RealFan":
+        """Store normalized int tuples as they are."""
+        for name, value in zip(("r", "dim", "normals", "offsets", "_checked"),
+                               (r, dim, normals, offsets, None)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("RealFan is immutable")
@@ -148,8 +158,6 @@ class RealFan:
                 for v, c in zip(self.normals, self.offsets)]
 
     def classify(self, x: Sequence[Fraction]) -> Classification:
-        """Classified by the signs of v.X - c D, where x = X / D, D > 0;
-        they are the signs of v.x - c."""
         if len(x) != self.dim:
             raise PreconditionError("point dimension mismatch")
         try:
@@ -157,6 +165,11 @@ class RealFan:
         except AttributeError:
             raise PreconditionError(
                 "real fans classify rational points") from None
+        return self._classify_int(X, D)
+
+    def _classify_int(self, X, D) -> Classification:
+        """The point x = X / D, X integers and D > 0, classified by the
+        signs of v.X - c D; they are the signs of v.x - c."""
         vals = [sum(a * b for a, b in zip(v, X)) - c * D
                 for v, c in zip(self.normals, self.offsets)]
         nonzero = [j for j, v in enumerate(vals) if v != 0]
@@ -271,8 +284,13 @@ class ComplexFan:
              else (xi.embed(N) if isinstance(xi, Cyclotomic)
                    else Cyclotomic.from_rational(N, xi))
              for xi in x]
+        return self._classify_int(*_clear_cyclotomic(x, _field_data(N).deg))
+
+    def _classify_int(self, X, D) -> Classification:
+        """The point x = X / D over Q(zeta_N), X integer coefficient
+        vectors and D > 0, classified by D conj(w) as ``classify`` says."""
+        N = self.N
         data = _field_data(N)
-        X, D = _clear_cyclotomic(x, data.deg)
         q = [a - D * b for a, b in
              zip(data.dot_int(self._conj_alpha, X), self._conj_beta)]
         if not any(q):
@@ -339,22 +357,29 @@ def fan_from_tuple_real(pair: GaleDualPair, tup: TverbergTuple) -> RealFan:
 
 def _real_fan(pair: GaleDualPair, tup: TverbergTuple) -> RealFan:
     """``fan_from_tuple_real`` on a rational pair and a tuple whose
-    witness has been verified."""
+    witness has been verified, in integers: the weights are cleared once
+    to W / e, each lambda is tested as a dependence on the primal's grid,
+    and each functional is read off the bridge and checked on the dual's
+    grid."""
     r = tup.r
     n = pair.primal.n
     t = tup.witness.weights
-    alphas = []
+    W, e = _clear(list(t.values()))
+    w = dict(zip(t, W))
+    normals = [None] * r
     for j in range(r):
-        lam = [Fraction(0)] * n
+        Lam = [0] * n
         for i in tup.parts[j]:
-            lam[i] = t[i]
+            Lam[i] = w[i]
         for i in tup.parts[(j - 1) % r]:
-            lam[i] = -t[i]
-        alphas.append(dependence_to_functional(pair, lam))
-    dim = pair.dual.dim
-    normals = [tuple(-x for x in alphas[(j + 1) % r]) for j in range(r)]
-    fan = RealFan(r, dim, normals, [Fraction(0)] * r)
-    _verify_distribution(fan, pair.dual, tup)
+            Lam[i] = -w[i]
+        if not any(Lam) or not _is_grid_dependence(pair, Lam):
+            raise NotADependence("lambda is not a nonzero affine dependence")
+        # the stored normal for half-flat j - 1 is -alpha_j
+        normals[j - 1] = [-p for p in _functional_int(pair, Lam, e)[0]]
+    fan = RealFan(r, pair.dual.dim, normals, [0] * r)
+    _verify_distribution(fan, pair.dual, tup,
+                         [(g, 1) for g in pair._conj_dual_grid[0]])
     return fan
 
 
@@ -384,14 +409,28 @@ def _complex_fan(pair: GaleDualPair, tup: TverbergTuple) -> ComplexFan:
         for i in tup.parts[j]:
             lam[i] = w * t[i]
     fan = ComplexFan(r, N, dependence_to_functional(pair, lam), 0)
-    _verify_distribution(fan, pair.dual, tup)
+    _verify_distribution(fan, pair.dual, tup, _cleared_points(pair.dual))
     return fan
 
 
+def _cleared_points(config: PointConfig) -> list:
+    """Each point of a config over Q(zeta_N) cleared to integer
+    coefficient vectors over one denominator D > 0, as
+    ``ComplexFan.classify`` clears it."""
+    deg = _field_data(config.conductor).deg
+    return [_clear_cyclotomic(p, deg) for p in config.points]
+
+
 def _verify_distribution(fan: Fan, config: PointConfig,
-                         tup: TverbergTuple) -> None:
+                         tup: TverbergTuple, rows) -> None:
     """Point i of config must lie in interior j when i is in part j, and
     on the center otherwise; raises VerificationBug at the first miss.
+    Point i is classified by ``fan._classify_int(*rows[i])``, with rows[i]
+    = (X, D), D > 0, X / D the point or, under a linear fan, a positive
+    multiple of it.  Over Q the callers read the pair's dual grid G = s g:
+    the linear fan its rows (G_i, 1), the slice the points of X as
+    (G_i[:-1], G_i[-1]), since G_i = s (x_i, 1).  Over Q(zeta_N) each
+    point is cleared as ``ComplexFan.classify`` clears it.
 
     The checked classifications stay on the fan until the next
     ``verify_report`` on it, which takes them for this config instead of
@@ -403,8 +442,8 @@ def _verify_distribution(fan: Fan, config: PointConfig,
         for i in p:
             part_of[i] = j
     cls = []
-    for i, g in enumerate(config.points):
-        c = fan.classify(g)
+    for i, (X, D) in enumerate(rows):
+        c = fan._classify_int(X, D)
         want = part_of.get(i)
         if want is None:
             if c.kind != CENTER:
@@ -421,19 +460,22 @@ def slice_project(fan: Fan) -> Fan:
     """Intersect a linear fan with the height-one slab and project.
 
     Real: alpha_j = (beta_j, gamma_j) becomes the affine hyperplane
-    <beta_j, x> = -gamma_j.  Complex: alpha = (beta, gamma) becomes the
-    fan with normal beta and offset -gamma.  Classification commutes with
-    lifting, exactly.
+    <beta_j, x> = -gamma_j.  Its hyperplane [beta_j | gamma_j] is the
+    linear one with its zero offset dropped, so the normalized linear
+    fan's dependency (1, ..., 1) and content 1 carry over, and the
+    slice is stored as it is, as the constructor would return it.
+    Complex: alpha = (beta, gamma) becomes the fan with normal beta and
+    offset -gamma.  Classification commutes with lifting, exactly.
     """
     if isinstance(fan, RealFan):
         if not fan.is_linear():
             raise PreconditionError("slice_project expects a linear fan")
-        normals = [v[:-1] for v in fan.normals]
-        offsets = [-v[-1] for v in fan.normals]
+        normals = tuple(v[:-1] for v in fan.normals)
         for j, b in enumerate(normals):
-            if all(x == 0 for x in b):
+            if not any(b):
                 raise MalformedFan(f"projected normal {j} is zero")
-        return RealFan(fan.r, fan.dim - 1, normals, offsets)
+        return RealFan.__new__(RealFan)._store(
+            fan.r, fan.dim - 1, normals, tuple(-v[-1] for v in fan.normals))
     if not fan.is_linear():
         raise PreconditionError("slice_project expects a linear fan")
     beta = fan.alpha[:-1]

@@ -492,15 +492,10 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
         raise PreconditionError("a rational pair needs a rational lambda")
     if not any(lam) or not _is_dependence(pair, lam):
         raise NotADependence("lambda is not a nonzero affine dependence")
-    G, s = pair._conj_dual_grid
     if N is None:
-        S, Ft, lead = pair._bridge
-        Lam, e = _clear(lam)
-        P = [sum(f * Lam[i] for f, i in zip(col, S)) for col in Ft]
-        for Gi, li in zip(G, Lam):
-            if sum(a * b for a, b in zip(P, Gi)) != lead * s * li:
-                raise VerificationBug("functional does not reproduce lambda")
-        return tuple(Fraction(p, lead * e) for p in P)
+        P, den = _functional_int(pair, *_clear(lam))
+        return tuple(Fraction(p, den) for p in P)
+    G, s = pair._conj_dual_grid
     data = _field_data(N)
     Lam, e = _clear_cyclotomic(lam, data.deg)
     m = pair.dual.dim
@@ -516,6 +511,20 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
         if [e * x for x in data.dot_int(A, Gi)] != [a * s * x for x in li]:
             raise VerificationBug("functional does not reproduce lambda")
     return alpha
+
+
+def _functional_int(pair: GaleDualPair, Lam, e):
+    """(P, lead e): the functional alpha = P / (lead e) of the dependence
+    lambda = Lam / e of a rational pair, Lam integers, read off the
+    bridge as P = F^T Lam_S and checked against every g_i as <P, G_i> =
+    lead s Lam_i; the caller has tested lambda."""
+    G, s = pair._conj_dual_grid
+    S, Ft, lead = pair._bridge
+    P = [sum(f * Lam[i] for f, i in zip(col, S)) for col in Ft]
+    for Gi, li in zip(G, Lam):
+        if sum(a * b for a, b in zip(P, Gi)) != lead * s * li:
+            raise VerificationBug("functional does not reproduce lambda")
+    return P, lead * e
 
 
 def functional_to_dependence(pair: GaleDualPair, alpha: Sequence[Scalar]):

@@ -11,8 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fandist import fans, pipeline
 from fandist.errors import MalformedFan, PreconditionError, VerificationBug
-from fandist.exactnum import Cyclotomic, ExactMatrix, conj, hermitian_dot
+from fandist.exactnum import (
+    Cyclotomic,
+    ExactMatrix,
+    _clear,
+    conj,
+    hermitian_dot,
+)
 from fandist.fans import (
     CENTER,
     INTERIOR,
@@ -36,6 +43,7 @@ from fandist.feaslp import (
 from fandist.galedual import (
     GaleDualPair,
     PointConfig,
+    dependence_to_functional,
     gale_pair_from_dual,
     gale_transform,
     lift_augment,
@@ -776,6 +784,123 @@ class TestSliceProject:
         fan = RealFan(3, 2, [[1, 0], [0, 1], [-1, -1]], [1, 1, -2])
         with pytest.raises(PreconditionError):
             slice_project(fan)
+
+
+def fan_fields(fan):
+    return fan.r, fan.dim, fan.normals, fan.offsets
+
+
+@st.composite
+def lifted_runs(draw):
+    """A seeded rational X (denominators up to 6, d = 1 or 2), the
+    pipeline's pair for it and a proper 3-tuple of its points."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    d = rng.randint(1, 2)
+    n = 2 * (d + 1) + 1 + rng.randint(0, 1)
+    X = PointConfig(n - d - 1, [[F(rng.randint(-15, 15), rng.randint(1, 6))
+                                 for _ in range(n - d - 1)]
+                                for _ in range(n)])
+    assume(X.affinely_spanning())
+    pair = gale_pair_from_dual(lift_augment(X))
+    tup = search_tuple(pair.primal, 3, allowed=range(n))
+    assume(tup is not None)
+    return X, pair, tup
+
+
+class TestIntegerFanPath:
+    @settings(max_examples=40, deadline=None)
+    @given(lifted_runs(), st.lists(st.lists(fracs, min_size=9, max_size=9),
+                                   max_size=4))
+    def test_matches_the_fraction_path(self, run, free):
+        """The fan built in integers is the validating constructor's fan
+        on the public functionals; its slice is the constructor's on the
+        projected hyperplanes; and every classification, on a point
+        cleared by ``_clear`` or read off the dual's grid, is the public
+        one."""
+        X, pair, tup = run
+        fan = fan_from_tuple_real(pair, tup)
+        r, n, w = tup.r, pair.primal.n, tup.witness.weights
+        alphas = []
+        for j in range(r):
+            lam = [F(0)] * n
+            for i in tup.parts[j]:
+                lam[i] = w[i]
+            for i in tup.parts[(j - 1) % r]:
+                lam[i] = -w[i]
+            alphas.append(dependence_to_functional(pair, lam))
+        want = RealFan(r, pair.dual.dim,
+                       [[-x for x in alphas[(j + 1) % r]] for j in range(r)],
+                       [0] * r)
+        assert fan_fields(fan) == fan_fields(want)
+        sliced = slice_project(fan)
+        assert fan_fields(sliced) == fan_fields(RealFan(
+            fan.r, fan.dim - 1, [v[:-1] for v in fan.normals],
+            [-v[-1] for v in fan.normals]))
+        assert all(type(x) is int for v in sliced.normals for x in v)
+        assert all(type(c) is int for c in sliced.offsets)
+        G = pair._conj_dual_grid[0]
+        for g, y in zip(G, pair.dual.points):
+            assert fan.classify(y) == fan._classify_int(*_clear(y)) == \
+                fan._classify_int(g, 1)
+        points = list(X.points) + [p[:X.dim] for p in free]
+        for i, x in enumerate(points):
+            c = sliced.classify(x)
+            assert c == sliced._classify_int(*_clear(x))
+            if i < X.n:
+                assert c == sliced._classify_int(G[i][:-1], G[i][-1])
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("which", ["linear", "affine"])
+    def test_a_flipped_normal_fails_the_grid_check(self, monkeypatch,
+                                                   which, k):
+        """A fan with hyperplane k negated (normal and offset) puts the
+        points of part k outside; the checks on the dual's grid (linear)
+        and on X read off it (affine) catch that."""
+        X, pair, _, _ = pipeline._prepare(random_config(7, 5, seed=1), 3)
+        tup = search_tuple(pair.primal, 3, allowed=range(X.n))
+
+        def flip(fan):
+            for name in ("normals", "offsets"):
+                v = list(getattr(fan, name))
+                v[k] = tuple(-x for x in v[k]) if name == "normals" else -v[k]
+                object.__setattr__(fan, name, tuple(v))
+            return fan
+
+        pipeline._build_fan(pair, X, tup)
+        if which == "linear":
+            class Flipped(RealFan):
+                __slots__ = ()
+
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    flip(self)
+            monkeypatch.setattr(fans, "RealFan", Flipped)
+
+            def sliced(fan):
+                raise AssertionError("the linear fan's check let it pass")
+            monkeypatch.setattr(pipeline, "slice_project", sliced)
+        else:
+            monkeypatch.setattr(pipeline, "slice_project",
+                                lambda fan: flip(slice_project(fan)))
+        with pytest.raises(VerificationBug, match=rf"classifies outside, "
+                           rf"expected interior\({k}\)"):
+            pipeline._build_fan(pair, X, tup)
+
+    def test_a_negated_complex_slice_fails_its_check(self, monkeypatch):
+        """The complex slice is checked on X cleared point by point: with
+        alpha and beta negated, r = 2, the two parts swap half-flats."""
+        X, pair, _, _ = pipeline._prepare(random_config(
+            6, 4, field=4, seed=7300, coloring=[0, 0, 0, 1, 1, 1]), 2)
+        tup = search_tuple(pair.primal, 2, allowed=range(X.n))
+        pipeline._build_fan(pair, X, tup)
+
+        def negated(fan):
+            s = slice_project(fan)
+            return ComplexFan(s.r, s.N, [-a for a in s.alpha], -s.beta)
+
+        monkeypatch.setattr(pipeline, "slice_project", negated)
+        with pytest.raises(VerificationBug, match="expected interior"):
+            pipeline._build_fan(pair, X, tup)
 
 
 class TestTwoFanReport:

@@ -109,13 +109,15 @@ class TestEquidistribute:
 
 
 def count_classifications(monkeypatch):
-    """A list that counts every RealFan and ComplexFan classification."""
+    """A list that counts every RealFan and ComplexFan classification:
+    ``classify`` and the fan checks on cleared points all end in
+    ``_classify_int``."""
     calls = []
     for cls in (RealFan, ComplexFan):
-        def counted(self, x, classify=cls.classify):
+        def counted(self, X, D, classify=cls._classify_int):
             calls.append(self)
-            return classify(self, x)
-        monkeypatch.setattr(cls, "classify", counted)
+            return classify(self, X, D)
+        monkeypatch.setattr(cls, "_classify_int", counted)
     return calls
 
 
