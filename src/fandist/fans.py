@@ -44,6 +44,7 @@ from fandist.exactnum import (
     _json_int,
     _kernel_int,
     _rational_from_json,
+    _scalars,
     scalar_from_json,
     scalar_to_json,
 )
@@ -52,7 +53,6 @@ from fandist.galedual import (
     PointConfig,
     _functional_int,
     _is_grid_dependence,
-    dependence_to_functional,
 )
 from fandist.kneser import SetFamily
 from fandist.tverberg import TverbergTuple
@@ -379,7 +379,7 @@ def _real_fan(pair: GaleDualPair, tup: TverbergTuple) -> RealFan:
         normals[j - 1] = [-p for p in _functional_int(pair, Lam, e)[0]]
     fan = RealFan(r, pair.dual.dim, normals, [0] * r)
     _verify_distribution(fan, pair.dual, tup,
-                         [(g, 1) for g in pair._conj_dual_grid[0]])
+                         [(g, 1) for g in pair._dual_grid[0]])
     return fan
 
 
@@ -399,26 +399,25 @@ def fan_from_tuple_complex(pair: GaleDualPair,
 
 def _complex_fan(pair: GaleDualPair, tup: TverbergTuple) -> ComplexFan:
     """``fan_from_tuple_complex`` on a pair over Q(zeta_N), r | N, and a
-    tuple whose witness has been verified."""
+    tuple whose witness has been verified, in integers as ``_real_fan``:
+    the weights are cleared once to W / e, lambda_i = w_i omega^j for i in
+    part j is built as integer coefficient vectors and tested on the
+    primal's grid, and the functional is checked on the dual's grid."""
     N, r = pair.primal.conductor, tup.r
-    n = pair.primal.n
+    table = _field_data(N).power_table
     t = tup.witness.weights
-    lam = [Cyclotomic.from_rational(N, 0)] * n
-    for j in range(r):
-        w = Cyclotomic.root_of_unity(N, (N // r) * j)
-        for i in tup.parts[j]:
-            lam[i] = w * t[i]
-    fan = ComplexFan(r, N, dependence_to_functional(pair, lam), 0)
-    _verify_distribution(fan, pair.dual, tup, _cleared_points(pair.dual))
+    W, e = _clear(list(t.values()))
+    w = dict(zip(t, W))
+    Lam = [[0] * len(table[0])] * pair.primal.n
+    for j, part in enumerate(tup.parts):
+        for i in part:
+            Lam[i] = [w[i] * c for c in table[(N // r) * j]]
+    if not any(map(any, Lam)) or not _is_grid_dependence(pair, Lam):
+        raise NotADependence("lambda is not a nonzero affine dependence")
+    fan = ComplexFan(r, N, _scalars(*_functional_int(pair, Lam, e), N), 0)
+    _verify_distribution(fan, pair.dual, tup,
+                         [(g, 1) for g in pair._dual_grid[0]])
     return fan
-
-
-def _cleared_points(config: PointConfig) -> list:
-    """Each point of a config over Q(zeta_N) cleared to integer
-    coefficient vectors over one denominator D > 0, as
-    ``ComplexFan.classify`` clears it."""
-    deg = _field_data(config.conductor).deg
-    return [_clear_cyclotomic(p, deg) for p in config.points]
 
 
 def _verify_distribution(fan: Fan, config: PointConfig,
@@ -427,10 +426,9 @@ def _verify_distribution(fan: Fan, config: PointConfig,
     on the center otherwise; raises VerificationBug at the first miss.
     Point i is classified by ``fan._classify_int(*rows[i])``, with rows[i]
     = (X, D), D > 0, X / D the point or, under a linear fan, a positive
-    multiple of it.  Over Q the callers read the pair's dual grid G = s g:
-    the linear fan its rows (G_i, 1), the slice the points of X as
-    (G_i[:-1], G_i[-1]), since G_i = s (x_i, 1).  Over Q(zeta_N) each
-    point is cleared as ``ComplexFan.classify`` clears it.
+    multiple of it.  Over both fields the callers read the pair's dual
+    grid G = s g: the linear fan its rows (G_i, 1), the slice the points
+    of X as (G_i[:-1], s), since G_i = s (x_i, 1).
 
     The checked classifications stay on the fan until the next
     ``verify_report`` on it, which takes them for this config instead of

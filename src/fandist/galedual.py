@@ -14,14 +14,11 @@ B, whose columns are the dual points, as integer vectors over one lead,
 conjugated in integers; the same integers are the primal's grid.  The
 pair is checked once, by its own test that every conjugated coordinate
 row of the dual, read off the dual's cleared and conjugated grid, is an
-affine dependence of the primal.  Over Q the kernel and every
-functional are read off the one reduction of [B | I]; over Q(zeta_N)
-the kernel and B's pivot columns S are read off one reduction of B on
-integer rows, and each functional alpha = s alpha' / e comes from one
-square solve conj(G_S) alpha' = Lam_S in Z[zeta_N], whose left block is
-the dual's own grid G = s g.  Each functional is checked on every dual
-point in integers, and Fractions and Cyclotomics are built once, only
-for the points a ``PointConfig`` holds and the functionals returned.
+affine dependence of the primal.  Every functional is read by one
+reader, ``_functional_int``, from a dependence cleared to integers and
+checked on every dual point in integers; Fractions and Cyclotomics are
+built once, only for the points a ``PointConfig`` holds and the
+functionals returned.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from fandist.errors import (
@@ -257,12 +255,17 @@ class GaleDualPair:
         return _clear_grid(primal.points, primal.conductor)[0]
 
     @cached_property
+    def _dual_grid(self):
+        """(G, s): the dual on its integer grid G = s g;
+        ``gale_pair_from_dual`` seeds it."""
+        return _clear_grid(self.dual.points, self.dual.conductor)
+
+    @cached_property
     def _conj_dual_grid(self):
-        """(conj(G), s): the dual on its integer grid G = s g, conjugated
-        (over Q conjugation is the identity)."""
-        N = self.dual.conductor
-        G, s = _clear_grid(self.dual.points, N)
-        return _conj_int(G, N), s
+        """(conj(G), s): ``_dual_grid`` conjugated (over Q conjugation is
+        the identity)."""
+        G, s = self._dual_grid
+        return _conj_int(G, self.dual.conductor), s
 
     def validate(self) -> None:
         """Every row of B, a conjugated coordinate row of the dual, is an
@@ -361,7 +364,7 @@ def gale_pair_from_dual(dual: PointConfig) -> GaleDualPair:
     construction.  Each primal coordinate is built once from those
     integers, conjugated in integers over Q(zeta_N), and the same
     integers seed the pair's primal grid; the zero-sum test and the
-    pair's cleared, conjugated dual share one clearing of the dual.
+    pair's dual grid share one clearing of the dual.
 
     The pair is checked once by ``GaleDualPair.validate``: the dual
     points are exactly the given ones and every conjugated coordinate
@@ -386,8 +389,7 @@ def gale_pair_from_dual(dual: PointConfig) -> GaleDualPair:
     pair = GaleDualPair(PointConfig(d, [_scalars(p, lead, N) for p in P], N,
                                     dual.coloring), dual)
     # the cached properties' values
-    pair.__dict__.update(_bridge=bridge, _primal_grid=P,
-                         _conj_dual_grid=(_conj_int(G, N), s))
+    pair.__dict__.update(_bridge=bridge, _primal_grid=P, _dual_grid=(G, s))
     try:
         pair.validate()
     except NotADependence as exc:
@@ -469,16 +471,9 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
     """The unique alpha with <alpha, g_i> = lambda_i for every i.
 
     lambda must be a nonzero affine dependence of the primal (checked
-    exactly).  It is solved through the kernel basis, lambda = B^T alpha,
-    where row i of B^T is conj(g_i), on the pair's bridge and the dual's
-    grid G = s g, lambda = Lam / e.  Over Q it is alpha = F^T lambda_S /
-    lead.  Over Q(zeta_N) ``_eliminate_cyclotomic`` solves the square
-    system conj(G_i) alpha' = Lam_i on the pivot columns S, whose left
-    block is the dual's own conjugated grid, and alpha = s alpha' / e.
-    Either way alpha is checked against every g_i in integers: over Q as
-    <P, G_i> = lead s Lam_i, P = F^T Lam_S; over Q(zeta_N) as
-    e <A, conj(G_i)> = a s Lam_i, alpha = A / a.  A rational pair takes
-    a rational-valued Cyclotomic entry as its value and raises
+    exactly); it is cleared to integers, lambda = Lam / e, and alpha is
+    read by ``_functional_int``.  A rational pair takes a
+    rational-valued Cyclotomic entry as its value and raises
     PreconditionError for any other.
     """
     N = pair.primal.conductor
@@ -492,39 +487,46 @@ def dependence_to_functional(pair: GaleDualPair, lam: Sequence[Scalar]):
         raise PreconditionError("a rational pair needs a rational lambda")
     if not any(lam) or not _is_dependence(pair, lam):
         raise NotADependence("lambda is not a nonzero affine dependence")
-    if N is None:
-        P, den = _functional_int(pair, *_clear(lam))
-        return tuple(Fraction(p, den) for p in P)
+    (Lam,), e = _clear_grid([lam], N)
+    return _scalars(*_functional_int(pair, Lam, e), N)
+
+
+def _functional_int(pair: GaleDualPair, Lam, e):
+    """(P, a): the functional alpha = P / a, a > 0, of the dependence
+    lambda = Lam / e, Lam integers (integer coefficient vectors over
+    Q(zeta_N)); the caller has tested lambda.  It is solved through the
+    kernel basis, lambda = B^T alpha, where row i of B^T is conj(g_i), on
+    the pair's bridge and the dual's grid G = s g.  Over Q it is read off
+    the bridge as P = F^T Lam_S, a = lead e.  Over Q(zeta_N)
+    ``_eliminate_cyclotomic`` solves the square system conj(G_i) alpha' =
+    Lam_i on the pivot columns S, whose left block is the dual's own
+    conjugated grid, and alpha = s alpha' / e, over a = e L, L the lcm of
+    the solved rows' denominators.  Either way P is checked against every
+    g_i in integers, as <P, conj(G_i)> = (a / e) s Lam_i: a / e is lead
+    over Q and L over Q(zeta_N).
+    """
     G, s = pair._conj_dual_grid
+    N = pair.primal.conductor
+    if N is None:
+        S, Ft, lead = pair._bridge
+        P = [sum(f * Lam[i] for f, i in zip(col, S)) for col in Ft]
+        for Gi, li in zip(G, Lam):
+            if sum(a * b for a, b in zip(P, Gi)) != lead * s * li:
+                raise VerificationBug("functional does not reproduce lambda")
+        return P, lead * e
     data = _field_data(N)
-    Lam, e = _clear_cyclotomic(lam, data.deg)
     m = pair.dual.dim
     M = [G[i] + [Lam[i]] for i in pair._bridge]
     dens = [1] * len(M)
     if len(_eliminate_cyclotomic(data, M, dens, m, True)) != m:
         raise VerificationBug("the dual's pivot columns do not span")
     # Gauss-Jordan leaves row k as alpha'_k = M[k][m] / dens[k]
-    alpha = tuple(Cyclotomic._from_int(N, [s * x for x in row[m]], e * d)
-                  for row, d in zip(M, dens))
-    A, a = _clear_cyclotomic(alpha, data.deg)
+    L = lcm(*dens)
+    P = [[s * (L // d) * x for x in row[m]] for row, d in zip(M, dens)]
     for Gi, li in zip(G, Lam):
-        if [e * x for x in data.dot_int(A, Gi)] != [a * s * x for x in li]:
+        if data.dot_int(P, Gi) != [L * s * x for x in li]:
             raise VerificationBug("functional does not reproduce lambda")
-    return alpha
-
-
-def _functional_int(pair: GaleDualPair, Lam, e):
-    """(P, lead e): the functional alpha = P / (lead e) of the dependence
-    lambda = Lam / e of a rational pair, Lam integers, read off the
-    bridge as P = F^T Lam_S and checked against every g_i as <P, G_i> =
-    lead s Lam_i; the caller has tested lambda."""
-    G, s = pair._conj_dual_grid
-    S, Ft, lead = pair._bridge
-    P = [sum(f * Lam[i] for f, i in zip(col, S)) for col in Ft]
-    for Gi, li in zip(G, Lam):
-        if sum(a * b for a, b in zip(P, Gi)) != lead * s * li:
-            raise VerificationBug("functional does not reproduce lambda")
-    return P, lead * e
+    return P, L * e
 
 
 def functional_to_dependence(pair: GaleDualPair, alpha: Sequence[Scalar]):

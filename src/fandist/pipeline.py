@@ -33,7 +33,6 @@ from fandist.errors import (
 )
 from fandist.fans import (
     VerificationReport,
-    _cleared_points,
     _verify_distribution,
     slice_project,
     verify_report,
@@ -209,28 +208,25 @@ def _build_fan(pair, X, tup):
     """(linear fan, its slice), the slice checked point by point on X.
 
     The fan constructor has checked every lifted point, the augmented
-    one included, against the tuple's labels: over Q on the dual's grid
+    one included, against the tuple's labels on the dual's grid
     G_i = s g_i.  Here each point of X is classified once under the
     slice and must carry the same label: interior j for part j, center
-    otherwise.  Over Q the point x_i is read off the same grid, as
-    G_i = s (x_i, 1) (``lift_augment`` lifted x_i to (x_i, 1)); over
-    Q(zeta_N) it is cleared as ``ComplexFan.classify`` clears it.  The
-    mode's report on X reads those same classifications off the slice.
+    otherwise.  The point x_i is read off the same grid, over both
+    fields, as (G_i[:-1], s): G_i = s (x_i, 1), since ``lift_augment``
+    lifted x_i to (x_i, 1).  The mode's report on X reads those same
+    classifications off the slice.
     The tuple's witness is not re-verified here: the search's solve has
     just done so.  The fan layer's input checks fail here only on the
     pipeline's own tuple and pair, so they surface as VerificationBug.
     """
     try:
-        if X.conductor is None:
-            linear_fan = fan_from_tuple_real(pair, tup)
-        else:
-            linear_fan = fan_from_tuple_complex(pair, tup)
+        linear_fan = (fan_from_tuple_real if X.conductor is None
+                      else fan_from_tuple_complex)(pair, tup)
         affine_fan = slice_project(linear_fan)
     except PreconditionError as exc:
         raise VerificationBug(f"fan construction failed: {exc}") from exc
-    rows = [(g[:-1], g[-1]) for g in pair._conj_dual_grid[0][:X.n]] \
-        if X.conductor is None else _cleared_points(X)
-    _verify_distribution(affine_fan, X, tup, rows)
+    G, s = pair._dual_grid
+    _verify_distribution(affine_fan, X, tup, [(g[:-1], s) for g in G[:X.n]])
     return linear_fan, affine_fan
 
 

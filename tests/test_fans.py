@@ -11,8 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fandist import fans, pipeline
-from fandist.errors import MalformedFan, PreconditionError, VerificationBug
+from fandist import fans, galedual, pipeline
+from fandist.errors import (
+    MalformedFan,
+    NotADependence,
+    PreconditionError,
+    VerificationBug,
+)
 from fandist.exactnum import (
     Cyclotomic,
     ExactMatrix,
@@ -44,6 +49,7 @@ from fandist.galedual import (
     GaleDualPair,
     PointConfig,
     dependence_to_functional,
+    functional_to_dependence,
     gale_pair_from_dual,
     gale_transform,
     lift_augment,
@@ -901,6 +907,94 @@ class TestIntegerFanPath:
         monkeypatch.setattr(pipeline, "slice_project", negated)
         with pytest.raises(VerificationBug, match="expected interior"):
             pipeline._build_fan(pair, X, tup)
+
+
+@lru_cache(maxsize=None)
+def complex_run(N, seed):
+    """The pipeline's prepared pair for a colored six-point input over
+    Q(zeta_N), r = 2, with its tuple: N = 3 embeds into Q(zeta_12)."""
+    X, pair, _, _ = pipeline._prepare(random_config(
+        6, 4, field=N, seed=seed, coloring=[0, 0, 0, 1, 1, 1]), 2)
+    tup = search_tuple(pair.primal, 2, allowed=range(X.n))
+    assert tup is not None
+    return X, pair, tup
+
+
+COMPLEX_RUNS = [(N, s) for N in (3, 4) for s in range(7300, 7306)]
+
+
+class TestComplexIntegerFanPath:
+    @pytest.mark.parametrize("N, seed", COMPLEX_RUNS)
+    def test_matches_the_cyclotomic_lambda(self, N, seed):
+        """The fan built from integer lambda is the one built from the
+        Cyclotomic lambda_i = omega^j t_i, i in part j, and that lambda
+        is what the fan's functional gives back, up to a positive
+        rational factor."""
+        X, pair, tup = complex_run(N, seed)
+        K, r = pair.primal.conductor, tup.r
+        assert (K, len(X.points[0][0].coeffs)) == \
+            ((12, 4) if N == 3 else (4, 2))
+        t = tup.witness.weights
+        lam = [Cyclotomic.from_rational(K, 0)] * pair.primal.n
+        for j, part in enumerate(tup.parts):
+            for i in part:
+                lam[i] = Cyclotomic.root_of_unity(K, (K // r) * j) * t[i]
+        want = ComplexFan(r, K, dependence_to_functional(pair, lam), 0)
+        fan = fans._complex_fan(pair, tup)
+        assert fan.to_json() == want.to_json()
+        assert fan._conj_alpha == want._conj_alpha
+        back = functional_to_dependence(pair, fan.alpha)
+        i0 = tup.parts[0][0]
+        c = back[i0] / lam[i0]
+        assert c.is_rational() and c.coeffs[0] > 0
+        assert list(back) == [x * c for x in lam]
+
+    @pytest.mark.parametrize("N, seed", COMPLEX_RUNS[::5])
+    def test_a_negated_weight_is_not_a_dependence(self, N, seed):
+        """Negating one weight negates one coefficient vector Lam_i; the
+        grid test on the primal rejects every such lambda."""
+        _, pair, tup = complex_run(N, seed)
+        for i in tup.support():
+            weights = dict(tup.witness.weights)
+            weights[i] = -weights[i]
+            bad = dataclasses.replace(tup, witness=dataclasses.replace(
+                tup.witness, weights=weights))
+            with pytest.raises(NotADependence):
+                fans._complex_fan(pair, bad)
+
+    @pytest.mark.parametrize("N, seed", COMPLEX_RUNS[::5])
+    def test_a_perturbed_solve_fails_the_functional_check(
+            self, N, seed, monkeypatch):
+        """Moving alpha'_k off the square solve's value breaks <P,
+        conj(G_i)> = (a / e) s Lam_i on some dual point."""
+        _, pair, tup = complex_run(N, seed)
+        fan_from_tuple_complex(pair, tup)
+        eliminate = galedual._eliminate_cyclotomic
+        m, deg = pair.dual.dim, len(pair.dual.points[0][0].coeffs)
+        for k in range(m):
+            for shift in ([1] + [0] * (deg - 1), [0, 1] + [0] * (deg - 2)):
+                def moved(data, M, dens, ncols, back, k=k, shift=shift):
+                    pivots = eliminate(data, M, dens, ncols, back)
+                    M[k] = M[k][:m] + [[x + dens[k] * y for x, y in
+                                        zip(M[k][m], shift)]]
+                    return pivots
+
+                monkeypatch.setattr(galedual, "_eliminate_cyclotomic", moved)
+                with pytest.raises(VerificationBug,
+                                   match="does not reproduce lambda"):
+                    fan_from_tuple_complex(pair, tup)
+
+    @pytest.mark.parametrize("N, seed", COMPLEX_RUNS)
+    def test_grid_rows_classify_as_the_slice(self, N, seed):
+        """Each point of X read off the dual's grid as (G_i[:-1], s) is
+        classified by the slice exactly as ``ComplexFan.classify`` does
+        on the point itself."""
+        X, pair, tup = complex_run(N, seed)
+        _, affine = pipeline._build_fan(pair, X, tup)
+        G, s = pair._dual_grid
+        for g, x in zip(G, X.points):
+            assert g[-1] == [s] + [0] * (len(g[-1]) - 1)
+            assert affine._classify_int(g[:-1], s) == affine.classify(x)
 
 
 class TestTwoFanReport:
